@@ -38,7 +38,7 @@ print(f"layer t=20: {layer.n_edges} edges, {count} components, colors {palette}"
 
 for fmt in ExportFormat:
     blob = export_layer(layer, visuals, fmt)
-    path = out_dir / f"layer_t20.{fmt.extension}"
+    path = out_dir / f"layer_t20.{fmt.value}"
     path.write_bytes(blob)
     print(f"wrote {path} ({len(blob)} bytes)")
 

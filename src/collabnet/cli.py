@@ -66,18 +66,24 @@ def _read_input_bytes(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _parse_and_aggregate(data: bytes, config: RunConfig) -> tuple[list, ingest.Dataset]:
+def _parse(data: bytes, delimiter: str, lenient: bool = False) -> list:
+    """Parse input rows; under ``lenient``, report each skipped row on stderr."""
     row_errors: list[ingest.RowError] = []
     records = ingest.parse_records(
         data,
-        delimiter=config.delimiter,
-        lenient=config.lenient,
-        errors_out=row_errors if config.lenient else None,
+        delimiter=delimiter,
+        lenient=lenient,
+        errors_out=row_errors if lenient else None,
     )
     for err in row_errors:
         print(f"skipped {err}", file=sys.stderr)
     if not records:
         raise IngestError("input contains no data rows")
+    return records
+
+
+def _parse_and_aggregate(data: bytes, config: RunConfig) -> tuple[list, ingest.Dataset]:
+    records = _parse(data, config.delimiter, config.lenient)
     dataset = ingest.aggregate(records, strict=config.strict)
     if config.type_filter is not None:
         records = [r for r in records if r.project_type in config.type_filter]
@@ -108,8 +114,7 @@ def _stats_artifacts(records: list, n_bins: int) -> dict[str, bytes]:
 
 
 def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFormat) -> str:
-    label = f"{layer.threshold:.6f}".rstrip("0").rstrip(".") or "0"
-    return f"layer_{index:02d}_t{label}.{fmt.extension}"
+    return f"layer_{index:02d}_t{export.threshold_label(layer.threshold)}.{fmt.value}"
 
 
 def run_pipeline(config: RunConfig) -> list[Path]:
@@ -197,15 +202,29 @@ def _parse_types(text: str) -> frozenset[ProjectType]:
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"unparseable threshold list: {text!r}") from None
-    if not values:
-        raise ConfigError("threshold list is empty")
-    for lo, hi in zip(values, values[1:]):
-        if not lo < hi:
-            raise ConfigError("thresholds must be strictly increasing")
-    return values
+    try:
+        return layers.make_sweep_explicit(values).thresholds
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _parse_bins(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"--bins must be a positive integer, got {text!r}")
+    return value
+
+
+def _parse_delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise ConfigError(f"--delimiter must be a single character, got {text!r}")
+    return text
 
 
 def _default_output_dir() -> Path:
@@ -227,22 +246,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="parse and validate an input CSV")
     p_ingest.add_argument("input", help="input CSV path, - for stdin")
-    p_ingest.add_argument("--delimiter", default=",")
+    p_ingest.add_argument("--delimiter", type=_parse_delimiter, default=",")
     p_ingest.add_argument("--strict", action="store_true")
     p_ingest.add_argument("--lenient", action="store_true")
 
     p_stats = sub.add_parser("stats", help="write feature statistics files")
     p_stats.add_argument("input", help="input CSV path, - for stdin")
-    p_stats.add_argument("--delimiter", default=",")
-    p_stats.add_argument("--bins", type=int, default=stats.DEFAULT_BINS)
+    p_stats.add_argument("--delimiter", type=_parse_delimiter, default=",")
+    p_stats.add_argument("--bins", type=_parse_bins, default=stats.DEFAULT_BINS)
     p_stats.add_argument("--output-dir", default=None)
 
     p_build = sub.add_parser("build", help="run the full layer pipeline")
     p_build.add_argument("input", help="input CSV path, - for stdin")
     group = p_build.add_mutually_exclusive_group(required=True)
-    group.add_argument("--thresholds", help="comma-separated increasing list")
+    group.add_argument(
+        "--thresholds", type=_parse_thresholds, help="comma-separated increasing list"
+    )
     group.add_argument("--linspace", type=int, help="evenly spaced point count")
-    p_build.add_argument("--types", help="comma-separated project types to keep")
+    p_build.add_argument(
+        "--types", type=_parse_types, help="comma-separated project types to keep"
+    )
     p_build.add_argument(
         "--format",
         choices=[f.value for f in export.ExportFormat],
@@ -256,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--strict", action="store_true")
     p_build.add_argument("--lenient", action="store_true")
-    p_build.add_argument("--delimiter", default=",")
-    p_build.add_argument("--bins", type=int, default=stats.DEFAULT_BINS)
+    p_build.add_argument("--delimiter", type=_parse_delimiter, default=",")
+    p_build.add_argument("--bins", type=_parse_bins, default=stats.DEFAULT_BINS)
     p_build.add_argument("--dump-linkage", action="store_true")
     p_build.add_argument("--output-dir", default=None)
     return parser
@@ -276,16 +299,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    data = _read_input_bytes(args.input)
-    row_errors: list[ingest.RowError] = []
-    records = ingest.parse_records(
-        data,
-        delimiter=args.delimiter,
-        lenient=args.lenient,
-        errors_out=row_errors if args.lenient else None,
-    )
-    for err in row_errors:
-        print(f"skipped {err}", file=sys.stderr)
+    records = _parse(_read_input_bytes(args.input), args.delimiter, args.lenient)
     dataset = ingest.aggregate(records, strict=args.strict)
     print(f"records: {len(records)}")
     print(f"projects: {dataset.n_projects}")
@@ -299,10 +313,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    data = _read_input_bytes(args.input)
-    records = ingest.parse_records(data, delimiter=args.delimiter)
-    if not records:
-        raise IngestError("input contains no data rows")
+    records = _parse(_read_input_bytes(args.input), args.delimiter)
     out_dir = Path(args.output_dir) if args.output_dir else _default_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, blob in _stats_artifacts(records, args.bins).items():
@@ -316,9 +327,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     config = RunConfig(
         input_path=args.input,
         output_dir=Path(args.output_dir) if args.output_dir else _default_output_dir(),
-        thresholds=_parse_thresholds(args.thresholds) if args.thresholds else None,
+        thresholds=args.thresholds,
         linspace=args.linspace,
-        type_filter=_parse_types(args.types) if args.types else None,
+        type_filter=args.types,
         export_format=export.ExportFormat(args.format),
         include_isolated=args.include_isolated,
         strict=args.strict,
@@ -333,8 +344,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "synth": _cmd_synth,
         "ingest": _cmd_ingest,
@@ -342,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
         "build": _cmd_build,
     }
     try:
+        # option values go through the _parse_* converters, whose
+        # ConfigError argparse lets through to here
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ __all__ = [
     "assign_visuals",
     "export_layer",
     "parse_jsongraph",
+    "threshold_label",
 ]
 
 
@@ -43,11 +44,7 @@ class ComponentColor(Enum):
 class ExportFormat(Enum):
     GRAPHML = "graphml"
     DOT = "dot"
-    JSONGRAPH = "json"
-
-    @property
-    def extension(self) -> str:
-        return {"graphml": "graphml", "dot": "dot", "json": "json"}[self.value]
+    JSONGRAPH = "json"  # each value doubles as the file extension
 
 
 @dataclass(frozen=True)
@@ -138,9 +135,9 @@ def export_layer(
     raise ValueError(f"unsupported export format: {fmt!r}")
 
 
-def _threshold_label(threshold: float) -> str:
-    text = f"{threshold:.6f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+def threshold_label(threshold: float) -> str:
+    """The threshold to 6 decimals, trailing zeros trimmed: 35.0 -> "35"."""
+    return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
 
 
 def _to_graphml(
@@ -153,7 +150,7 @@ def _to_graphml(
         '  <key id="component" for="node" attr.name="component" attr.type="int"/>',
         '  <key id="color" for="node" attr.name="color" attr.type="string"/>',
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-        f'  <graph id={quoteattr("t" + _threshold_label(layer.threshold))}'
+        f'  <graph id={quoteattr("t" + threshold_label(layer.threshold))}'
         ' edgedefault="undirected">',
     ]
     for v in nodes:
@@ -179,7 +176,7 @@ def _dot_quote(name: str) -> str:
 def _to_dot(
     layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
 ) -> bytes:
-    out = [f"graph {_dot_quote('t' + _threshold_label(layer.threshold))} {{"]
+    out = [f"graph {_dot_quote('t' + threshold_label(layer.threshold))} {{"]
     for v in nodes:
         vis = visuals[v]
         out.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -191,6 +192,8 @@ def _parse_row(
                 ic = float(raw_ic)
             except ValueError:
                 raise RowError(line_num, f"unparseable ic_score {raw_ic!r}") from None
+            if not math.isfinite(ic):
+                raise RowError(line_num, f"non-finite ic_score {raw_ic!r}")
             if ic < 0.0:
                 raise RowError(line_num, f"negative ic_score: {ic}")
 

@@ -1,6 +1,6 @@
 """Per-layer network metric suite.
 
-Local metrics (closeness, betweenness, degree, clustering) are computed per
+Local metrics (closeness, betweenness, degree, clustering) are defined per
 node and averaged over the layer; global metrics (density, connected
 components) describe the whole graph. Reporting removes isolated nodes
 before measuring, so the numbers describe the connected part of a layer.
@@ -12,6 +12,17 @@ deliberately uses the reciprocal-distance definition throughout.
 
 Betweenness is unnormalized and counts each unordered {s, t} pair once;
 pairs with no connecting path contribute 0.
+
+:func:`report` needs only layer averages, and both centrality averages
+follow from one integer histogram. With c_d the number of ordered node
+pairs at hop distance d, the closeness values sum to sum(c_d / d) and the
+betweenness values to sum(c_d * (d - 1)) / 2: a pair d hops apart has d - 1
+interior nodes on each of its shortest paths (Brandes 2008, "On variants
+of shortest-path betweenness centrality"). So the report runs only a
+batched forward BFS and counts hop distances; the Brandes backward
+(dependency) pass runs only behind :func:`betweenness`, the one consumer of
+per-node values. Clustering comes from triangle counts, the row sums of
+(A·A)∘A.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -42,7 +54,7 @@ __all__ = [
     "reports_to_json_bytes",
 ]
 
-_BATCH_SIZE = 48  # source columns per Brandes pass; sized for cache-friendly arrays
+_BATCH_SIZE = 48  # BFS source columns per pass; sized for cache-friendly arrays
 
 
 @dataclass(frozen=True)
@@ -59,31 +71,6 @@ class LayerMetricsReport:
     avg_clustering: float
     density: float
     n_components: int
-
-
-class _UnionFind:
-    """Disjoint sets over integer indices, path compression + union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 def _adjacency(layer: NetworkLayer) -> dict[str, set[str]]:
@@ -156,208 +143,155 @@ def density(layer: NetworkLayer) -> float:
     return 2.0 * layer.n_edges / (n * (n - 1))
 
 
-def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
-    """Connected components; ids ordered by decreasing size, then smallest
-    contained node id."""
-    nodes = layer.nodes
-    index = {v: i for i, v in enumerate(nodes)}
-    uf = _UnionFind(len(nodes))
-    for a, b, _ in layer.edges:
-        uf.union(index[a], index[b])
-
-    groups: dict[int, list[str]] = {}
-    for v in nodes:
-        groups.setdefault(uf.find(index[v]), []).append(v)
-    ordered = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
-    membership = {v: cid for cid, group in enumerate(ordered) for v in group}
-    return len(ordered), membership
+def _adjacency_matrix(layer: NetworkLayer) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency in CSR form; row i is ``layer.nodes[i]``."""
+    index = {v: i for i, v in enumerate(layer.nodes)}
+    m = layer.n_edges
+    a = np.fromiter((index[e.a] for e in layer.edges), np.int64, m)
+    b = np.fromiter((index[e.b] for e in layer.edges), np.int64, m)
+    return sp.csr_matrix(
+        (np.ones(2 * m), (np.concatenate([a, b]), np.concatenate([b, a]))),
+        shape=(layer.n_nodes, layer.n_nodes),
+    )
 
 
-def _component_centrality(
-    adj: sp.csr_matrix, batch_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closeness and betweenness arrays for one connected subgraph.
+def _component_roots(adj: sp.csr_matrix) -> np.ndarray:
+    """Each node's component root: the smallest node index in its component.
 
-    Level-synchronous Brandes accumulation, batched over source columns and
-    driven by sparse matrix products so large graphs stay fast. Source
-    columns drop out of the per-level products once their BFS finishes, so
-    a few high-eccentricity sources do not stall the whole batch. Distances
-    from the same pass give the reciprocal-distance closeness for free.
+    Min-label hooking with pointer jumping: each pass hangs the larger of
+    two adjacent roots under the smaller, then points every node straight
+    at its root, until no edge joins two different roots.
     """
     n = adj.shape[0]
-    harm = np.zeros(n)
-    bc = np.zeros(n)
-    for start in range(0, n, batch_size):
-        sources = np.arange(start, min(start + batch_size, n))
-        width = len(sources)
-        col = np.arange(width)
+    tails = np.repeat(np.arange(n), np.diff(adj.indptr))
+    root = np.arange(n)
+    while True:
+        a, b = root[tails], root[adj.indices]
+        if np.array_equal(a, b):
+            return root
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
 
-        dist = np.full((n, width), -1, np.int16)
-        sigma = np.zeros((n, width))
+
+def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
+    """Connected components; ids ordered by decreasing size, then smallest
+    contained node id (``layer.nodes`` is sorted, so that id is the root's)."""
+    root = _component_roots(_adjacency_matrix(layer))
+    roots, sizes = np.unique(root, return_counts=True)
+    rank = np.empty(layer.n_nodes, np.int64)
+    rank[roots[np.lexsort((roots, -sizes))]] = np.arange(roots.size)
+    return roots.size, dict(zip(layer.nodes, rank[root].tolist()))
+
+
+def _component_blocks(adj: sp.csr_matrix, root: np.ndarray):
+    """Yield (node indices, adjacency) for groups of whole components.
+
+    Components are packed in root order into groups of at most _BATCH_SIZE
+    nodes, a larger component forming a group of its own. No shortest path
+    crosses a group, and small components share one BFS batch.
+    """
+    order = np.argsort(root, kind="stable")
+    adj = adj[order][:, order]
+    ends = np.append(np.flatnonzero(np.diff(root[order])) + 1, order.size)
+    start = 0
+    for i, end in enumerate(ends):
+        if i + 1 == ends.size or ends[i + 1] - start > _BATCH_SIZE:
+            yield order[start:end], adj[start:end, start:end]
+            start = end
+
+
+def _bfs_batches(adj: sp.csr_matrix):
+    """Level-synchronous BFS from every node, _BATCH_SIZE sources at a time.
+
+    Yields (sources, dist, sigma, levels) per batch: int32 hop distances
+    (-1 where unreached), shortest-path counts, and for each level the
+    source columns that reached it. Columns drop out of the per-level
+    sparse products once their BFS finishes, so a few high-eccentricity
+    sources do not stall the whole batch.
+    """
+    n = adj.shape[0]
+    for start in range(0, n, _BATCH_SIZE):
+        sources = np.arange(start, min(start + _BATCH_SIZE, n))
+        col = np.arange(sources.size)
+        dist = np.full((n, sources.size), -1, np.int32)
         dist[sources, col] = 0
+        sigma = np.zeros((n, sources.size))
         sigma[sources, col] = 1.0
-
-        frontier = np.zeros((n, width))
-        frontier[sources, col] = 1.0
-        active = col  # columns whose BFS is still expanding
-        level_cols: list[np.ndarray] = []
-        level = 0
-        while active.size:
+        frontier = sigma.copy()
+        active = col
+        levels: list[np.ndarray] = []
+        while True:
             paths = adj @ frontier
             new = (paths > 0.0) & (dist[:, active] < 0)
             alive = np.flatnonzero(new.any(axis=0))
             if alive.size == 0:
                 break
-            active = active[alive]
-            new = new[:, alive]
-            paths = paths[:, alive]
-            level += 1
-            rows, cols_ = np.nonzero(new)
-            dist[rows, active[cols_]] = level
-            sigma[rows, active[cols_]] = paths[rows, cols_]
+            active, new, paths = active[alive], new[:, alive], paths[:, alive]
+            rows, cols = np.nonzero(new)
+            dist[rows, active[cols]] = len(levels) + 1
+            sigma[rows, active[cols]] = paths[rows, cols]
             frontier = np.where(new, paths, 0.0)
-            level_cols.append(active)
-
-        reached = dist > 0
-        inv = np.where(reached, 1.0 / np.maximum(dist, 1), 0.0)
-        harm[sources] = inv.sum(axis=0)
-
-        # Backward dependency accumulation, deepest level first; only the
-        # columns that reached a level participate in its products.
-        delta = np.zeros((n, width))
-        for lvl in range(len(level_cols), 0, -1):
-            act = level_cols[lvl - 1]
-            dist_c = dist[:, act]
-            sigma_c = sigma[:, act]
-            delta_c = delta[:, act]
-            coeff = np.zeros_like(sigma_c)
-            np.divide(1.0 + delta_c, sigma_c, out=coeff, where=dist_c == lvl)
-            spread = adj @ coeff
-            delta_c += np.where(dist_c == lvl - 1, sigma_c * spread, 0.0)
-            delta[:, act] = delta_c
-        delta[sources, col] = 0.0  # a source never sits between its own pairs
-        bc += delta.sum(axis=1)
-
-    return harm, bc / 2.0  # ordered (s, t) accumulations -> unordered pairs
+            levels.append(active)
+        yield sources, dist, sigma, levels
 
 
-def _centrality_maps(
-    layer: NetworkLayer, batch_size: int = _BATCH_SIZE
-) -> tuple[dict[str, float], dict[str, float]]:
-    """All-node closeness and betweenness, one Brandes pass per component.
-
-    Both metrics are component-local (unreachable pairs contribute nothing),
-    so working per connected component bounds the quadratic cost by the
-    largest component instead of the whole layer.
-    """
-    nodes = layer.nodes
-    n = len(nodes)
-    if n == 0:
-        return {}, {}
-    index = {v: i for i, v in enumerate(nodes)}
-    _, membership = components(layer)
-    groups: dict[int, list[str]] = {}
-    for v in nodes:
-        groups.setdefault(membership[v], []).append(v)
-
-    edges_of: dict[int, list[tuple[int, int]]] = {}
-    local_index: dict[str, int] = {}
-    for cid, group in groups.items():
-        for i, v in enumerate(group):
-            local_index[v] = i
-        edges_of[cid] = []
-    for a, b, _ in layer.edges:
-        edges_of[membership[a]].append((local_index[a], local_index[b]))
-
-    harm = np.zeros(n)
-    bc = np.zeros(n)
-    for cid, group in groups.items():
-        size = len(group)
-        if size == 1:
-            continue
-        if size == 2:
-            for v in group:
-                harm[index[v]] = 1.0
-            continue
-        pairs = edges_of[cid]
-        rows = np.fromiter((i for i, j in pairs), int, len(pairs))
-        cols = np.fromiter((j for i, j in pairs), int, len(pairs))
-        adj = sp.csr_matrix(
-            (
-                np.ones(2 * len(pairs)),
-                (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
-            ),
-            shape=(size, size),
-        )
-        c_harm, c_bc = _component_centrality(adj, min(batch_size, size))
-        for i, v in enumerate(group):
-            harm[index[v]] = c_harm[i]
-            bc[index[v]] = c_bc[i]
-
-    return (
-        {v: float(harm[i]) for v, i in index.items()},
-        {v: float(bc[i]) for v, i in index.items()},
-    )
+def _dependencies(adj: sp.csr_matrix, sources, dist, sigma, levels) -> np.ndarray:
+    """Brandes backward pass over one BFS batch: each node's dependency
+    summed over the batch's sources. Deepest level first; only the columns
+    that reached a level take part in its product."""
+    delta = np.zeros(dist.shape)
+    for lvl in range(len(levels), 0, -1):
+        act = levels[lvl - 1]
+        dist_c, sigma_c, delta_c = dist[:, act], sigma[:, act], delta[:, act]
+        coeff = np.zeros_like(sigma_c)
+        np.divide(1.0 + delta_c, sigma_c, out=coeff, where=dist_c == lvl)
+        delta_c += np.where(dist_c == lvl - 1, sigma_c * (adj @ coeff), 0.0)
+        delta[:, act] = delta_c
+    delta[sources, np.arange(sources.size)] = 0.0  # a source never sits between its own pairs
+    return delta.sum(axis=1)
 
 
 def betweenness(layer: NetworkLayer) -> dict[str, float]:
     """Unnormalized betweenness for every node, over unordered node pairs."""
-    return _centrality_maps(layer)[1]
+    adj = _adjacency_matrix(layer)
+    bc = np.zeros(layer.n_nodes)
+    for nodes, block in _component_blocks(adj, _component_roots(adj)):
+        for batch in _bfs_batches(block):
+            bc[nodes] += _dependencies(block, *batch)
+    return dict(zip(layer.nodes, (bc / 2.0).tolist()))  # ordered (s, t) -> unordered
 
 
-def _clustering_values(layer: NetworkLayer) -> list[float]:
-    adj = _adjacency(layer)
-    values = []
-    for v in layer.nodes:
-        neighbors = adj[v]
-        k = len(neighbors)
-        if k < 2:
-            values.append(0.0)
-            continue
-        links = sum(len(adj[u] & neighbors) for u in neighbors)
-        values.append(links / (k * (k - 1)))
-    return values
-
-
-def report(layer: NetworkLayer, *, batch_size: int = _BATCH_SIZE) -> LayerMetricsReport:
+def report(layer: NetworkLayer) -> LayerMetricsReport:
     """Remove isolated nodes, then average the local metrics and compute the
     global ones on the retained graph. An empty retained graph yields a
     zeroed report with the removal count preserved."""
     retained = remove_isolated(layer)
     n = retained.n_nodes
-    n_isolated = layer.n_nodes - n
-    if n == 0:
-        return LayerMetricsReport(
-            threshold=layer.threshold,
-            n_nodes_retained=0,
-            n_edges=retained.n_edges,
-            n_isolated_removed=n_isolated,
-            avg_closeness=0.0,
-            avg_betweenness=0.0,
-            avg_degree=0.0,
-            avg_clustering=0.0,
-            density=0.0,
-            n_components=0,
-        )
-
-    close_map, between_map = _centrality_maps(retained, batch_size)
-    n_components, _ = components(retained)
-    degrees = {v: 0 for v in retained.nodes}
-    for a, b, _ in retained.edges:
-        degrees[a] += 1
-        degrees[b] += 1
+    per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
+    adj = _adjacency_matrix(retained)
+    root = _component_roots(adj)
+    pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
+    for _, block in _component_blocks(adj, root):
+        for _, dist, _, _ in _bfs_batches(block):
+            counts = np.bincount(dist[dist > 0])
+            pairs_at[: counts.size] += counts
+    hops = np.arange(1, n)
+    deg = np.diff(adj.indptr)
+    links = np.asarray(adj.multiply(adj @ adj).sum(axis=1)).ravel()  # 2 * triangles at v
+    local_clustering = np.divide(links, deg * (deg - 1), out=np.zeros(n), where=deg > 1)
 
     return LayerMetricsReport(
         threshold=layer.threshold,
         n_nodes_retained=n,
         n_edges=retained.n_edges,
-        n_isolated_removed=n_isolated,
-        avg_closeness=sum(close_map[v] for v in retained.nodes) / n,
-        avg_betweenness=sum(between_map[v] for v in retained.nodes) / n,
-        avg_degree=sum(degrees.values()) / n,
-        avg_clustering=sum(_clustering_values(retained)) / n,
+        n_isolated_removed=layer.n_nodes - n,
+        avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
+        avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
+        avg_degree=2 * retained.n_edges / per_node,
+        avg_clustering=math.fsum(local_clustering) / per_node,
         density=density(retained),
-        n_components=n_components,
+        n_components=int(np.count_nonzero(root == np.arange(n))),
     )
 
 

@@ -174,6 +174,11 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
     assert run(["build", str(small_input), "--thresholds", "20,10", "--output-dir", str(tmp_path / "x")]) == 2
     assert run(["build", str(small_input), "--thresholds", "abc", "--output-dir", str(tmp_path / "y")]) == 2
     assert run(["build", str(small_input), "--thresholds", "0,20", "--types", "invoice"]) == 2
+    out = str(tmp_path / "z")
+    assert run(["build", str(small_input), "--thresholds", "0,1e400", "--output-dir", out]) == 2
+    assert run(["build", str(small_input), "--thresholds", "0,20", "--bins", "0", "--output-dir", out]) == 2
+    assert run(["build", str(small_input), "--thresholds", "0,20", "--delimiter", ";;", "--output-dir", out]) == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

@@ -104,6 +104,13 @@ def test_parse_negative_ic_rejected():
         parse(HEADER + "P1,M1,50,-1,IP\n")
 
 
+def test_parse_non_finite_ic_rejected():
+    for raw in ("nan", "inf", "-Infinity"):
+        with pytest.raises(RowError, match="non-finite ic_score") as exc:
+            parse(HEADER + f"P1,M1,50,1,IP\nP2,M1,50,{raw},IP\n")
+        assert exc.value.row == 3
+
+
 def test_parse_empty_ids_rejected():
     with pytest.raises(RowError, match="empty"):
         parse(HEADER + ",M1,50,,IP\n")

@@ -178,6 +178,72 @@ def test_metrics_match_oracles_on_random_graphs():
             assert clustering(layer, v) == clustering_oracle(adj, v)
         assert components(layer)[0] == components_oracle(adj)
 
+        rep = report(layer)
+        retained = remove_isolated(layer).nodes
+        assert rep.n_nodes_retained == len(retained)
+        assert rep.n_components == components_oracle(adjacency_of(remove_isolated(layer)))
+        if not retained:
+            continue
+        n = len(retained)
+        assert rep.avg_betweenness == pytest.approx(
+            sum(oracle_bc[v] for v in retained) / n, abs=1e-9
+        )
+        for field, oracle in (
+            ("avg_closeness", closeness_oracle),
+            ("avg_clustering", clustering_oracle),
+            ("avg_degree", lambda adj, v: len(adj[v])),
+        ):
+            expected = sum(oracle(adj, v) for v in retained) / n
+            assert getattr(rep, field) == pytest.approx(expected, abs=1e-12)
+
+
+def _layer_with_components(rng: random.Random) -> tuple:
+    """300-600 nodes in components of sizes 1 to ~300, each a random
+    spanning tree plus a few chords, so BFS runs many levels deep; node
+    ids are shuffled so no component is a contiguous id range."""
+    n = rng.randint(300, 600)
+    nodes = [f"n{i:03d}" for i in range(n)]
+    shuffled = rng.sample(nodes, n)
+    edges, start = [], 0
+    while start < n:
+        size = min(n - start, rng.choice((1, 2, 3, 5, 8, 13, 40, 60, n // 2)))
+        part = shuffled[start : start + size]
+        start += size
+        for i in range(1, size):
+            edges.append((part[i], part[rng.randrange(i)]))
+        for _ in range(size // 4):
+            a, b = rng.sample(part, 2)
+            if (a, b) not in edges and (b, a) not in edges:
+                edges.append((a, b))
+    return make_layer(nodes, edges)
+
+
+def test_metrics_match_networkx_on_multi_batch_layers():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    for _ in range(3):
+        layer = _layer_with_components(rng)
+        graph = nx.Graph()
+        graph.add_nodes_from(layer.nodes)
+        graph.add_edges_from((a, b) for a, b, _ in layer.edges)
+        retained = graph.subgraph(v for v in graph if graph.degree(v) > 0)
+        n = retained.number_of_nodes()
+        assert n > 2 * metrics._BATCH_SIZE
+
+        bc = betweenness(layer)
+        expected_bc = nx.betweenness_centrality(graph, normalized=False)
+        for v in layer.nodes:
+            assert bc[v] == pytest.approx(expected_bc[v], rel=1e-9, abs=1e-9)
+        assert components(layer)[0] == nx.number_connected_components(graph)
+
+        rep = report(layer)
+        harmonic = nx.harmonic_centrality(retained)
+        assert rep.n_nodes_retained == n
+        assert rep.n_components == nx.number_connected_components(retained)
+        assert rep.avg_betweenness == pytest.approx(sum(expected_bc.values()) / n, rel=1e-9)
+        assert rep.avg_closeness == pytest.approx(sum(harmonic.values()) / n, rel=1e-12)
+        assert rep.avg_clustering == pytest.approx(nx.average_clustering(retained), rel=1e-12)
+
 
 def test_handshake_identity():
     rng = random.Random(17)
