@@ -7,7 +7,12 @@ scores near 100, a pair sharing only marginal helpers scores near 0.
 """
 
 from collabnet.ingest import Project, ProjectType, aggregate, parse_records
-from collabnet.linkage import build_linkage_table, pair_linkage, table_to_csv_bytes
+from collabnet.linkage import (
+    build_linkage_table,
+    common_members,
+    pair_linkage,
+    table_to_csv_bytes,
+)
 from collabnet.synth import SynthConfig, generate_csv_bytes
 
 # hand-worked pair: members M1 (50 vs 30) and M2 (20 vs 40)
@@ -15,7 +20,7 @@ from collabnet.synth import SynthConfig, generate_csv_bytes
 a = Project("A", ProjectType.IP, {"M1": 50.0, "M2": 20.0})
 b = Project("B", ProjectType.IP, {"M1": 30.0, "M2": 40.0})
 link = pair_linkage(a, b)
-print(f"A-B linkage: {link.linkage} via {sorted(link.common_members)}")
+print(f"A-B linkage: {link.linkage} via {sorted(common_members(a, b))}")
 
 # disjoint teams produce no entry at all rather than a zero
 c = Project("C", ProjectType.IP, {"M9": 100.0})

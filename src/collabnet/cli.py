@@ -117,11 +117,24 @@ def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFo
     return f"layer_{index:02d}_t{export.threshold_label(layer.threshold)}.{fmt.value}"
 
 
+def _listed_artifacts(out_dir: Path) -> set[str]:
+    """File names the collabnet manifest in ``out_dir`` lists, if it has one."""
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_bytes())
+        if manifest["tool"]["name"] == "collabnet":
+            return {name for name in manifest["artifacts"] if Path(name).name == name}
+    except (OSError, ValueError, TypeError, KeyError):
+        pass
+    return set()
+
+
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
     Artifacts are assembled in memory first and written in one pass, so a
-    failing run leaves no partial output behind.
+    failing run leaves no partial output behind. After a successful write,
+    the files that an earlier run's manifest in the output directory listed
+    and this run did not write are removed; no other file is touched.
     """
     input_bytes = _read_input_bytes(config.input_path)
     records, dataset = _parse_and_aggregate(input_bytes, config)
@@ -170,7 +183,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
             "delimiter": config.delimiter,
             "n_bins": config.n_bins,
         },
-        "dataset_fingerprint": dataset.fingerprint(),
+        "dataset_fingerprint": stack[0].provenance.dataset_fingerprint,
         "artifacts": {
             name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()
         },
@@ -179,6 +192,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     ).encode("utf-8")
 
+    stale = _listed_artifacts(config.output_dir) - artifacts.keys()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -190,6 +204,10 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         for path in written:
             path.unlink(missing_ok=True)
         raise
+    for name in sorted(stale):
+        path = config.output_dir / name
+        if path.is_file():
+            path.unlink()
     return written
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Mapping
 from xml.sax.saxutils import escape, quoteattr
 
@@ -82,36 +84,18 @@ def assign_visuals(
     if missing:
         raise ValueError(f"membership does not cover nodes: {missing[:5]}")
 
-    sizes: dict[int, int] = {}
-    for v in layer.nodes:
-        sizes[membership[v]] = sizes.get(membership[v], 0) + 1
+    sizes = Counter(membership[v] for v in layer.nodes)
     distinct = sorted(set(sizes.values()), reverse=True)
     bands = _color_bands(len(distinct))
     color_of_size = {size: bands[rank] for rank, size in enumerate(distinct)}
-
-    degrees = {v: 0 for v in layer.nodes}
-    for a, b, _ in layer.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-
     return {
         v: VisualAttributes(
-            node_size_key=degrees[v],
+            node_size_key=k,
             component_color=color_of_size[sizes[membership[v]]],
             component_rank=membership[v],
         )
-        for v in layer.nodes
+        for v, k in zip(layer.nodes, layer.degrees.tolist())
     }
-
-
-def _visible_nodes(layer: NetworkLayer, include_isolated: bool) -> list[str]:
-    if include_isolated:
-        return list(layer.nodes)
-    connected = set()
-    for a, b, _ in layer.edges:
-        connected.add(a)
-        connected.add(b)
-    return [v for v in layer.nodes if v in connected]
 
 
 def export_layer(
@@ -122,7 +106,7 @@ def export_layer(
     include_isolated: bool = True,
 ) -> bytes:
     """Serialize a layer with its visual attributes to the chosen format."""
-    nodes = _visible_nodes(layer, include_isolated)
+    nodes = list(compress(layer.nodes, (layer.degrees > 0) | include_isolated))
     missing = [v for v in nodes if v not in visuals]
     if missing:
         raise ValueError(f"visuals do not cover nodes: {missing[:5]}")

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,9 @@ __all__ = [
 # Per-project contribution totals are nominally 100; real exports carry
 # rounding slop, so sums up to this limit are accepted silently.
 CONTRIBUTION_SUM_LIMIT = 100.5
+
+# Unicode category Cc: no export format can carry these in an id.
+_CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 CSV_COLUMNS = ("project_id", "member_id", "contribution_pct", "ic_score", "project_type")
 _REQUIRED_COLUMNS = ("project_id", "member_id", "contribution_pct", "project_type")
@@ -175,6 +179,9 @@ def _parse_row(
     member_id = cell("member_id")
     if not project_id or not member_id:
         raise RowError(line_num, "empty project_id or member_id")
+    for name, value in (("project_id", project_id), ("member_id", member_id)):
+        if _CONTROL_CHAR.search(value):
+            raise RowError(line_num, f"control character in {name} {value!r}")
 
     raw_pct = cell("contribution_pct")
     try:
@@ -277,8 +284,6 @@ def aggregate(records: Iterable[ContributionRecord], *, strict: bool = False) ->
                 f"{known.value!r} and {rec.project_type.value!r}"
             )
 
-    projects: dict[str, Project] = {}
-    index: dict[str, set[str]] = {}
     for pid, team in members.items():
         total = sum(team.values())
         if total > CONTRIBUTION_SUM_LIMIT:
@@ -286,10 +291,15 @@ def aggregate(records: Iterable[ContributionRecord], *, strict: bool = False) ->
             if strict:
                 raise ContributionSumError(msg)
             warnings.warn(msg, ContributionSumWarning, stacklevel=2)
-        projects[pid] = Project(pid, types[pid], team)
-        for mid in team:
-            index.setdefault(mid, set()).add(pid)
+    return _indexed({pid: Project(pid, types[pid], team) for pid, team in members.items()})
 
+
+def _indexed(projects: dict[str, Project]) -> Dataset:
+    """The dataset of ``projects`` with its member -> projects index."""
+    index: dict[str, set[str]] = {}
+    for pid, p in projects.items():
+        for mid in p.members:
+            index.setdefault(mid, set()).add(pid)
     return Dataset(projects, {mid: frozenset(pids) for mid, pids in index.items()})
 
 
@@ -298,14 +308,9 @@ def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
     wanted = frozenset(types)
     if not wanted:
         raise ValueError("type filter must name at least one project type")
-    projects = {
-        pid: p for pid, p in dataset.projects.items() if p.project_type in wanted
-    }
-    index: dict[str, set[str]] = {}
-    for pid, p in projects.items():
-        for mid in p.members:
-            index.setdefault(mid, set()).add(pid)
-    return Dataset(projects, {mid: frozenset(pids) for mid, pids in index.items()})
+    return _indexed(
+        {pid: p for pid, p in dataset.projects.items() if p.project_type in wanted}
+    )
 
 
 def to_records(dataset: Dataset) -> list[ContributionRecord]:

@@ -2,14 +2,22 @@
 
 A layer is the graph obtained at one threshold: every project is a node and
 every pair whose linkage meets the threshold is an undirected weighted edge.
-Sweeping an increasing list of thresholds yields a stack of nested layers.
+Sweeping an increasing list of thresholds yields a stack of nested layers
+that share one node tuple and one edge tuple: each layer keeps the edges
+whose weight meets its threshold. A layer builds its CSR adjacency and
+degree array once, on first use; metrics and export read only these.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from .ingest import Dataset
 from .linkage import LinkageTable
@@ -62,6 +70,23 @@ class NetworkLayer:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency in CSR form; row i is ``nodes[i]``."""
+        index = {v: i for i, v in enumerate(self.nodes)}
+        m = self.n_edges
+        a = np.fromiter((index[e.a] for e in self.edges), np.int64, m)
+        b = np.fromiter((index[e.b] for e in self.edges), np.int64, m)
+        return sp.csr_matrix(
+            (np.ones(2 * m), (np.concatenate([a, b]), np.concatenate([b, a]))),
+            shape=(self.n_nodes, self.n_nodes),
+        )
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Number of incident edges of each node, in ``nodes`` order."""
+        return np.diff(self.adjacency.indptr)
+
 
 @dataclass(frozen=True)
 class ThresholdSweep:
@@ -103,21 +128,21 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
     return ThresholdSweep(tuple(values), "linspace")
 
 
-def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:
-    """Graph at one threshold: all projects as nodes, pairs with
-    linkage >= threshold as weighted edges."""
-    nodes = tuple(sorted(dataset.projects))
-    edges = tuple(
-        Edge(pa, pb, link.linkage)
-        for (pa, pb), link in table.pairs.items()
-        if link.linkage >= threshold
-    )
-    provenance = Provenance(dataset.fingerprint(), dataset.project_types())
-    return NetworkLayer(float(threshold), nodes, edges, provenance)
-
-
 def build_layer_stack(
     dataset: Dataset, table: LinkageTable, sweep: ThresholdSweep
 ) -> list[NetworkLayer]:
-    """One layer per sweep threshold, in sweep order."""
-    return [build_layer(dataset, table, t) for t in sweep.thresholds]
+    """One layer per sweep threshold, in sweep order: all projects as nodes,
+    pairs with linkage >= threshold as weighted edges."""
+    nodes = tuple(sorted(dataset.projects))
+    edges = tuple(Edge(pa, pb, link.linkage) for (pa, pb), link in table.pairs.items())
+    weights = np.fromiter((e.weight for e in edges), float, len(edges))
+    provenance = Provenance(dataset.fingerprint(), dataset.project_types())
+    return [
+        NetworkLayer(t, nodes, tuple(compress(edges, weights >= t)), provenance)
+        for t in sweep.thresholds
+    ]
+
+
+def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:
+    """The stack of one threshold: the graph at ``threshold`` alone."""
+    return build_layer_stack(dataset, table, make_sweep_explicit([threshold]))[0]

@@ -31,7 +31,6 @@ class PairLinkage:
 
     project_a: str
     project_b: str
-    common_members: frozenset[str]
     n_common: int
     linkage: float
 
@@ -76,7 +75,7 @@ def pair_linkage(a: Project, b: Project) -> PairLinkage | None:
     value = total / len(common)
     value = min(max(value, 0.0), 100.0)
     pa, pb = (a.id, b.id) if a.id < b.id else (b.id, a.id)
-    return PairLinkage(pa, pb, common, len(common), value)
+    return PairLinkage(pa, pb, len(common), value)
 
 
 def build_linkage_table(dataset: Dataset) -> LinkageTable:

@@ -4,6 +4,9 @@ Local metrics (closeness, betweenness, degree, clustering) are defined per
 node and averaged over the layer; global metrics (density, connected
 components) describe the whole graph. Reporting removes isolated nodes
 before measuring, so the numbers describe the connected part of a layer.
+Every kernel reads the layer's one CSR adjacency (``layer.adjacency``), and
+each per-node function returns the values of all nodes at once, as a
+node -> value map, from the same kernel :func:`report` averages.
 
 Closeness here is the reciprocal-distance form: sum over other nodes of
 1/d(v, u), with unreachable nodes contributing 0. Many graph libraries call
@@ -20,9 +23,9 @@ betweenness values to sum(c_d * (d - 1)) / 2: a pair d hops apart has d - 1
 interior nodes on each of its shortest paths (Brandes 2008, "On variants
 of shortest-path betweenness centrality"). So the report runs only a
 batched forward BFS and counts hop distances; the Brandes backward
-(dependency) pass runs only behind :func:`betweenness`, the one consumer of
-per-node values. Clustering comes from triangle counts, the row sums of
-(A·A)∘A.
+(dependency) pass runs only behind :func:`betweenness`, the one function
+that needs shortest-path counts. Clustering comes from triangle counts, the
+row sums of (A·A)∘A, for :func:`clustering` and :func:`report` alike.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import csv
 import io
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,66 +76,39 @@ class LayerMetricsReport:
     n_components: int
 
 
-def _adjacency(layer: NetworkLayer) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in layer.nodes}
-    for a, b, _ in layer.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 def remove_isolated(layer: NetworkLayer) -> NetworkLayer:
     """Drop degree-0 nodes; edges, threshold and provenance are unchanged."""
-    connected = set()
-    for a, b, _ in layer.edges:
-        connected.add(a)
-        connected.add(b)
-    nodes = tuple(v for v in layer.nodes if v in connected)
+    nodes = tuple(compress(layer.nodes, layer.degrees > 0))
     return NetworkLayer(layer.threshold, nodes, layer.edges, layer.provenance)
 
 
-def degree(layer: NetworkLayer, v: str) -> int:
-    """Number of edges incident to v."""
-    if v not in layer.nodes:
-        raise ValueError(f"unknown node {v!r}")
-    return sum(1 for a, b, _ in layer.edges if v == a or v == b)
+def degree(layer: NetworkLayer) -> dict[str, int]:
+    """Number of edges incident to each node."""
+    return dict(zip(layer.nodes, layer.degrees.tolist()))
 
 
-def closeness(layer: NetworkLayer, v: str) -> float:
-    """Sum of reciprocal shortest-path distances from v to every other node.
-
-    Distances are unweighted hop counts (BFS); unreachable nodes add 0.
-    """
-    adj = _adjacency(layer)
-    if v not in adj:
-        raise ValueError(f"unknown node {v!r}")
-    dist = {v: 0}
-    queue = deque([v])
-    total = 0.0
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                total += 1.0 / dist[w]
-                queue.append(w)
-    return total
+def closeness(layer: NetworkLayer) -> dict[str, float]:
+    """Sum of reciprocal shortest-path distances from each node to every
+    other node. Distances are unweighted hop counts; unreachable nodes add 0."""
+    values = np.zeros(layer.n_nodes)
+    for sources, dist, _, _ in _bfs_batches(layer.adjacency):
+        reciprocal = np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0)
+        values[sources] = reciprocal.sum(axis=0)
+    return dict(zip(layer.nodes, values.tolist()))
 
 
-def clustering(layer: NetworkLayer, v: str) -> float:
-    """Fraction of possible triangles through v: 2*T(v) / (deg*(deg-1)).
+def _local_clustering(adj: sp.csr_matrix) -> np.ndarray:
+    """Each node's 2*T(v) / (deg*(deg-1)), with T(v) from the triangle
+    counts in the row sums of (A·A)∘A; 0 for degree < 2, where there are no
+    triangles to count."""
+    deg = np.diff(adj.indptr)
+    links = np.asarray(adj.multiply(adj @ adj).sum(axis=1)).ravel()  # 2 * triangles at v
+    return np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)
 
-    Defined as 0 for degree < 2, where the formula has no triangles to count.
-    """
-    adj = _adjacency(layer)
-    if v not in adj:
-        raise ValueError(f"unknown node {v!r}")
-    neighbors = adj[v]
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    links = sum(len(adj[u] & neighbors) for u in neighbors)  # = 2 * T(v)
-    return links / (k * (k - 1))
+
+def clustering(layer: NetworkLayer) -> dict[str, float]:
+    """Fraction of possible triangles through each node."""
+    return dict(zip(layer.nodes, _local_clustering(layer.adjacency).tolist()))
 
 
 def density(layer: NetworkLayer) -> float:
@@ -141,18 +117,6 @@ def density(layer: NetworkLayer) -> float:
     if n < 2:
         return 0.0
     return 2.0 * layer.n_edges / (n * (n - 1))
-
-
-def _adjacency_matrix(layer: NetworkLayer) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency in CSR form; row i is ``layer.nodes[i]``."""
-    index = {v: i for i, v in enumerate(layer.nodes)}
-    m = layer.n_edges
-    a = np.fromiter((index[e.a] for e in layer.edges), np.int64, m)
-    b = np.fromiter((index[e.b] for e in layer.edges), np.int64, m)
-    return sp.csr_matrix(
-        (np.ones(2 * m), (np.concatenate([a, b]), np.concatenate([b, a]))),
-        shape=(layer.n_nodes, layer.n_nodes),
-    )
 
 
 def _component_roots(adj: sp.csr_matrix) -> np.ndarray:
@@ -177,7 +141,7 @@ def _component_roots(adj: sp.csr_matrix) -> np.ndarray:
 def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
     """Connected components; ids ordered by decreasing size, then smallest
     contained node id (``layer.nodes`` is sorted, so that id is the root's)."""
-    root = _component_roots(_adjacency_matrix(layer))
+    root = _component_roots(layer.adjacency)
     roots, sizes = np.unique(root, return_counts=True)
     rank = np.empty(layer.n_nodes, np.int64)
     rank[roots[np.lexsort((roots, -sizes))]] = np.arange(roots.size)
@@ -254,7 +218,7 @@ def _dependencies(adj: sp.csr_matrix, sources, dist, sigma, levels) -> np.ndarra
 
 def betweenness(layer: NetworkLayer) -> dict[str, float]:
     """Unnormalized betweenness for every node, over unordered node pairs."""
-    adj = _adjacency_matrix(layer)
+    adj = layer.adjacency
     bc = np.zeros(layer.n_nodes)
     for nodes, block in _component_blocks(adj, _component_roots(adj)):
         for batch in _bfs_batches(block):
@@ -267,9 +231,10 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     global ones on the retained graph. An empty retained graph yields a
     zeroed report with the removal count preserved."""
     retained = remove_isolated(layer)
+    keep = layer.degrees > 0
+    adj = layer.adjacency[keep][:, keep]
     n = retained.n_nodes
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
-    adj = _adjacency_matrix(retained)
     root = _component_roots(adj)
     pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
     for _, block in _component_blocks(adj, root):
@@ -277,9 +242,6 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
             counts = np.bincount(dist[dist > 0])
             pairs_at[: counts.size] += counts
     hops = np.arange(1, n)
-    deg = np.diff(adj.indptr)
-    links = np.asarray(adj.multiply(adj @ adj).sum(axis=1)).ravel()  # 2 * triangles at v
-    local_clustering = np.divide(links, deg * (deg - 1), out=np.zeros(n), where=deg > 1)
 
     return LayerMetricsReport(
         threshold=layer.threshold,
@@ -289,7 +251,7 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
         avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
         avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
         avg_degree=2 * retained.n_edges / per_node,
-        avg_clustering=math.fsum(local_clustering) / per_node,
+        avg_clustering=math.fsum(_local_clustering(adj)) / per_node,
         density=density(retained),
         n_components=int(np.count_nonzero(root == np.arange(n))),
     )

@@ -69,12 +69,12 @@ def test_criterion_3_metric_oracles_200_graphs():
     for _ in range(200):
         layer = random_layer(rng, max_nodes=8)
         adj = adjacency_of(layer)
-        bc = metrics.betweenness(layer)
+        bc, cl, cc = metrics.betweenness(layer), metrics.closeness(layer), metrics.clustering(layer)
         oracle_bc = betweenness_oracle(adj)
         for v in layer.nodes:
             ok &= abs(bc[v] - oracle_bc[v]) <= 1e-9
-            ok &= abs(metrics.closeness(layer, v) - closeness_oracle(adj, v)) <= 1e-12
-            ok &= metrics.clustering(layer, v) == clustering_oracle(adj, v)
+            ok &= abs(cl[v] - closeness_oracle(adj, v)) <= 1e-12
+            ok &= cc[v] == clustering_oracle(adj, v)
         ok &= metrics.components(layer)[0] == components_oracle(adj)
         n, m = layer.n_nodes, layer.n_edges
         expected_density = 2 * m / (n * (n - 1)) if n >= 2 else 0.0

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -264,3 +265,36 @@ def test_include_isolated_flag_changes_exports(small_input, tmp_path):
         e["target"] for e in full["graph"]["edges"]
     }
     assert {n["id"] for n in trimmed["graph"]["nodes"]} == touched
+
+
+def test_rebuild_removes_stale_outputs_only(small_input, tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept")
+    base = ["build", str(small_input), "--output-dir", str(out_dir)]
+    assert run(base + ["--thresholds", "0,20,40,60", "--dump-linkage"]) == 0
+    assert (out_dir / "layer_03_t60.graphml").exists()
+    assert run(base + ["--thresholds", "0,50"]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    expected = set(manifest["artifacts"]) | {"manifest.json", "notes.txt"}
+    assert {p.name for p in out_dir.iterdir()} == expected
+    assert "linkage.csv" not in expected and "layer_01_t50.graphml" in expected
+
+
+def test_control_character_id_exit_1(tmp_path, capsys):
+    header = "project_id,member_id,contribution_pct,project_type\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + "P\x01,M1,50,IP\nP2,M1,50,IP\nP3,M1,40,IP\n")
+    out_dir = tmp_path / "out"
+    assert run(["build", str(bad), "--thresholds", "0", "--output-dir", str(out_dir)]) == 1
+    assert "row 2: control character" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert run(["build", str(bad), "--thresholds", "0", "--lenient", "--output-dir", str(out_dir)]) == 0
+    assert "skipped row 2" in capsys.readouterr().err
+
+    accepted = tmp_path / "accepted.csv"
+    accepted.write_text(header + "Projé-α,M1,50,IP\n項目,M1,50,IP\n", encoding="utf-8")
+    assert run(["build", str(accepted), "--thresholds", "0", "--output-dir", str(out_dir)]) == 0
+    doc = minidom.parse(str(out_dir / "layer_00_t0.graphml"))
+    ids = [node.getAttribute("id") for node in doc.getElementsByTagName("node")]
+    assert ids == ["Projé-α", "項目"]

@@ -116,6 +116,24 @@ def test_parse_empty_ids_rejected():
         parse(HEADER + ",M1,50,,IP\n")
 
 
+def test_parse_control_characters_in_ids_rejected():
+    # a quoted line break is a control character too; the row ends on line 4
+    for row, line in (
+        ("P\x01,M1,50,,IP", 3),
+        ("P1,M\x7f1,50,,IP", 3),
+        ("P1,M\x851,50,,IP", 3),
+        ('"P\n1",M1,50,,IP', 4),
+    ):
+        with pytest.raises(RowError, match="control character") as exc:
+            parse(HEADER + "P0,M0,50,,IP\n" + row + "\n")
+        assert exc.value.row == line
+    errors: list[RowError] = []
+    records = parse(HEADER + "P\x01,M1,50,,IP\nP2,M1,50,,IP\n", lenient=True, errors_out=errors)
+    assert [r.project_id for r in records] == ["P2"]
+    assert [e.row for e in errors] == [2]
+    assert parse(HEADER + "Projé-α 項目,Mü,50,,IP\n")[0].project_id == "Projé-α 項目"
+
+
 def test_parse_lenient_collects_errors():
     text = HEADER + "P1,M1,50,,IP\nP2,M2,150,,IP\nP3,M3,10,,paper\n"
     errors: list[RowError] = []

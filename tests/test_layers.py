@@ -164,3 +164,18 @@ def test_provenance_carries_fingerprint_and_types():
     layer = build_layer(WORKED, table, 0.0)
     assert layer.provenance.dataset_fingerprint == WORKED.fingerprint()
     assert layer.provenance.project_types == ("IP",)
+
+
+def test_stack_layers_match_naive_filter():
+    rng = random.Random(8)
+    for _ in range(40):
+        ds = aggregate(random_records(rng))
+        table = build_linkage_table(ds)
+        ties = {link.linkage for link in table}  # a threshold equal to a value keeps it
+        thresholds = sorted(ties | {0.0} | {rng.uniform(0.0, 100.0) for _ in range(4)})
+        stack = build_layer_stack(ds, table, make_sweep_explicit(thresholds))
+        for layer in stack:
+            t = layer.threshold
+            naive = [(a, b, l.linkage) for (a, b), l in table.pairs.items() if l.linkage >= t]
+            assert [tuple(e) for e in layer.edges] == naive
+            assert layer.edges == build_layer(ds, table, t).edges

@@ -49,18 +49,11 @@ def test_remove_isolated():
 
 
 def test_closeness_path():
-    assert closeness(PATH3, "b") == 2.0
-    assert closeness(PATH3, "a") == 1.5
+    assert closeness(PATH3) == {"a": 1.5, "b": 2.0, "c": 1.5}
 
 
 def test_closeness_unreachable_contributes_zero():
-    for v in TWO_EDGES.nodes:
-        assert closeness(TWO_EDGES, v) == 1.0
-
-
-def test_closeness_unknown_node():
-    with pytest.raises(ValueError):
-        closeness(PATH3, "zz")
+    assert closeness(TWO_EDGES) == dict.fromkeys(TWO_EDGES.nodes, 1.0)
 
 
 def test_betweenness_path():
@@ -78,17 +71,17 @@ def test_betweenness_star():
 
 
 def test_degree():
-    assert degree(TRIANGLE, "a") == 2
-    assert degree(make_layer("ab", []), "a") == 0
-    assert degree(STAR3, "c") == 3
+    assert degree(TRIANGLE) == {"a": 2, "b": 2, "c": 2}
+    assert degree(make_layer("ab", [])) == {"a": 0, "b": 0}
+    assert degree(STAR3) == {"c": 3, "x": 1, "y": 1, "z": 1}
 
 
 def test_clustering():
-    assert clustering(TRIANGLE, "a") == 1.0
-    assert clustering(STAR3, "c") == 0.0
+    assert clustering(TRIANGLE) == {"a": 1.0, "b": 1.0, "c": 1.0}
+    assert clustering(STAR3) == {"c": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
     hub = make_layer("vabc", [("v", "a"), ("v", "b"), ("v", "c"), ("a", "b")])
-    assert clustering(hub, "v") == pytest.approx(1.0 / 3.0)
-    assert clustering(PATH3, "a") == 0.0  # degree < 2 convention
+    assert clustering(hub)["v"] == pytest.approx(1.0 / 3.0)
+    assert clustering(PATH3)["a"] == 0.0  # degree < 2 convention
 
 
 def test_density():
@@ -170,12 +163,13 @@ def test_metrics_match_oracles_on_random_graphs():
     for _ in range(60):
         layer = random_layer(rng)
         adj = adjacency_of(layer)
-        bc = betweenness(layer)
+        bc, cl, cc = betweenness(layer), closeness(layer), clustering(layer)
         oracle_bc = betweenness_oracle(adj)
+        assert list(bc) == list(cl) == list(cc) == list(layer.nodes)
         for v in layer.nodes:
             assert bc[v] == pytest.approx(oracle_bc[v], abs=1e-9)
-            assert closeness(layer, v) == pytest.approx(closeness_oracle(adj, v), abs=1e-12)
-            assert clustering(layer, v) == clustering_oracle(adj, v)
+            assert cl[v] == pytest.approx(closeness_oracle(adj, v), abs=1e-12)
+            assert cc[v] == clustering_oracle(adj, v)
         assert components(layer)[0] == components_oracle(adj)
 
         rep = report(layer)
@@ -249,7 +243,7 @@ def test_handshake_identity():
     rng = random.Random(17)
     for _ in range(30):
         layer = random_layer(rng)
-        total = sum(degree(layer, v) for v in layer.nodes)
+        total = sum(degree(layer).values())
         assert total == 2 * layer.n_edges
 
 
