@@ -131,10 +131,11 @@ def _listed_artifacts(out_dir: Path) -> set[str]:
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
-    Artifacts are assembled in memory first and written in one pass, so a
-    failing run leaves no partial output behind. After a successful write,
-    the files that an earlier run's manifest in the output directory listed
-    and this run did not write are removed; no other file is touched.
+    Artifacts are assembled in memory and written to temporary files in the
+    output directory, then renamed into place, manifest last; a failing
+    write removes only the temporary files. Then the files that an earlier
+    run's manifest in the directory listed and this run did not write are
+    removed; no other file is touched.
     """
     input_bytes = _read_input_bytes(config.input_path)
     records, dataset = _parse_and_aggregate(input_bytes, config)
@@ -194,15 +195,17 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     stale = _listed_artifacts(config.output_dir) - artifacts.keys()
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    names = sorted(artifacts, key=lambda name: (name == "manifest.json", name))
+    written = [config.output_dir / name for name in names]
+    temps = [config.output_dir / f".{name}.{os.getpid()}.tmp" for name in names]
     try:
-        for name in sorted(artifacts):
-            path = config.output_dir / name
-            path.write_bytes(artifacts[name])
-            written.append(path)
+        for temp, name in zip(temps, names):
+            temp.write_bytes(artifacts[name])
+        for temp, path in zip(temps, written):
+            os.replace(temp, path)
     except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
         raise
     for name in sorted(stale):
         path = config.output_dir / name

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ProjectType",
@@ -42,8 +42,10 @@ __all__ = [
 # rounding slop, so sums up to this limit are accepted silently.
 CONTRIBUTION_SUM_LIMIT = 100.5
 
-# Unicode category Cc: no export format can carry these in an id.
-_CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
+# No export format can carry these in an id: Unicode category Cc, and the
+# noncharacters U+FFFE and U+FFFF, the only other code points a UTF-8 input
+# can hold that XML 1.0's Char production excludes.
+_UNWRITABLE_CHAR = re.compile("[\x00-\x1f\x7f-\x9f\ufffe\uffff]")
 
 CSV_COLUMNS = ("project_id", "member_id", "contribution_pct", "ic_score", "project_type")
 _REQUIRED_COLUMNS = ("project_id", "member_id", "contribution_pct", "project_type")
@@ -180,8 +182,10 @@ def _parse_row(
     if not project_id or not member_id:
         raise RowError(line_num, "empty project_id or member_id")
     for name, value in (("project_id", project_id), ("member_id", member_id)):
-        if _CONTROL_CHAR.search(value):
-            raise RowError(line_num, f"control character in {name} {value!r}")
+        bad = _UNWRITABLE_CHAR.search(value)
+        if bad:
+            kind = "noncharacter" if bad.group() in "\ufffe\uffff" else "control character"
+            raise RowError(line_num, f"{kind} in {name} {value!r}")
 
     raw_pct = cell("contribution_pct")
     try:
@@ -212,6 +216,19 @@ def _parse_row(
     return ContributionRecord(project_id, member_id, pct, ic, ptype)
 
 
+def _rows(reader) -> Iterator[list[str] | RowError]:
+    """The reader's rows in order; a row the csv module cannot split (say,
+    a bare carriage return in an unquoted field) comes as a RowError in its
+    place, so lenient parsing can skip it."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield RowError(reader.line_num, f"unreadable row: {exc}")
+
+
 def parse_records(
     source: str | Path | bytes | IO,
     *,
@@ -233,16 +250,20 @@ def parse_records(
 
     columns: dict[str, int] | None = None
     records: list[ContributionRecord] = []
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
+    for row in _rows(reader):
+        if not isinstance(row, RowError) and not any(cell.strip() for cell in row):
             continue
         if columns is None:
+            if isinstance(row, RowError):
+                raise row
             columns = {cell.strip().lower(): i for i, cell in enumerate(row)}
             missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
             if missing:
                 raise IngestError(f"header is missing columns: {', '.join(missing)}")
             continue
         try:
+            if isinstance(row, RowError):
+                raise row
             if len(row) != len(columns):
                 raise RowError(
                     reader.line_num,

@@ -4,8 +4,9 @@ A layer is the graph obtained at one threshold: every project is a node and
 every pair whose linkage meets the threshold is an undirected weighted edge.
 Sweeping an increasing list of thresholds yields a stack of nested layers
 that share one node tuple and one edge tuple: each layer keeps the edges
-whose weight meets its threshold. A layer builds its CSR adjacency and
-degree array once, on first use; metrics and export read only these.
+whose weight meets its threshold. A layer builds its CSR adjacency, degree
+array and component roots once, on first use; metrics and export read only
+these, so each layer is labelled into components once.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class NetworkLayer:
     """One generated graph at a single threshold.
 
     nodes is the full project id set of the source dataset (isolated nodes
-    are kept; metric reporting drops them separately). Both tuples are in
-    canonical sorted order so serialization is byte-stable.
+    are kept; metric reports leave them out of their averages). Both tuples
+    are in canonical sorted order so serialization is byte-stable.
     """
 
     threshold: float
@@ -87,13 +88,31 @@ class NetworkLayer:
         """Number of incident edges of each node, in ``nodes`` order."""
         return np.diff(self.adjacency.indptr)
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Each node's component root: the smallest node index in its component.
+
+        Min-label hooking with pointer jumping: each pass hangs the larger of
+        two adjacent roots under the smaller, then points every node straight
+        at its root, until no edge joins two different roots.
+        """
+        adj = self.adjacency
+        tails = np.repeat(np.arange(self.n_nodes), self.degrees)
+        root = np.arange(self.n_nodes)
+        while True:
+            a, b = root[tails], root[adj.indices]
+            if np.array_equal(a, b):
+                return root
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(root, root[root]):
+                root = root[root]
+
 
 @dataclass(frozen=True)
 class ThresholdSweep:
     """A strictly increasing list of thresholds, explicit or linspace-derived."""
 
     thresholds: tuple[float, ...]
-    source: str  # "explicit" | "linspace"
 
     def __post_init__(self) -> None:
         if not self.thresholds:
@@ -110,7 +129,7 @@ class ThresholdSweep:
 
 def make_sweep_explicit(values: Sequence[float]) -> ThresholdSweep:
     """Sweep from user-chosen threshold values."""
-    return ThresholdSweep(tuple(float(v) for v in values), "explicit")
+    return ThresholdSweep(tuple(float(v) for v in values))
 
 
 def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
@@ -125,7 +144,7 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
     step = (hi - lo) / (n_points - 1)
     values = [lo + i * step for i in range(n_points - 1)]
     values.append(hi)  # endpoint exact regardless of float stepping
-    return ThresholdSweep(tuple(values), "linspace")
+    return ThresholdSweep(tuple(values))
 
 
 def build_layer_stack(

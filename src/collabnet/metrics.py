@@ -2,11 +2,12 @@
 
 Local metrics (closeness, betweenness, degree, clustering) are defined per
 node and averaged over the layer; global metrics (density, connected
-components) describe the whole graph. Reporting removes isolated nodes
-before measuring, so the numbers describe the connected part of a layer.
-Every kernel reads the layer's one CSR adjacency (``layer.adjacency``), and
-each per-node function returns the values of all nodes at once, as a
-node -> value map, from the same kernel :func:`report` averages.
+components) describe the whole graph. Reports describe the connected part
+of a layer but measure the layer in place: an isolated node is a one-node
+component with no distances and no triangles, so it adds to no sum. Every
+kernel reads the layer's CSR adjacency and component roots, each built
+once per layer, and each per-node function returns the values of all nodes
+at once, as a node -> value map, from the same kernel :func:`report` averages.
 
 Closeness here is the reciprocal-distance form: sum over other nodes of
 1/d(v, u), with unreachable nodes contributing 0. Many graph libraries call
@@ -21,10 +22,11 @@ follow from one integer histogram. With c_d the number of ordered node
 pairs at hop distance d, the closeness values sum to sum(c_d / d) and the
 betweenness values to sum(c_d * (d - 1)) / 2: a pair d hops apart has d - 1
 interior nodes on each of its shortest paths (Brandes 2008, "On variants
-of shortest-path betweenness centrality"). So the report runs only a
-batched forward BFS and counts hop distances; the Brandes backward
-(dependency) pass runs only behind :func:`betweenness`, the one function
-that needs shortest-path counts. Clustering comes from triangle counts, the
+of shortest-path betweenness centrality"). So one batched forward BFS,
+run over groups of whole components, yields hop distances only: the report
+counts them, closeness sums their reciprocals, and :func:`betweenness`
+rebuilds the shortest-path counts σ from them inside its Brandes pass, the
+only place σ exists. Clustering comes from triangle counts, the
 row sums of (A·A)∘A, for :func:`clustering` and :func:`report` alike.
 """
 
@@ -34,7 +36,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -91,9 +93,9 @@ def closeness(layer: NetworkLayer) -> dict[str, float]:
     """Sum of reciprocal shortest-path distances from each node to every
     other node. Distances are unweighted hop counts; unreachable nodes add 0."""
     values = np.zeros(layer.n_nodes)
-    for sources, dist, _, _ in _bfs_batches(layer.adjacency):
+    for nodes, _, sources, dist in _bfs_batches(layer):
         reciprocal = np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0)
-        values[sources] = reciprocal.sum(axis=0)
+        values[nodes[sources]] = reciprocal.sum(axis=0)
     return dict(zip(layer.nodes, values.tolist()))
 
 
@@ -119,45 +121,27 @@ def density(layer: NetworkLayer) -> float:
     return 2.0 * layer.n_edges / (n * (n - 1))
 
 
-def _component_roots(adj: sp.csr_matrix) -> np.ndarray:
-    """Each node's component root: the smallest node index in its component.
-
-    Min-label hooking with pointer jumping: each pass hangs the larger of
-    two adjacent roots under the smaller, then points every node straight
-    at its root, until no edge joins two different roots.
-    """
-    n = adj.shape[0]
-    tails = np.repeat(np.arange(n), np.diff(adj.indptr))
-    root = np.arange(n)
-    while True:
-        a, b = root[tails], root[adj.indices]
-        if np.array_equal(a, b):
-            return root
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(root, root[root]):
-            root = root[root]
-
-
 def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
     """Connected components; ids ordered by decreasing size, then smallest
     contained node id (``layer.nodes`` is sorted, so that id is the root's)."""
-    root = _component_roots(layer.adjacency)
-    roots, sizes = np.unique(root, return_counts=True)
+    roots, sizes = np.unique(layer.roots, return_counts=True)
     rank = np.empty(layer.n_nodes, np.int64)
     rank[roots[np.lexsort((roots, -sizes))]] = np.arange(roots.size)
-    return roots.size, dict(zip(layer.nodes, rank[root].tolist()))
+    return roots.size, dict(zip(layer.nodes, rank[layer.roots].tolist()))
 
 
-def _component_blocks(adj: sp.csr_matrix, root: np.ndarray):
+def _component_blocks(layer: NetworkLayer):
     """Yield (node indices, adjacency) for groups of whole components.
 
-    Components are packed in root order into groups of at most _BATCH_SIZE
-    nodes, a larger component forming a group of its own. No shortest path
+    Components with an edge are packed in root order into groups of at most
+    _BATCH_SIZE nodes, a larger component forming a group of its own; an
+    isolated node has no distances and joins no group. No shortest path
     crosses a group, and small components share one BFS batch.
     """
-    order = np.argsort(root, kind="stable")
-    adj = adj[order][:, order]
-    ends = np.append(np.flatnonzero(np.diff(root[order])) + 1, order.size)
+    order = np.argsort(layer.roots, kind="stable")
+    order = order[layer.degrees[order] > 0]
+    adj = layer.adjacency[order][:, order]
+    ends = np.append(np.flatnonzero(np.diff(layer.roots[order])) + 1, order.size)
     start = 0
     for i, end in enumerate(ends):
         if i + 1 == ends.size or ends[i + 1] - start > _BATCH_SIZE:
@@ -165,82 +149,65 @@ def _component_blocks(adj: sp.csr_matrix, root: np.ndarray):
             start = end
 
 
-def _bfs_batches(adj: sp.csr_matrix):
-    """Level-synchronous BFS from every node, _BATCH_SIZE sources at a time.
+def _bfs_batches(layer: NetworkLayer):
+    """Level-synchronous BFS from every node with an edge, group by group
+    and _BATCH_SIZE sources at a time.
 
-    Yields (sources, dist, sigma, levels) per batch: int32 hop distances
-    (-1 where unreached), shortest-path counts, and for each level the
-    source columns that reached it. Columns drop out of the per-level
-    sparse products once their BFS finishes, so a few high-eccentricity
-    sources do not stall the whole batch.
+    Yields (nodes, block, sources, dist) per batch: the group's node
+    indices, its adjacency, the batch's source rows in it, and int32 hop
+    distances (-1 where unreached).
     """
-    n = adj.shape[0]
-    for start in range(0, n, _BATCH_SIZE):
-        sources = np.arange(start, min(start + _BATCH_SIZE, n))
-        col = np.arange(sources.size)
-        dist = np.full((n, sources.size), -1, np.int32)
-        dist[sources, col] = 0
-        sigma = np.zeros((n, sources.size))
-        sigma[sources, col] = 1.0
-        frontier = sigma.copy()
-        active = col
-        levels: list[np.ndarray] = []
-        while True:
-            paths = adj @ frontier
-            new = (paths > 0.0) & (dist[:, active] < 0)
-            alive = np.flatnonzero(new.any(axis=0))
-            if alive.size == 0:
-                break
-            active, new, paths = active[alive], new[:, alive], paths[:, alive]
-            rows, cols = np.nonzero(new)
-            dist[rows, active[cols]] = len(levels) + 1
-            sigma[rows, active[cols]] = paths[rows, cols]
-            frontier = np.where(new, paths, 0.0)
-            levels.append(active)
-        yield sources, dist, sigma, levels
+    for nodes, block in _component_blocks(layer):
+        n = nodes.size
+        for start in range(0, n, _BATCH_SIZE):
+            sources = np.arange(start, min(start + _BATCH_SIZE, n))
+            dist = np.full((n, sources.size), -1, np.int32)
+            dist[sources, np.arange(sources.size)] = 0
+            frontier, level = dist == 0, 0
+            while frontier.any():
+                level += 1
+                frontier = (block @ frontier > 0) & (dist < 0)
+                dist[frontier] = level
+            yield nodes, block, sources, dist
 
 
-def _dependencies(adj: sp.csr_matrix, sources, dist, sigma, levels) -> np.ndarray:
-    """Brandes backward pass over one BFS batch: each node's dependency
-    summed over the batch's sources. Deepest level first; only the columns
-    that reached a level take part in its product."""
+def _dependencies(block: sp.csr_matrix, sources, dist) -> np.ndarray:
+    """Brandes over one BFS batch: each node's dependency summed over the
+    batch's sources. The shortest-path counts σ of each level are rebuilt
+    from the hop distances, then the backward pass runs deepest level first."""
+    depth = dist.max(initial=0)
+    sigma = (dist == 0).astype(float)
+    for lvl in range(1, depth + 1):
+        sigma += np.where(dist == lvl, block @ np.where(dist == lvl - 1, sigma, 0.0), 0.0)
     delta = np.zeros(dist.shape)
-    for lvl in range(len(levels), 0, -1):
-        act = levels[lvl - 1]
-        dist_c, sigma_c, delta_c = dist[:, act], sigma[:, act], delta[:, act]
-        coeff = np.zeros_like(sigma_c)
-        np.divide(1.0 + delta_c, sigma_c, out=coeff, where=dist_c == lvl)
-        delta_c += np.where(dist_c == lvl - 1, sigma_c * (adj @ coeff), 0.0)
-        delta[:, act] = delta_c
+    for lvl in range(depth, 0, -1):
+        coeff = np.divide(1.0 + delta, sigma, out=np.zeros(dist.shape), where=dist == lvl)
+        delta += np.where(dist == lvl - 1, sigma * (block @ coeff), 0.0)
     delta[sources, np.arange(sources.size)] = 0.0  # a source never sits between its own pairs
     return delta.sum(axis=1)
 
 
 def betweenness(layer: NetworkLayer) -> dict[str, float]:
     """Unnormalized betweenness for every node, over unordered node pairs."""
-    adj = layer.adjacency
     bc = np.zeros(layer.n_nodes)
-    for nodes, block in _component_blocks(adj, _component_roots(adj)):
-        for batch in _bfs_batches(block):
-            bc[nodes] += _dependencies(block, *batch)
+    for nodes, block, sources, dist in _bfs_batches(layer):
+        bc[nodes] += _dependencies(block, sources, dist)
     return dict(zip(layer.nodes, (bc / 2.0).tolist()))  # ordered (s, t) -> unordered
 
 
 def report(layer: NetworkLayer) -> LayerMetricsReport:
-    """Remove isolated nodes, then average the local metrics and compute the
-    global ones on the retained graph. An empty retained graph yields a
-    zeroed report with the removal count preserved."""
+    """Average the local metrics and compute the global ones over the nodes
+    that have an edge. The layer is measured in place: an isolated node is a
+    one-node component with no distances and no triangles, so it adds
+    nothing to any sum. An empty retained graph yields a zeroed report with
+    the removal count preserved."""
     retained = remove_isolated(layer)
-    keep = layer.degrees > 0
-    adj = layer.adjacency[keep][:, keep]
     n = retained.n_nodes
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
-    root = _component_roots(adj)
     pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
-    for _, block in _component_blocks(adj, root):
-        for _, dist, _, _ in _bfs_batches(block):
-            counts = np.bincount(dist[dist > 0])
-            pairs_at[: counts.size] += counts
+    for *_, dist in _bfs_batches(layer):
+        counts = np.bincount(dist[dist > 0])
+        pairs_at[: counts.size] += counts
     hops = np.arange(1, n)
 
     return LayerMetricsReport(
@@ -251,34 +218,19 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
         avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
         avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
         avg_degree=2 * retained.n_edges / per_node,
-        avg_clustering=math.fsum(_local_clustering(adj)) / per_node,
+        avg_clustering=math.fsum(_local_clustering(layer.adjacency)) / per_node,
         density=density(retained),
-        n_components=int(np.count_nonzero(root == np.arange(n))),
+        n_components=np.unique(layer.roots[layer.degrees > 0]).size,
     )
-
-
-_REPORT_FIELDS = (
-    "threshold",
-    "n_nodes_retained",
-    "n_edges",
-    "n_isolated_removed",
-    "avg_closeness",
-    "avg_betweenness",
-    "avg_degree",
-    "avg_clustering",
-    "density",
-    "n_components",
-)
 
 
 def reports_to_csv_bytes(reports: Sequence[LayerMetricsReport]) -> bytes:
     """One CSV row per layer, columns named after the report fields."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_FIELDS)
+    writer.writerow(field.name for field in fields(LayerMetricsReport))
     for rep in reports:
-        row = asdict(rep)
-        writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in _REPORT_FIELDS])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(rep)])
     return buf.getvalue().encode("utf-8")
 
 

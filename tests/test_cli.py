@@ -241,6 +241,28 @@ def test_failed_write_leaves_no_partial_outputs(small_input, tmp_path, monkeypat
     assert list(out_dir.iterdir()) == []
 
 
+def test_failed_rebuild_keeps_previous_outputs(small_input, tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    argv = ["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert "layer_00_t0.graphml" in before and "layer_01_t50.graphml" in before
+
+    real_write = Path.write_bytes
+    calls = {"n": 0}
+
+    def flaky_write(self, data):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise OSError("disk full")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", flaky_write)
+    assert run(argv) == 1
+    assert calls["n"] == 3
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_include_isolated_flag_changes_exports(small_input, tmp_path):
     kept = tmp_path / "kept"
     dropped = tmp_path / "dropped"
@@ -284,14 +306,18 @@ def test_rebuild_removes_stale_outputs_only(small_input, tmp_path):
 def test_control_character_id_exit_1(tmp_path, capsys):
     header = "project_id,member_id,contribution_pct,project_type\n"
     bad = tmp_path / "bad.csv"
-    bad.write_text(header + "P\x01,M1,50,IP\nP2,M1,50,IP\nP3,M1,40,IP\n")
-    out_dir = tmp_path / "out"
-    assert run(["build", str(bad), "--thresholds", "0", "--output-dir", str(out_dir)]) == 1
-    assert "row 2: control character" in capsys.readouterr().err
-    assert not out_dir.exists()
-    assert run(["build", str(bad), "--thresholds", "0", "--lenient", "--output-dir", str(out_dir)]) == 0
-    assert "skipped row 2" in capsys.readouterr().err
+    for char, kind in (("\x01", "control character"), ("\ufffe", "noncharacter"), ("\uffff", "noncharacter")):
+        bad.write_text(header + f"P{char},M1,50,IP\nP2,M1,50,IP\nP3,M1,40,IP\n", encoding="utf-8")
+        out_dir = tmp_path / f"out_{ord(char)}"
+        assert run(["build", str(bad), "--thresholds", "0", "--output-dir", str(out_dir)]) == 1
+        assert f"row 2: {kind}" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert run(["build", str(bad), "--thresholds", "0", "--lenient", "--output-dir", str(out_dir)]) == 0
+        assert "skipped row 2" in capsys.readouterr().err
+        doc = minidom.parse(str(out_dir / "layer_00_t0.graphml"))
+        assert [node.getAttribute("id") for node in doc.getElementsByTagName("node")] == ["P2", "P3"]
 
+    out_dir = tmp_path / "out"
     accepted = tmp_path / "accepted.csv"
     accepted.write_text(header + "Projé-α,M1,50,IP\n項目,M1,50,IP\n", encoding="utf-8")
     assert run(["build", str(accepted), "--thresholds", "0", "--output-dir", str(out_dir)]) == 0

@@ -42,7 +42,6 @@ def fake_table(lo, hi):
 def test_linspace_paper_span():
     sweep = make_sweep_linspace(fake_table(0.0, 100.0), 6)
     assert sweep.thresholds == (0.0, 20.0, 40.0, 60.0, 80.0, 100.0)
-    assert sweep.source == "linspace"
 
 
 def test_linspace_simple():
@@ -71,7 +70,7 @@ def test_explicit_sweep_validation():
     with pytest.raises(ValueError, match="finite"):
         make_sweep_explicit([0.0, float("inf")])
     with pytest.raises(ValueError):
-        ThresholdSweep((), "explicit")
+        ThresholdSweep(())
 
 
 def test_build_layer_nodes_and_threshold_zero():

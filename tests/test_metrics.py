@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from itertools import combinations
@@ -158,6 +159,10 @@ def test_report_removes_isolated_before_metrics():
     assert rep.density == pytest.approx(2.0 / 3.0)
 
 
+def _without_removal_count(rep: LayerMetricsReport) -> LayerMetricsReport:
+    return dataclasses.replace(rep, n_isolated_removed=0)
+
+
 def test_metrics_match_oracles_on_random_graphs():
     rng = random.Random(42)
     for _ in range(60):
@@ -173,6 +178,7 @@ def test_metrics_match_oracles_on_random_graphs():
         assert components(layer)[0] == components_oracle(adj)
 
         rep = report(layer)
+        assert _without_removal_count(rep) == _without_removal_count(report(remove_isolated(layer)))
         retained = remove_isolated(layer).nodes
         assert rep.n_nodes_retained == len(retained)
         assert rep.n_components == components_oracle(adjacency_of(remove_isolated(layer)))
@@ -224,13 +230,16 @@ def test_metrics_match_networkx_on_multi_batch_layers():
         n = retained.number_of_nodes()
         assert n > 2 * metrics._BATCH_SIZE
 
-        bc = betweenness(layer)
+        bc, cl = betweenness(layer), closeness(layer)
         expected_bc = nx.betweenness_centrality(graph, normalized=False)
+        expected_cl = nx.harmonic_centrality(graph)
         for v in layer.nodes:
             assert bc[v] == pytest.approx(expected_bc[v], rel=1e-9, abs=1e-9)
+            assert cl[v] == pytest.approx(expected_cl[v], rel=1e-12)
         assert components(layer)[0] == nx.number_connected_components(graph)
 
         rep = report(layer)
+        assert _without_removal_count(rep) == _without_removal_count(report(remove_isolated(layer)))
         harmonic = nx.harmonic_centrality(retained)
         assert rep.n_nodes_retained == n
         assert rep.n_components == nx.number_connected_components(retained)

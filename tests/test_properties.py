@@ -7,11 +7,13 @@ time out, so every run checks the same cases.
 from __future__ import annotations
 
 import warnings
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabnet.export import ExportFormat, assign_visuals, export_layer
 from collabnet.ingest import (
     ContributionRecord,
     ProjectType,
@@ -20,15 +22,22 @@ from collabnet.ingest import (
     parse_records,
     records_to_csv_bytes,
 )
+from collabnet.layers import build_layer
 from collabnet.linkage import build_linkage_table, pair_linkage
+from collabnet.metrics import components
 from oracles import naive_linkage_table
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
-# ids: any printable text with no control or separator characters, since
-# ingest rejects control characters and strips surrounding whitespace
+# ids: any printable text with no control or separator characters and
+# neither U+FFFE nor U+FFFF, since ingest rejects those characters and
+# strips surrounding whitespace
 ids = st.text(
-    st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Z")), min_size=1, max_size=6
+    st.characters(
+        codec="utf-8", exclude_categories=("Cc", "Cs", "Z"), exclude_characters="\ufffe\uffff"
+    ),
+    min_size=1,
+    max_size=6,
 )
 percents = st.floats(0.0, 100.0)
 records = st.lists(
@@ -52,8 +61,8 @@ def test_csv_roundtrip(recs):
 
 
 BAD_CELLS = {
-    "project_id": ["", "P\x01"],
-    "member_id": [" ", "M\x1f1"],  # surrounding whitespace, \x1f included, is stripped
+    "project_id": ["", "P\x01", "P\ufffe", "P\r1"],  # csv cannot split a bare \r
+    "member_id": [" ", "M\x1f1", "M\uffff"],  # surrounding whitespace, \x1f included, is stripped
     "contribution_pct": ["abc", "150", "-1", "nan"],
     "ic_score": ["x", "-2", "inf"],
     "project_type": ["invoice", ""],
@@ -83,6 +92,34 @@ def test_malformed_cell_reports_its_line(rows, data):
     kept = parse_records(text, lenient=True, errors_out=errors)
     assert [e.row for e in errors] == [index + 1]
     assert kept == recs[: index - 1] + recs[index:]
+
+
+@DETERMINISTIC
+@given(
+    st.lists(
+        st.text(st.characters(codec="utf-8"), min_size=1), min_size=1, max_size=4, unique_by=str.strip
+    )
+)
+def test_accepted_ids_survive_graphml(project_ids):
+    # ids from any text UTF-8 can encode (all but surrogates): ingest rejects
+    # the row, or the GraphML of the built layer parses and gives them back
+    recs = [
+        ContributionRecord(p, m, 10.0, None, ProjectType.IP)
+        for p in project_ids
+        for m in ("M1", "M2")
+    ]
+    try:
+        parsed = parse_records(records_to_csv_bytes(recs))
+    except RowError:
+        return
+    dataset = aggregate(parsed)
+    layer = build_layer(dataset, build_linkage_table(dataset), 0.0)
+    blob = export_layer(layer, assign_visuals(layer, components(layer)[1]), ExportFormat.GRAPHML)
+    doc = minidom.parseString(blob)
+    assert [node.getAttribute("id") for node in doc.getElementsByTagName("node")] == sorted(
+        p.strip() for p in project_ids
+    )
+    assert len(doc.getElementsByTagName("edge")) == layer.n_edges
 
 
 teams = st.dictionaries(st.sampled_from([f"M{i}" for i in range(6)]), percents, min_size=1, max_size=4)
