@@ -10,6 +10,15 @@ extremes first.
 Supported formats: GraphML, DOT and a JSON node/edge document. Output is
 deterministic: elements are emitted in canonical id order and edge weights
 are fixed to 6 decimals.
+
+The JSON document is ``{"graph": {"directed": false, "metadata":
+{"threshold", "dataset_fingerprint", "project_types"}, "nodes": [{"id",
+"degree", "component", "color"}, ...], "edges": [{"source", "target",
+"weight"}, ...]}}`` with each weight ``round(weight, 6)``. Its bytes equal
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of that document.
+Each writer escapes every id once per layer and renders each node and edge
+from one fixed template; the standard encoder is not used, because with
+``indent`` set it runs in pure Python.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _json_quote
 from typing import Mapping
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import quoteattr
 
 from .layers import Edge, NetworkLayer
 
@@ -127,6 +137,7 @@ def threshold_label(threshold: float) -> str:
 def _to_graphml(
     layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
 ) -> bytes:
+    ids = {v: quoteattr(v) for v in nodes}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -137,20 +148,22 @@ def _to_graphml(
         f'  <graph id={quoteattr("t" + threshold_label(layer.threshold))}'
         ' edgedefault="undirected">',
     ]
-    for v in nodes:
-        vis = visuals[v]
-        out.append(f"    <node id={quoteattr(v)}>")
-        out.append(f'      <data key="degree">{vis.node_size_key}</data>')
-        out.append(f'      <data key="component">{vis.component_rank}</data>')
-        out.append(f'      <data key="color">{escape(vis.component_color.value)}</data>')
-        out.append("    </node>")
-    for a, b, weight in layer.edges:
-        out.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}>")
-        out.append(f'      <data key="weight">{weight:.6f}</data>')
-        out.append("    </edge>")
-    out.append("  </graph>")
-    out.append("</graphml>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    out += (
+        f"    <node id={ids[v]}>\n"
+        f'      <data key="degree">{visuals[v].node_size_key}</data>\n'
+        f'      <data key="component">{visuals[v].component_rank}</data>\n'
+        f'      <data key="color">{visuals[v].component_color.value}</data>\n'
+        "    </node>"
+        for v in nodes
+    )
+    out += (
+        f"    <edge source={ids[a]} target={ids[b]}>\n"
+        f'      <data key="weight">{weight:.6f}</data>\n'
+        "    </edge>"
+        for a, b, weight in layer.edges
+    )
+    out.append("  </graph>\n</graphml>\n")
+    return "\n".join(out).encode("utf-8")
 
 
 def _dot_quote(name: str) -> str:
@@ -160,53 +173,71 @@ def _dot_quote(name: str) -> str:
 def _to_dot(
     layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
 ) -> bytes:
+    ids = {v: _dot_quote(v) for v in nodes}
     out = [f"graph {_dot_quote('t' + threshold_label(layer.threshold))} {{"]
-    for v in nodes:
-        vis = visuals[v]
-        out.append(
-            f"  {_dot_quote(v)} [degree={vis.node_size_key}, "
-            f"component={vis.component_rank}, color={vis.component_color.value}];"
-        )
-    for a, b, weight in layer.edges:
-        out.append(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={weight:.6f}];")
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    out += (
+        f"  {ids[v]} [degree={visuals[v].node_size_key}, "
+        f"component={visuals[v].component_rank}, color={visuals[v].component_color.value}];"
+        for v in nodes
+    )
+    out += (f"  {ids[a]} -- {ids[b]} [weight={weight:.6f}];" for a, b, weight in layer.edges)
+    out.append("}\n")
+    return "\n".join(out).encode("utf-8")
+
+
+def _json_number(x: float) -> str:
+    """A number as ``json.dumps`` writes it: an int as an int, a finite float
+    (np.float64 too, whose own repr is ``np.float64(...)``) by ``float.__repr__``,
+    and NaN and the infinities by their JavaScript names."""
+    if not isinstance(x, float):
+        return int.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Rendered items as an indented JSON array closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def _to_jsongraph(
     layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
 ) -> bytes:
-    doc = {
-        "graph": {
-            "directed": False,
-            "metadata": {
-                "threshold": layer.threshold,
-                "dataset_fingerprint": layer.provenance.dataset_fingerprint,
-                "project_types": list(layer.provenance.project_types),
-            },
-            "nodes": [
-                {
-                    "id": v,
-                    "degree": visuals[v].node_size_key,
-                    "component": visuals[v].component_rank,
-                    "color": visuals[v].component_color.value,
-                }
-                for v in nodes
-            ],
-            "edges": [
-                {"source": a, "target": b, "weight": round(weight, 6)}
-                for a, b, weight in layer.edges
-            ],
-        }
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    ids = {v: _json_quote(v) for v in nodes}
+    edges = [
+        f'      {{\n        "source": {ids[a]},\n        "target": {ids[b]},\n'
+        f'        "weight": {_json_number(round(weight, 6))}\n      }}'
+        for a, b, weight in layer.edges
+    ]
+    node_items = [
+        f'      {{\n        "color": "{visuals[v].component_color.value}",\n'
+        f'        "component": {visuals[v].component_rank},\n'
+        f'        "degree": {visuals[v].node_size_key},\n'
+        f'        "id": {ids[v]}\n      }}'
+        for v in nodes
+    ]
+    provenance = layer.provenance
+    types = [f"        {_json_quote(t)}" for t in provenance.project_types]
+    return (
+        '{\n  "graph": {\n    "directed": false,\n'
+        f'    "edges": {_json_array(edges, "    ")},\n'
+        '    "metadata": {\n'
+        f'      "dataset_fingerprint": {_json_quote(provenance.dataset_fingerprint)},\n'
+        f'      "project_types": {_json_array(types, "      ")},\n'
+        f'      "threshold": {_json_number(layer.threshold)}\n'
+        "    },\n"
+        f'    "nodes": {_json_array(node_items, "    ")}\n'
+        "  }\n}\n"
+    ).encode("utf-8")
 
 
 def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, dict[str, VisualAttributes]]:
     """Rebuild a layer and its visual attributes from a JSON graph document.
 
     Inverse of the JSON export: restores threshold, provenance, nodes,
-    weighted edges and the per-node visual attributes.
+    weighted edges and the per-node visual attributes. Edge weights come
+    back as written, rounded to 6 decimals.
     """
     from .layers import Provenance
 

@@ -1,16 +1,20 @@
 """Naive reference implementations used to cross-check the fast paths.
 
 Everything here favors obviousness over speed: exhaustive double loops,
-explicit path enumeration, flood fill. Tests compare library results
-against these on small random instances.
+explicit path enumeration, flood fill, whole-document ``json.dumps``.
+Tests compare library results against these on small random instances and,
+for the layer export, on layers of the default synthetic dataset.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from itertools import combinations
+from xml.sax.saxutils import escape, quoteattr
 
+from collabnet.export import ExportFormat, threshold_label
 from collabnet.ingest import ContributionRecord, Dataset, ProjectType, aggregate
 from collabnet.layers import Edge, NetworkLayer, Provenance
 
@@ -162,3 +166,75 @@ def random_records(
 
 def random_dataset(rng: random.Random, **kwargs) -> Dataset:
     return aggregate(random_records(rng, **kwargs))
+
+
+def reference_export(layer: NetworkLayer, visuals, fmt: ExportFormat, *, include_isolated=True) -> bytes:
+    """Layer export written element by element: JSON through ``json.dumps`` of
+    the whole document, GraphML and DOT quoting every id where it is used."""
+    touched = {e.a for e in layer.edges} | {e.b for e in layer.edges}
+    nodes = [v for v in layer.nodes if include_isolated or v in touched]
+    if fmt is ExportFormat.JSONGRAPH:
+        doc = {
+            "graph": {
+                "directed": False,
+                "metadata": {
+                    "threshold": layer.threshold,
+                    "dataset_fingerprint": layer.provenance.dataset_fingerprint,
+                    "project_types": list(layer.provenance.project_types),
+                },
+                "nodes": [
+                    {
+                        "id": v,
+                        "degree": visuals[v].node_size_key,
+                        "component": visuals[v].component_rank,
+                        "color": visuals[v].component_color.value,
+                    }
+                    for v in nodes
+                ],
+                "edges": [
+                    {"source": a, "target": b, "weight": round(weight, 6)}
+                    for a, b, weight in layer.edges
+                ],
+            }
+        }
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    if fmt is ExportFormat.GRAPHML:
+        out = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+            '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>',
+            '  <key id="component" for="node" attr.name="component" attr.type="int"/>',
+            '  <key id="color" for="node" attr.name="color" attr.type="string"/>',
+            '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
+            f'  <graph id={quoteattr("t" + threshold_label(layer.threshold))}'
+            ' edgedefault="undirected">',
+        ]
+        for v in nodes:
+            vis = visuals[v]
+            out.append(f"    <node id={quoteattr(v)}>")
+            out.append(f'      <data key="degree">{vis.node_size_key}</data>')
+            out.append(f'      <data key="component">{vis.component_rank}</data>')
+            out.append(f'      <data key="color">{escape(vis.component_color.value)}</data>')
+            out.append("    </node>")
+        for a, b, weight in layer.edges:
+            out.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}>")
+            out.append(f'      <data key="weight">{weight:.6f}</data>')
+            out.append("    </edge>")
+        out.append("  </graph>")
+        out.append("</graphml>")
+        return ("\n".join(out) + "\n").encode("utf-8")
+
+    def dot_quote(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    out = [f"graph {dot_quote('t' + threshold_label(layer.threshold))} {{"]
+    for v in nodes:
+        vis = visuals[v]
+        out.append(
+            f"  {dot_quote(v)} [degree={vis.node_size_key}, "
+            f"component={vis.component_rank}, color={vis.component_color.value}];"
+        )
+    for a, b, weight in layer.edges:
+        out.append(f"  {dot_quote(a)} -- {dot_quote(b)} [weight={weight:.6f}];")
+    out.append("}")
+    return ("\n".join(out) + "\n").encode("utf-8")

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from collabnet import ingest, layers, linkage, synth
 from collabnet.export import (
     ComponentColor,
     ExportFormat,
@@ -14,7 +16,7 @@ from collabnet.export import (
     parse_jsongraph,
 )
 from collabnet.metrics import components
-from oracles import make_layer, random_layer
+from oracles import make_layer, random_layer, reference_export
 
 
 def visuals_for(layer):
@@ -188,3 +190,53 @@ def test_threshold_label_trimming():
     assert export_layer(plain, visuals_for(plain), ExportFormat.DOT).decode().startswith(
         'graph "t0"'
     )
+
+
+def assert_matches_reference(layer):
+    visuals = visuals_for(layer)
+    for fmt in ExportFormat:
+        for include_isolated in (True, False):
+            assert export_layer(
+                layer, visuals, fmt, include_isolated=include_isolated
+            ) == reference_export(layer, visuals, fmt, include_isolated=include_isolated)
+
+
+def test_export_matches_reference_on_default_synth_layers():
+    dataset = ingest.aggregate(synth.generate(synth.SynthConfig(seed=0)))
+    table = linkage.build_linkage_table(dataset)
+    stack = layers.build_layer_stack(dataset, table, layers.make_sweep_explicit([0, 20]))
+    assert stack[0].n_edges > 30_000 and (stack[1].degrees == 0).any()
+    assert dataset.project_types()
+    for layer in stack:
+        assert_matches_reference(layer)
+
+
+QUOTED_IDS = [
+    "plain",
+    "caf\u00e9 \u4e2d\u6587",  # non-ASCII
+    "\U0001d518\U0001f600",  # astral: surrogate-pair escapes in JSON
+    'he said "hi"',
+    "it's",
+    "both \"'",
+    "a&b<c>d",
+    "back\\slash\\",
+    "&amp; \\u0041",  # already looks escaped
+]
+
+
+def test_export_matches_reference_on_quoted_ids():
+    edges = [(a, b, 10.0 * i) for i, (a, b) in enumerate(zip(QUOTED_IDS, QUOTED_IDS[1:-1]))]
+    assert_matches_reference(make_layer(QUOTED_IDS, edges, threshold=5.0))
+
+
+def test_export_matches_reference_without_edges():
+    assert_matches_reference(make_layer(["a", "b", 'q"'], []))
+
+
+def test_export_matches_reference_on_number_types():
+    weights = [35, 35.0, 1 / 3, 2.5e-7, 1e22, np.float64(2 / 3), np.float64(40)]
+    weights += [float("inf"), float("nan")]
+    for threshold in (20, 20.5, 1e-7, np.float64(35.000001)):
+        for weight in weights:
+            layer = make_layer("abc", [("a", "b", weight), ("b", "c", 7)], threshold)
+            assert_matches_reference(layer)

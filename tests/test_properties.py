@@ -1,4 +1,4 @@
-"""Property tests for CSV ingest and linkage.
+"""Property tests for CSV ingest, linkage and layer export.
 
 Examples are derived from the test source (``derandomize=True``) and never
 time out, so every run checks the same cases.
@@ -6,6 +6,7 @@ time out, so every run checks the same cases.
 
 from __future__ import annotations
 
+import json
 import warnings
 from xml.dom import minidom
 
@@ -25,7 +26,7 @@ from collabnet.ingest import (
 from collabnet.layers import build_layer
 from collabnet.linkage import build_linkage_table, pair_linkage
 from collabnet.metrics import components
-from oracles import naive_linkage_table
+from oracles import naive_linkage_table, reference_export
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -94,15 +95,14 @@ def test_malformed_cell_reports_its_line(rows, data):
     assert kept == recs[: index - 1] + recs[index:]
 
 
-@DETERMINISTIC
-@given(
-    st.lists(
-        st.text(st.characters(codec="utf-8"), min_size=1), min_size=1, max_size=4, unique_by=str.strip
-    )
+any_ids = st.lists(
+    st.text(st.characters(codec="utf-8"), min_size=1), min_size=1, max_size=4, unique_by=str.strip
 )
-def test_accepted_ids_survive_graphml(project_ids):
-    # ids from any text UTF-8 can encode (all but surrogates): ingest rejects
-    # the row, or the GraphML of the built layer parses and gives them back
+
+
+def built_layer(project_ids):
+    """The threshold-0 layer and visuals of projects sharing two members, or
+    None when ingest rejects an id."""
     recs = [
         ContributionRecord(p, m, 10.0, None, ProjectType.IP)
         for p in project_ids
@@ -111,15 +111,42 @@ def test_accepted_ids_survive_graphml(project_ids):
     try:
         parsed = parse_records(records_to_csv_bytes(recs))
     except RowError:
-        return
+        return None
     dataset = aggregate(parsed)
     layer = build_layer(dataset, build_linkage_table(dataset), 0.0)
-    blob = export_layer(layer, assign_visuals(layer, components(layer)[1]), ExportFormat.GRAPHML)
+    return layer, assign_visuals(layer, components(layer)[1])
+
+
+@DETERMINISTIC
+@given(any_ids)
+def test_accepted_ids_survive_graphml(project_ids):
+    # ids from any text UTF-8 can encode (all but surrogates): ingest rejects
+    # the row, or the GraphML of the built layer parses and gives them back
+    built = built_layer(project_ids)
+    if built is None:
+        return
+    layer, visuals = built
+    blob = export_layer(layer, visuals, ExportFormat.GRAPHML)
+    assert blob == reference_export(layer, visuals, ExportFormat.GRAPHML)
     doc = minidom.parseString(blob)
     assert [node.getAttribute("id") for node in doc.getElementsByTagName("node")] == sorted(
         p.strip() for p in project_ids
     )
     assert len(doc.getElementsByTagName("edge")) == layer.n_edges
+
+
+@DETERMINISTIC
+@given(any_ids)
+def test_accepted_ids_survive_json(project_ids):
+    built = built_layer(project_ids)
+    if built is None:
+        return
+    layer, visuals = built
+    blob = export_layer(layer, visuals, ExportFormat.JSONGRAPH)
+    assert blob == reference_export(layer, visuals, ExportFormat.JSONGRAPH)
+    graph = json.loads(blob)["graph"]
+    assert [node["id"] for node in graph["nodes"]] == sorted(p.strip() for p in project_ids)
+    assert [(e["source"], e["target"]) for e in graph["edges"]] == [e[:2] for e in layer.edges]
 
 
 teams = st.dictionaries(st.sampled_from([f"M{i}" for i in range(6)]), percents, min_size=1, max_size=4)
