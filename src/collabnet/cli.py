@@ -311,7 +311,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = synth.SynthConfig(
         seed=args.seed, n_projects=args.projects, n_members=args.members
     )
-    data = synth.generate_csv_bytes(config)
+    try:
+        data = synth.generate_csv_bytes(config)
+    except ValueError as exc:  # synth reads no data, so only its options can be bad
+        raise ConfigError(str(exc)) from None
     if args.out == "-":
         sys.stdout.buffer.write(data)
     else:

@@ -22,12 +22,13 @@ follow from one integer histogram. With c_d the number of ordered node
 pairs at hop distance d, the closeness values sum to sum(c_d / d) and the
 betweenness values to sum(c_d * (d - 1)) / 2: a pair d hops apart has d - 1
 interior nodes on each of its shortest paths (Brandes 2008, "On variants
-of shortest-path betweenness centrality"). So one batched forward BFS,
-run over groups of whole components, yields hop distances only: the report
-counts them, closeness sums their reciprocals, and :func:`betweenness`
-rebuilds the shortest-path counts σ from them inside its Brandes pass, the
-only place σ exists. Clustering comes from triangle counts, the
-row sums of (A·A)∘A, for :func:`clustering` and :func:`report` alike.
+of shortest-path betweenness centrality"). One bit-parallel BFS (Then et
+al. 2015, "The More the Merrier: Efficient Multi-Source Graph Traversal")
+keeps one bit per source in uint64 words, so a level is an OR over each
+node's neighbours and c_d is its popcount. The report sums those counts,
+closeness sums them per node over 1/d, and :func:`betweenness` rebuilds the
+shortest-path counts σ from the levels in its Brandes pass, the only place
+σ exists. Clustering comes from triangle counts, the row sums of (A·A)∘A.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import io
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ __all__ = [
     "reports_to_json_bytes",
 ]
 
-_BATCH_SIZE = 48  # BFS source columns per pass; sized for cache-friendly arrays
+_WORDS = 8  # uint64 words per BFS pass over a component of more than 64 nodes
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,10 @@ def closeness(layer: NetworkLayer) -> dict[str, float]:
     """Sum of reciprocal shortest-path distances from each node to every
     other node. Distances are unweighted hop counts; unreachable nodes add 0."""
     values = np.zeros(layer.n_nodes)
-    for nodes, _, sources, dist in _bfs_batches(layer):
-        reciprocal = np.divide(1.0, dist, out=np.zeros(dist.shape), where=dist > 0)
-        values[nodes[sources]] = reciprocal.sum(axis=0)
+    for nodes, block, frontier in _passes(layer):
+        for d, level in enumerate(_levels(block, frontier), 1):
+            # d(s, v) = d(v, s): row v of a level counts the nodes d hops from v
+            values[nodes] += np.bitwise_count(level).sum(axis=1) / d
     return dict(zip(layer.nodes, values.tolist()))
 
 
@@ -130,51 +132,57 @@ def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
     return roots.size, dict(zip(layer.nodes, rank[layer.roots].tolist()))
 
 
-def _component_blocks(layer: NetworkLayer):
-    """Yield (node indices, adjacency) for groups of whole components.
+def _passes(layer: NetworkLayer):
+    """Yield (nodes, block, frontier) per BFS pass: node indices, their
+    adjacency, and a (node, word) uint64 array with one bit per source.
 
-    Components with an edge are packed in root order into groups of at most
-    _BATCH_SIZE nodes, a larger component forming a group of its own; an
-    isolated node has no distances and joins no group. No shortest path
-    crosses a group, and small components share one BFS batch.
+    All components of 2 to 64 nodes share one one-word pass in which a
+    node's bit is its rank inside its own component; no path crosses a
+    component, so their bits never meet. Each larger component runs alone,
+    64 * _WORDS sources per pass. Every block row has an edge.
     """
     order = np.argsort(layer.roots, kind="stable")
-    order = order[layer.degrees[order] > 0]
-    adj = layer.adjacency[order][:, order]
-    ends = np.append(np.flatnonzero(np.diff(layer.roots[order])) + 1, order.size)
-    start = 0
-    for i, end in enumerate(ends):
-        if i + 1 == ends.size or ends[i + 1] - start > _BATCH_SIZE:
-            yield order[start:end], adj[start:end, start:end]
-            start = end
+    first = np.searchsorted(layer.roots[order], layer.roots)  # where each component starts
+    rank = np.argsort(order) - first  # each node's rank inside its own component
+    size = np.bincount(layer.roots, minlength=layer.n_nodes)[layer.roots]
+    small = np.flatnonzero((size <= 64) & (layer.degrees > 0))
+    if small.size:
+        bits = _bits(np.arange(small.size), rank[small], small.size)
+        yield small, layer.adjacency[small][:, small], bits
+    for root in np.unique(layer.roots[size > 64]):
+        nodes = order[first[root] : first[root] + size[root]]
+        block = layer.adjacency[nodes][:, nodes]
+        for start in range(0, nodes.size, 64 * _WORDS):
+            sources = np.arange(start, min(start + 64 * _WORDS, nodes.size))
+            yield nodes, block, _bits(sources, sources - start, nodes.size)
 
 
-def _bfs_batches(layer: NetworkLayer):
-    """Level-synchronous BFS from every node with an edge, group by group
-    and _BATCH_SIZE sources at a time.
-
-    Yields (nodes, block, sources, dist) per batch: the group's node
-    indices, its adjacency, the batch's source rows in it, and int32 hop
-    distances (-1 where unreached).
-    """
-    for nodes, block in _component_blocks(layer):
-        n = nodes.size
-        for start in range(0, n, _BATCH_SIZE):
-            sources = np.arange(start, min(start + _BATCH_SIZE, n))
-            dist = np.full((n, sources.size), -1, np.int32)
-            dist[sources, np.arange(sources.size)] = 0
-            frontier, level = dist == 0, 0
-            while frontier.any():
-                level += 1
-                frontier = (block @ frontier > 0) & (dist < 0)
-                dist[frontier] = level
-            yield nodes, block, sources, dist
+def _bits(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """An (n, words) uint64 array with bit cols[i] set in row rows[i]."""
+    bits = np.zeros((n, cols.max() // 64 + 1), np.uint64)
+    bits[rows, cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
+    return bits
 
 
-def _dependencies(block: sp.csr_matrix, sources, dist) -> np.ndarray:
-    """Brandes over one BFS batch: each node's dependency summed over the
-    batch's sources. The shortest-path counts σ of each level are rebuilt
-    from the hop distances, then the backward pass runs deepest level first."""
+def _levels(block: sp.csr_matrix, frontier: np.ndarray):
+    """Bit-parallel BFS from every source bit at once: yield, hop 1 first,
+    each level's (node, word) bits of the pairs first reached at that hop.
+    Every row needs an edge: reduceat gives a[i], not 0, for an empty one."""
+    seen = frontier.copy()
+    while True:
+        frontier = np.bitwise_or.reduceat(frontier[block.indices], block.indptr[:-1], axis=0)
+        frontier &= ~seen
+        if not frontier.any():
+            return
+        seen |= frontier
+        yield frontier
+
+
+def _dependencies(block: sp.csr_matrix, dist: np.ndarray) -> np.ndarray:
+    """Brandes over one BFS pass: each node's dependency summed over the
+    pass's sources, its distance-0 cells. The shortest-path counts σ of each
+    level are rebuilt from the hop distances, then the backward pass runs
+    deepest level first."""
     depth = dist.max(initial=0)
     sigma = (dist == 0).astype(float)
     for lvl in range(1, depth + 1):
@@ -183,15 +191,18 @@ def _dependencies(block: sp.csr_matrix, sources, dist) -> np.ndarray:
     for lvl in range(depth, 0, -1):
         coeff = np.divide(1.0 + delta, sigma, out=np.zeros(dist.shape), where=dist == lvl)
         delta += np.where(dist == lvl - 1, sigma * (block @ coeff), 0.0)
-    delta[sources, np.arange(sources.size)] = 0.0  # a source never sits between its own pairs
+    delta[dist == 0] = 0.0  # a source never sits between its own pairs
     return delta.sum(axis=1)
 
 
 def betweenness(layer: NetworkLayer) -> dict[str, float]:
     """Unnormalized betweenness for every node, over unordered node pairs."""
     bc = np.zeros(layer.n_nodes)
-    for nodes, block, sources, dist in _bfs_batches(layer):
-        bc[nodes] += _dependencies(block, sources, dist)
+    for nodes, block, frontier in _passes(layer):
+        dist = np.full((nodes.size, 64 * frontier.shape[1]), -1, np.int32)
+        for d, level in enumerate(chain([frontier], _levels(block, frontier))):
+            dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little") > 0] = d
+        bc[nodes] += _dependencies(block, dist)
     return dict(zip(layer.nodes, (bc / 2.0).tolist()))  # ordered (s, t) -> unordered
 
 
@@ -205,9 +216,9 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     n = retained.n_nodes
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
     pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
-    for *_, dist in _bfs_batches(layer):
-        counts = np.bincount(dist[dist > 0])
-        pairs_at[: counts.size] += counts
+    for _, block, frontier in _passes(layer):
+        for d, level in enumerate(_levels(block, frontier), 1):
+            pairs_at[d] += np.bitwise_count(level).sum(dtype=np.int64)
     hops = np.arange(1, n)
 
     return LayerMetricsReport(

@@ -9,6 +9,7 @@ for the layer export, on layers of the default synthetic dataset.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -50,7 +51,8 @@ def bfs_distances(adj: dict[str, set[str]], start: str) -> dict[str, int]:
 
 def closeness_oracle(adj: dict[str, set[str]], v: str) -> float:
     dist = bfs_distances(adj, v)
-    return sum(1.0 / d for u, d in dist.items() if u != v)
+    # fsum rounds once: a plain sum over a 1,000-node component drifts by 3e-12
+    return math.fsum(1.0 / d for u, d in dist.items() if u != v)
 
 
 def _all_simple_paths(adj: dict[str, set[str]], s: str, t: str) -> list[list[str]]:

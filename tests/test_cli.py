@@ -180,6 +180,11 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
     assert run(["build", str(small_input), "--thresholds", "0,20", "--bins", "0", "--output-dir", out]) == 2
     assert run(["build", str(small_input), "--thresholds", "0,20", "--delimiter", ";;", "--output-dir", out]) == 2
     assert not (tmp_path / "z").exists()
+    for options in (["--projects", "0"], ["--members", "0"], ["--projects", "-3"],
+                    ["--projects", "5", "--members", "1"]):
+        assert run(["synth", *options, "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unreachable with max team size 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

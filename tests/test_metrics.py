@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -207,14 +208,30 @@ def _layer_with_components(rng: random.Random) -> tuple:
     edges, start = [], 0
     while start < n:
         size = min(n - start, rng.choice((1, 2, 3, 5, 8, 13, 40, 60, n // 2)))
-        part = shuffled[start : start + size]
+        _add_component(rng, shuffled[start : start + size], edges)
         start += size
-        for i in range(1, size):
-            edges.append((part[i], part[rng.randrange(i)]))
-        for _ in range(size // 4):
-            a, b = rng.sample(part, 2)
-            if (a, b) not in edges and (b, a) not in edges:
-                edges.append((a, b))
+    return make_layer(nodes, edges)
+
+
+def _add_component(rng: random.Random, part: list, edges: list) -> None:
+    """Join ``part`` by a random spanning tree plus a few chords."""
+    for i in range(1, len(part)):
+        edges.append((part[i], part[rng.randrange(i)]))
+    for _ in range(len(part) // 4):
+        a, b = rng.sample(part, 2)
+        if (a, b) not in edges and (b, a) not in edges:
+            edges.append((a, b))
+
+
+def _layer_of_sizes(rng: random.Random, sizes: tuple) -> tuple:
+    """One component per entry of ``sizes`` (1 is an isolated node), with
+    node ids shuffled so no component is a contiguous id range."""
+    nodes = [f"n{i:04d}" for i in range(sum(sizes))]
+    shuffled = rng.sample(nodes, len(nodes))
+    edges, start = [], 0
+    for size in sizes:
+        _add_component(rng, shuffled[start : start + size], edges)
+        start += size
     return make_layer(nodes, edges)
 
 
@@ -228,7 +245,7 @@ def test_metrics_match_networkx_on_multi_batch_layers():
         graph.add_edges_from((a, b) for a, b, _ in layer.edges)
         retained = graph.subgraph(v for v in graph if graph.degree(v) > 0)
         n = retained.number_of_nodes()
-        assert n > 2 * metrics._BATCH_SIZE
+        assert max(map(len, nx.connected_components(graph))) > 64  # a multi-word pass
 
         bc, cl = betweenness(layer), closeness(layer)
         expected_bc = nx.betweenness_centrality(graph, normalized=False)
@@ -246,6 +263,49 @@ def test_metrics_match_networkx_on_multi_batch_layers():
         assert rep.avg_betweenness == pytest.approx(sum(expected_bc.values()) / n, rel=1e-9)
         assert rep.avg_closeness == pytest.approx(sum(harmonic.values()) / n, rel=1e-12)
         assert rep.avg_clustering == pytest.approx(nx.average_clustering(retained), rel=1e-12)
+
+
+# The BFS packs every component of at most 64 nodes into one 64-bit word per
+# node and runs each larger component alone, 512 sources per pass.
+PACKING_EDGES = {
+    "64_and_65_nodes": (1, 64, 1, 65, 1, 1, 65, 64, 1),
+    "over_512_nodes": (1, 1030, 1, 3, 1),
+    "many_small_sharing_a_word": tuple(
+        random.Random(3).choice((1, 1, 2, 3, 4, 7, 12, 30, 63, 64)) for _ in range(60)
+    ),
+}
+
+
+@pytest.mark.parametrize("sizes", PACKING_EDGES.values(), ids=PACKING_EDGES.keys())
+def test_metrics_match_oracles_at_packing_edges(sizes):
+    nx = pytest.importorskip("networkx")
+    layer = _layer_of_sizes(random.Random(11), sizes)
+    assert sorted(Counter(components(layer)[1].values()).values()) == sorted(sizes)
+    adj = adjacency_of(layer)
+    graph = nx.Graph(adj)
+
+    bc, cl = betweenness(layer), closeness(layer)
+    expected_bc = nx.betweenness_centrality(graph, normalized=False)
+    expected_cl = nx.harmonic_centrality(graph)
+    for v in layer.nodes:
+        assert bc[v] == pytest.approx(expected_bc[v], rel=1e-9, abs=1e-9)
+        assert cl[v] == pytest.approx(closeness_oracle(adj, v), abs=1e-12)
+        assert cl[v] == pytest.approx(expected_cl[v], rel=1e-12)
+
+    rep = report(layer)
+    assert _without_removal_count(rep) == _without_removal_count(report(remove_isolated(layer)))
+    retained = remove_isolated(layer).nodes
+    n = len(retained)
+    assert rep.n_nodes_retained == n == sum(size for size in sizes if size > 1)
+    assert rep.n_components == components_oracle(adjacency_of(remove_isolated(layer)))
+    assert rep.avg_betweenness == pytest.approx(sum(expected_bc.values()) / n, rel=1e-9)
+    for field, oracle in (
+        ("avg_closeness", closeness_oracle),
+        ("avg_clustering", clustering_oracle),
+        ("avg_degree", lambda adj, v: len(adj[v])),
+    ):
+        expected = sum(oracle(adj, v) for v in retained) / n
+        assert getattr(rep, field) == pytest.approx(expected, abs=1e-12)
 
 
 def test_handshake_identity():
