@@ -6,25 +6,30 @@ two projects: a pair held together by people who carried both projects
 scores near 100, a pair sharing only marginal helpers scores near 0.
 """
 
-from collabnet.ingest import Project, ProjectType, aggregate, parse_records
-from collabnet.linkage import (
-    build_linkage_table,
-    common_members,
-    pair_linkage,
-    table_to_csv_bytes,
-)
+from collabnet.ingest import ContributionRecord, ProjectType, aggregate, parse_records
+from collabnet.linkage import build_linkage_table, table_to_csv_bytes
 from collabnet.synth import SynthConfig, generate_csv_bytes
 
 # hand-worked pair: members M1 (50 vs 30) and M2 (20 vs 40)
 #   M1 averages (50+30)/2 = 40, M2 averages (20+40)/2 = 30, mean = 35
-a = Project("A", ProjectType.IP, {"M1": 50.0, "M2": 20.0})
-b = Project("B", ProjectType.IP, {"M1": 30.0, "M2": 40.0})
-link = pair_linkage(a, b)
-print(f"A-B linkage: {link.linkage} via {sorted(common_members(a, b))}")
+# C shares no member with A or B
+rows = [
+    ("A", "M1", 50.0),
+    ("A", "M2", 20.0),
+    ("B", "M1", 30.0),
+    ("B", "M2", 40.0),
+    ("C", "M9", 100.0),
+]
+small = build_linkage_table(
+    aggregate(ContributionRecord(p, m, pct, None, ProjectType.IP) for p, m, pct in rows)
+)
+for link in small:
+    pair = f"{link.project_a}-{link.project_b}"
+    print(f"{pair} linkage: {link.linkage} via {link.n_common} common members")
 
-# disjoint teams produce no entry at all rather than a zero
-c = Project("C", ProjectType.IP, {"M9": 100.0})
-print(f"A-C linkage: {pair_linkage(a, c)}")
+# disjoint teams produce no entry at all rather than a zero: the table holds
+# one array entry per co-membered pair, as indices into the sorted project ids
+print(f"{len(small)} pair over projects {small.projects}: a={small.a}, b={small.b}")
 
 # the full table for a synthetic dataset
 data = generate_csv_bytes(SynthConfig(seed=7, n_projects=150, n_members=96))

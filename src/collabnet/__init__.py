@@ -20,7 +20,7 @@ from .ingest import (  # noqa: F401
     filter_by_type,
     parse_records,
 )
-from .linkage import LinkageTable, PairLinkage, build_linkage_table, pair_linkage  # noqa: F401
+from .linkage import LinkageTable, PairLinkage, build_linkage_table  # noqa: F401
 from .layers import (  # noqa: F401
     NetworkLayer,
     ThresholdSweep,

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,14 +129,32 @@ def _listed_artifacts(out_dir: Path) -> set[str]:
     return set()
 
 
+def _write_all(out_dir: Path, artifacts: dict[str, bytes]) -> list[Path]:
+    """Write every artifact to a temporary file in ``out_dir``, then rename
+    each into place in the given order; returns the final paths. A failing
+    write removes only the temporary files, so no earlier output changes."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = [out_dir / name for name in artifacts]
+    temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name in artifacts]
+    try:
+        for temp, blob in zip(temps, artifacts.values()):
+            temp.write_bytes(blob)
+        for temp, path in zip(temps, written):
+            os.replace(temp, path)
+    except OSError:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    return written
+
+
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
-    Artifacts are assembled in memory and written to temporary files in the
-    output directory, then renamed into place, manifest last; a failing
-    write removes only the temporary files. Then the files that an earlier
-    run's manifest in the directory listed and this run did not write are
-    removed; no other file is touched.
+    Artifacts are assembled in memory and written with :func:`_write_all`,
+    manifest last. Then the files that an earlier run's manifest in the
+    directory listed and this run did not write are removed; no other file
+    is touched.
     """
     input_bytes = _read_input_bytes(config.input_path)
     records, dataset = _parse_and_aggregate(input_bytes, config)
@@ -194,19 +213,8 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     ).encode("utf-8")
 
     stale = _listed_artifacts(config.output_dir) - artifacts.keys()
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     names = sorted(artifacts, key=lambda name: (name == "manifest.json", name))
-    written = [config.output_dir / name for name in names]
-    temps = [config.output_dir / f".{name}.{os.getpid()}.tmp" for name in names]
-    try:
-        for temp, name in zip(temps, names):
-            temp.write_bytes(artifacts[name])
-        for temp, path in zip(temps, written):
-            os.replace(temp, path)
-    except OSError:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
+    written = _write_all(config.output_dir, {name: artifacts[name] for name in names})
     for name in sorted(stale):
         path = config.output_dir / name
         if path.is_file():
@@ -243,13 +251,11 @@ def _parse_bins(text: str) -> int:
 
 
 def _parse_delimiter(text: str) -> str:
-    if len(text) != 1:
-        raise ConfigError(f"--delimiter must be a single character, got {text!r}")
+    if len(text) != 1 or text in '"\r\n':
+        raise ConfigError(
+            f"--delimiter must be one character, not the quote or a line break, got {text!r}"
+        )
     return text
-
-
-def _default_output_dir() -> Path:
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "collabnet_out"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build and analyze threshold-layered collaboration networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, "collabnet_out"))
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p_synth.add_argument("--seed", type=int, default=0)
@@ -275,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("input", help="input CSV path, - for stdin")
     p_stats.add_argument("--delimiter", type=_parse_delimiter, default=",")
     p_stats.add_argument("--bins", type=_parse_bins, default=stats.DEFAULT_BINS)
-    p_stats.add_argument("--output-dir", default=None)
+    p_stats.add_argument("--output-dir", type=Path, default=out_dir)
 
     p_build = sub.add_parser("build", help="run the full layer pipeline")
     p_build.add_argument("input", help="input CSV path, - for stdin")
@@ -303,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--delimiter", type=_parse_delimiter, default=",")
     p_build.add_argument("--bins", type=_parse_bins, default=stats.DEFAULT_BINS)
     p_build.add_argument("--dump-linkage", action="store_true")
-    p_build.add_argument("--output-dir", default=None)
+    p_build.add_argument("--output-dir", type=Path, default=out_dir)
     return parser
 
 
@@ -328,9 +335,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"records: {len(records)}")
     print(f"projects: {dataset.n_projects}")
     print(f"members: {len(dataset.member_index)}")
-    by_type: dict[str, int] = {}
-    for p in dataset.projects.values():
-        by_type[p.project_type.value] = by_type.get(p.project_type.value, 0) + 1
+    by_type = Counter(p.project_type.value for p in dataset.projects.values())
     for name in sorted(by_type):
         print(f"projects[{name}]: {by_type[name]}")
     return EXIT_OK
@@ -338,11 +343,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     records = _parse(_read_input_bytes(args.input), args.delimiter)
-    out_dir = Path(args.output_dir) if args.output_dir else _default_output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, blob in _stats_artifacts(records, args.bins).items():
-        path = out_dir / name
-        path.write_bytes(blob)
+    for path in _write_all(args.output_dir, _stats_artifacts(records, args.bins)):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -350,7 +351,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     config = RunConfig(
         input_path=args.input,
-        output_dir=Path(args.output_dir) if args.output_dir else _default_output_dir(),
+        output_dir=args.output_dir,
         thresholds=args.thresholds,
         linspace=args.linspace,
         type_filter=args.types,

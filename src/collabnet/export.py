@@ -28,12 +28,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_quote
 from typing import Mapping
 from xml.sax.saxutils import quoteattr
 
-from .layers import Edge, NetworkLayer
+import numpy as np
+
+from .layers import NetworkLayer, Provenance
 
 __all__ = [
     "ComponentColor",
@@ -115,18 +116,26 @@ def export_layer(
     *,
     include_isolated: bool = True,
 ) -> bytes:
-    """Serialize a layer with its visual attributes to the chosen format."""
-    nodes = list(compress(layer.nodes, (layer.degrees > 0) | include_isolated))
-    missing = [v for v in nodes if v not in visuals]
+    """Serialize a layer with its visual attributes to the chosen format.
+
+    Every id is quoted once; a writer gets the shown nodes as (quoted id,
+    visuals) and the edges as (quoted id, quoted id, weight)."""
+    writers = {
+        ExportFormat.GRAPHML: (_to_graphml, quoteattr),
+        ExportFormat.DOT: (_to_dot, _dot_quote),
+        ExportFormat.JSONGRAPH: (_to_jsongraph, _json_quote),
+    }
+    if fmt not in writers:
+        raise ValueError(f"unsupported export format: {fmt!r}")
+    shown = np.flatnonzero((layer.degrees > 0) | include_isolated).tolist()
+    missing = [layer.nodes[i] for i in shown if layer.nodes[i] not in visuals]
     if missing:
         raise ValueError(f"visuals do not cover nodes: {missing[:5]}")
-    if fmt is ExportFormat.GRAPHML:
-        return _to_graphml(layer, visuals, nodes)
-    if fmt is ExportFormat.DOT:
-        return _to_dot(layer, visuals, nodes)
-    if fmt is ExportFormat.JSONGRAPH:
-        return _to_jsongraph(layer, visuals, nodes)
-    raise ValueError(f"unsupported export format: {fmt!r}")
+    write, quote = writers[fmt]
+    ids = [quote(v) for v in layer.nodes]
+    nodes = [(ids[i], visuals[layer.nodes[i]]) for i in shown]
+    ends = ([ids[i] for i in end.tolist()] for end in (layer.a, layer.b))
+    return write(layer, nodes, zip(*ends, layer.weight.tolist()))
 
 
 def threshold_label(threshold: float) -> str:
@@ -134,10 +143,7 @@ def threshold_label(threshold: float) -> str:
     return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
 
 
-def _to_graphml(
-    layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
-) -> bytes:
-    ids = {v: quoteattr(v) for v in nodes}
+def _to_graphml(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -149,18 +155,18 @@ def _to_graphml(
         ' edgedefault="undirected">',
     ]
     out += (
-        f"    <node id={ids[v]}>\n"
-        f'      <data key="degree">{visuals[v].node_size_key}</data>\n'
-        f'      <data key="component">{visuals[v].component_rank}</data>\n'
-        f'      <data key="color">{visuals[v].component_color.value}</data>\n'
+        f"    <node id={v}>\n"
+        f'      <data key="degree">{vis.node_size_key}</data>\n'
+        f'      <data key="component">{vis.component_rank}</data>\n'
+        f'      <data key="color">{vis.component_color.value}</data>\n'
         "    </node>"
-        for v in nodes
+        for v, vis in nodes
     )
     out += (
-        f"    <edge source={ids[a]} target={ids[b]}>\n"
+        f"    <edge source={a} target={b}>\n"
         f'      <data key="weight">{weight:.6f}</data>\n'
         "    </edge>"
-        for a, b, weight in layer.edges
+        for a, b, weight in edges
     )
     out.append("  </graph>\n</graphml>\n")
     return "\n".join(out).encode("utf-8")
@@ -170,17 +176,14 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(
-    layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
-) -> bytes:
-    ids = {v: _dot_quote(v) for v in nodes}
+def _to_dot(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
     out = [f"graph {_dot_quote('t' + threshold_label(layer.threshold))} {{"]
     out += (
-        f"  {ids[v]} [degree={visuals[v].node_size_key}, "
-        f"component={visuals[v].component_rank}, color={visuals[v].component_color.value}];"
-        for v in nodes
+        f"  {v} [degree={vis.node_size_key}, "
+        f"component={vis.component_rank}, color={vis.component_color.value}];"
+        for v, vis in nodes
     )
-    out += (f"  {ids[a]} -- {ids[b]} [weight={weight:.6f}];" for a, b, weight in layer.edges)
+    out += (f"  {a} -- {b} [weight={weight:.6f}];" for a, b, weight in edges)
     out.append("}\n")
     return "\n".join(out).encode("utf-8")
 
@@ -201,27 +204,24 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _to_jsongraph(
-    layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], nodes: list[str]
-) -> bytes:
-    ids = {v: _json_quote(v) for v in nodes}
-    edges = [
-        f'      {{\n        "source": {ids[a]},\n        "target": {ids[b]},\n'
+def _to_jsongraph(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
+    edge_items = [
+        f'      {{\n        "source": {a},\n        "target": {b},\n'
         f'        "weight": {_json_number(round(weight, 6))}\n      }}'
-        for a, b, weight in layer.edges
+        for a, b, weight in edges
     ]
     node_items = [
-        f'      {{\n        "color": "{visuals[v].component_color.value}",\n'
-        f'        "component": {visuals[v].component_rank},\n'
-        f'        "degree": {visuals[v].node_size_key},\n'
-        f'        "id": {ids[v]}\n      }}'
-        for v in nodes
+        f'      {{\n        "color": "{vis.component_color.value}",\n'
+        f'        "component": {vis.component_rank},\n'
+        f'        "degree": {vis.node_size_key},\n'
+        f'        "id": {v}\n      }}'
+        for v, vis in nodes
     ]
     provenance = layer.provenance
     types = [f"        {_json_quote(t)}" for t in provenance.project_types]
     return (
         '{\n  "graph": {\n    "directed": false,\n'
-        f'    "edges": {_json_array(edges, "    ")},\n'
+        f'    "edges": {_json_array(edge_items, "    ")},\n'
         '    "metadata": {\n'
         f'      "dataset_fingerprint": {_json_quote(provenance.dataset_fingerprint)},\n'
         f'      "project_types": {_json_array(types, "      ")},\n'
@@ -239,24 +239,19 @@ def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, dict[str, VisualAttribut
     weighted edges and the per-node visual attributes. Edge weights come
     back as written, rounded to 6 decimals.
     """
-    from .layers import Provenance
-
     doc = json.loads(data.decode("utf-8"))
     graph = doc["graph"]
     meta = graph["metadata"]
     nodes = tuple(sorted(node["id"] for node in graph["nodes"]))
-    edges = tuple(
-        sorted(
-            Edge(
-                min(e["source"], e["target"]),
-                max(e["source"], e["target"]),
-                float(e["weight"]),
-            )
-            for e in graph["edges"]
-        )
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = sorted(  # (a, b, weight) with a < b, in canonical order
+        (*sorted((index[e["source"]], index[e["target"]])), float(e["weight"]))
+        for e in graph["edges"]
     )
+    a, b, weight = np.array(edges).reshape(-1, 3).T
     provenance = Provenance(meta["dataset_fingerprint"], tuple(meta["project_types"]))
-    layer = NetworkLayer(float(meta["threshold"]), nodes, edges, provenance)
+    ends = a.astype(np.int64), b.astype(np.int64)
+    layer = NetworkLayer(float(meta["threshold"]), nodes, *ends, weight, provenance)
     visuals = {
         node["id"]: VisualAttributes(
             node_size_key=int(node["degree"]),

@@ -336,12 +336,11 @@ def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
 
 def to_records(dataset: Dataset) -> list[ContributionRecord]:
     """Serialize a dataset back to membership rows (ic_score is not retained)."""
-    out = []
-    for pid in dataset.projects:
-        p = dataset.projects[pid]
-        for mid, pct in p.members.items():
-            out.append(ContributionRecord(pid, mid, pct, None, p.project_type))
-    return out
+    return [
+        ContributionRecord(pid, mid, pct, None, p.project_type)
+        for pid, p in dataset.projects.items()
+        for mid, pct in p.members.items()
+    ]
 
 
 def _format_number(value: float) -> str:

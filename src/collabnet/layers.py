@@ -2,11 +2,13 @@
 
 A layer is the graph obtained at one threshold: every project is a node and
 every pair whose linkage meets the threshold is an undirected weighted edge.
-Sweeping an increasing list of thresholds yields a stack of nested layers
-that share one node tuple and one edge tuple: each layer keeps the edges
-whose weight meets its threshold. A layer builds its CSR adjacency, degree
-array and component roots once, on first use; metrics and export read only
-these, so each layer is labelled into components once.
+Sweeping an increasing list of thresholds yields a stack of nested layers.
+Every layer shares the table's sorted project tuple as its nodes and holds
+its edges as parallel node-index arrays ``a``, ``b`` and ``weight``: the
+table's arrays cut where the linkage meets the threshold. A layer builds its
+CSR adjacency, degree array and component roots from these arrays once, on
+first use; metrics and export read only these, so each layer is labelled
+into components once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,18 +50,21 @@ class Provenance:
     project_types: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkLayer:
     """One generated graph at a single threshold.
 
-    nodes is the full project id set of the source dataset (isolated nodes
-    are kept; metric reports leave them out of their averages). Both tuples
-    are in canonical sorted order so serialization is byte-stable.
+    nodes is the full project id set of the source dataset, sorted (isolated
+    nodes are kept; metric reports leave them out of their averages). Edge i
+    joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with weight[i];
+    edges are in canonical (a, b) order so serialization is byte-stable.
     """
 
     threshold: float
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    a: np.ndarray
+    b: np.ndarray
+    weight: np.ndarray
     provenance: Provenance
 
     @property
@@ -69,17 +73,21 @@ class NetworkLayer:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.a.size
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (id, id, weight) tuples, for callers that want names."""
+        ids = self.nodes
+        columns = zip(self.a.tolist(), self.b.tolist(), self.weight.tolist())
+        return tuple(Edge(ids[a], ids[b], w) for a, b, w in columns)
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency in CSR form; row i is ``nodes[i]``."""
-        index = {v: i for i, v in enumerate(self.nodes)}
-        m = self.n_edges
-        a = np.fromiter((index[e.a] for e in self.edges), np.int64, m)
-        b = np.fromiter((index[e.b] for e in self.edges), np.int64, m)
+        a, b = self.a, self.b
         return sp.csr_matrix(
-            (np.ones(2 * m), (np.concatenate([a, b]), np.concatenate([b, a]))),
+            (np.ones(2 * a.size), (np.concatenate([a, b]), np.concatenate([b, a]))),
             shape=(self.n_nodes, self.n_nodes),
         )
 
@@ -96,11 +104,9 @@ class NetworkLayer:
         two adjacent roots under the smaller, then points every node straight
         at its root, until no edge joins two different roots.
         """
-        adj = self.adjacency
-        tails = np.repeat(np.arange(self.n_nodes), self.degrees)
         root = np.arange(self.n_nodes)
         while True:
-            a, b = root[tails], root[adj.indices]
+            a, b = root[self.a], root[self.b]
             if np.array_equal(a, b):
                 return root
             np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
@@ -150,16 +156,15 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
 def build_layer_stack(
     dataset: Dataset, table: LinkageTable, sweep: ThresholdSweep
 ) -> list[NetworkLayer]:
-    """One layer per sweep threshold, in sweep order: all projects as nodes,
-    pairs with linkage >= threshold as weighted edges."""
-    nodes = tuple(sorted(dataset.projects))
-    edges = tuple(Edge(pa, pb, link.linkage) for (pa, pb), link in table.pairs.items())
-    weights = np.fromiter((e.weight for e in edges), float, len(edges))
+    """One layer per sweep threshold, in sweep order: all projects of the
+    table as nodes, pairs with linkage >= threshold as weighted edges."""
     provenance = Provenance(dataset.fingerprint(), dataset.project_types())
-    return [
-        NetworkLayer(t, nodes, tuple(compress(edges, weights >= t)), provenance)
-        for t in sweep.thresholds
-    ]
+    layers = []
+    for t in sweep.thresholds:
+        keep = table.linkage >= t
+        edges = table.a[keep], table.b[keep], table.linkage[keep]
+        layers.append(NetworkLayer(t, table.projects, *edges, provenance))
+    return layers
 
 
 def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:

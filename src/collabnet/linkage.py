@@ -2,8 +2,10 @@
 
 Two projects that share at least one member get a linkage value: the mean,
 over their common members, of the average of the member's two contribution
-percentages. Pairs without common members are not materialized. The full
-table of pair scores feeds threshold sweeps in :mod:`collabnet.layers`.
+percentages. Pairs without common members are not materialized. The table
+holds the sorted project ids and, for every pair, parallel arrays of the two
+project indices, the common-member count and the linkage; threshold sweeps
+in :mod:`collabnet.layers` cut these arrays.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .ingest import Dataset, Project
+import numpy as np
+
+from .ingest import Dataset
 
 __all__ = [
     "PairLinkage",
     "LinkageTable",
-    "common_members",
-    "pair_linkage",
     "build_linkage_table",
     "table_to_csv_bytes",
 ]
@@ -35,77 +37,75 @@ class PairLinkage:
     linkage: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkageTable:
-    """All pair linkages of a dataset, keyed by canonical (a, b) id pair.
+    """All pair linkages of a dataset, one array entry per co-membered pair.
 
+    ``a[i] < b[i]`` index ``projects``, the sorted project ids, and the pairs
+    are in canonical (a, b) order. Iterating yields :class:`PairLinkage` rows.
     min_linkage/max_linkage are None when no pair shares a member.
     """
 
-    pairs: Mapping[tuple[str, str], PairLinkage]
-    min_linkage: float | None
-    max_linkage: float | None
+    projects: tuple[str, ...]
+    a: np.ndarray
+    b: np.ndarray
+    n_common: np.ndarray
+    linkage: np.ndarray
+
+    @property
+    def min_linkage(self) -> float | None:
+        return float(self.linkage.min()) if self.linkage.size else None
+
+    @property
+    def max_linkage(self) -> float | None:
+        return float(self.linkage.max()) if self.linkage.size else None
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.linkage.size
 
     def __iter__(self) -> Iterator[PairLinkage]:
-        return iter(self.pairs.values())
+        return (PairLinkage(*row) for row in self._rows())
 
-
-def common_members(a: Project, b: Project) -> frozenset[str]:
-    """Members present in both project teams."""
-    if a.id == b.id:
-        raise ValueError(f"common_members needs two distinct projects, got {a.id!r} twice")
-    return frozenset(a.members) & frozenset(b.members)
-
-
-def pair_linkage(a: Project, b: Project) -> PairLinkage | None:
-    """Linkage for one pair, or None when the teams are disjoint.
-
-    The value is (1/n) * sum over the n common members of
-    (contribution_in_a + contribution_in_b) / 2, so it always lies in
-    [0, 100] for percent-scale contributions.
-    """
-    common = common_members(a, b)
-    if not common:
-        return None
-    # sorted iteration keeps float accumulation order deterministic
-    total = sum((a.members[m] + b.members[m]) / 2.0 for m in sorted(common))
-    value = total / len(common)
-    value = min(max(value, 0.0), 100.0)
-    pa, pb = (a.id, b.id) if a.id < b.id else (b.id, a.id)
-    return PairLinkage(pa, pb, len(common), value)
+    def _rows(self) -> Iterator[tuple[str, str, int, float]]:
+        ids = self.projects
+        columns = (self.a, self.b, self.n_common, self.linkage)
+        return ((ids[a], ids[b], n, v) for a, b, n, v in zip(*(c.tolist() for c in columns)))
 
 
 def build_linkage_table(dataset: Dataset) -> LinkageTable:
     """Compute linkage for every project pair sharing at least one member.
 
-    Candidate pairs come from the member -> projects inverted index, so the
-    scan touches only co-membered pairs instead of all n^2 combinations.
-    The result is identical to an exhaustive all-pairs scan.
+    The value is (1/n) * sum over the n common members of
+    (contribution_in_a + contribution_in_b) / 2, so it always lies in
+    [0, 100] for percent-scale contributions. Each member of the
+    member -> projects index emits the pairs of its projects, so only
+    co-membered pairs are touched; the result equals an all-pairs scan.
     """
-    candidates: set[tuple[str, str]] = set()
-    for pids in dataset.member_index.values():
-        if len(pids) < 2:
-            continue
-        ordered = sorted(pids)
-        for i, pa in enumerate(ordered):
-            for pb in ordered[i + 1 :]:
-                candidates.add((pa, pb))
+    projects = tuple(sorted(dataset.projects))
+    index = {pid: i for i, pid in enumerate(projects)}
+    members = sorted(dataset.member_index)
+    teams = [sorted(dataset.member_index[m]) for m in members]
+    # one row per (member, project), by member id, then by project index
+    project = np.array([index[pid] for team in teams for pid in team], np.int64)
+    pct = np.array(
+        [dataset.projects[pid].members[m] for m, team in zip(members, teams) for pid in team],
+        float,
+    )
+    sizes = np.array([len(team) for team in teams], np.int64)
+    # row i pairs with the rows after it up to the end of its member's team
+    rows = np.arange(project.size)
+    partners = np.repeat(np.cumsum(sizes), sizes) - rows - 1
+    first = np.repeat(rows, partners)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
 
-    pairs: dict[tuple[str, str], PairLinkage] = {}
-    for pa, pb in sorted(candidates):
-        link = pair_linkage(dataset.projects[pa], dataset.projects[pb])
-        assert link is not None  # candidates share >= 1 member by construction
-        pairs[(pa, pb)] = link
-
-    if pairs:
-        values = [p.linkage for p in pairs.values()]
-        lo, hi = min(values), max(values)
-    else:
-        lo = hi = None
-    return LinkageTable(pairs, lo, hi)
+    n = len(projects)
+    keys, pair = np.unique(project[first] * n + project[second], return_inverse=True)
+    n_common = np.bincount(pair, minlength=keys.size)
+    # bincount adds each pair's summands in emission order, which is member-id
+    # order, so every value is the same float as a sorted member-by-member sum
+    total = np.bincount(pair, (pct[first] + pct[second]) / 2.0, minlength=keys.size)
+    linkage = np.clip(total / n_common, 0.0, 100.0)
+    return LinkageTable(projects, *np.divmod(keys, n), n_common, linkage)
 
 
 def table_to_csv_bytes(table: LinkageTable) -> bytes:
@@ -113,6 +113,5 @@ def table_to_csv_bytes(table: LinkageTable) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("project_a", "project_b", "n_common", "linkage"))
-    for (pa, pb), link in table.pairs.items():
-        writer.writerow((pa, pb, link.n_common, f"{link.linkage:.6f}"))
+    writer.writerows((a, b, n, f"{value:.6f}") for a, b, n, value in table._rows())
     return buf.getvalue().encode("utf-8")

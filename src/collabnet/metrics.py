@@ -80,9 +80,13 @@ class LayerMetricsReport:
 
 
 def remove_isolated(layer: NetworkLayer) -> NetworkLayer:
-    """Drop degree-0 nodes; edges, threshold and provenance are unchanged."""
-    nodes = tuple(compress(layer.nodes, layer.degrees > 0))
-    return NetworkLayer(layer.threshold, nodes, layer.edges, layer.provenance)
+    """Drop degree-0 nodes and renumber the edge ends to the kept nodes;
+    edges, threshold and provenance are unchanged."""
+    keep = layer.degrees > 0
+    index = np.cumsum(keep) - 1  # a kept node's index among the kept nodes
+    nodes = tuple(compress(layer.nodes, keep))
+    ends = index[layer.a], index[layer.b]
+    return NetworkLayer(layer.threshold, nodes, *ends, layer.weight, layer.provenance)
 
 
 def degree(layer: NetworkLayer) -> dict[str, int]:

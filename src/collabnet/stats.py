@@ -95,10 +95,7 @@ def summarize(
         bins = ((float(arr.min()), float(arr.max()), len(values)),)
     else:
         counts, edges = np.histogram(arr, bins=n_bins)
-        bins = tuple(
-            (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(len(counts))
-        )
+        bins = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     std = float(arr.std())
     return FeatureSummary(
         feature_name=feature,
@@ -127,8 +124,7 @@ def histogram_csv_bytes(summary: FeatureSummary) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("bin_lower", "bin_upper", "count"))
-    for lo, hi, count in summary.histogram:
-        writer.writerow((repr(lo), repr(hi), count))
+    writer.writerows((repr(lo), repr(hi), count) for lo, hi, count in summary.histogram)
     return buf.getvalue().encode("utf-8")
 
 

@@ -15,9 +15,11 @@ from collections import deque
 from itertools import combinations
 from xml.sax.saxutils import escape, quoteattr
 
+import numpy as np
+
 from collabnet.export import ExportFormat, threshold_label
 from collabnet.ingest import ContributionRecord, Dataset, ProjectType, aggregate
-from collabnet.layers import Edge, NetworkLayer, Provenance
+from collabnet.layers import NetworkLayer, Provenance
 
 
 def naive_linkage_table(dataset: Dataset) -> dict[tuple[str, str], tuple[int, float]]:
@@ -119,12 +121,22 @@ _PROVENANCE = Provenance("test", ())
 
 def make_layer(nodes, edges, threshold: float = 0.0, weight: float = 1.0) -> NetworkLayer:
     """Layer from an edge list; edges may be (a, b) or (a, b, weight)."""
-    canonical = []
-    for e in edges:
-        a, b = e[0], e[1]
-        w = e[2] if len(e) > 2 else weight
-        canonical.append(Edge(min(a, b), max(a, b), w))
-    return NetworkLayer(threshold, tuple(sorted(nodes)), tuple(sorted(canonical)), _PROVENANCE)
+    nodes = tuple(sorted(nodes))
+    index = {v: i for i, v in enumerate(nodes)}
+    rows = sorted(
+        (*sorted((index[e[0]], index[e[1]])), e[2] if len(e) > 2 else weight) for e in edges
+    )
+    a, b = (np.array([row[k] for row in rows], np.int64) for k in (0, 1))
+    w = np.array([row[2] for row in rows], float)
+    return NetworkLayer(threshold, nodes, a, b, w, _PROVENANCE)
+
+
+def assert_same_layer(one: NetworkLayer, two: NetworkLayer) -> None:
+    """Layers hold arrays, so they are compared field by field."""
+    assert one.threshold == two.threshold
+    assert one.nodes == two.nodes
+    assert one.edges == two.edges
+    assert one.provenance == two.provenance
 
 
 def adjacency_of(layer: NetworkLayer) -> dict[str, set[str]]:

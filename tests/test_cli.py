@@ -179,6 +179,13 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
     assert run(["build", str(small_input), "--thresholds", "0,1e400", "--output-dir", out]) == 2
     assert run(["build", str(small_input), "--thresholds", "0,20", "--bins", "0", "--output-dir", out]) == 2
     assert run(["build", str(small_input), "--thresholds", "0,20", "--delimiter", ";;", "--output-dir", out]) == 2
+    capsys.readouterr()
+    for delimiter in ('"', "\n", "\r"):  # the csv quote character and line breaks
+        assert run(["ingest", str(small_input), "--delimiter", delimiter]) == 2
+        assert run(["stats", str(small_input), "--delimiter", delimiter, "--output-dir", out]) == 2
+        build = ["build", str(small_input), "--thresholds", "0,20", "--output-dir", out]
+        assert run([*build, "--delimiter", delimiter]) == 2
+        assert capsys.readouterr().err.count("error: --delimiter must be one character") == 3
     assert not (tmp_path / "z").exists()
     for options in (["--projects", "0"], ["--members", "0"], ["--projects", "-3"],
                     ["--projects", "5", "--members", "1"]):
@@ -244,6 +251,32 @@ def test_failed_write_leaves_no_partial_outputs(small_input, tmp_path, monkeypat
     with pytest.raises(OSError):
         run_pipeline(config)
     assert list(out_dir.iterdir()) == []
+
+
+def test_failed_stats_write_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "stats"
+    argv = ["stats", str(small_input), "--output-dir", str(out_dir)]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(before) == 3
+    capsys.readouterr()
+
+    other = tmp_path / "other.csv"
+    other.write_bytes(generate_csv_bytes(SynthConfig(seed=12, n_projects=50, n_members=48)))
+    real_write = Path.write_bytes
+    calls = {"n": 0}
+
+    def flaky_write(self, data):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise OSError("disk full")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", flaky_write)
+    assert run(["stats", str(other), "--output-dir", str(out_dir)]) == 1
+    assert calls["n"] == 2
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    assert "wrote" not in capsys.readouterr().out
 
 
 def test_failed_rebuild_keeps_previous_outputs(small_input, tmp_path, monkeypatch):

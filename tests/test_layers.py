@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from collabnet.export import ExportFormat, assign_visuals, export_layer
+from collabnet.export import ExportFormat, assign_visuals, export_layer, parse_jsongraph
 from collabnet.ingest import ContributionRecord, ProjectType, aggregate
 from collabnet.layers import (
     ThresholdSweep,
@@ -13,9 +14,17 @@ from collabnet.layers import (
     make_sweep_explicit,
     make_sweep_linspace,
 )
-from collabnet.linkage import LinkageTable, build_linkage_table
-from collabnet.metrics import components
-from oracles import random_records
+from collabnet.linkage import LinkageTable, build_linkage_table, table_to_csv_bytes
+from collabnet.metrics import (
+    LayerMetricsReport,
+    betweenness,
+    closeness,
+    clustering,
+    components,
+    remove_isolated,
+    report,
+)
+from oracles import assert_same_layer, random_records, reference_export
 
 
 def dataset(rows):
@@ -36,7 +45,10 @@ WORKED = dataset(
 
 
 def fake_table(lo, hi):
-    return LinkageTable({}, lo, hi)
+    """A table whose linkage range is [lo, hi], empty when both are None."""
+    values = np.array([] if lo is None else [lo, hi])
+    ends = np.zeros(values.size, np.int64)
+    return LinkageTable((), ends, ends, ends, values)
 
 
 def test_linspace_paper_span():
@@ -111,7 +123,8 @@ def test_stack_order_and_singleton():
     assert [layer.threshold for layer in stack] == list(sweep.thresholds)
 
     single = build_layer_stack(WORKED, table, make_sweep_explicit([35.0]))
-    assert single == [build_layer(WORKED, table, 35.0)]
+    assert len(single) == 1
+    assert_same_layer(single[0], build_layer(WORKED, table, 35.0))
 
 
 def test_stack_nesting_and_monotone_counts():
@@ -149,8 +162,9 @@ def test_rebuild_is_deterministic_and_serializes_identically():
     sweep = make_sweep_explicit([0, 20, 40])
     first = build_layer_stack(WORKED, table, sweep)
     second = build_layer_stack(WORKED, build_linkage_table(WORKED), sweep)
-    assert first == second
+    assert len(first) == len(second) == 3
     for one, two in zip(first, second):
+        assert_same_layer(one, two)
         _, membership = components(one)
         visuals = assign_visuals(one, membership)
         blob_one = export_layer(one, visuals, ExportFormat.JSONGRAPH)
@@ -175,6 +189,58 @@ def test_stack_layers_match_naive_filter():
         stack = build_layer_stack(ds, table, make_sweep_explicit(thresholds))
         for layer in stack:
             t = layer.threshold
-            naive = [(a, b, l.linkage) for (a, b), l in table.pairs.items() if l.linkage >= t]
+            naive = [(p.project_a, p.project_b, p.linkage) for p in table if p.linkage >= t]
             assert [tuple(e) for e in layer.edges] == naive
             assert layer.edges == build_layer(ds, table, t).edges
+
+
+def assert_exports_match_reference(layer):
+    visuals = assign_visuals(layer, components(layer)[1])
+    for fmt in ExportFormat:
+        for include_isolated in (True, False):
+            assert export_layer(
+                layer, visuals, fmt, include_isolated=include_isolated
+            ) == reference_export(layer, visuals, fmt, include_isolated=include_isolated)
+
+
+DEGENERATE = {
+    "empty dataset": [],
+    "teams sharing no member": [("A", "M1", 60.0), ("A", "M2", 40.0), ("B", "M3", 100.0)],
+    "a member on only one project": [("A", "M1", 100.0)],
+    "a member on every project": [("A", "M1", 70.0), ("A", "M2", 30.0)],  # of one project
+}
+
+
+@pytest.mark.parametrize("rows", DEGENERATE.values(), ids=DEGENERATE.keys())
+def test_degenerate_inputs_give_empty_arrays_layers_and_exports(rows):
+    ds = dataset(rows)
+    table = build_linkage_table(ds)
+    assert [column.size for column in (table.a, table.b, table.n_common, table.linkage)] == [0] * 4
+    assert len(table) == 0 and list(table) == []
+    assert table.min_linkage is None and table.max_linkage is None
+    assert table_to_csv_bytes(table) == b"project_a,project_b,n_common,linkage\n"
+    for layer in build_layer_stack(ds, table, make_sweep_explicit([0, 50, 100])):
+        assert layer.nodes == tuple(sorted(ds.projects))
+        assert layer.n_edges == 0 and layer.edges == ()
+        n = layer.n_nodes
+        zeros = LayerMetricsReport(layer.threshold, 0, 0, n, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        assert report(layer) == zeros
+        for values in (closeness(layer), betweenness(layer), clustering(layer)):
+            assert values == dict.fromkeys(layer.nodes, 0.0)
+        assert remove_isolated(layer).nodes == ()
+        assert_exports_match_reference(layer)
+        visuals = assign_visuals(layer, components(layer)[1])
+        back, _ = parse_jsongraph(export_layer(layer, visuals, ExportFormat.JSONGRAPH))
+        assert_same_layer(back, layer)
+
+
+def test_member_on_every_project_links_every_pair():
+    ds = dataset([(p, "M0", 40.0) for p in "ABCD"] + [(p, "M" + p, 60.0) for p in "ABCD"])
+    table = build_linkage_table(ds)
+    assert (table.a.tolist(), table.b.tolist()) == ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+    assert table.n_common.tolist() == [1] * 6 and table.linkage.tolist() == [40.0] * 6
+    complete, empty = build_layer_stack(ds, table, make_sweep_explicit([40.0, 40.000001]))
+    assert report(complete).density == 1.0 and report(complete).avg_clustering == 1.0
+    assert empty.n_edges == 0
+    for layer in (complete, empty):
+        assert_exports_match_reference(layer)

@@ -24,7 +24,7 @@ from collabnet.ingest import (
     records_to_csv_bytes,
 )
 from collabnet.layers import build_layer
-from collabnet.linkage import build_linkage_table, pair_linkage
+from collabnet.linkage import build_linkage_table
 from collabnet.metrics import components
 from oracles import naive_linkage_table, reference_export
 
@@ -155,20 +155,27 @@ teams = st.dictionaries(st.sampled_from([f"M{i}" for i in range(6)]), percents, 
 @DETERMINISTIC
 @given(st.lists(teams, min_size=2, max_size=8))
 def test_linkage_symmetric_bounded_and_naive(project_teams):
-    recs = [
-        ContributionRecord(f"P{i}", m, pct, None, ProjectType.PAPER)
-        for i, team in enumerate(project_teams)
-        for m, pct in team.items()
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # random teams may sum above 100
-        dataset = aggregate(recs)
+    def dataset_named(name):
+        recs = [
+            ContributionRecord(name(i), m, pct, None, ProjectType.PAPER)
+            for i, team in enumerate(project_teams)
+            for m, pct in team.items()
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random teams may sum above 100
+            return aggregate(recs)
+
+    dataset = dataset_named(lambda i: f"P{i}")
     table = build_linkage_table(dataset)
+    # ids in reverse order swap the two sides of every pair
+    flipped = build_linkage_table(dataset_named(lambda i: f"Q{9 - i}"))
+    flipped = {(p.project_b, p.project_a): p for p in flipped}
     naive = naive_linkage_table(dataset)
-    assert set(table.pairs) == set(naive)
-    for (pa, pb), link in table.pairs.items():
-        a, b = dataset.projects[pa], dataset.projects[pb]
-        assert pair_linkage(b, a) == link
+    assert [(link.project_a, link.project_b) for link in table] == sorted(naive)
+    for link in table:
+        pa, pb = link.project_a, link.project_b
+        twin = flipped[(f"Q{9 - int(pa[1:])}", f"Q{9 - int(pb[1:])}")]
+        assert (twin.n_common, twin.linkage) == (link.n_common, link.linkage)
         assert 0.0 <= link.linkage <= 100.0
         n_common, value = naive[(pa, pb)]
         assert link.n_common == n_common
