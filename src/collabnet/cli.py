@@ -4,8 +4,11 @@ build runs the whole pipeline on one input file: parse, aggregate, optional
 type filter, linkage table, threshold sweep, per-layer metric reports,
 layer exports, feature statistics and a manifest with content hashes.
 Outputs are deterministic: the same input bytes and flags always produce a
-byte-identical artifact set. Exit codes: 0 success, 1 input/data error,
-2 configuration error.
+byte-identical artifact set. Each artifact is written to a temporary file as
+soon as it is made, so no more than one layer's bytes are held at a time;
+the files are renamed into place together, manifest last, once all are
+written, and any failure removes the temporary files instead. Exit codes:
+0 success, 1 input/data error, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -129,32 +132,52 @@ def _listed_artifacts(out_dir: Path) -> set[str]:
     return set()
 
 
-def _write_all(out_dir: Path, artifacts: dict[str, bytes]) -> list[Path]:
-    """Write every artifact to a temporary file in ``out_dir``, then rename
-    each into place in the given order; returns the final paths. A failing
-    write removes only the temporary files, so no earlier output changes."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / name for name in artifacts]
-    temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name in artifacts]
-    try:
-        for temp, blob in zip(temps, artifacts.values()):
-            temp.write_bytes(blob)
-        for temp, path in zip(temps, written):
-            os.replace(temp, path)
-    except OSError:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
-    return written
+class _Artifacts:
+    """Writes artifacts to temporary files in ``out_dir`` as they are made,
+    keeping only each one's sha256, then renames them into place.
+
+    Use it as a context manager. The directory is made at the first write.
+    A clean exit renames every file in name order, ``manifest.json`` last;
+    any exception removes every temporary file, so no earlier output
+    changes.
+    """
+
+    MANIFEST = "manifest.json"
+
+    def __init__(self, out_dir: Path) -> None:
+        self.out_dir = out_dir
+        self.hashes: dict[str, str] = {}
+        self._temps: dict[str, Path] = {}
+        self.paths: list[Path] = []
+
+    def write(self, name: str, blob: bytes) -> None:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._temps[name] = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        self._temps[name].write_bytes(blob)
+        self.hashes[name] = hashlib.sha256(blob).hexdigest()
+
+    def __enter__(self) -> _Artifacts:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for name in sorted(self._temps, key=lambda n: (n == self.MANIFEST, n)):
+                    os.replace(self._temps[name], self.out_dir / name)
+                    self.paths.append(self.out_dir / name)
+        finally:  # a renamed file has left its temporary name: this removes the rest
+            for temp in self._temps.values():
+                temp.unlink(missing_ok=True)
 
 
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
-    Artifacts are assembled in memory and written with :func:`_write_all`,
-    manifest last. Then the files that an earlier run's manifest in the
-    directory listed and this run did not write are removed; no other file
-    is touched.
+    Each artifact goes to a temporary file as soon as it is made, and only
+    its hash is kept (see :class:`_Artifacts`); the manifest is written
+    last, from those hashes. Once every file is renamed into place, the
+    files that an earlier run's manifest in the directory listed and this
+    run did not write are removed; no other file is touched.
     """
     input_bytes = _read_input_bytes(config.input_path)
     records, dataset = _parse_and_aggregate(input_bytes, config)
@@ -166,60 +189,61 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(dataset, table, sweep)
 
-    artifacts: dict[str, bytes] = {}
-    reports = []
-    for i, layer in enumerate(stack):
-        reports.append(metrics.report(layer))
-        _, membership = metrics.components(layer)
-        visuals = export.assign_visuals(layer, membership)
-        artifacts[_layer_filename(i, layer, config.export_format)] = export.export_layer(
-            layer,
-            visuals,
-            config.export_format,
-            include_isolated=config.include_isolated,
+    listed = _listed_artifacts(config.output_dir)
+    with _Artifacts(config.output_dir) as out:
+        if config.dump_linkage:  # first, before export's per-stack lines take memory
+            out.write("linkage.csv", linkage.table_to_csv_bytes(table))
+        reports = []
+        for i, layer in enumerate(stack):
+            reports.append(metrics.report(layer))
+            _, membership = metrics.components(layer)
+            visuals = export.assign_visuals(layer, membership)
+            out.write(
+                _layer_filename(i, layer, config.export_format),
+                export.export_layer(
+                    layer,
+                    visuals,
+                    config.export_format,
+                    include_isolated=config.include_isolated,
+                ),
+            )
+        out.write("metrics.csv", metrics.reports_to_csv_bytes(reports))
+        out.write("metrics.json", metrics.reports_to_json_bytes(reports))
+        for name, blob in _stats_artifacts(records, config.n_bins).items():
+            out.write(name, blob)
+
+        manifest = {
+            "tool": {"name": "collabnet", "version": __version__},
+            "input": {
+                "path": config.input_path,
+                "sha256": hashlib.sha256(input_bytes).hexdigest(),
+            },
+            "config": {
+                "thresholds": list(sweep.thresholds) if config.thresholds else None,
+                "linspace": config.linspace,
+                "types": sorted(t.value for t in config.type_filter)
+                if config.type_filter
+                else None,
+                "format": config.export_format.value,
+                "include_isolated": config.include_isolated,
+                "strict": config.strict,
+                "lenient": config.lenient,
+                "delimiter": config.delimiter,
+                "n_bins": config.n_bins,
+            },
+            "dataset_fingerprint": stack[0].provenance.dataset_fingerprint,
+            "artifacts": dict(out.hashes),
+        }
+        out.write(
+            out.MANIFEST,
+            (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
         )
-    artifacts["metrics.csv"] = metrics.reports_to_csv_bytes(reports)
-    artifacts["metrics.json"] = metrics.reports_to_json_bytes(reports)
-    artifacts.update(_stats_artifacts(records, config.n_bins))
-    if config.dump_linkage:
-        artifacts["linkage.csv"] = linkage.table_to_csv_bytes(table)
 
-    manifest = {
-        "tool": {"name": "collabnet", "version": __version__},
-        "input": {
-            "path": config.input_path,
-            "sha256": hashlib.sha256(input_bytes).hexdigest(),
-        },
-        "config": {
-            "thresholds": list(config.thresholds) if config.thresholds else None,
-            "linspace": config.linspace,
-            "types": sorted(t.value for t in config.type_filter)
-            if config.type_filter
-            else None,
-            "format": config.export_format.value,
-            "include_isolated": config.include_isolated,
-            "strict": config.strict,
-            "lenient": config.lenient,
-            "delimiter": config.delimiter,
-            "n_bins": config.n_bins,
-        },
-        "dataset_fingerprint": stack[0].provenance.dataset_fingerprint,
-        "artifacts": {
-            name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()
-        },
-    }
-    artifacts["manifest.json"] = (
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
-
-    stale = _listed_artifacts(config.output_dir) - artifacts.keys()
-    names = sorted(artifacts, key=lambda name: (name == "manifest.json", name))
-    written = _write_all(config.output_dir, {name: artifacts[name] for name in names})
-    for name in sorted(stale):
+    for name in sorted(listed - out.hashes.keys()):
         path = config.output_dir / name
         if path.is_file():
             path.unlink()
-    return written
+    return out.paths
 
 
 def _parse_types(text: str) -> frozenset[ProjectType]:
@@ -343,7 +367,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     records = _parse(_read_input_bytes(args.input), args.delimiter)
-    for path in _write_all(args.output_dir, _stats_artifacts(records, args.bins)):
+    with _Artifacts(args.output_dir) as out:
+        for name, blob in _stats_artifacts(records, args.bins).items():
+            out.write(name, blob)
+    for path in out.paths:
         print(f"wrote {path}")
     return EXIT_OK
 

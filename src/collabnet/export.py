@@ -16,29 +16,35 @@ The JSON document is ``{"graph": {"directed": false, "metadata":
 "degree", "component", "color"}, ...], "edges": [{"source", "target",
 "weight"}, ...]}}`` with each weight ``round(weight, 6)``. Its bytes equal
 ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of that document.
-Each writer escapes every id once per layer and renders each node and edge
-from one fixed template; the standard encoder is not used, because with
-``indent`` set it runs in pure Python.
+Each format renders from one node template and one edge template; the
+standard encoder is not used, because with ``indent`` set it runs in pure
+Python. Every id is quoted, and every pair's edge line rendered, once per
+format for all the layers that share the pairs (the layers of a stack), so
+a layer's edge block is the lines its ``keep`` mask selects. Node lines are
+rendered from the degree, component-rank and color-index arrays of a
+:class:`LayerVisuals`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_quote
-from typing import Mapping
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from .layers import NetworkLayer, Provenance
+from .layers import NetworkLayer, Pairs, Provenance
 
 __all__ = [
     "ComponentColor",
     "ExportFormat",
+    "LayerVisuals",
     "VisualAttributes",
     "assign_visuals",
     "export_layer",
@@ -67,25 +73,44 @@ class VisualAttributes:
     component_rank: int
 
 
-def _color_bands(n_classes: int) -> list[ComponentColor]:
-    """Colors for n distinct component sizes, largest class first."""
-    if n_classes == 1:
-        return [ComponentColor.BLUE]
-    if n_classes == 2:
-        return [ComponentColor.BLUE, ComponentColor.GRAY]
-    middles = n_classes - 2
+_COLORS = tuple(ComponentColor)  # a color index points into this
+_COLOR_NAMES = np.array([color.value for color in _COLORS])
+
+
+@dataclass(frozen=True, eq=False)
+class LayerVisuals(Mapping):
+    """Every node's visual attributes, held as arrays in ``nodes`` order: the
+    degree, the component rank and the color index. Reads as a node ->
+    :class:`VisualAttributes` mapping."""
+
+    nodes: tuple[str, ...]
+    degree: np.ndarray
+    rank: np.ndarray
+    color: np.ndarray
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    def __getitem__(self, node: str) -> VisualAttributes:
+        i = self._index[node]
+        return VisualAttributes(int(self.degree[i]), _COLORS[self.color[i]], int(self.rank[i]))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def _color_bands(n_classes: int) -> list[int]:
+    """Color indices for n distinct component sizes, largest class first."""
+    middles = max(n_classes - 2, 0)
     greens = math.ceil(middles / 2)
-    return (
-        [ComponentColor.BLUE]
-        + [ComponentColor.GREEN] * greens
-        + [ComponentColor.RED] * (middles - greens)
-        + [ComponentColor.GRAY]
-    )
+    return ([0] + [1] * greens + [2] * (middles - greens) + [3])[:n_classes]
 
 
-def assign_visuals(
-    layer: NetworkLayer, membership: Mapping[str, int]
-) -> dict[str, VisualAttributes]:
+def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> LayerVisuals:
     """Per-node visual attributes from a component membership map.
 
     ``membership`` must cover every node of the layer (as produced by
@@ -94,19 +119,11 @@ def assign_visuals(
     missing = [v for v in layer.nodes if v not in membership]
     if missing:
         raise ValueError(f"membership does not cover nodes: {missing[:5]}")
-
-    sizes = Counter(membership[v] for v in layer.nodes)
-    distinct = sorted(set(sizes.values()), reverse=True)
-    bands = _color_bands(len(distinct))
-    color_of_size = {size: bands[rank] for rank, size in enumerate(distinct)}
-    return {
-        v: VisualAttributes(
-            node_size_key=k,
-            component_color=color_of_size[sizes[membership[v]]],
-            component_rank=membership[v],
-        )
-        for v, k in zip(layer.nodes, layer.degrees.tolist())
-    }
+    rank = np.array([membership[v] for v in layer.nodes], np.int64)
+    _, component, size = np.unique(rank, return_inverse=True, return_counts=True)
+    sizes, size_class = np.unique(-size, return_inverse=True)  # class 0: the largest
+    color = np.array(_color_bands(sizes.size), np.int64)[size_class[component]]
+    return LayerVisuals(layer.nodes, layer.degrees, rank, color)
 
 
 def export_layer(
@@ -118,24 +135,48 @@ def export_layer(
 ) -> bytes:
     """Serialize a layer with its visual attributes to the chosen format.
 
-    Every id is quoted once; a writer gets the shown nodes as (quoted id,
-    visuals) and the edges as (quoted id, quoted id, weight)."""
-    writers = {
-        ExportFormat.GRAPHML: (_to_graphml, quoteattr),
-        ExportFormat.DOT: (_to_dot, _dot_quote),
-        ExportFormat.JSONGRAPH: (_to_jsongraph, _json_quote),
-    }
-    if fmt not in writers:
+    Node lines are rendered from the shown nodes' degree, rank and color
+    columns. Edge lines come from the layer's pairs, where each pair's line
+    is rendered once per format for every layer that shares the pairs; a
+    layer keeps the lines of its own edges."""
+    if fmt not in _FORMATS:
         raise ValueError(f"unsupported export format: {fmt!r}")
-    shown = np.flatnonzero((layer.degrees > 0) | include_isolated).tolist()
-    missing = [layer.nodes[i] for i in shown if layer.nodes[i] not in visuals]
+    shown = np.flatnonzero((layer.degrees > 0) | include_isolated)
+    columns = _node_columns(layer, visuals, shown)
+    ids, lines = _rendered(layer.pairs, fmt)
+    nodes = zip([ids[i] for i in shown.tolist()], *columns)
+    edges = lines if layer.keep is None else list(compress(lines, layer.keep.tolist()))
+    return _FORMATS[fmt][2](layer, nodes, edges)
+
+
+def _node_columns(
+    layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], shown: np.ndarray
+) -> tuple[list, list, list]:
+    """Degree, component rank and color name of each shown node."""
+    if isinstance(visuals, LayerVisuals) and visuals.nodes == layer.nodes:
+        columns = visuals.degree[shown], visuals.rank[shown], _COLOR_NAMES[visuals.color[shown]]
+        return tuple(column.tolist() for column in columns)
+    names = [layer.nodes[i] for i in shown.tolist()]
+    missing = [v for v in names if v not in visuals]
     if missing:
         raise ValueError(f"visuals do not cover nodes: {missing[:5]}")
-    write, quote = writers[fmt]
-    ids = [quote(v) for v in layer.nodes]
-    nodes = [(ids[i], visuals[layer.nodes[i]]) for i in shown]
-    ends = ([ids[i] for i in end.tolist()] for end in (layer.a, layer.b))
-    return write(layer, nodes, zip(*ends, layer.weight.tolist()))
+    attrs = [visuals[v] for v in names]
+    return (
+        [vis.node_size_key for vis in attrs],
+        [vis.component_rank for vis in attrs],
+        [vis.component_color.value for vis in attrs],
+    )
+
+
+def _rendered(pairs: Pairs, fmt: ExportFormat) -> tuple[list[str], list[str]]:
+    """The quoted ids and the edge line of every pair in ``fmt``, made on
+    first use and kept in the pairs' cache."""
+    if fmt not in pairs.cache:
+        quote, edge_lines, _ = _FORMATS[fmt]
+        ids = [quote(v) for v in pairs.nodes]
+        columns = (pairs.a.tolist(), pairs.b.tolist(), pairs.weight.tolist())
+        pairs.cache[fmt] = ids, edge_lines(ids, *columns)
+    return pairs.cache[fmt]
 
 
 def threshold_label(threshold: float) -> str:
@@ -143,7 +184,16 @@ def threshold_label(threshold: float) -> str:
     return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
 
 
-def _to_graphml(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
+def _graphml_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
+    return [
+        f"    <edge source={ids[i]} target={ids[j]}>\n"
+        f'      <data key="weight">{w:.6f}</data>\n'
+        "    </edge>"
+        for i, j, w in zip(a, b, weight)
+    ]
+
+
+def _to_graphml(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes:
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -156,18 +206,13 @@ def _to_graphml(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
     ]
     out += (
         f"    <node id={v}>\n"
-        f'      <data key="degree">{vis.node_size_key}</data>\n'
-        f'      <data key="component">{vis.component_rank}</data>\n'
-        f'      <data key="color">{vis.component_color.value}</data>\n'
+        f'      <data key="degree">{degree}</data>\n'
+        f'      <data key="component">{rank}</data>\n'
+        f'      <data key="color">{color}</data>\n'
         "    </node>"
-        for v, vis in nodes
+        for v, degree, rank, color in nodes
     )
-    out += (
-        f"    <edge source={a} target={b}>\n"
-        f'      <data key="weight">{weight:.6f}</data>\n'
-        "    </edge>"
-        for a, b, weight in edges
-    )
+    out += edges
     out.append("  </graph>\n</graphml>\n")
     return "\n".join(out).encode("utf-8")
 
@@ -176,14 +221,17 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
+def _dot_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
+    return [f"  {ids[i]} -- {ids[j]} [weight={w:.6f}];" for i, j, w in zip(a, b, weight)]
+
+
+def _to_dot(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes:
     out = [f"graph {_dot_quote('t' + threshold_label(layer.threshold))} {{"]
     out += (
-        f"  {v} [degree={vis.node_size_key}, "
-        f"component={vis.component_rank}, color={vis.component_color.value}];"
-        for v, vis in nodes
+        f"  {v} [degree={degree}, component={rank}, color={color}];"
+        for v, degree, rank, color in nodes
     )
-    out += (f"  {a} -- {b} [weight={weight:.6f}];" for a, b, weight in edges)
+    out += edges
     out.append("}\n")
     return "\n".join(out).encode("utf-8")
 
@@ -204,24 +252,27 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _to_jsongraph(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
-    edge_items = [
-        f'      {{\n        "source": {a},\n        "target": {b},\n'
-        f'        "weight": {_json_number(round(weight, 6))}\n      }}'
-        for a, b, weight in edges
+def _json_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
+    return [
+        f'      {{\n        "source": {ids[i]},\n        "target": {ids[j]},\n'
+        f'        "weight": {_json_number(round(w, 6))}\n      }}'
+        for i, j, w in zip(a, b, weight)
     ]
+
+
+def _to_jsongraph(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes:
     node_items = [
-        f'      {{\n        "color": "{vis.component_color.value}",\n'
-        f'        "component": {vis.component_rank},\n'
-        f'        "degree": {vis.node_size_key},\n'
+        f'      {{\n        "color": "{color}",\n'
+        f'        "component": {rank},\n'
+        f'        "degree": {degree},\n'
         f'        "id": {v}\n      }}'
-        for v, vis in nodes
+        for v, degree, rank, color in nodes
     ]
     provenance = layer.provenance
     types = [f"        {_json_quote(t)}" for t in provenance.project_types]
     return (
         '{\n  "graph": {\n    "directed": false,\n'
-        f'    "edges": {_json_array(edge_items, "    ")},\n'
+        f'    "edges": {_json_array(edges, "    ")},\n'
         '    "metadata": {\n'
         f'      "dataset_fingerprint": {_json_quote(provenance.dataset_fingerprint)},\n'
         f'      "project_types": {_json_array(types, "      ")},\n'
@@ -232,7 +283,15 @@ def _to_jsongraph(layer: NetworkLayer, nodes: list, edges: zip) -> bytes:
     ).encode("utf-8")
 
 
-def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, dict[str, VisualAttributes]]:
+# per format: the id quoting, the edge lines of a pair list, the document
+_FORMATS = {
+    ExportFormat.GRAPHML: (quoteattr, _graphml_edges, _to_graphml),
+    ExportFormat.DOT: (_dot_quote, _dot_edges, _to_dot),
+    ExportFormat.JSONGRAPH: (_json_quote, _json_edges, _to_jsongraph),
+}
+
+
+def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, LayerVisuals]:
     """Rebuild a layer and its visual attributes from a JSON graph document.
 
     Inverse of the JSON export: restores threshold, provenance, nodes,
@@ -242,22 +301,18 @@ def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, dict[str, VisualAttribut
     doc = json.loads(data.decode("utf-8"))
     graph = doc["graph"]
     meta = graph["metadata"]
-    nodes = tuple(sorted(node["id"] for node in graph["nodes"]))
+    shown = sorted(graph["nodes"], key=lambda node: node["id"])
+    nodes = tuple(node["id"] for node in shown)
     index = {v: i for i, v in enumerate(nodes)}
     edges = sorted(  # (a, b, weight) with a < b, in canonical order
         (*sorted((index[e["source"]], index[e["target"]])), float(e["weight"]))
         for e in graph["edges"]
     )
     a, b, weight = np.array(edges).reshape(-1, 3).T
+    pairs = Pairs(nodes, a.astype(np.int64), b.astype(np.int64), weight)
     provenance = Provenance(meta["dataset_fingerprint"], tuple(meta["project_types"]))
-    ends = a.astype(np.int64), b.astype(np.int64)
-    layer = NetworkLayer(float(meta["threshold"]), nodes, *ends, weight, provenance)
-    visuals = {
-        node["id"]: VisualAttributes(
-            node_size_key=int(node["degree"]),
-            component_color=ComponentColor(node["color"]),
-            component_rank=int(node["component"]),
-        )
-        for node in graph["nodes"]
-    }
+    layer = NetworkLayer(float(meta["threshold"]), pairs, provenance)
+    columns = ([node[key] for node in shown] for key in ("degree", "component"))
+    color = [_COLORS.index(ComponentColor(node["color"])) for node in shown]
+    visuals = LayerVisuals(nodes, *(np.array(c, np.int64) for c in (*columns, color)))
     return layer, visuals

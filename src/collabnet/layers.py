@@ -3,18 +3,20 @@
 A layer is the graph obtained at one threshold: every project is a node and
 every pair whose linkage meets the threshold is an undirected weighted edge.
 Sweeping an increasing list of thresholds yields a stack of nested layers.
-Every layer shares the table's sorted project tuple as its nodes and holds
-its edges as parallel node-index arrays ``a``, ``b`` and ``weight``: the
-table's arrays cut where the linkage meets the threshold. A layer builds its
-CSR adjacency, degree array and component roots from these arrays once, on
-first use; metrics and export read only these, so each layer is labelled
+Every layer of a stack shares one :class:`Pairs`, the table's sorted project
+ids and its node-index arrays, and keeps the pairs whose linkage meets its
+threshold; its edges are the parallel arrays ``a``, ``b`` and ``weight`` cut
+from them. What is derived per pair, such as export's rendered edge lines,
+is kept in the shared ``Pairs`` and so made once per stack. A layer builds
+its CSR adjacency, degree array and component roots from its arrays once,
+on first use; metrics and export read only these, so each layer is labelled
 into components once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -27,6 +29,7 @@ from .linkage import LinkageTable
 __all__ = [
     "Edge",
     "Provenance",
+    "Pairs",
     "NetworkLayer",
     "ThresholdSweep",
     "make_sweep_explicit",
@@ -51,21 +54,56 @@ class Provenance:
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkLayer:
-    """One generated graph at a single threshold.
+class Pairs:
+    """Weighted node pairs that layers take their edges from.
 
-    nodes is the full project id set of the source dataset, sorted (isolated
-    nodes are kept; metric reports leave them out of their averages). Edge i
-    joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with weight[i];
-    edges are in canonical (a, b) order so serialization is byte-stable.
+    Pair i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
+    weight[i]; pairs are in canonical (a, b) order so serialization is
+    byte-stable. ``cache`` holds what callers derive per pair once for every
+    layer cut from these pairs (export keeps its rendered lines there).
     """
 
-    threshold: float
     nodes: tuple[str, ...]
     a: np.ndarray
     b: np.ndarray
     weight: np.ndarray
+    cache: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkLayer:
+    """One generated graph at a single threshold.
+
+    nodes is the full project id set of the source dataset, sorted (isolated
+    nodes are kept; metric reports leave them out of their averages). The
+    edges are the pairs that ``keep`` marks, every pair when keep is None:
+    edge i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
+    weight[i], in the canonical order of ``pairs``.
+    """
+
+    threshold: float
+    pairs: Pairs
     provenance: Provenance
+    keep: np.ndarray | None = None
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return self.pairs.nodes
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self._cut(self.pairs.a)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self._cut(self.pairs.b)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return self._cut(self.pairs.weight)
+
+    def _cut(self, column: np.ndarray) -> np.ndarray:
+        return column if self.keep is None else column[self.keep]
 
     @property
     def n_nodes(self) -> int:
@@ -134,8 +172,9 @@ class ThresholdSweep:
 
 
 def make_sweep_explicit(values: Sequence[float]) -> ThresholdSweep:
-    """Sweep from user-chosen threshold values."""
-    return ThresholdSweep(tuple(float(v) for v in values))
+    """Sweep from user-chosen threshold values; -0.0 becomes 0.0, the same
+    layer, so both give the same file names and bytes."""
+    return ThresholdSweep(tuple(float(v) + 0.0 for v in values))
 
 
 def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
@@ -159,12 +198,8 @@ def build_layer_stack(
     """One layer per sweep threshold, in sweep order: all projects of the
     table as nodes, pairs with linkage >= threshold as weighted edges."""
     provenance = Provenance(dataset.fingerprint(), dataset.project_types())
-    layers = []
-    for t in sweep.thresholds:
-        keep = table.linkage >= t
-        edges = table.a[keep], table.b[keep], table.linkage[keep]
-        layers.append(NetworkLayer(t, table.projects, *edges, provenance))
-    return layers
+    pairs = Pairs(table.projects, table.a, table.b, table.linkage)
+    return [NetworkLayer(t, pairs, provenance, table.linkage >= t) for t in sweep.thresholds]
 
 
 def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:

@@ -11,8 +11,8 @@ in :mod:`collabnet.layers` cut these arrays.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -109,9 +109,15 @@ def build_linkage_table(dataset: Dataset) -> LinkageTable:
 
 
 def table_to_csv_bytes(table: LinkageTable) -> bytes:
-    """Debug dump: project_a, project_b, n_common, linkage (6 decimals)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("project_a", "project_b", "n_common", "linkage"))
-    writer.writerows((a, b, n, f"{value:.6f}") for a, b, n, value in table._rows())
-    return buf.getvalue().encode("utf-8")
+    """Debug dump: project_a, project_b, n_common, linkage (6 decimals).
+
+    Each project id is quoted once, by the csv module as it quotes a field,
+    and each pair is then one line of one template."""
+    # writerow returns what the file's write returns: here, the formatted row
+    row = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
+    # each id beside an empty field, as in a pair row (a lone empty field is
+    # written as ""), then that field's ",\n" dropped
+    ids = [row((pid, ""))[:-2] for pid in table.projects]
+    columns = (c.tolist() for c in (table.a, table.b, table.n_common, table.linkage))
+    lines = (f"{ids[a]},{ids[b]},{n},{v:.6f}\n" for a, b, n, v in zip(*columns))
+    return ("project_a,project_b,n_common,linkage\n" + "".join(lines)).encode("utf-8")

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .layers import NetworkLayer
+from .layers import NetworkLayer, Pairs
 
 __all__ = [
     "LayerMetricsReport",
@@ -85,8 +85,8 @@ def remove_isolated(layer: NetworkLayer) -> NetworkLayer:
     keep = layer.degrees > 0
     index = np.cumsum(keep) - 1  # a kept node's index among the kept nodes
     nodes = tuple(compress(layer.nodes, keep))
-    ends = index[layer.a], index[layer.b]
-    return NetworkLayer(layer.threshold, nodes, *ends, layer.weight, layer.provenance)
+    pairs = Pairs(nodes, index[layer.a], index[layer.b], layer.weight)
+    return NetworkLayer(layer.threshold, pairs, layer.provenance)
 
 
 def degree(layer: NetworkLayer) -> dict[str, int]:

@@ -17,9 +17,9 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from collabnet.export import ExportFormat, threshold_label
+from collabnet.export import ComponentColor, ExportFormat, VisualAttributes, threshold_label
 from collabnet.ingest import ContributionRecord, Dataset, ProjectType, aggregate
-from collabnet.layers import NetworkLayer, Provenance
+from collabnet.layers import NetworkLayer, Pairs, Provenance
 
 
 def naive_linkage_table(dataset: Dataset) -> dict[tuple[str, str], tuple[int, float]]:
@@ -128,7 +128,7 @@ def make_layer(nodes, edges, threshold: float = 0.0, weight: float = 1.0) -> Net
     )
     a, b = (np.array([row[k] for row in rows], np.int64) for k in (0, 1))
     w = np.array([row[2] for row in rows], float)
-    return NetworkLayer(threshold, nodes, a, b, w, _PROVENANCE)
+    return NetworkLayer(threshold, Pairs(nodes, a, b, w), _PROVENANCE)
 
 
 def assert_same_layer(one: NetworkLayer, two: NetworkLayer) -> None:
@@ -145,6 +145,38 @@ def adjacency_of(layer: NetworkLayer) -> dict[str, set[str]]:
         adj[a].add(b)
         adj[b].add(a)
     return adj
+
+
+def reference_visuals(layer: NetworkLayer) -> dict[str, VisualAttributes]:
+    """Every node's degree, component rank and color by flood fill: components
+    ranked by size, largest first, then by smallest id; the distinct sizes,
+    largest first, banded blue, green (upper middle half), red, gray."""
+    adj = adjacency_of(layer)
+    seen: set[str] = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, queue = [start], deque([start])
+        seen.add(start)
+        while queue:
+            for w in adj[queue.popleft()] - seen:
+                seen.add(w)
+                comp.append(w)
+                queue.append(w)
+        comps.append(comp)
+    comps.sort(key=lambda comp: (-len(comp), min(comp)))
+    distinct = sorted({len(comp) for comp in comps}, reverse=True)
+    middles = max(len(distinct) - 2, 0)
+    greens = math.ceil(middles / 2)
+    bands = [ComponentColor.GREEN] * greens + [ComponentColor.RED] * (middles - greens)
+    bands = ([ComponentColor.BLUE] + bands + [ComponentColor.GRAY])[: len(distinct)]
+    color_of = dict(zip(distinct, bands))
+    return {
+        v: VisualAttributes(len(adj[v]), color_of[len(comp)], rank)
+        for rank, comp in enumerate(comps)
+        for v in comp
+    }
 
 
 def random_layer(rng: random.Random, max_nodes: int = 8) -> NetworkLayer:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 from xml.dom import minidom
 
@@ -298,6 +299,70 @@ def test_failed_rebuild_keeps_previous_outputs(small_input, tmp_path, monkeypatc
     monkeypatch.setattr(Path, "write_bytes", flaky_write)
     assert run(argv) == 1
     assert calls["n"] == 3
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_negative_zero_threshold_is_threshold_zero(small_input, tmp_path):
+    dirs = {text: tmp_path / f"out{i}" for i, text in enumerate(("-0,20", "0,20", "-0.0,20"))}
+    for text, out_dir in dirs.items():
+        assert run(["build", str(small_input), f"--thresholds={text}", "--output-dir", str(out_dir)]) == 0
+    outputs = [{p.name: p.read_bytes() for p in out_dir.iterdir()} for out_dir in dirs.values()]
+    assert "layer_00_t0.graphml" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0]["manifest.json"])["config"]["thresholds"] == [0.0, 20.0]
+
+
+BUILD_WRITES = 8  # 2 layers, metrics.csv/.json, 3 stats files, manifest
+
+
+@pytest.mark.parametrize("failing", [1, 2, 5, BUILD_WRITES])
+def test_failed_streamed_write_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys, failing):
+    out_dir = tmp_path / "out"
+    argv = ["build", str(small_input), "--thresholds", "0,50", "--format", "json", "--output-dir", str(out_dir)]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(before) == BUILD_WRITES
+    capsys.readouterr()
+
+    real_write = Path.write_bytes
+    calls = {"n": 0}
+
+    def flaky_write(self, data):
+        calls["n"] += 1
+        assert self.name.endswith(".tmp") and self.parent == out_dir
+        if calls["n"] == failing:
+            real_write(self, data[: len(data) // 2])  # a partial file is left behind
+            raise OSError("disk full")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", flaky_write)
+    assert run([*argv[:3], "20,60", *argv[4:]]) == 1
+    assert calls["n"] == failing
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    assert "wrote" not in capsys.readouterr().out
+
+
+def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    capsys.readouterr()
+
+    real_export = cli.export.export_layer
+    calls = []
+
+    def failing_export(*args, **kwargs):
+        calls.append(sorted(p.name for p in out_dir.glob(".*.tmp")))
+        if len(calls) == 2:
+            raise ValueError("cannot render layer")
+        return real_export(*args, **kwargs)
+
+    monkeypatch.setattr(cli.export, "export_layer", failing_export)
+    assert run(argv) == 1
+    assert "cannot render layer" in capsys.readouterr().err
+    # the first layer was already on disk, under its temporary name, when the second failed
+    assert calls == [[], [f".layer_00_t0.graphml.{os.getpid()}.tmp"]]
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 

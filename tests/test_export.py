@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from collabnet import ingest, layers, linkage, synth
+from collabnet import cli, ingest, layers, linkage, synth
 from collabnet.export import (
     ComponentColor,
     ExportFormat,
@@ -15,8 +16,8 @@ from collabnet.export import (
     export_layer,
     parse_jsongraph,
 )
-from collabnet.metrics import components
-from oracles import make_layer, random_layer, reference_export
+from collabnet.metrics import components, remove_isolated
+from oracles import make_layer, random_layer, reference_export, reference_visuals
 
 
 def visuals_for(layer):
@@ -240,3 +241,61 @@ def test_export_matches_reference_on_number_types():
         for weight in weights:
             layer = make_layer("abc", [("a", "b", weight), ("b", "c", 7)], threshold)
             assert_matches_reference(layer)
+
+
+def assert_matches_reference_visuals(layer):
+    """Exports with the layer's own visuals equal the reference export with
+    the flood-fill visuals, in every format, with and without isolated nodes."""
+    visuals = visuals_for(layer)
+    expected = reference_visuals(layer)
+    for fmt in ExportFormat:
+        for include_isolated in (True, False):
+            assert export_layer(
+                layer, visuals, fmt, include_isolated=include_isolated
+            ) == reference_export(layer, expected, fmt, include_isolated=include_isolated)
+
+
+SWEEP = (0.0, 30.0, 50.0, 70.0)  # one component at 0; tied component sizes at 30 and 70
+
+
+def small_stack():
+    data = synth.generate_csv_bytes(synth.SynthConfig(seed=11, n_projects=50, n_members=48))
+    dataset = ingest.aggregate(ingest.parse_records(data))
+    table = linkage.build_linkage_table(dataset)
+    return data, layers.build_layer_stack(dataset, table, layers.make_sweep_explicit(SWEEP))
+
+
+def test_pipeline_layer_files_match_reference(tmp_path):
+    data, stack = small_stack()
+    sizes = [sorted(Counter(components(layer)[1].values()).values()) for layer in stack]
+    assert any(a == b > 1 for s in sizes for a, b in zip(s, s[1:]))  # ranks decided by id
+    source = tmp_path / "input.csv"
+    source.write_bytes(data)
+    for fmt in ExportFormat:
+        for include_isolated in (True, False):
+            out_dir = tmp_path / f"{fmt.value}_{include_isolated}"
+            config = cli.RunConfig(
+                input_path=str(source),
+                output_dir=out_dir,
+                thresholds=SWEEP,
+                export_format=fmt,
+                include_isolated=include_isolated,
+            )
+            cli.run_pipeline(config)
+            for i, layer in enumerate(stack):
+                name = f"layer_{i:02d}_t{int(layer.threshold)}.{fmt.value}"
+                assert (out_dir / name).read_bytes() == reference_export(
+                    layer, reference_visuals(layer), fmt, include_isolated=include_isolated
+                )
+
+
+def test_standalone_layers_match_reference():
+    _, stack = small_stack()
+    for layer in stack:
+        assert_matches_reference_visuals(remove_isolated(layer))
+        blob = export_layer(layer, visuals_for(layer), ExportFormat.JSONGRAPH)
+        back, back_visuals = parse_jsongraph(blob)
+        assert export_layer(back, back_visuals, ExportFormat.JSONGRAPH) == blob
+        assert_matches_reference_visuals(back)
+    for nodes, edges in (("abz", [("a", "b")]), ("abcdef", [("a", "b"), ("c", "d"), ("e", "f")])):
+        assert_matches_reference_visuals(make_layer(nodes, edges, threshold=5.0))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 import warnings
 
@@ -147,3 +149,15 @@ def test_table_csv_dump():
     lines = text.strip().split("\n")
     assert lines[0] == "project_a,project_b,n_common,linkage"
     assert lines[1] == "A,B,2,35.000000"
+
+
+def test_table_csv_dump_quotes_ids_as_csv_writer_does():
+    ids = ["plain", "a,b", 'he said "hi"', " lead", "x'y", "caf\u00e9", "semi;colon", "tab\there"]
+    records = [ContributionRecord(pid, "M1", 10.0, None, ProjectType.IP) for pid in ids]
+    table = build_linkage_table(aggregate(records))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("project_a", "project_b", "n_common", "linkage"))
+    writer.writerows((p.project_a, p.project_b, p.n_common, f"{p.linkage:.6f}") for p in table)
+    assert len(table) == len(ids) * (len(ids) - 1) // 2
+    assert table_to_csv_bytes(table) == buf.getvalue().encode("utf-8")
