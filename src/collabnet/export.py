@@ -128,44 +128,29 @@ def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> LayerV
 
 def export_layer(
     layer: NetworkLayer,
-    visuals: Mapping[str, VisualAttributes],
+    visuals: LayerVisuals,
     fmt: ExportFormat,
     *,
     include_isolated: bool = True,
 ) -> bytes:
     """Serialize a layer with its visual attributes to the chosen format.
 
-    Node lines are rendered from the shown nodes' degree, rank and color
-    columns. Edge lines come from the layer's pairs, where each pair's line
-    is rendered once per format for every layer that shares the pairs; a
-    layer keeps the lines of its own edges."""
+    ``visuals`` must be the :class:`LayerVisuals` of this layer's nodes, as
+    :func:`assign_visuals` or :func:`parse_jsongraph` make it. Node lines are
+    rendered from the shown nodes' degree, rank and color columns. Edge lines
+    come from the layer's pairs, where each pair's line is rendered once per
+    format for every layer that shares the pairs; a layer keeps the lines of
+    its own edges."""
     if fmt not in _FORMATS:
         raise ValueError(f"unsupported export format: {fmt!r}")
+    if not (isinstance(visuals, LayerVisuals) and visuals.nodes == layer.nodes):
+        raise ValueError("visuals do not cover nodes: pass the LayerVisuals of this layer")
     shown = np.flatnonzero((layer.degrees > 0) | include_isolated)
-    columns = _node_columns(layer, visuals, shown)
+    columns = visuals.degree[shown], visuals.rank[shown], _COLOR_NAMES[visuals.color[shown]]
     ids, lines = _rendered(layer.pairs, fmt)
-    nodes = zip([ids[i] for i in shown.tolist()], *columns)
+    nodes = zip([ids[i] for i in shown.tolist()], *(column.tolist() for column in columns))
     edges = lines if layer.keep is None else list(compress(lines, layer.keep.tolist()))
     return _FORMATS[fmt][2](layer, nodes, edges)
-
-
-def _node_columns(
-    layer: NetworkLayer, visuals: Mapping[str, VisualAttributes], shown: np.ndarray
-) -> tuple[list, list, list]:
-    """Degree, component rank and color name of each shown node."""
-    if isinstance(visuals, LayerVisuals) and visuals.nodes == layer.nodes:
-        columns = visuals.degree[shown], visuals.rank[shown], _COLOR_NAMES[visuals.color[shown]]
-        return tuple(column.tolist() for column in columns)
-    names = [layer.nodes[i] for i in shown.tolist()]
-    missing = [v for v in names if v not in visuals]
-    if missing:
-        raise ValueError(f"visuals do not cover nodes: {missing[:5]}")
-    attrs = [visuals[v] for v in names]
-    return (
-        [vis.node_size_key for vis in attrs],
-        [vis.component_rank for vis in attrs],
-        [vis.component_color.value for vis in attrs],
-    )
 
 
 def _rendered(pairs: Pairs, fmt: ExportFormat) -> tuple[list[str], list[str]]:

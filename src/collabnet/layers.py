@@ -6,11 +6,12 @@ Sweeping an increasing list of thresholds yields a stack of nested layers.
 Every layer of a stack shares one :class:`Pairs`, the table's sorted project
 ids and its node-index arrays, and keeps the pairs whose linkage meets its
 threshold; its edges are the parallel arrays ``a``, ``b`` and ``weight`` cut
-from them. What is derived per pair, such as export's rendered edge lines,
-is kept in the shared ``Pairs`` and so made once per stack. A layer builds
-its CSR adjacency, degree array and component roots from its arrays once,
-on first use; metrics and export read only these, so each layer is labelled
-into components once.
+from them. The shared pairs are the table's pairs that meet the stack's
+lowest threshold. What is derived per pair, such as export's rendered edge
+lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
+builds its CSR adjacency, degree array and component roots from its arrays
+once, on first use; metrics and export read only these, so each layer is
+labelled into components once.
 """
 
 from __future__ import annotations
@@ -196,10 +197,14 @@ def build_layer_stack(
     dataset: Dataset, table: LinkageTable, sweep: ThresholdSweep
 ) -> list[NetworkLayer]:
     """One layer per sweep threshold, in sweep order: all projects of the
-    table as nodes, pairs with linkage >= threshold as weighted edges."""
+    table as nodes, pairs with linkage >= threshold as weighted edges.
+
+    The layers share the pairs that meet the first (lowest) threshold, so
+    nothing is derived for pairs that no layer keeps."""
     provenance = Provenance(dataset.fingerprint(), dataset.project_types())
-    pairs = Pairs(table.projects, table.a, table.b, table.linkage)
-    return [NetworkLayer(t, pairs, provenance, table.linkage >= t) for t in sweep.thresholds]
+    low = table.linkage >= sweep.thresholds[0]
+    pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low])
+    return [NetworkLayer(t, pairs, provenance, pairs.weight >= t) for t in sweep.thresholds]
 
 
 def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:

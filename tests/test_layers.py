@@ -194,6 +194,22 @@ def test_stack_layers_match_naive_filter():
             assert layer.edges == build_layer(ds, table, t).edges
 
 
+def test_stack_shares_only_the_pairs_of_its_lowest_threshold():
+    rng = random.Random(9)
+    for _ in range(20):
+        ds = aggregate(random_records(rng))
+        table = build_linkage_table(ds)
+        thresholds = sorted({rng.uniform(0.0, 100.0) for _ in range(3)})
+        stack = build_layer_stack(ds, table, make_sweep_explicit(thresholds))
+        low = table.linkage >= thresholds[0]
+        assert all(layer.pairs is stack[0].pairs for layer in stack)
+        assert np.array_equal(stack[0].pairs.weight, table.linkage[low])
+        assert np.array_equal(stack[0].pairs.a, table.a[low])
+        for layer in stack:
+            naive = [(p.project_a, p.project_b, p.linkage) for p in table if p.linkage >= layer.threshold]
+            assert [tuple(e) for e in layer.edges] == naive
+
+
 def assert_exports_match_reference(layer):
     visuals = assign_visuals(layer, components(layer)[1])
     for fmt in ExportFormat:
