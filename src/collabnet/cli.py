@@ -395,6 +395,22 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _join_threshold_values(argv: list[str]) -> list[str]:
+    """``--thresholds -5,20`` as ``--thresholds=-5,20``, abbreviated option
+    names too: argparse reads a separate value that starts with a minus
+    sign, other than a plain negative number, as an option and would
+    reject the list."""
+    out: list[str] = []
+    for arg in argv:
+        option = out[-1] if out else ""
+        threshold_option = len(option) > 2 and "--thresholds".startswith(option)
+        if threshold_option and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     handlers = {
         "synth": _cmd_synth,
@@ -405,6 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # option values go through the _parse_* converters, whose
         # ConfigError argparse lets through to here
+        argv = _join_threshold_values(sys.argv[1:] if argv is None else argv)
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -35,7 +35,6 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_quote
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -169,6 +168,19 @@ def threshold_label(threshold: float) -> str:
     return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
 
 
+def _xml_quote(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr(text)``: the text escaped and quoted as
+    an XML attribute value, in double quotes unless it holds a double quote
+    and no single one. Importing that module loads ``urllib.request``."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    text = text.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _graphml_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
     return [
         f"    <edge source={ids[i]} target={ids[j]}>\n"
@@ -186,7 +198,7 @@ def _to_graphml(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes
         '  <key id="component" for="node" attr.name="component" attr.type="int"/>',
         '  <key id="color" for="node" attr.name="color" attr.type="string"/>',
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-        f'  <graph id={quoteattr("t" + threshold_label(layer.threshold))}'
+        f'  <graph id={_xml_quote("t" + threshold_label(layer.threshold))}'
         ' edgedefault="undirected">',
     ]
     out += (
@@ -270,7 +282,7 @@ def _to_jsongraph(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> byt
 
 # per format: the id quoting, the edge lines of a pair list, the document
 _FORMATS = {
-    ExportFormat.GRAPHML: (quoteattr, _graphml_edges, _to_graphml),
+    ExportFormat.GRAPHML: (_xml_quote, _graphml_edges, _to_graphml),
     ExportFormat.DOT: (_dot_quote, _dot_edges, _to_dot),
     ExportFormat.JSONGRAPH: (_json_quote, _json_edges, _to_jsongraph),
 }

@@ -9,9 +9,9 @@ threshold; its edges are the parallel arrays ``a``, ``b`` and ``weight`` cut
 from them. The shared pairs are the table's pairs that meet the stack's
 lowest threshold. What is derived per pair, such as export's rendered edge
 lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
-builds its CSR adjacency, degree array and component roots from its arrays
-once, on first use; metrics and export read only these, so each layer is
-labelled into components once.
+builds its adjacency (a numpy CSR pair ``(indptr, indices)``), degree array
+and component roots from its arrays once, on first use; metrics and export
+read only these, so each layer is labelled into components once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ingest import Dataset
 from .linkage import LinkageTable
@@ -122,18 +121,23 @@ class NetworkLayer:
         return tuple(Edge(ids[a], ids[b], w) for a, b, w in columns)
 
     @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric 0/1 adjacency in CSR form; row i is ``nodes[i]``."""
-        a, b = self.a, self.b
-        return sp.csr_matrix(
-            (np.ones(2 * a.size), (np.concatenate([a, b]), np.concatenate([b, a]))),
-            shape=(self.n_nodes, self.n_nodes),
-        )
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric adjacency in CSR form, the pair ``(indptr, indices)``:
+        the neighbours of ``nodes[i]`` are ``indices[indptr[i]:indptr[i + 1]]``.
+
+        Each edge is listed from both ends, the ``b`` ends first; a stable
+        sort by row then keeps each row's neighbours ascending, since the
+        pairs are in canonical (a, b) order.
+        """
+        rows = np.concatenate([self.b, self.a])
+        indices = np.concatenate([self.a, self.b])[np.argsort(rows, kind="stable")]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n_nodes))])
+        return indptr, indices
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Number of incident edges of each node, in ``nodes`` order."""
-        return np.diff(self.adjacency.indptr)
+        return np.diff(self.adjacency[0])
 
     @cached_property
     def roots(self) -> np.ndarray:

@@ -5,9 +5,10 @@ node and averaged over the layer; global metrics (density, connected
 components) describe the whole graph. Reports describe the connected part
 of a layer but measure the layer in place: an isolated node is a one-node
 component with no distances and no triangles, so it adds to no sum. Every
-kernel reads the layer's CSR adjacency and component roots, each built
-once per layer, and each per-node function returns the values of all nodes
-at once, as a node -> value map, from the same kernel :func:`report` averages.
+kernel reads the layer's ``(indptr, indices)`` CSR adjacency and component
+roots, each built once per layer, and each per-node function returns the
+values of all nodes at once, as a node -> value map, from the same kernel
+:func:`report` averages.
 
 Closeness here is the reciprocal-distance form: sum over other nodes of
 1/d(v, u), with unreachable nodes contributing 0. Many graph libraries call
@@ -28,7 +29,10 @@ keeps one bit per source in uint64 words, so a level is an OR over each
 node's neighbours and c_d is its popcount. The report sums those counts,
 closeness sums them per node over 1/d, and :func:`betweenness` rebuilds the
 shortest-path counts σ from the levels in its Brandes pass, the only place
-σ exists. Clustering comes from triangle counts, the row sums of (A·A)∘A.
+σ exists. Clustering comes from triangle counts read off each pass's first
+level, each node's neighbours among the pass's sources: an edge (u, v)
+closes popcount(level1[u] & level1[v]) triangles whose third corner is a
+source, and the passes of a component cover all of its nodes.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .layers import NetworkLayer, Pairs
 
@@ -61,6 +64,7 @@ __all__ = [
 ]
 
 _WORDS = 8  # uint64 words per BFS pass over a component of more than 64 nodes
+_SOURCES = 16  # sources per Brandes run in betweenness()
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,32 @@ def closeness(layer: NetworkLayer) -> dict[str, float]:
     return dict(zip(layer.nodes, values.tolist()))
 
 
-def _local_clustering(adj: sp.csr_matrix) -> np.ndarray:
-    """Each node's 2*T(v) / (deg*(deg-1)), with T(v) from the triangle
-    counts in the row sums of (A·A)∘A; 0 for degree < 2, where there are no
-    triangles to count."""
-    deg = np.diff(adj.indptr)
-    links = np.asarray(adj.multiply(adj @ adj).sum(axis=1)).ravel()  # 2 * triangles at v
+def _local_clustering(links: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Each node's 2*T(v) / (deg*(deg-1)) from links = 2*T(v); 0 for
+    degree < 2, where there are no triangles to count."""
     return np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)
+
+
+def _links(block: tuple[np.ndarray, np.ndarray], first: np.ndarray) -> np.ndarray:
+    """Per block row, twice the triangles through it whose third corner is
+    one of the pass's sources. ``first`` is the pass's first BFS level, each
+    node's neighbours among the sources, so an edge (u, v) closes
+    popcount(first[u] & first[v]) of them; each edge, taken once, adds that
+    to both ends. The passes of a component cover all of its nodes."""
+    indptr, indices = block
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    once = rows < indices
+    u, v = rows[once], indices[once]
+    shared = np.bitwise_count(first[u] & first[v]).sum(axis=1)
+    return np.bincount(u, shared, first.shape[0]) + np.bincount(v, shared, first.shape[0])
 
 
 def clustering(layer: NetworkLayer) -> dict[str, float]:
     """Fraction of possible triangles through each node."""
-    return dict(zip(layer.nodes, _local_clustering(layer.adjacency).tolist()))
+    links = np.zeros(layer.n_nodes)
+    for nodes, block, frontier in _passes(layer):
+        links[nodes] += _links(block, next(_levels(block, frontier)))
+    return dict(zip(layer.nodes, _local_clustering(links, layer.degrees).tolist()))
 
 
 def density(layer: NetworkLayer) -> float:
@@ -138,7 +156,8 @@ def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
 
 def _passes(layer: NetworkLayer):
     """Yield (nodes, block, frontier) per BFS pass: node indices, their
-    adjacency, and a (node, word) uint64 array with one bit per source.
+    adjacency as an ``(indptr, indices)`` CSR over block rows, and a
+    (node, word) uint64 array with one bit per source.
 
     All components of 2 to 64 nodes share one one-word pass in which a
     node's bit is its rank inside its own component; no path crosses a
@@ -152,13 +171,33 @@ def _passes(layer: NetworkLayer):
     small = np.flatnonzero((size <= 64) & (layer.degrees > 0))
     if small.size:
         bits = _bits(np.arange(small.size), rank[small], small.size)
-        yield small, layer.adjacency[small][:, small], bits
+        yield small, _block(layer, small), bits
     for root in np.unique(layer.roots[size > 64]):
         nodes = order[first[root] : first[root] + size[root]]
-        block = layer.adjacency[nodes][:, nodes]
+        block = _block(layer, nodes)
         for start in range(0, nodes.size, 64 * _WORDS):
             sources = np.arange(start, min(start + 64 * _WORDS, nodes.size))
             yield nodes, block, _bits(sources, sources - start, nodes.size)
+
+
+def _block(layer: NetworkLayer, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the layer's rows ``nodes``, renumbered to positions in
+    ``nodes``. The nodes are whole components, so every neighbour is among
+    them."""
+    indptr, indices = layer.adjacency
+    sub, entries = _rows(indptr, nodes)
+    position = np.empty(layer.n_nodes, np.int64)
+    position[nodes] = np.arange(nodes.size)
+    return sub, position[indices[entries]]
+
+
+def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the CSR rows ``rows``: their own indptr ``sub`` and, per entry,
+    its position in the full CSR's indices (entry k of the cut, in row i,
+    is entry k + indptr[rows[i]] - sub[i] there)."""
+    size = indptr[rows + 1] - indptr[rows]
+    sub = np.concatenate([[0], np.cumsum(size)])
+    return sub, np.repeat(indptr[rows] - sub[:-1], size) + np.arange(sub[-1])
 
 
 def _bits(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -168,13 +207,14 @@ def _bits(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-def _levels(block: sp.csr_matrix, frontier: np.ndarray):
+def _levels(block: tuple[np.ndarray, np.ndarray], frontier: np.ndarray):
     """Bit-parallel BFS from every source bit at once: yield, hop 1 first,
     each level's (node, word) bits of the pairs first reached at that hop.
     Every row needs an edge: reduceat gives a[i], not 0, for an empty one."""
+    indptr, indices = block
     seen = frontier.copy()
     while True:
-        frontier = np.bitwise_or.reduceat(frontier[block.indices], block.indptr[:-1], axis=0)
+        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
         frontier &= ~seen
         if not frontier.any():
             return
@@ -182,31 +222,52 @@ def _levels(block: sp.csr_matrix, frontier: np.ndarray):
         yield frontier
 
 
-def _dependencies(block: sp.csr_matrix, dist: np.ndarray) -> np.ndarray:
-    """Brandes over one BFS pass: each node's dependency summed over the
-    pass's sources, its distance-0 cells. The shortest-path counts σ of each
-    level are rebuilt from the hop distances, then the backward pass runs
-    deepest level first."""
+def _dependencies(block: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndarray:
+    """Brandes over some sources of one BFS pass: each node's dependency
+    summed over the sources, the rows of ``dist``, their (source, node) hop
+    distances. σ is rebuilt level by level, then the backward pass runs
+    deepest level first; each (source, node) cell sums over its neighbours
+    once per pass. A neighbour is at most one level away and levels are
+    filled in order, so only the neighbours on the level a cell reads from
+    hold a value yet: the sums need no mask."""
+    indptr, indices = block
+    n = dist.shape[1]
+    dist = dist.ravel()  # cell s * n + v: node v seen from source s
     depth = dist.max(initial=0)
+    cells = [np.flatnonzero(dist == lvl) for lvl in range(depth + 1)]
+    around = {}  # level -> its cells' neighbour cells, and where each cell's run starts
+    for lvl in range(1, depth + 1):
+        source, node = np.divmod(cells[lvl], n)
+        sub, entries = _rows(indptr, node)
+        around[lvl] = np.repeat(source * n, np.diff(sub)) + indices[entries], sub[:-1]
+
     sigma = (dist == 0).astype(float)
     for lvl in range(1, depth + 1):
-        sigma += np.where(dist == lvl, block @ np.where(dist == lvl - 1, sigma, 0.0), 0.0)
-    delta = np.zeros(dist.shape)
-    for lvl in range(depth, 0, -1):
-        coeff = np.divide(1.0 + delta, sigma, out=np.zeros(dist.shape), where=dist == lvl)
-        delta += np.where(dist == lvl - 1, sigma * (block @ coeff), 0.0)
-    delta[dist == 0] = 0.0  # a source never sits between its own pairs
-    return delta.sum(axis=1)
+        nbr, starts = around[lvl]
+        sigma[cells[lvl]] = np.add.reduceat(sigma[nbr], starts)
+    coeff = np.zeros(dist.size)  # (1 + δ) / σ
+    delta = np.zeros(dist.size)  # a source's own cell keeps 0
+    for lvl in range(depth, 1, -1):
+        here, below = cells[lvl], cells[lvl - 1]
+        coeff[here] = (1.0 + delta[here]) / sigma[here]
+        nbr, starts = around[lvl - 1]
+        delta[below] = sigma[below] * np.add.reduceat(coeff[nbr], starts)
+    return delta.reshape(-1, n).sum(axis=0)
 
 
 def betweenness(layer: NetworkLayer) -> dict[str, float]:
-    """Unnormalized betweenness for every node, over unordered node pairs."""
+    """Unnormalized betweenness for every node, over unordered node pairs.
+
+    Brandes runs _SOURCES sources of a pass at a time: it holds one
+    neighbour cell per adjacency entry and source, so a 512-source pass
+    over a component of 77,000 entries would hold 316 MB at once."""
     bc = np.zeros(layer.n_nodes)
     for nodes, block, frontier in _passes(layer):
-        dist = np.full((nodes.size, 64 * frontier.shape[1]), -1, np.int32)
+        dist = np.full((64 * frontier.shape[1], nodes.size), -1, np.int32)
         for d, level in enumerate(chain([frontier], _levels(block, frontier))):
-            dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little") > 0] = d
-        bc[nodes] += _dependencies(block, dist)
+            dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little").T > 0] = d
+        for start in range(0, dist.shape[0], _SOURCES):
+            bc[nodes] += _dependencies(block, dist[start : start + _SOURCES])
     return dict(zip(layer.nodes, (bc / 2.0).tolist()))  # ordered (s, t) -> unordered
 
 
@@ -220,8 +281,11 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     n = retained.n_nodes
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
     pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
-    for _, block, frontier in _passes(layer):
+    links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
+    for nodes, block, frontier in _passes(layer):
         for d, level in enumerate(_levels(block, frontier), 1):
+            if d == 1:
+                links[nodes] += _links(block, level)
             pairs_at[d] += np.bitwise_count(level).sum(dtype=np.int64)
     hops = np.arange(1, n)
 
@@ -233,7 +297,7 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
         avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
         avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
         avg_degree=2 * retained.n_edges / per_node,
-        avg_clustering=math.fsum(_local_clustering(layer.adjacency)) / per_node,
+        avg_clustering=math.fsum(_local_clustering(links, layer.degrees)) / per_node,
         density=density(retained),
         n_components=np.unique(layer.roots[layer.degrees > 0]).size,
     )

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -310,6 +312,35 @@ def test_negative_zero_threshold_is_threshold_zero(small_input, tmp_path):
     assert "layer_00_t0.graphml" in outputs[0]
     assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0]["manifest.json"])["config"]["thresholds"] == [0.0, 20.0]
+
+
+@pytest.mark.parametrize(("text", "first"), [("-0,20", "layer_00_t0"), ("-5,20", "layer_00_t-5")])
+def test_negative_threshold_list_as_separate_argument(small_input, tmp_path, text, first):
+    forms = {
+        "joined": [f"--thresholds={text}"],
+        "separate": ["--thresholds", text],
+        "abbreviated": ["--thresh", text],
+    }
+    outputs = []
+    for form, threshold_args in forms.items():
+        out_dir = tmp_path / form
+        assert run(["build", str(small_input), *threshold_args, "--output-dir", str(out_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert f"{first}.graphml" in outputs[0]
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    heavy = ["scipy", "xml.sax", "urllib.request"]
+    code = f"import sys, collabnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 BUILD_WRITES = 8  # 2 layers, metrics.csv/.json, 3 stats files, manifest

@@ -3,11 +3,12 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 import pytest
 
-from collabnet import cli, ingest, layers, linkage, synth
+from collabnet import cli, export, ingest, layers, linkage, synth
 from collabnet.export import (
     ComponentColor,
     ExportFormat,
@@ -228,6 +229,15 @@ QUOTED_IDS = [
 def test_export_matches_reference_on_quoted_ids():
     edges = [(a, b, 10.0 * i) for i, (a, b) in enumerate(zip(QUOTED_IDS, QUOTED_IDS[1:-1]))]
     assert_matches_reference(make_layer(QUOTED_IDS, edges, threshold=5.0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["plain", "", "a&b<c>d", 'say "hi"', "it's", """both " and '""", "&quot;&amp;",
+     "line\nbreak\rreturn\ttab", "naïve 协作 \u2028 \U0001f600", "'\"&<>\n\r\t\"'"],
+)
+def test_xml_quote_matches_stdlib_quoteattr(text):
+    assert export._xml_quote(text) == quoteattr(text)
 
 
 def test_export_matches_reference_without_edges():

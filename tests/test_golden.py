@@ -1,12 +1,12 @@
 """Build outputs held to fixed hashes.
 
 The other tests compare the pipeline against oracles computed in the same
-interpreter, so they cannot see bytes that change between Python, numpy or
-scipy versions. This test builds a fixed input and compares the sha256 of
-every artifact with constants recorded on Python 3.11.7, numpy 2.4.6 and
-scipy 1.17.1. A failure on another version means the output bytes depend on
-the version; a deliberate change of the output format must update the
-constants and say so.
+interpreter, so they cannot see bytes that change between Python or numpy
+versions. This test builds a fixed input and compares the sha256 of every
+artifact with constants recorded on Python 3.11.7 and numpy 2.4.6. A
+failure on another version means the output bytes depend on the version;
+a deliberate change of the output format must update the constants and
+say so.
 """
 
 from __future__ import annotations

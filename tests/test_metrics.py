@@ -200,7 +200,8 @@ def test_metrics_match_oracles_on_random_graphs():
 
 def _layer_with_components(rng: random.Random) -> tuple:
     """300-600 nodes in components of sizes 1 to ~300, each a random
-    spanning tree plus a few chords, so BFS runs many levels deep; node
+    spanning tree plus a few chords (:func:`_add_component`), so BFS runs
+    many levels deep; node
     ids are shuffled so no component is a contiguous id range."""
     n = rng.randint(300, 600)
     nodes = [f"n{i:03d}" for i in range(n)]
@@ -214,11 +215,18 @@ def _layer_with_components(rng: random.Random) -> tuple:
 
 
 def _add_component(rng: random.Random, part: list, edges: list) -> None:
-    """Join ``part`` by a random spanning tree plus a few chords."""
+    """Join ``part`` by a random spanning tree plus a few chords, every
+    other one closing a triangle with a node's parent and grandparent."""
+    parent = [0] * len(part)
     for i in range(1, len(part)):
-        edges.append((part[i], part[rng.randrange(i)]))
-    for _ in range(len(part) // 4):
-        a, b = rng.sample(part, 2)
+        parent[i] = rng.randrange(i)
+        edges.append((part[i], part[parent[i]]))
+    for k in range(len(part) // 4):
+        i = rng.randrange(1, len(part))
+        if k % 2 and parent[i]:
+            a, b = part[i], part[parent[parent[i]]]
+        else:
+            a, b = rng.sample(part, 2)
         if (a, b) not in edges and (b, a) not in edges:
             edges.append((a, b))
 
@@ -271,7 +279,7 @@ PACKING_EDGES = {
     "64_and_65_nodes": (1, 64, 1, 65, 1, 1, 65, 64, 1),
     "over_512_nodes": (1, 1030, 1, 3, 1),
     "many_small_sharing_a_word": tuple(
-        random.Random(3).choice((1, 1, 2, 3, 4, 7, 12, 30, 63, 64)) for _ in range(60)
+        random.Random(3).choices((1, 1, 2, 3, 4, 7, 12, 30, 63, 64), k=60)
     ),
 }
 
@@ -284,13 +292,17 @@ def test_metrics_match_oracles_at_packing_edges(sizes):
     adj = adjacency_of(layer)
     graph = nx.Graph(adj)
 
-    bc, cl = betweenness(layer), closeness(layer)
+    bc, cl, cc = betweenness(layer), closeness(layer), clustering(layer)
     expected_bc = nx.betweenness_centrality(graph, normalized=False)
     expected_cl = nx.harmonic_centrality(graph)
     for v in layer.nodes:
         assert bc[v] == pytest.approx(expected_bc[v], rel=1e-9, abs=1e-9)
         assert cl[v] == pytest.approx(closeness_oracle(adj, v), abs=1e-12)
         assert cl[v] == pytest.approx(expected_cl[v], rel=1e-12)
+        # triangles are counted per 512-source window, so a component of
+        # more than 512 nodes sums its count over several passes
+        assert cc[v] == clustering_oracle(adj, v)
+    assert any(0.0 < value < 1.0 for value in cc.values())
 
     rep = report(layer)
     assert _without_removal_count(rep) == _without_removal_count(report(remove_isolated(layer)))
