@@ -72,14 +72,9 @@ def _read_input_bytes(path: str) -> bytes:
 
 def _parse(data: bytes, delimiter: str, lenient: bool = False) -> list:
     """Parse input rows; under ``lenient``, report each skipped row on stderr."""
-    row_errors: list[ingest.RowError] = []
-    records = ingest.parse_records(
-        data,
-        delimiter=delimiter,
-        lenient=lenient,
-        errors_out=row_errors if lenient else None,
-    )
-    for err in row_errors:
+    skipped: list[ingest.RowError] | None = [] if lenient else None
+    records = ingest.parse_records(data, delimiter=delimiter, skipped=skipped)
+    for err in skipped or ():
         print(f"skipped {err}", file=sys.stderr)
     if not records:
         raise IngestError("input contains no data rows")

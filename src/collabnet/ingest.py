@@ -16,8 +16,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ProjectType",
@@ -29,7 +28,6 @@ __all__ = [
     "DuplicateMembershipError",
     "ContributionSumError",
     "ContributionSumWarning",
-    "SkippedRowWarning",
     "parse_records",
     "aggregate",
     "filter_by_type",
@@ -97,11 +95,7 @@ class ContributionSumError(IngestError):
 
 
 class ContributionSumWarning(UserWarning):
-    """A project's contributions exceed the accepted total (lenient mode)."""
-
-
-class SkippedRowWarning(UserWarning):
-    """A malformed row was skipped under the lenient parse flag."""
+    """A project's contributions exceed the accepted total (not strict)."""
 
 
 @dataclass(frozen=True)
@@ -159,18 +153,6 @@ class Dataset:
         return h.hexdigest()
 
 
-def _read_text(source: str | Path | bytes | IO) -> str:
-    # BOM-tolerant UTF-8; accepts a path, raw bytes, or an open stream.
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes().decode("utf-8-sig")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
-    return data.lstrip("﻿")
-
-
 def _parse_row(
     row: Sequence[str], columns: Mapping[str, int], line_num: int
 ) -> ContributionRecord:
@@ -193,7 +175,7 @@ def _parse_row(
     except ValueError:
         raise RowError(line_num, f"unparseable contribution_pct {raw_pct!r}") from None
     if not 0.0 <= pct <= 100.0:
-        raise RowError(line_num, f"contribution_pct out of range at row {line_num}: {pct}")
+        raise RowError(line_num, f"contribution_pct out of range: {pct}")
 
     ic: float | None = None
     if "ic_score" in columns:
@@ -219,7 +201,7 @@ def _parse_row(
 def _rows(reader) -> Iterator[list[str] | RowError]:
     """The reader's rows in order; a row the csv module cannot split (say,
     a bare carriage return in an unquoted field) comes as a RowError in its
-    place, so lenient parsing can skip it."""
+    place, so it can be skipped like any other malformed row."""
     while True:
         try:
             yield next(reader)
@@ -230,25 +212,23 @@ def _rows(reader) -> Iterator[list[str] | RowError]:
 
 
 def parse_records(
-    source: str | Path | bytes | IO,
-    *,
-    delimiter: str = ",",
-    lenient: bool = False,
-    errors_out: list[RowError] | None = None,
+    data: bytes, *, delimiter: str = ",", skipped: list[RowError] | None = None
 ) -> list[ContributionRecord]:
-    """Parse a delimited table into contribution records, in input order.
+    """Parse a delimited UTF-8 table (a leading BOM is dropped) into
+    contribution records, in input order.
 
     The first non-blank row must be a header naming at least the columns
     project_id, member_id, contribution_pct and project_type (any order,
-    matched case-insensitively); ic_score is optional. Blank lines are
-    skipped. Malformed rows raise :class:`RowError` unless ``lenient`` is
-    set, in which case they are skipped and reported through ``errors_out``
-    (or a :class:`SkippedRowWarning` when no list is supplied).
+    matched case-insensitively); ic_score is optional, other named columns
+    are ignored, and no name may repeat. Every row must have as many cells
+    as the header, empty trailing header cells included. Blank lines are
+    skipped. A malformed row raises :class:`RowError`, unless ``skipped``
+    is a list: then the row is left out and its error appended to the list.
     """
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=delimiter)
 
     columns: dict[str, int] | None = None
+    width = 0  # the header's cell count
     records: list[ContributionRecord] = []
     for row in _rows(reader):
         if not isinstance(row, RowError) and not any(cell.strip() for cell in row):
@@ -256,7 +236,14 @@ def parse_records(
         if columns is None:
             if isinstance(row, RowError):
                 raise row
-            columns = {cell.strip().lower(): i for i, cell in enumerate(row)}
+            width = len(row)
+            columns = {}
+            for i, cell in enumerate(row):
+                name = cell.strip().lower()
+                if name in columns:
+                    raise IngestError(f"header repeats column {name}")
+                if name:
+                    columns[name] = i
             missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
             if missing:
                 raise IngestError(f"header is missing columns: {', '.join(missing)}")
@@ -264,19 +251,13 @@ def parse_records(
         try:
             if isinstance(row, RowError):
                 raise row
-            if len(row) != len(columns):
-                raise RowError(
-                    reader.line_num,
-                    f"expected {len(columns)} columns, got {len(row)}",
-                )
+            if len(row) != width:
+                raise RowError(reader.line_num, f"expected {width} columns, got {len(row)}")
             records.append(_parse_row(row, columns, reader.line_num))
         except RowError as err:
-            if not lenient:
+            if skipped is None:
                 raise
-            if errors_out is not None:
-                errors_out.append(err)
-            else:
-                warnings.warn(str(err), SkippedRowWarning, stacklevel=2)
+            skipped.append(err)
     if columns is None:
         raise IngestError("input has no header row")
     return records

@@ -277,8 +277,8 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     one-node component with no distances and no triangles, so it adds
     nothing to any sum. An empty retained graph yields a zeroed report with
     the removal count preserved."""
-    retained = remove_isolated(layer)
-    n = retained.n_nodes
+    n = int(np.count_nonzero(layer.degrees))
+    m = layer.n_edges
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
     pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
@@ -292,13 +292,13 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     return LayerMetricsReport(
         threshold=layer.threshold,
         n_nodes_retained=n,
-        n_edges=retained.n_edges,
+        n_edges=m,
         n_isolated_removed=layer.n_nodes - n,
         avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
         avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
-        avg_degree=2 * retained.n_edges / per_node,
+        avg_degree=2 * m / per_node,
         avg_clustering=math.fsum(_local_clustering(links, layer.degrees)) / per_node,
-        density=density(retained),
+        density=2.0 * m / (n * (n - 1)) if n > 1 else 0.0,
         n_components=np.unique(layer.roots[layer.degrees > 0]).size,
     )
 

@@ -1,10 +1,11 @@
 """Seeded generator of synthetic collaboration datasets.
 
-Produces the exact CSV schema the ingest module consumes, with aggregate
-shape knobs (project count, member pool, type mix, team sizes, contribution
-scale) calibrated to mimic a mid-sized research institute. Everything is
-drawn from a single seeded generator, so a config reproduces its dataset
-bit for bit.
+Produces the exact CSV schema the ingest module consumes. Only the seed,
+the project count and the member pool are settable; the type mix, team
+sizes, contribution scale and group structure are module constants
+calibrated to mimic a mid-sized research institute. Everything is drawn
+from a single seeded generator, so a config reproduces its dataset bit for
+bit.
 
 Model choices, all synthetic:
 
@@ -28,7 +29,7 @@ Model choices, all synthetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,18 +37,42 @@ import numpy as np
 from .ingest import ContributionRecord, ProjectType, records_to_csv_bytes
 
 __all__ = [
-    "TeamSizeDistribution",
     "SynthConfig",
     "type_counts",
     "generate",
     "generate_csv_bytes",
+    "TYPE_MIX",
+    "CONTRIBUTION_MEAN_TARGET",
 ]
 
-DEFAULT_TYPE_MIX: Mapping[ProjectType, float] = {
+TYPE_MIX: Mapping[ProjectType, float] = {
     ProjectType.IP: 630.0,
     ProjectType.PAPER: 1717.0,
     ProjectType.PROTOTYPE: 539.0,
 }
+
+# mean contribution per record; project totals are fixed at 100, so the
+# mean team size is 100 / this
+CONTRIBUTION_MEAN_TARGET = 23.3
+_MEAN_TEAM_SIZE = 100.0 / CONTRIBUTION_MEAN_TARGET
+_MAX_TEAM_SIZE = 12
+
+# structure of the synthetic collaboration graph
+_GROUP_SIZE = 16  # members per lab-like group
+_GROUP_ATTACHMENT = 0.35  # preferential weight gain per project
+_CREW_CARRYOVER = 0.6  # chance a project reuses part of the last team
+_MEMBER_RETENTION = 0.7  # base keep chance, scaled by share affinity
+_LEAD_RATE = 0.5  # chance the group's lead joins a team project
+_LIAISONS_PER_GROUP = 2  # members who work across groups
+_CROSS_GROUP_RATE = 0.12  # chance one slot goes to a partner liaison
+_PARTNERS_PER_GROUP = 2  # groups each group collaborates with
+_LIAISON_SHARE_FACTOR = 0.25  # liaisons contribute proportionally less
+_LIAISON_SHARE_CAP = 0.28  # hard ceiling on a liaison's share
+_LEAD_SHARE_FACTOR = 0.15  # leads supervise rather than contribute
+_VENTURE_SHARE_FACTOR = 0.3  # solo-project members help teams modestly
+_VENTURE_SHARE_CAP = 0.18  # keeps solo-to-team ties below mid linkage
+_CONTRIBUTION_ALPHA = 0.7  # Dirichlet concentration of shares
+_IC_MISSING_RATE = 0.08  # share of projects without an IC score
 
 # IC totals per project: right-skewed, concentrated on small values.
 _IC_GAMMA_SHAPE = 2.0
@@ -57,66 +82,28 @@ _PCT_UNITS = 10_000  # contribution quantum: 1e-4 percent
 
 
 @dataclass(frozen=True)
-class TeamSizeDistribution:
-    """Truncated geometric team-size model.
-
-    mean=None derives the mean from the config's contribution target
-    (mean team size = 100 / contribution_mean_target).
-    """
-
-    mean: float | None = None
-    max_size: int = 12
-
-
-@dataclass(frozen=True)
 class SynthConfig:
+    """The settable part of a dataset: everything else is a module constant."""
+
     seed: int = 0
     n_projects: int = 2300
     n_members: int = 1000
-    type_mix: Mapping[ProjectType, float] = field(
-        default_factory=lambda: dict(DEFAULT_TYPE_MIX)
-    )
-    team_size_distribution: TeamSizeDistribution = TeamSizeDistribution()
-    contribution_mean_target: float = 23.3
-
-    # structure knobs for the synthetic collaboration graph
-    group_size: int = 16  # members per lab-like group
-    group_attachment: float = 0.35  # preferential weight gain per project
-    crew_carryover: float = 0.6  # chance a project reuses part of the last team
-    member_retention: float = 0.7  # base keep chance, scaled by share affinity
-    lead_rate: float = 0.5  # chance the group's lead joins a team project
-    liaisons_per_group: int = 2  # members who work across groups
-    cross_group_rate: float = 0.12  # chance one slot goes to a partner liaison
-    partners_per_group: int = 2  # groups each group collaborates with
-    liaison_share_factor: float = 0.25  # liaisons contribute proportionally less
-    liaison_share_cap: float = 0.28  # hard ceiling on a liaison's share
-    lead_share_factor: float = 0.15  # leads supervise rather than contribute
-    venture_share_factor: float = 0.3  # solo-project members help teams modestly
-    venture_share_cap: float = 0.18  # keeps solo-to-team ties below mid linkage
-    contribution_alpha: float = 0.7  # Dirichlet concentration of shares
-    ic_missing_rate: float = 0.08
 
 
 def type_counts(config: SynthConfig) -> dict[ProjectType, int]:
     """Apportion n_projects over the type mix (largest remainder, so counts
     stay within one of the exact proportional share)."""
-    mix = {t: float(w) for t, w in config.type_mix.items()}
-    if any(w < 0 for w in mix.values()) or sum(mix.values()) <= 0:
-        raise ValueError("type_mix weights must be nonnegative with positive sum")
-    total = sum(mix.values())
-    order = [t for t in ProjectType if t in mix]
-    raw = {t: config.n_projects * mix[t] / total for t in order}
-    counts = {t: int(raw[t]) for t in order}
+    total = sum(TYPE_MIX.values())
+    raw = {t: config.n_projects * w / total for t, w in TYPE_MIX.items()}
+    counts = {t: int(r) for t, r in raw.items()}
     left = config.n_projects - sum(counts.values())
-    for t in sorted(order, key=lambda t: raw[t] - counts[t], reverse=True)[:left]:
+    for t in sorted(raw, key=lambda t: raw[t] - counts[t], reverse=True)[:left]:
         counts[t] += 1
     return counts
 
 
 def _truncated_geometric_p(mean: float, cap: int) -> float:
-    """p such that E[min(Geometric(p), cap)] == mean, by bisection."""
-    if mean <= 1.0:
-        return 1.0
+    """p such that E[min(Geometric(p), cap)] == mean, by bisection; mean > 1."""
 
     def truncated_mean(p: float) -> float:
         return (1.0 - (1.0 - p) ** cap) / p
@@ -164,41 +151,22 @@ def _quantized_shares(
     return units / float(_PCT_UNITS)
 
 
-def _validate(config: SynthConfig) -> tuple[float, int]:
+def _validate(config: SynthConfig) -> int:
+    """The largest team size for ``config``."""
     if config.n_projects < 1:
         raise ValueError("n_projects must be positive")
     if config.n_members < 1:
         raise ValueError("n_members must be positive")
-    if not 0.0 < config.contribution_mean_target <= 100.0:
-        raise ValueError("contribution_mean_target must be in (0, 100]")
-    if not 0.0 <= config.ic_missing_rate <= 1.0:
-        raise ValueError("ic_missing_rate must be in [0, 1]")
-    if config.group_size < 1:
-        raise ValueError("group_size must be positive")
-    if config.liaisons_per_group < 0 or config.partners_per_group < 0:
-        raise ValueError("liaison and partner counts must be nonnegative")
-    if not 0.0 < config.liaison_share_cap <= 1.0:
-        raise ValueError("liaison_share_cap must be in (0, 1]")
-    for name in ("crew_carryover", "member_retention", "cross_group_rate", "lead_rate"):
-        if not 0.0 <= getattr(config, name) <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1]")
-    dist = config.team_size_distribution
-    if dist.max_size < 1:
-        raise ValueError("max team size must be positive")
-    cap = min(dist.max_size, config.n_members)
-    mean = dist.mean if dist.mean is not None else 100.0 / config.contribution_mean_target
-    if mean < 1.0:
-        raise ValueError(f"mean team size {mean:.3f} is below 1")
-    if mean > cap:
+    cap = min(_MAX_TEAM_SIZE, config.n_members)
+    if _MEAN_TEAM_SIZE > cap:
         raise ValueError(
-            f"mean team size {mean:.3f} is unreachable with max team size {cap}"
+            f"mean team size {_MEAN_TEAM_SIZE:.3f} is unreachable with max team size {cap}"
         )
-    return mean, cap
+    return cap
 
 
 def _draw_team(
     rng: np.random.Generator,
-    config: SynthConfig,
     size: int,
     group: np.ndarray,
     partner_pool: np.ndarray,
@@ -206,14 +174,14 @@ def _draw_team(
 ) -> tuple[list[int], int | None]:
     """One project team; returns (member indices, bridging liaison or None)."""
     team: list[int] = []
-    if last_team and rng.random() < config.crew_carryover:
+    if last_team and rng.random() < _CREW_CARRYOVER:
         # mid-share members are the likeliest to stay on for the next
         # project; owners move on and marginal helpers drift away
         kept = []
         for m, share in last_team:
             s = share / 100.0
             affinity = s * (1.0 - s) ** 3 / 0.1055  # peaks near a 25% share
-            if rng.random() < config.member_retention * min(affinity, 1.0):
+            if rng.random() < _MEMBER_RETENTION * min(affinity, 1.0):
                 kept.append(m)
         team = kept[:size]
 
@@ -224,7 +192,7 @@ def _draw_team(
         team.extend(int(candidates[i]) for i in picks)
 
     outsider = None
-    if size >= 3 and len(partner_pool) and rng.random() < config.cross_group_rate:
+    if size >= 3 and len(partner_pool) and rng.random() < _CROSS_GROUP_RATE:
         # a partner liaison bridges the groups, always in a minor role;
         # pairs stay in-group so a capped slot cannot force the other
         # member's share toward 100
@@ -244,43 +212,43 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
     and an IC total apportioned by contribution share (a small fraction of
     projects carries no IC score).
     """
-    mean_team, cap = _validate(config)
+    cap = _validate(config)
     counts = type_counts(config)
     rng = np.random.default_rng(config.seed)
 
     types: list[ProjectType] = []
     for t in ProjectType:
-        types.extend([t] * counts.get(t, 0))
+        types.extend([t] * counts[t])
     types_arr = np.array([t.value for t in types], dtype=object)
     rng.shuffle(types_arr)
 
-    p_geom = _truncated_geometric_p(mean_team, cap)
+    p_geom = _truncated_geometric_p(_MEAN_TEAM_SIZE, cap)
     pid_width = len(str(config.n_projects))
     mid_width = len(str(config.n_members))
     member_ids = [f"M{i + 1:0{mid_width}d}" for i in range(config.n_members)]
 
     # equal-as-possible groups: no undersized remainder group
-    n_groups = max(1, round(config.n_members / config.group_size))
+    n_groups = max(1, round(config.n_members / _GROUP_SIZE))
     groups = np.array_split(np.arange(config.n_members), n_groups)
     leads = [int(g_members[0]) for g_members in groups]
     lead_set = set(leads)
     venture_set = {int(g_members[-1]) for g_members in groups}
     liaison_set: set[int] = set()
     for g_members in groups:
-        for m in g_members[1 : 1 + config.liaisons_per_group]:
+        for m in g_members[1 : 1 + _LIAISONS_PER_GROUP]:
             liaison_set.add(int(m))
 
     # fixed partner groups: bridges only reach a partner group's liaisons
     partner_pools: list[np.ndarray] = []
     for g in range(n_groups):
         others = [h for h in range(n_groups) if h != g]
-        if others and config.partners_per_group > 0 and config.liaisons_per_group > 0:
-            k = min(config.partners_per_group, len(others))
+        if others:
+            k = min(_PARTNERS_PER_GROUP, len(others))
             chosen = rng.choice(len(others), size=k, replace=False)
             pool = [
                 int(m)
                 for i in sorted(chosen)
-                for m in groups[others[i]][1 : 1 + config.liaisons_per_group]
+                for m in groups[others[i]][1 : 1 + _LIAISONS_PER_GROUP]
             ]
             partner_pools.append(np.array(pool, dtype=int))
         else:
@@ -295,7 +263,7 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
         ptype = ProjectType(types_arr[p])
 
         g = int(rng.choice(n_groups, p=group_weights / group_weights.sum()))
-        group_weights[g] += config.group_attachment
+        group_weights[g] += _GROUP_ATTACHMENT
         # teams come from one group, so its size is a hard ceiling
         size = min(int(rng.geometric(p_geom)), cap, len(groups[g]))
 
@@ -306,9 +274,9 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
             team, outsider = [int(groups[g][-1])], None
         else:
             team, outsider = _draw_team(
-                rng, config, size, groups[g], partner_pools[g], last_teams[g]
+                rng, size, groups[g], partner_pools[g], last_teams[g]
             )
-            if leads[g] not in team and rng.random() < config.lead_rate:
+            if leads[g] not in team and rng.random() < _LEAD_RATE:
                 slot = int(rng.integers(0, size))
                 if team[slot] == outsider:
                     outsider = None
@@ -316,17 +284,17 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
 
         team = sorted(team)
 
-        alphas = np.full(len(team), config.contribution_alpha)
+        alphas = np.full(len(team), _CONTRIBUTION_ALPHA)
         caps = np.ones(len(team))
         for i, m in enumerate(team):
             if m in liaison_set:
-                alphas[i] *= config.liaison_share_factor
-                caps[i] = config.liaison_share_cap
+                alphas[i] *= _LIAISON_SHARE_FACTOR
+                caps[i] = _LIAISON_SHARE_CAP
             elif m in lead_set:
-                alphas[i] *= config.lead_share_factor
+                alphas[i] *= _LEAD_SHARE_FACTOR
             elif m in venture_set and len(team) > 1:
-                alphas[i] *= config.venture_share_factor
-                caps[i] = config.venture_share_cap
+                alphas[i] *= _VENTURE_SHARE_FACTOR
+                caps[i] = _VENTURE_SHARE_CAP
         contributions = _quantized_shares(rng, alphas, caps)
 
         # outsiders are one-off collaborators: they never join the group's crew
@@ -334,7 +302,7 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
             (m, float(c)) for m, c in zip(team, contributions) if m != outsider
         ]
 
-        has_ic = rng.random() >= config.ic_missing_rate
+        has_ic = rng.random() >= _IC_MISSING_RATE
         ic_total = float(rng.gamma(_IC_GAMMA_SHAPE, _IC_GAMMA_SCALE)) if has_ic else None
 
         for idx, pct in zip(team, contributions):

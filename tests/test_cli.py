@@ -211,6 +211,14 @@ def test_input_errors_exit_1(tmp_path, capsys):
     )
     assert run(["build", str(disjoint), "--linspace", "4", "--output-dir", str(tmp_path / "p")]) == 1
 
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text(
+        "project_id,member_id,contribution_pct,project_type,project_id\nP1,M1,100,IP,P1\n"
+    )
+    capsys.readouterr()
+    assert run(["ingest", str(repeated)]) == 1
+    assert "header repeats column project_id" in capsys.readouterr().err
+
 
 def test_strict_flag_propagates(tmp_path):
     over = tmp_path / "over.csv"

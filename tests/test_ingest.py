@@ -13,7 +13,6 @@ from collabnet.ingest import (
     IngestError,
     ProjectType,
     RowError,
-    SkippedRowWarning,
     aggregate,
     filter_by_type,
     parse_records,
@@ -35,9 +34,9 @@ def test_parse_simple_row():
 
 
 def test_parse_out_of_range_contribution_reports_row():
-    with pytest.raises(RowError, match="row 2") as err:
+    with pytest.raises(RowError) as err:
         parse(HEADER + "P1,M1,150,,IP\n")
-    assert "out of range" in str(err.value)
+    assert str(err.value) == "row 2: contribution_pct out of range: 150.0"
     assert err.value.row == 2
 
 
@@ -92,6 +91,23 @@ def test_parse_wrong_column_count():
         parse(HEADER + "P1,M1,50,IP\n")
 
 
+def test_parse_header_with_trailing_empty_cells():
+    # spreadsheet exports pad the header; rows are held to its cell count
+    text = "project_id,member_id,contribution_pct,project_type,,\nP1,M1,50,IP,,\n"
+    assert parse(text) == [ContributionRecord("P1", "M1", 50.0, None, ProjectType.IP)]
+    with pytest.raises(RowError, match="row 2: expected 6 columns, got 4"):
+        parse(text.replace("P1,M1,50,IP,,", "P1,M1,50,IP"))
+
+
+def test_parse_header_repeating_a_column_rejected():
+    for header in (
+        "project_id,member_id,contribution_pct,project_type,project_id",
+        "project_id,member_id,contribution_pct,project_type,Project_ID ",
+    ):
+        with pytest.raises(IngestError, match="header repeats column project_id"):
+            parse(header + "\nP1,M1,50,IP,P1\n")
+
+
 def test_parse_unparseable_number():
     with pytest.raises(RowError, match="contribution_pct"):
         parse(HEADER + "P1,M1,lots,,IP\n")
@@ -128,7 +144,7 @@ def test_parse_control_characters_in_ids_rejected():
             parse(HEADER + "P0,M0,50,,IP\n" + row + "\n")
         assert exc.value.row == line
     errors: list[RowError] = []
-    records = parse(HEADER + "P\x01,M1,50,,IP\nP2,M1,50,,IP\n", lenient=True, errors_out=errors)
+    records = parse(HEADER + "P\x01,M1,50,,IP\nP2,M1,50,,IP\n", skipped=errors)
     assert [r.project_id for r in records] == ["P2"]
     assert [e.row for e in errors] == [2]
     assert parse(HEADER + "Projé-α 項目,Mü,50,,IP\n")[0].project_id == "Projé-α 項目"
@@ -137,16 +153,9 @@ def test_parse_control_characters_in_ids_rejected():
 def test_parse_lenient_collects_errors():
     text = HEADER + "P1,M1,50,,IP\nP2,M2,150,,IP\nP3,M3,10,,paper\n"
     errors: list[RowError] = []
-    records = parse(text, lenient=True, errors_out=errors)
+    records = parse(text, skipped=errors)
     assert [r.project_id for r in records] == ["P1", "P3"]
     assert len(errors) == 1 and errors[0].row == 3
-
-
-def test_parse_lenient_warns_without_collector():
-    text = HEADER + "P1,M1,150,,IP\nP2,M2,10,,IP\n"
-    with pytest.warns(SkippedRowWarning):
-        records = parse(text, lenient=True)
-    assert len(records) == 1
 
 
 def test_aggregate_single_project():

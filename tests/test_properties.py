@@ -90,7 +90,7 @@ def test_malformed_cell_reports_its_line(rows, data):
         parse_records(text)
     assert exc.value.row == index + 1
     errors: list[RowError] = []
-    kept = parse_records(text, lenient=True, errors_out=errors)
+    kept = parse_records(text, skipped=errors)
     assert [e.row for e in errors] == [index + 1]
     assert kept == recs[: index - 1] + recs[index:]
 

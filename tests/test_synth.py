@@ -5,8 +5,8 @@ import pytest
 from collabnet import ingest
 from collabnet.ingest import ProjectType
 from collabnet.synth import (
+    CONTRIBUTION_MEAN_TARGET,
     SynthConfig,
-    TeamSizeDistribution,
     generate,
     generate_csv_bytes,
     type_counts,
@@ -49,6 +49,14 @@ def test_default_counts_and_type_mix():
         observed[recs[0].project_type] = observed.get(recs[0].project_type, 0) + 1
     assert observed == counts
 
+    # 10 x (630, 1717, 539) / 2886 = (2.18, 5.95, 1.87): the two spare
+    # projects go to the largest remainders, paper and prototype
+    assert type_counts(SynthConfig(n_projects=10)) == {
+        ProjectType.IP: 2,
+        ProjectType.PAPER: 6,
+        ProjectType.PROTOTYPE: 2,
+    }
+
 
 def test_contribution_sums_exactly_100_decimal():
     records = generate(SMALL)
@@ -69,13 +77,11 @@ def test_contribution_mean_near_target():
     config = SynthConfig(seed=3)
     records = generate(config)
     mean = sum(r.contribution_pct for r in records) / len(records)
-    assert abs(mean - config.contribution_mean_target) <= 0.1 * config.contribution_mean_target
+    assert abs(mean - CONTRIBUTION_MEAN_TARGET) <= 0.1 * CONTRIBUTION_MEAN_TARGET
 
 
 def test_team_sizes_respect_cap():
-    config = SynthConfig(
-        seed=9, n_projects=80, n_members=64, team_size_distribution=TeamSizeDistribution(max_size=5)
-    )
+    config = SynthConfig(seed=9, n_projects=80, n_members=5)
     for recs in group_by_project(generate(config)).values():
         assert 1 <= len(recs) <= 5
 
@@ -107,36 +113,5 @@ def test_infeasible_configs_rejected():
         generate(SynthConfig(seed=0, n_projects=0))
     with pytest.raises(ValueError):
         generate(SynthConfig(seed=0, n_members=0))
-    with pytest.raises(ValueError):
-        generate(SynthConfig(seed=0, contribution_mean_target=0.0))
     with pytest.raises(ValueError, match="unreachable"):
-        generate(
-            SynthConfig(
-                seed=0,
-                contribution_mean_target=5.0,  # implies mean team 20
-                team_size_distribution=TeamSizeDistribution(max_size=6),
-            )
-        )
-    with pytest.raises(ValueError):
-        generate(SynthConfig(seed=0, type_mix={ProjectType.IP: -1.0}))
-    with pytest.raises(ValueError):
-        generate(SynthConfig(seed=0, ic_missing_rate=2.0))
-
-
-def test_type_counts_custom_mix():
-    config = SynthConfig(seed=0, n_projects=10, type_mix={ProjectType.IP: 1.0})
-    counts = type_counts(config)
-    assert counts == {ProjectType.IP: 10}
-    records = generate(config)
-    assert {r.project_type for r in records} == {ProjectType.IP}
-
-
-def test_explicit_team_size_mean():
-    config = SynthConfig(
-        seed=4,
-        n_projects=400,
-        n_members=64,
-        team_size_distribution=TeamSizeDistribution(mean=3.0, max_size=8),
-    )
-    sizes = [len(recs) for recs in group_by_project(generate(config)).values()]
-    assert 2.5 <= sum(sizes) / len(sizes) <= 3.5
+        generate(SynthConfig(seed=0, n_members=4))  # cap 4 < mean team 100 / 23.3
