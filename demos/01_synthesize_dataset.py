@@ -33,9 +33,10 @@ print(f"CSV size: {len(csv_bytes)} bytes")
 print(csv_bytes.decode().splitlines()[0])   # header
 print(csv_bytes.decode().splitlines()[1])   # first data row
 
-# round trip: parse + aggregate in strict mode never complains about
-# generated data
-dataset = aggregate(parse_records(csv_bytes), strict=True)
+# round trip: parse + aggregate never complains about generated data
+# (parse_records raises on a malformed row, aggregate on a project whose
+# contributions sum above 100.5)
+dataset = aggregate(parse_records(csv_bytes))
 print(f"aggregated {dataset.n_projects} projects, "
       f"{len(dataset.member_index)} distinct members")
 

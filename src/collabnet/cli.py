@@ -7,8 +7,9 @@ Outputs are deterministic: the same input bytes and flags always produce a
 byte-identical artifact set. Each artifact is written to a temporary file as
 soon as it is made, so no more than one layer's bytes are held at a time;
 the files are renamed into place together, manifest last, once all are
-written, and any failure removes the temporary files instead. Exit codes:
-0 success, 1 input/data error, 2 configuration error.
+written, and any failure removes the temporary files instead. ingest and
+build report each skipped row and over-limit project as one stderr line.
+Exit codes: 0 success, 1 input/data error, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -81,14 +82,14 @@ def _parse(data: bytes, delimiter: str, lenient: bool = False) -> list:
     return records
 
 
-def _parse_and_aggregate(data: bytes, config: RunConfig) -> tuple[list, ingest.Dataset]:
-    records = _parse(data, config.delimiter, config.lenient)
-    dataset = ingest.aggregate(records, strict=config.strict)
-    if config.type_filter is not None:
-        records = [r for r in records if r.project_type in config.type_filter]
-        dataset = ingest.filter_by_type(dataset, config.type_filter)
-        if not dataset.projects:
-            raise IngestError("type filter removed every project")
+def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> tuple[list, ingest.Dataset]:
+    """Parse and aggregate the input; unless ``strict``, report each project
+    whose contributions sum above the limit on stderr instead of failing."""
+    records = _parse(data, delimiter, lenient)
+    over: list[ingest.ContributionSumError] | None = None if strict else []
+    dataset = ingest.aggregate(records, over=over)
+    for err in over or ():
+        print(f"warning: {err}", file=sys.stderr)
     return records, dataset
 
 
@@ -116,25 +117,17 @@ def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFo
     return f"layer_{index:02d}_t{export.threshold_label(layer.threshold)}.{fmt.value}"
 
 
-def _listed_artifacts(out_dir: Path) -> set[str]:
-    """File names the collabnet manifest in ``out_dir`` lists, if it has one."""
-    try:
-        manifest = json.loads((out_dir / "manifest.json").read_bytes())
-        if manifest["tool"]["name"] == "collabnet":
-            return {name for name in manifest["artifacts"] if Path(name).name == name}
-    except (OSError, ValueError, TypeError, KeyError):
-        pass
-    return set()
-
-
 class _Artifacts:
     """Writes artifacts to temporary files in ``out_dir`` as they are made,
-    keeping only each one's sha256, then renames them into place.
+    keeping only each one's sha256, then renames them into place; owns the
+    directory's manifest.
 
     Use it as a context manager. The directory is made at the first write.
-    A clean exit renames every file in name order, ``manifest.json`` last;
-    any exception removes every temporary file, so no earlier output
-    changes.
+    A clean exit renames every file in name order, ``manifest.json`` last,
+    then removes the files the earlier manifest listed and this one does
+    not. A run without a manifest refuses, before renaming anything, to
+    replace a file the earlier manifest lists, as that would leave it wrong.
+    Any exception removes every temporary file, so no earlier output changes.
     """
 
     MANIFEST = "manifest.json"
@@ -144,6 +137,13 @@ class _Artifacts:
         self.hashes: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
         self.paths: list[Path] = []
+        self._listed: set[str] = set()  # what the directory's collabnet manifest lists
+        try:
+            manifest = json.loads((out_dir / self.MANIFEST).read_bytes())
+            if manifest["tool"]["name"] == "collabnet":
+                self._listed = {name for name in manifest["artifacts"] if Path(name).name == name}
+        except (OSError, ValueError, TypeError, KeyError):
+            pass
 
     def write(self, name: str, blob: bytes) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,12 +157,26 @@ class _Artifacts:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                for name in sorted(self._temps, key=lambda n: (n == self.MANIFEST, n)):
-                    os.replace(self._temps[name], self.out_dir / name)
-                    self.paths.append(self.out_dir / name)
+                self._commit()
         finally:  # a renamed file has left its temporary name: this removes the rest
             for temp in self._temps.values():
                 temp.unlink(missing_ok=True)
+
+    def _commit(self) -> None:
+        with_manifest = self.MANIFEST in self._temps
+        replaced = sorted(self._listed & self._temps.keys())
+        if replaced and not with_manifest:
+            raise ConfigError(
+                f"{self.out_dir} holds a build whose manifest lists {replaced[0]}; "
+                "choose another --output-dir"
+            )
+        for name in sorted(self._temps, key=lambda n: (n == self.MANIFEST, n)):
+            os.replace(self._temps[name], self.out_dir / name)
+            self.paths.append(self.out_dir / name)
+        if with_manifest:  # remove what the earlier build listed and this one did not write
+            for name in sorted(self._listed - self._temps.keys()):
+                if (self.out_dir / name).is_file():
+                    (self.out_dir / name).unlink()
 
 
 def run_pipeline(config: RunConfig) -> list[Path]:
@@ -170,12 +184,15 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     Each artifact goes to a temporary file as soon as it is made, and only
     its hash is kept (see :class:`_Artifacts`); the manifest is written
-    last, from those hashes. Once every file is renamed into place, the
-    files that an earlier run's manifest in the directory listed and this
-    run did not write are removed; no other file is touched.
+    last, from those hashes.
     """
     input_bytes = _read_input_bytes(config.input_path)
-    records, dataset = _parse_and_aggregate(input_bytes, config)
+    records, dataset = _load(input_bytes, config.delimiter, config.lenient, config.strict)
+    if config.type_filter is not None:
+        records = [r for r in records if r.project_type in config.type_filter]
+        dataset = ingest.filter_by_type(dataset, config.type_filter)
+        if not dataset.projects:
+            raise IngestError("type filter removed every project")
 
     table = linkage.build_linkage_table(dataset)
     if config.thresholds is not None:
@@ -184,7 +201,6 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(dataset, table, sweep)
 
-    listed = _listed_artifacts(config.output_dir)
     with _Artifacts(config.output_dir) as out:
         if config.dump_linkage:  # first, before export's per-stack lines take memory
             out.write("linkage.csv", linkage.table_to_csv_bytes(table))
@@ -233,11 +249,6 @@ def run_pipeline(config: RunConfig) -> list[Path]:
             out.MANIFEST,
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
         )
-
-    for name in sorted(listed - out.hashes.keys()):
-        path = config.output_dir / name
-        if path.is_file():
-            path.unlink()
     return out.paths
 
 
@@ -284,37 +295,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, "collabnet_out"))
+    # options shared by subcommands, each declared once; dests are RunConfig field names
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input_path", metavar="input", help="input CSV path, - for stdin")
+    source.add_argument("--delimiter", type=_parse_delimiter, default=",")
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--strict", action="store_true")
+    checks.add_argument("--lenient", action="store_true")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument(
+        "--bins", dest="n_bins", metavar="BINS", type=_parse_bins, default=stats.DEFAULT_BINS
+    )
+    outputs.add_argument("--output-dir", type=Path, default=out_dir)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--projects", type=int, default=2300)
     p_synth.add_argument("--members", type=int, default=1000)
     p_synth.add_argument("--out", default="-", help="output file, - for stdout")
+    p_synth.set_defaults(handler=_cmd_synth)
 
-    p_ingest = sub.add_parser("ingest", help="parse and validate an input CSV")
-    p_ingest.add_argument("input", help="input CSV path, - for stdin")
-    p_ingest.add_argument("--delimiter", type=_parse_delimiter, default=",")
-    p_ingest.add_argument("--strict", action="store_true")
-    p_ingest.add_argument("--lenient", action="store_true")
+    p_ingest = sub.add_parser(
+        "ingest", parents=[source, checks], help="parse and validate an input CSV"
+    )
+    p_ingest.set_defaults(handler=_cmd_ingest)
+    p_stats = sub.add_parser(
+        "stats", parents=[source, outputs], help="write feature statistics files"
+    )
+    p_stats.set_defaults(handler=_cmd_stats)
 
-    p_stats = sub.add_parser("stats", help="write feature statistics files")
-    p_stats.add_argument("input", help="input CSV path, - for stdin")
-    p_stats.add_argument("--delimiter", type=_parse_delimiter, default=",")
-    p_stats.add_argument("--bins", type=_parse_bins, default=stats.DEFAULT_BINS)
-    p_stats.add_argument("--output-dir", type=Path, default=out_dir)
-
-    p_build = sub.add_parser("build", help="run the full layer pipeline")
-    p_build.add_argument("input", help="input CSV path, - for stdin")
+    p_build = sub.add_parser(
+        "build", parents=[source, checks, outputs], help="run the full layer pipeline"
+    )
+    p_build.set_defaults(handler=_cmd_build)
     group = p_build.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--thresholds", type=_parse_thresholds, help="comma-separated increasing list"
     )
     group.add_argument("--linspace", type=int, help="evenly spaced point count")
     p_build.add_argument(
-        "--types", type=_parse_types, help="comma-separated project types to keep"
+        "--types",
+        dest="type_filter",
+        metavar="TYPES",
+        type=_parse_types,
+        help="comma-separated project types to keep",
     )
     p_build.add_argument(
         "--format",
+        dest="export_format",
         choices=[f.value for f in export.ExportFormat],
         default=export.ExportFormat.GRAPHML.value,
     )
@@ -324,12 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=True,
         help="keep degree-0 nodes in layer exports",
     )
-    p_build.add_argument("--strict", action="store_true")
-    p_build.add_argument("--lenient", action="store_true")
-    p_build.add_argument("--delimiter", type=_parse_delimiter, default=",")
-    p_build.add_argument("--bins", type=_parse_bins, default=stats.DEFAULT_BINS)
     p_build.add_argument("--dump-linkage", action="store_true")
-    p_build.add_argument("--output-dir", type=Path, default=out_dir)
     return parser
 
 
@@ -349,8 +372,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    records = _parse(_read_input_bytes(args.input), args.delimiter, args.lenient)
-    dataset = ingest.aggregate(records, strict=args.strict)
+    data = _read_input_bytes(args.input_path)
+    records, dataset = _load(data, args.delimiter, args.lenient, args.strict)
     print(f"records: {len(records)}")
     print(f"projects: {dataset.n_projects}")
     print(f"members: {len(dataset.member_index)}")
@@ -361,9 +384,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    records = _parse(_read_input_bytes(args.input), args.delimiter)
+    records = _parse(_read_input_bytes(args.input_path), args.delimiter)
     with _Artifacts(args.output_dir) as out:
-        for name, blob in _stats_artifacts(records, args.bins).items():
+        for name, blob in _stats_artifacts(records, args.n_bins).items():
             out.write(name, blob)
     for path in out.paths:
         print(f"wrote {path}")
@@ -371,20 +394,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        input_path=args.input,
-        output_dir=args.output_dir,
-        thresholds=args.thresholds,
-        linspace=args.linspace,
-        type_filter=args.types,
-        export_format=export.ExportFormat(args.format),
-        include_isolated=args.include_isolated,
-        strict=args.strict,
-        lenient=args.lenient,
-        delimiter=args.delimiter,
-        n_bins=args.bins,
-        dump_linkage=args.dump_linkage,
-    )
+    values = vars(args) | {"export_format": export.ExportFormat(args.export_format)}
+    config = RunConfig(**{field.name: values[field.name] for field in fields(RunConfig)})
     for path in run_pipeline(config):
         print(f"wrote {path}")
     return EXIT_OK
@@ -407,18 +418,12 @@ def _join_threshold_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    handlers = {
-        "synth": _cmd_synth,
-        "ingest": _cmd_ingest,
-        "stats": _cmd_stats,
-        "build": _cmd_build,
-    }
     try:
         # option values go through the _parse_* converters, whose
         # ConfigError argparse lets through to here
         argv = _join_threshold_values(sys.argv[1:] if argv is None else argv)
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

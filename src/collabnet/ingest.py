@@ -4,6 +4,8 @@ The input is a delimited text table with one row per (project, member)
 contribution. Rows are parsed into :class:`ContributionRecord`, then
 aggregated into :class:`Project` entities indexed by a :class:`Dataset`.
 All downstream stages (linkage, layers, metrics) consume the Dataset.
+A malformed row or an over-limit project raises, unless the caller passes
+a list (``skipped``, ``over``) to collect its error in and go on.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import hashlib
 import io
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -27,7 +28,6 @@ __all__ = [
     "RowError",
     "DuplicateMembershipError",
     "ContributionSumError",
-    "ContributionSumWarning",
     "parse_records",
     "aggregate",
     "filter_by_type",
@@ -59,18 +59,13 @@ class ProjectType(Enum):
     @classmethod
     def parse(cls, text: str) -> "ProjectType":
         """Match ``text`` case-insensitively to a project type."""
-        key = text.strip().lower()
         try:
-            return _TYPE_ALIASES[key]
+            return _TYPES_BY_NAME[text.strip().lower()]
         except KeyError:
             raise ValueError(f"unknown project type {text!r}") from None
 
 
-_TYPE_ALIASES = {
-    "ip": ProjectType.IP,
-    "paper": ProjectType.PAPER,
-    "prototype": ProjectType.PROTOTYPE,
-}
+_TYPES_BY_NAME = {t.value.lower(): t for t in ProjectType}
 
 
 class IngestError(Exception):
@@ -91,11 +86,7 @@ class DuplicateMembershipError(IngestError):
 
 
 class ContributionSumError(IngestError):
-    """A project's contributions exceed the accepted total (strict mode)."""
-
-
-class ContributionSumWarning(UserWarning):
-    """A project's contributions exceed the accepted total (not strict)."""
+    """A project's contributions sum above ``CONTRIBUTION_SUM_LIMIT``."""
 
 
 @dataclass(frozen=True)
@@ -263,12 +254,16 @@ def parse_records(
     return records
 
 
-def aggregate(records: Iterable[ContributionRecord], *, strict: bool = False) -> Dataset:
+def aggregate(
+    records: Iterable[ContributionRecord], *, over: list[ContributionSumError] | None = None
+) -> Dataset:
     """Group validated records into one Project per distinct project_id.
 
     Rejects duplicate (project, member) pairs and conflicting type labels
-    for the same project. Projects whose contributions sum above
-    ``CONTRIBUTION_SUM_LIMIT`` raise in strict mode and warn otherwise.
+    for the same project. A project whose contributions sum above
+    ``CONTRIBUTION_SUM_LIMIT`` raises :class:`ContributionSumError`, unless
+    ``over`` is a list: then the project is kept and its error appended to
+    the list.
     """
     types: dict[str, ProjectType] = {}
     members: dict[str, dict[str, float]] = {}
@@ -289,10 +284,10 @@ def aggregate(records: Iterable[ContributionRecord], *, strict: bool = False) ->
     for pid, team in members.items():
         total = sum(team.values())
         if total > CONTRIBUTION_SUM_LIMIT:
-            msg = f"project {pid} contributions sum to {total:.4f}"
-            if strict:
-                raise ContributionSumError(msg)
-            warnings.warn(msg, ContributionSumWarning, stacklevel=2)
+            err = ContributionSumError(f"project {pid} contributions sum to {total:.4f}")
+            if over is None:
+                raise err
+            over.append(err)
     return _indexed({pid: Project(pid, types[pid], team) for pid, team in members.items()})
 
 

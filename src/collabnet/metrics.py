@@ -159,25 +159,24 @@ def _passes(layer: NetworkLayer):
     adjacency as an ``(indptr, indices)`` CSR over block rows, and a
     (node, word) uint64 array with one bit per source.
 
-    All components of 2 to 64 nodes share one one-word pass in which a
-    node's bit is its rank inside its own component; no path crosses a
-    component, so their bits never meet. Each larger component runs alone,
-    64 * _WORDS sources per pass. Every block row has an edge.
+    A node's bit is its rank inside its own component. Each window of
+    64 * _WORDS ranks groups the components that reach into it by the
+    number of words their part of the window needs, and each group is one
+    pass: no path crosses a component, so their bits never meet. Components
+    of one node take no part, so every block row has an edge.
     """
     order = np.argsort(layer.roots, kind="stable")
     first = np.searchsorted(layer.roots[order], layer.roots)  # where each component starts
     rank = np.argsort(order) - first  # each node's rank inside its own component
     size = np.bincount(layer.roots, minlength=layer.n_nodes)[layer.roots]
-    small = np.flatnonzero((size <= 64) & (layer.degrees > 0))
-    if small.size:
-        bits = _bits(np.arange(small.size), rank[small], small.size)
-        yield small, _block(layer, small), bits
-    for root in np.unique(layer.roots[size > 64]):
-        nodes = order[first[root] : first[root] + size[root]]
-        block = _block(layer, nodes)
-        for start in range(0, nodes.size, 64 * _WORDS):
-            sources = np.arange(start, min(start + 64 * _WORDS, nodes.size))
-            yield nodes, block, _bits(sources, sources - start, nodes.size)
+    for start in range(0, size.max(initial=0), 64 * _WORDS):
+        # the words each node's component needs in this window; 0 for none
+        words = np.where(size > 1, -(-np.clip(size - start, 0, 64 * _WORDS) // 64), 0)
+        for w in np.unique(words[words > 0]):
+            nodes = np.flatnonzero(words == w)
+            window = rank[nodes] - start
+            sources = np.flatnonzero((window >= 0) & (window < 64 * _WORDS))
+            yield nodes, _block(layer, nodes), _bits(sources, window[sources], nodes.size)
 
 
 def _block(layer: NetworkLayer, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,9 @@ from collabnet.export import ExportFormat
 from collabnet.synth import SynthConfig, generate_csv_bytes
 
 SMALL_CSV = generate_csv_bytes(SynthConfig(seed=11, n_projects=50, n_members=48))
+# P1's contributions sum to 110, above the accepted 100.5
+OVER_CSV = "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
+OVER_MESSAGE = "project P1 contributions sum to 110.0000\n"
 
 
 @pytest.fixture()
@@ -220,14 +223,42 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert "header repeats column project_id" in capsys.readouterr().err
 
 
-def test_strict_flag_propagates(tmp_path):
+def test_strict_flag_propagates(tmp_path, capsys):
     over = tmp_path / "over.csv"
-    over.write_text(
-        "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
-    )
-    with pytest.warns(Warning):
-        assert run(["build", str(over), "--thresholds", "0,50", "--output-dir", str(tmp_path / "a")]) == 0
+    over.write_text(OVER_CSV)
+    assert run(["ingest", str(over)]) == 0
+    assert capsys.readouterr().err == "warning: " + OVER_MESSAGE
+    assert run(["ingest", str(over), "--strict"]) == 1
+    assert capsys.readouterr().err == "error: " + OVER_MESSAGE
+    assert run(["build", str(over), "--thresholds", "0,50", "--output-dir", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == "warning: " + OVER_MESSAGE
     assert run(["build", str(over), "--thresholds", "0,50", "--strict", "--output-dir", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "error: " + OVER_MESSAGE
+    assert not (tmp_path / "b").exists()
+
+
+def test_over_limit_notice_under_warnings_as_errors(tmp_path):
+    over = tmp_path / "over.csv"
+    over.write_text(OVER_CSV)
+
+    def build(python_options, out, *options):
+        argv = ["build", str(over), "--thresholds", "0,50", "--output-dir", str(tmp_path / out)]
+        return subprocess.run(
+            [sys.executable, *python_options, "-m", "collabnet.cli", *argv, *options],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+
+    plain, loud = build([], "plain"), build(["-W", "error"], "loud")
+    assert loud.returncode == plain.returncode == 0, loud.stderr
+    assert loud.stderr == plain.stderr == "warning: " + OVER_MESSAGE
+    assert loud.stdout == plain.stdout.replace("plain", "loud")
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / out).iterdir()} for out in ("plain", "loud")]
+    assert outputs[0] == outputs[1]
+
+    strict = build(["-W", "error"], "strict", "--strict")
+    assert strict.returncode == 1
+    assert strict.stderr == "error: " + OVER_MESSAGE
+    assert not (tmp_path / "strict").exists()
 
 
 def test_runconfig_validation():
@@ -262,6 +293,22 @@ def test_failed_write_leaves_no_partial_outputs(small_input, tmp_path, monkeypat
     with pytest.raises(OSError):
         run_pipeline(config)
     assert list(out_dir.iterdir()) == []
+
+
+def test_stats_refuses_a_build_directory(small_input, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    capsys.readouterr()
+
+    assert run(["stats", str(small_input), "--bins", "5", "--output-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(out_dir) in captured.err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    for name, digest in json.loads(before["manifest.json"])["artifacts"].items():
+        assert hashlib.sha256(before[name]).hexdigest() == digest
 
 
 def test_failed_stats_write_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys):
@@ -338,14 +385,19 @@ def test_negative_threshold_list_as_separate_argument(small_input, tmp_path, tex
     assert f"{first}.graphml" in outputs[0]
 
 
-def test_cli_import_leaves_out_heavy_modules():
-    root = Path(__file__).resolve().parents[1]
+def _child_env() -> dict[str, str]:
+    """The environment for a child Python that imports collabnet from this tree."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_out_heavy_modules():
     heavy = ["scipy", "xml.sax", "urllib.request"]
     code = f"import sys, collabnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -8,7 +8,6 @@ from collabnet import ingest
 from collabnet.ingest import (
     ContributionRecord,
     ContributionSumError,
-    ContributionSumWarning,
     DuplicateMembershipError,
     IngestError,
     ProjectType,
@@ -198,16 +197,22 @@ def test_aggregate_sum_tolerance():
         ContributionRecord("P1", "M1", 60.0, None, ProjectType.IP),
         ContributionRecord("P1", "M2", 40.4, None, ProjectType.IP),
     ]
-    aggregate(fine, strict=True)  # 100.4 inside the tolerance band
+    collected = []
+    aggregate(fine)  # 100.4 inside the tolerance band
+    aggregate(fine, over=collected)
+    assert collected == []
 
     over = [
         ContributionRecord("P1", "M1", 60.0, None, ProjectType.IP),
         ContributionRecord("P1", "M2", 41.0, None, ProjectType.IP),
+        ContributionRecord("P2", "M1", 100.0, None, ProjectType.IP),
     ]
-    with pytest.warns(ContributionSumWarning):
+    with pytest.raises(ContributionSumError, match=r"^project P1 contributions sum to 101\.0000$"):
         aggregate(over)
-    with pytest.raises(ContributionSumError):
-        aggregate(over, strict=True)
+    dataset = aggregate(over, over=collected)  # the project is kept, its error collected
+    assert dataset.projects["P1"].members == {"M1": 60.0, "M2": 41.0}
+    assert [str(err) for err in collected] == ["project P1 contributions sum to 101.0000"]
+    assert all(isinstance(err, ContributionSumError) for err in collected)
 
 
 def test_member_index_is_exact_inverse():

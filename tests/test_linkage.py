@@ -3,27 +3,22 @@ from __future__ import annotations
 import csv
 import io
 import random
-import warnings
 
 import pytest
 
-from collabnet.ingest import ContributionRecord, ContributionSumWarning, ProjectType, aggregate
+from collabnet.ingest import ContributionRecord, ProjectType, aggregate
 from collabnet.linkage import PairLinkage, build_linkage_table, table_to_csv_bytes
 from oracles import naive_linkage_table, random_dataset
 
 
 def table_of(teams: dict[str, dict[str, float]]):
     """The linkage table of a dataset given as project -> {member: pct}."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ContributionSumWarning)  # scaled teams may exceed 100
-        dataset = aggregate(
-            [
-                ContributionRecord(pid, m, pct, None, ProjectType.IP)
-                for pid, team in teams.items()
-                for m, pct in team.items()
-            ]
-        )
-    return build_linkage_table(dataset)
+    records = [
+        ContributionRecord(pid, m, pct, None, ProjectType.IP)
+        for pid, team in teams.items()
+        for m, pct in team.items()
+    ]
+    return build_linkage_table(aggregate(records, over=[]))  # scaled teams may exceed 100
 
 
 def test_common_members():

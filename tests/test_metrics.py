@@ -273,14 +273,16 @@ def test_metrics_match_networkx_on_multi_batch_layers():
         assert rep.avg_clustering == pytest.approx(nx.average_clustering(retained), rel=1e-12)
 
 
-# The BFS packs every component of at most 64 nodes into one 64-bit word per
-# node and runs each larger component alone, 512 sources per pass.
+# The BFS gives each node the bit of its rank inside its own component and
+# runs 512 ranks per window; the components that reach into a window share
+# one pass per number of 64-bit words their part of it needs.
 PACKING_EDGES = {
     "64_and_65_nodes": (1, 64, 1, 65, 1, 1, 65, 64, 1),
     "over_512_nodes": (1, 1030, 1, 3, 1),
     "many_small_sharing_a_word": tuple(
         random.Random(3).choices((1, 1, 2, 3, 4, 7, 12, 30, 63, 64), k=60)
     ),
+    "65_to_128_sharing_two_words": (1, 65, 100, 3, 128, 1, 77, 64),
 }
 
 

