@@ -115,10 +115,11 @@ def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> LayerV
     ``membership`` must cover every node of the layer (as produced by
     :func:`collabnet.metrics.components` on the same layer).
     """
-    missing = [v for v in layer.nodes if v not in membership]
-    if missing:
-        raise ValueError(f"membership does not cover nodes: {missing[:5]}")
-    rank = np.array([membership[v] for v in layer.nodes], np.int64)
+    try:
+        rank = np.array([membership[v] for v in layer.nodes], np.int64)
+    except KeyError:
+        missing = [v for v in layer.nodes if v not in membership]
+        raise ValueError(f"membership does not cover nodes: {missing[:5]}") from None
     _, component, size = np.unique(rank, return_inverse=True, return_counts=True)
     sizes, size_class = np.unique(-size, return_inverse=True)  # class 0: the largest
     color = np.array(_color_bands(sizes.size), np.int64)[size_class[component]]

@@ -31,7 +31,6 @@ __all__ = [
     "parse_records",
     "aggregate",
     "filter_by_type",
-    "to_records",
     "records_to_csv_bytes",
     "CONTRIBUTION_SUM_LIMIT",
 ]
@@ -282,7 +281,7 @@ def aggregate(
             )
 
     for pid, team in members.items():
-        total = sum(team.values())
+        total = math.fsum(team.values())  # correctly rounded on every Python
         if total > CONTRIBUTION_SUM_LIMIT:
             err = ContributionSumError(f"project {pid} contributions sum to {total:.4f}")
             if over is None:
@@ -308,15 +307,6 @@ def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
     return _indexed(
         {pid: p for pid, p in dataset.projects.items() if p.project_type in wanted}
     )
-
-
-def to_records(dataset: Dataset) -> list[ContributionRecord]:
-    """Serialize a dataset back to membership rows (ic_score is not retained)."""
-    return [
-        ContributionRecord(pid, mid, pct, None, p.project_type)
-        for pid, p in dataset.projects.items()
-        for mid, pct in p.members.items()
-    ]
 
 
 def _format_number(value: float) -> str:

@@ -26,13 +26,16 @@ interior nodes on each of its shortest paths (Brandes 2008, "On variants
 of shortest-path betweenness centrality"). One bit-parallel BFS (Then et
 al. 2015, "The More the Merrier: Efficient Multi-Source Graph Traversal")
 keeps one bit per source in uint64 words, so a level is an OR over each
-node's neighbours and c_d is its popcount. The report sums those counts,
-closeness sums them per node over 1/d, and :func:`betweenness` rebuilds the
-shortest-path counts σ from the levels in its Brandes pass, the only place
-σ exists. Clustering comes from triangle counts read off each pass's first
-level, each node's neighbours among the pass's sources: an edge (u, v)
-closes popcount(level1[u] & level1[v]) triangles whose third corner is a
-source, and the passes of a component cover all of its nodes.
+node's neighbours and c_d is its popcount. One walk over every pass and
+level tallies a layer: it adds each level's popcounts to the histogram and,
+per node, over 1/d to its closeness, and it counts triangles off each
+pass's first level, each node's neighbours among the pass's sources: an
+edge (u, v) closes popcount(level1[u] & level1[v]) triangles whose third
+corner is a source, and the passes of a component cover all of its nodes.
+:func:`report`, :func:`closeness` and :func:`clustering` all read that
+tally, so :func:`clustering` alone also walks every level.
+:func:`betweenness` rebuilds the shortest-path counts σ from the levels in
+its own Brandes pass, the only place σ exists.
 """
 
 from __future__ import annotations
@@ -101,40 +104,12 @@ def degree(layer: NetworkLayer) -> dict[str, int]:
 def closeness(layer: NetworkLayer) -> dict[str, float]:
     """Sum of reciprocal shortest-path distances from each node to every
     other node. Distances are unweighted hop counts; unreachable nodes add 0."""
-    values = np.zeros(layer.n_nodes)
-    for nodes, block, frontier in _passes(layer):
-        for d, level in enumerate(_levels(block, frontier), 1):
-            # d(s, v) = d(v, s): row v of a level counts the nodes d hops from v
-            values[nodes] += np.bitwise_count(level).sum(axis=1) / d
-    return dict(zip(layer.nodes, values.tolist()))
-
-
-def _local_clustering(links: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Each node's 2*T(v) / (deg*(deg-1)) from links = 2*T(v); 0 for
-    degree < 2, where there are no triangles to count."""
-    return np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)
-
-
-def _links(block: tuple[np.ndarray, np.ndarray], first: np.ndarray) -> np.ndarray:
-    """Per block row, twice the triangles through it whose third corner is
-    one of the pass's sources. ``first`` is the pass's first BFS level, each
-    node's neighbours among the sources, so an edge (u, v) closes
-    popcount(first[u] & first[v]) of them; each edge, taken once, adds that
-    to both ends. The passes of a component cover all of its nodes."""
-    indptr, indices = block
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    once = rows < indices
-    u, v = rows[once], indices[once]
-    shared = np.bitwise_count(first[u] & first[v]).sum(axis=1)
-    return np.bincount(u, shared, first.shape[0]) + np.bincount(v, shared, first.shape[0])
+    return dict(zip(layer.nodes, _tally(layer)[1].tolist()))
 
 
 def clustering(layer: NetworkLayer) -> dict[str, float]:
     """Fraction of possible triangles through each node."""
-    links = np.zeros(layer.n_nodes)
-    for nodes, block, frontier in _passes(layer):
-        links[nodes] += _links(block, next(_levels(block, frontier)))
-    return dict(zip(layer.nodes, _local_clustering(links, layer.degrees).tolist()))
+    return dict(zip(layer.nodes, _tally(layer)[2].tolist()))
 
 
 def density(layer: NetworkLayer) -> float:
@@ -221,6 +196,35 @@ def _levels(block: tuple[np.ndarray, np.ndarray], frontier: np.ndarray):
         yield frontier
 
 
+def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One walk over every pass and level: (pairs_at, closeness, clustering).
+
+    pairs_at[d] counts the ordered node pairs d hops apart. Row v of a level
+    counts the nodes d hops from v, and d(s, v) = d(v, s), so each node's
+    closeness adds its row's popcount over d. At hop 1 the level holds each
+    node's neighbours among the sources, so an edge (u, v), taken once,
+    closes popcount(level[u] & level[v]) triangles at both ends. A node's
+    clustering is 2*T(v) / (deg*(deg-1)), and 0 below degree 2."""
+    pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
+    reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
+    links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
+    for nodes, block, frontier in _passes(layer):
+        for d, level in enumerate(_levels(block, frontier), 1):
+            if d == 1:
+                indptr, indices = block
+                rows = np.repeat(np.arange(nodes.size), np.diff(indptr))
+                once = rows < indices
+                shared = np.bitwise_count(level[rows[once]] & level[indices[once]]).sum(axis=1)
+                for end in rows[once], indices[once]:  # integer counts, so the order is exact
+                    links[nodes] += np.bincount(end, shared, nodes.size)
+            counts = np.bitwise_count(level).sum(axis=1, dtype=np.int64)
+            pairs_at[d] += counts.sum()
+            reach[nodes] += counts / d
+    deg = layer.degrees
+    local = np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)
+    return pairs_at, reach, local
+
+
 def _dependencies(block: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndarray:
     """Brandes over some sources of one BFS pass: each node's dependency
     summed over the sources, the rows of ``dist``, their (source, node) hop
@@ -279,14 +283,8 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     n = int(np.count_nonzero(layer.degrees))
     m = layer.n_edges
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
-    pairs_at = np.zeros(n, np.int64)  # pairs_at[d]: ordered node pairs d hops apart
-    links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
-    for nodes, block, frontier in _passes(layer):
-        for d, level in enumerate(_levels(block, frontier), 1):
-            if d == 1:
-                links[nodes] += _links(block, level)
-            pairs_at[d] += np.bitwise_count(level).sum(dtype=np.int64)
-    hops = np.arange(1, n)
+    pairs_at, _, local_clustering = _tally(layer)
+    hops = np.arange(1, pairs_at.size)
 
     return LayerMetricsReport(
         threshold=layer.threshold,
@@ -296,7 +294,7 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
         avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
         avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
         avg_degree=2 * m / per_node,
-        avg_clustering=math.fsum(_local_clustering(links, layer.degrees)) / per_node,
+        avg_clustering=math.fsum(local_clustering) / per_node,
         density=2.0 * m / (n * (n - 1)) if n > 1 else 0.0,
         n_components=np.unique(layer.roots[layer.degrees > 0]).size,
     )

@@ -108,7 +108,7 @@ def test_visuals_carry_degree_and_rank():
 
 def test_visuals_require_full_membership():
     layer = make_layer("ab", [("a", "b")])
-    with pytest.raises(ValueError, match="membership"):
+    with pytest.raises(ValueError, match=r"^membership does not cover nodes: \['b'\]$"):
         assign_visuals(layer, {"a": 0})
 
 

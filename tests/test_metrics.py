@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -149,6 +150,8 @@ def test_report_isolated_only():
     assert rep.avg_closeness == rep.avg_betweenness == rep.avg_degree == 0.0
     assert rep.avg_clustering == rep.density == 0.0
     assert rep.n_components == 0
+    for per_node in degree, closeness, clustering, betweenness:
+        assert per_node(layer) == {"a": 0, "b": 0, "c": 0}
 
 
 def test_report_removes_isolated_before_metrics():
@@ -320,6 +323,7 @@ def test_metrics_match_oracles_at_packing_edges(sizes):
     ):
         expected = sum(oracle(adj, v) for v in retained) / n
         assert getattr(rep, field) == pytest.approx(expected, abs=1e-12)
+    assert math.fsum(cc.values()) / n == rep.avg_clustering  # both read one array
 
 
 def test_handshake_identity():
@@ -390,5 +394,7 @@ def test_report_field_serialization():
 
 
 def test_empty_layer_report():
-    rep = report(make_layer([], []))
-    assert rep == LayerMetricsReport(0.0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    layer = make_layer([], [])
+    assert report(layer) == LayerMetricsReport(0.0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    for per_node in degree, closeness, clustering, betweenness:
+        assert per_node(layer) == {}
