@@ -2,7 +2,7 @@
 
 The input is a delimited text table with one row per (project, member)
 contribution. Rows are parsed into :class:`ContributionRecord`, then
-aggregated into :class:`Project` entities indexed by a :class:`Dataset`.
+aggregated into :class:`Project` entities keyed by id in a :class:`Dataset`.
 All downstream stages (linkage, layers, metrics) consume the Dataset.
 A malformed row or an over-limit project raises, unless the caller passes
 a list (``skipped``, ``over``) to collect its error in and go on.
@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -101,22 +102,32 @@ class ContributionRecord:
 
 @dataclass(frozen=True)
 class Project:
-    """A project and its team, keyed by member id with contribution percentages."""
+    """A project's type and its team, keyed by member id with contribution percentages."""
 
-    id: str
     project_type: ProjectType
     members: Mapping[str, float]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aggregated projects plus the inverted member -> projects index.
+    """Aggregated projects, keyed by project id.
 
     Treated as immutable after construction; safe to share across threads.
+    ``member_index`` is a view built on first use and then cached; from
+    Python 3.12 two threads reading it first at once may each build it, and
+    both get equal dicts.
     """
 
     projects: Mapping[str, Project]
-    member_index: Mapping[str, frozenset[str]]
+
+    @cached_property
+    def member_index(self) -> Mapping[str, frozenset[str]]:
+        """The inverted member -> projects index of ``projects``."""
+        index: dict[str, set[str]] = {}
+        for pid, p in self.projects.items():
+            for mid in p.members:
+                index.setdefault(mid, set()).add(pid)
+        return {mid: frozenset(pids) for mid, pids in index.items()}
 
     @property
     def n_projects(self) -> int:
@@ -128,19 +139,12 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical serialization; stable across runs."""
-        h = hashlib.sha256()
+        lines = []
         for pid in sorted(self.projects):
             p = self.projects[pid]
-            h.update(pid.encode("utf-8"))
-            h.update(b"\x1f")
-            h.update(p.project_type.value.encode("utf-8"))
-            for mid in sorted(p.members):
-                h.update(b"\x1e")
-                h.update(mid.encode("utf-8"))
-                h.update(b"\x1f")
-                h.update(repr(p.members[mid]).encode("ascii"))
-            h.update(b"\n")
-        return h.hexdigest()
+            team = "".join(f"\x1e{mid}\x1f{p.members[mid]!r}" for mid in sorted(p.members))
+            lines.append(f"{pid}\x1f{p.project_type.value}{team}\n")
+        return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 def _parse_row(
@@ -191,14 +195,17 @@ def _parse_row(
 def _rows(reader) -> Iterator[list[str] | RowError]:
     """The reader's rows in order; a row the csv module cannot split (say,
     a bare carriage return in an unquoted field) comes as a RowError in its
-    place, so it can be skipped like any other malformed row."""
+    place, so it can be skipped like any other malformed row. The csv
+    module's advice after " - ", which differs by Python version and names
+    a file mode no CLI user chooses, is dropped."""
     while True:
         try:
             yield next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield RowError(reader.line_num, f"unreadable row: {exc}")
+            reason = str(exc).partition(" - ")[0]
+            yield RowError(reader.line_num, f"unreadable row: {reason}")
 
 
 def parse_records(
@@ -216,40 +223,39 @@ def parse_records(
     is a list: then the row is left out and its error appended to the list.
     """
     reader = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=delimiter)
+    rows = _rows(reader)
+    for header in rows:  # an unreadable header is never skipped
+        if isinstance(header, RowError):
+            raise header
+        if any(cell.strip() for cell in header):
+            break
+    else:
+        raise IngestError("input has no header row")
+    columns: dict[str, int] = {}
+    for i, cell in enumerate(header):
+        name = cell.strip().lower()
+        if name in columns:
+            raise IngestError(f"header repeats column {name}")
+        if name:
+            columns[name] = i
+    missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
+    if missing:
+        raise IngestError(f"header is missing columns: {', '.join(missing)}")
 
-    columns: dict[str, int] | None = None
-    width = 0  # the header's cell count
     records: list[ContributionRecord] = []
-    for row in _rows(reader):
+    for row in rows:
         if not isinstance(row, RowError) and not any(cell.strip() for cell in row):
-            continue
-        if columns is None:
-            if isinstance(row, RowError):
-                raise row
-            width = len(row)
-            columns = {}
-            for i, cell in enumerate(row):
-                name = cell.strip().lower()
-                if name in columns:
-                    raise IngestError(f"header repeats column {name}")
-                if name:
-                    columns[name] = i
-            missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
-            if missing:
-                raise IngestError(f"header is missing columns: {', '.join(missing)}")
             continue
         try:
             if isinstance(row, RowError):
                 raise row
-            if len(row) != width:
-                raise RowError(reader.line_num, f"expected {width} columns, got {len(row)}")
+            if len(row) != len(header):
+                raise RowError(reader.line_num, f"expected {len(header)} columns, got {len(row)}")
             records.append(_parse_row(row, columns, reader.line_num))
         except RowError as err:
             if skipped is None:
                 raise
             skipped.append(err)
-    if columns is None:
-        raise IngestError("input has no header row")
     return records
 
 
@@ -287,26 +293,15 @@ def aggregate(
             if over is None:
                 raise err
             over.append(err)
-    return _indexed({pid: Project(pid, types[pid], team) for pid, team in members.items()})
-
-
-def _indexed(projects: dict[str, Project]) -> Dataset:
-    """The dataset of ``projects`` with its member -> projects index."""
-    index: dict[str, set[str]] = {}
-    for pid, p in projects.items():
-        for mid in p.members:
-            index.setdefault(mid, set()).add(pid)
-    return Dataset(projects, {mid: frozenset(pids) for mid, pids in index.items()})
+    return Dataset({pid: Project(types[pid], team) for pid, team in members.items()})
 
 
 def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
-    """Restrict a dataset to projects of the given types; index is rebuilt."""
+    """Restrict a dataset to projects of the given types."""
     wanted = frozenset(types)
     if not wanted:
         raise ValueError("type filter must name at least one project type")
-    return _indexed(
-        {pid: p for pid, p in dataset.projects.items() if p.project_type in wanted}
-    )
+    return Dataset({pid: p for pid, p in dataset.projects.items() if p.project_type in wanted})
 
 
 def _format_number(value: float) -> str:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from xml.dom import minidom
 
@@ -45,9 +47,16 @@ def test_synth_to_file_and_stdout(tmp_path, capsysbinary):
 
 def test_ingest_summary(small_input, capsys):
     assert run(["ingest", str(small_input)]) == 0
-    out = capsys.readouterr().out
-    assert "projects: 50" in out
-    assert "records:" in out and "members:" in out
+    rows = list(csv.DictReader(io.StringIO(SMALL_CSV.decode())))
+    types = {row["project_id"]: row["project_type"] for row in rows}
+    expected = [
+        f"records: {len(rows)}",
+        f"projects: {len(types)}",
+        f"members: {len({row['member_id'] for row in rows})}",
+        *(f"projects[{name}]: {n}" for name, n in sorted(Counter(types.values()).items())),
+    ]
+    assert expected[1] == "projects: 50"
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_ingest_bad_file_exit_1(tmp_path, capsys):
@@ -177,6 +186,16 @@ def test_mutually_exclusive_threshold_flags(small_input):
     assert exc.value.code == 2
 
 
+def test_type_filter_removing_every_project_exits_1(tmp_path, capsys):
+    all_ip = tmp_path / "ip.csv"
+    all_ip.write_text("project_id,member_id,contribution_pct,project_type\nP1,M1,50,IP\nP2,M1,50,IP\n")
+    out = tmp_path / "out"
+    argv = ["build", str(all_ip), "--thresholds", "0,20", "--types", "paper", "--output-dir", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: type filter removed every project\n"
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(small_input, tmp_path, capsys):
     assert run(["build", str(small_input), "--thresholds", "20,10", "--output-dir", str(tmp_path / "x")]) == 2
     assert run(["build", str(small_input), "--thresholds", "abc", "--output-dir", str(tmp_path / "y")]) == 2
@@ -193,6 +212,8 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
         assert run([*build, "--delimiter", delimiter]) == 2
         assert capsys.readouterr().err.count("error: --delimiter must be one character") == 3
     assert not (tmp_path / "z").exists()
+    assert run(["build", str(small_input), "--thresholds", "0,20", "--bins", "abc", "--output-dir", out]) == 2
+    assert capsys.readouterr().err == "error: --bins must be a positive integer, got 'abc'\n"
     for options in (["--projects", "0"], ["--members", "0"], ["--projects", "-3"],
                     ["--projects", "5", "--members", "1"]):
         assert run(["synth", *options, "--out", str(tmp_path / "s.csv")]) == 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -8,8 +10,10 @@ from collabnet import ingest
 from collabnet.ingest import (
     ContributionRecord,
     ContributionSumError,
+    Dataset,
     DuplicateMembershipError,
     IngestError,
+    Project,
     ProjectType,
     RowError,
     aggregate,
@@ -104,6 +108,23 @@ def test_parse_header_repeating_a_column_rejected():
     ):
         with pytest.raises(IngestError, match="header repeats column project_id"):
             parse(header + "\nP1,M1,50,IP,P1\n")
+
+
+def test_parse_unsplittable_row_message():
+    # the csv module's advice after " - " differs by Python version and is dropped
+    text = "project_id,member_id,contribution_pct,project_type\nP1,M\r1,50,IP\n"
+    with pytest.raises(RowError) as exc:
+        parse(text)
+    assert str(exc.value) == "row 2: unreadable row: new-line character seen in unquoted field"
+
+
+def test_parse_unsplittable_header_is_never_skipped():
+    text = "project_id,member\r_id,contribution_pct,project_type\nP1,M1,50,IP\n"
+    for skipped in (None, []):
+        with pytest.raises(RowError) as exc:
+            parse(text, skipped=skipped)
+        assert exc.value.row == 1
+        assert not skipped
 
 
 def test_parse_unparseable_number():
@@ -291,6 +312,31 @@ def test_fingerprint_stability():
 
     changed = parse(HEADER + "P1,M1,61,,IP\nP1,M2,39,,IP\nP2,M1,100,,paper\n")
     assert aggregate(base).fingerprint() != aggregate(changed).fingerprint()
+
+
+def test_fingerprint_hashes_each_field_in_order():
+    def field_by_field(dataset):
+        h = hashlib.sha256()
+        for pid in sorted(dataset.projects):
+            p = dataset.projects[pid]
+            h.update(pid.encode() + b"\x1f" + p.project_type.value.encode())
+            for mid in sorted(p.members):
+                h.update(b"\x1e" + mid.encode() + b"\x1f" + repr(p.members[mid]).encode())
+            h.update(b"\n")
+        return h.hexdigest()
+
+    text = HEADER + "Projé-α 項目,Mü,33.3,,IP\nP2,M1,100,,paper\nP2,協作,0.1,,paper\n"
+    for dataset in (aggregate(parse(text)), Dataset({})):
+        assert dataset.fingerprint() == field_by_field(dataset)
+
+
+def test_member_index_is_a_cached_view():
+    assert [f.name for f in fields(Dataset)] == ["projects"]
+    team = Project(ProjectType.IP, {"M1": 50.0})
+    ds = Dataset({"P1": team, "P2": team})
+    assert "member_index" not in vars(ds)
+    assert ds.member_index == {"M1": frozenset({"P1", "P2"})}
+    assert ds.member_index is ds.member_index
 
 
 def test_project_types_listing():
