@@ -122,7 +122,9 @@ class _Artifacts:
     keeping only each one's sha256, then renames them into place; owns the
     directory's manifest.
 
-    Use it as a context manager. The directory is made at the first write.
+    Making it checks that ``out_dir`` can be a directory, so make it before
+    any work; then use it as a context manager. The directory is made at
+    the first write.
     A clean exit renames every file in name order, ``manifest.json`` last,
     then removes the files the earlier manifest listed and this one does
     not. A run without a manifest refuses, before renaming anything, to
@@ -133,6 +135,10 @@ class _Artifacts:
     MANIFEST = "manifest.json"
 
     def __init__(self, out_dir: Path) -> None:
+        # the nearest of out_dir and its parents that exists must be a directory
+        existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
         self.out_dir = out_dir
         self.hashes: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
@@ -140,8 +146,9 @@ class _Artifacts:
         self._listed: set[str] = set()  # what the directory's collabnet manifest lists
         try:
             manifest = json.loads((out_dir / self.MANIFEST).read_bytes())
-            if manifest["tool"]["name"] == "collabnet":
-                self._listed = {name for name in manifest["artifacts"] if Path(name).name == name}
+            listed = manifest["artifacts"]  # collabnet writes a name -> sha256 object
+            if manifest["tool"]["name"] == "collabnet" and isinstance(listed, dict):
+                self._listed = {name for name in listed if Path(name).name == name}
         except (OSError, ValueError, TypeError, KeyError):
             pass
 
@@ -186,6 +193,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     its hash is kept (see :class:`_Artifacts`); the manifest is written
     last, from those hashes.
     """
+    out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
     records, dataset = _load(input_bytes, config.delimiter, config.lenient, config.strict)
     if config.type_filter is not None:
@@ -201,7 +209,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(dataset, table, sweep)
 
-    with _Artifacts(config.output_dir) as out:
+    with out:
         if config.dump_linkage:  # first, before export's per-stack lines take memory
             out.write("linkage.csv", linkage.table_to_csv_bytes(table))
         reports = []
@@ -384,8 +392,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    out = _Artifacts(args.output_dir)
     records = _parse(_read_input_bytes(args.input_path), args.delimiter)
-    with _Artifacts(args.output_dir) as out:
+    with out:
         for name, blob in _stats_artifacts(records, args.n_bins).items():
             out.write(name, blob)
     for path in out.paths:

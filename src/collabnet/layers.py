@@ -10,8 +10,8 @@ from them. The shared pairs are the table's pairs that meet the stack's
 lowest threshold. What is derived per pair, such as export's rendered edge
 lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
 builds its adjacency (a numpy CSR pair ``(indptr, indices)``), degree array
-and component roots from its arrays once, on first use; metrics and export
-read only these, so each layer is labelled into components once.
+and component ranks from its arrays once, on first use; metrics and export
+read only these, so each layer is numbered into components once.
 """
 
 from __future__ import annotations
@@ -140,21 +140,22 @@ class NetworkLayer:
         return np.diff(self.adjacency[0])
 
     @cached_property
-    def roots(self) -> np.ndarray:
-        """Each node's component root: the smallest node index in its component.
-
-        Min-label hooking with pointer jumping: each pass hangs the larger of
-        two adjacent roots under the smaller, then points every node straight
-        at its root, until no edge joins two different roots.
-        """
+    def component_rank(self) -> np.ndarray:
+        """Each node's component, numbered by decreasing size, then smallest
+        node index: min-label hooking with pointer jumping finds that index,
+        each node's root. Each pass hangs the larger of two adjacent roots
+        under the smaller, then points every node straight at its root, until
+        no edge joins two different roots."""
         root = np.arange(self.n_nodes)
         while True:
             a, b = root[self.a], root[self.b]
             if np.array_equal(a, b):
-                return root
+                break
             np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
             while not np.array_equal(root, root[root]):
                 root = root[root]
+        order = np.argsort(-np.bincount(root, minlength=self.n_nodes), kind="stable")
+        return np.argsort(order)[root]  # order's inverse; tied sizes keep root order
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ components) describe the whole graph. Reports describe the connected part
 of a layer but measure the layer in place: an isolated node is a one-node
 component with no distances and no triangles, so it adds to no sum. Every
 kernel reads the layer's ``(indptr, indices)`` CSR adjacency and component
-roots, each built once per layer, and each per-node function returns the
+ranks, each built once per layer, and each per-node function returns the
 values of all nodes at once, as a node -> value map, from the same kernel
 :func:`report` averages.
 
@@ -121,12 +121,10 @@ def density(layer: NetworkLayer) -> float:
 
 
 def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
-    """Connected components; ids ordered by decreasing size, then smallest
-    contained node id (``layer.nodes`` is sorted, so that id is the root's)."""
-    roots, sizes = np.unique(layer.roots, return_counts=True)
-    rank = np.empty(layer.n_nodes, np.int64)
-    rank[roots[np.lexsort((roots, -sizes))]] = np.arange(roots.size)
-    return roots.size, dict(zip(layer.nodes, rank[layer.roots].tolist()))
+    """Connected components: their count and each node's component id, by
+    decreasing size, then smallest node id (``layer.component_rank``)."""
+    rank = layer.component_rank
+    return int(rank.max(initial=-1)) + 1, dict(zip(layer.nodes, rank.tolist()))
 
 
 def _passes(layer: NetworkLayer):
@@ -140,10 +138,11 @@ def _passes(layer: NetworkLayer):
     pass: no path crosses a component, so their bits never meet. Components
     of one node take no part, so every block row has an edge.
     """
-    order = np.argsort(layer.roots, kind="stable")
-    first = np.searchsorted(layer.roots[order], layer.roots)  # where each component starts
+    component = layer.component_rank
+    order = np.argsort(component, kind="stable")
+    first = np.searchsorted(component[order], component)  # where each component starts
     rank = np.argsort(order) - first  # each node's rank inside its own component
-    size = np.bincount(layer.roots, minlength=layer.n_nodes)[layer.roots]
+    size = np.bincount(component)[component]
     for start in range(0, size.max(initial=0), 64 * _WORDS):
         # the words each node's component needs in this window; 0 for none
         words = np.where(size > 1, -(-np.clip(size - start, 0, 64 * _WORDS) // 64), 0)
@@ -296,7 +295,7 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
         avg_degree=2 * m / per_node,
         avg_clustering=math.fsum(local_clustering) / per_node,
         density=2.0 * m / (n * (n - 1)) if n > 1 else 0.0,
-        n_components=np.unique(layer.roots[layer.degrees > 0]).size,
+        n_components=int(np.count_nonzero(np.bincount(layer.component_rank) > 1)),
     )
 
 

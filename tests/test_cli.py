@@ -518,6 +518,36 @@ def test_rebuild_removes_stale_outputs_only(small_input, tmp_path):
     assert "linkage.csv" not in expected and "layer_01_t50.graphml" in expected
 
 
+@pytest.mark.parametrize("listed", ["ay", ["a", "y"]], ids=["string", "list"])
+def test_rebuild_reads_names_only_from_a_manifest_object(small_input, tmp_path, listed):
+    # collabnet writes "artifacts" as a name -> sha256 object; any other form lists nothing
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "a").write_text("kept")
+    (out_dir / "y").write_text("kept")
+    manifest = {"tool": {"name": "collabnet"}, "artifacts": listed}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]) == 0
+    assert (out_dir / "a").read_text() == "kept" and (out_dir / "y").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", [["build", "--thresholds", "0,50"], ["stats"]], ids=["build", "stats"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_output_dir_under_a_file_exit_2(small_input, tmp_path, capsys, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out_dir = afile / below if below else afile
+    before = sorted(tmp_path.iterdir())
+    for source in small_input, tmp_path / "missing.csv":  # checked before the input is read
+        argv = [command[0], str(source), *command[1:], "--output-dir", str(out_dir)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert str(out_dir) in captured.err
+    assert sorted(tmp_path.iterdir()) == before and afile.read_text() == "kept"
+
+
 def test_control_character_id_exit_1(tmp_path, capsys):
     header = "project_id,member_id,contribution_pct,project_type\n"
     bad = tmp_path / "bad.csv"

@@ -104,6 +104,7 @@ def test_visuals_carry_degree_and_rank():
     visuals = assign_visuals(layer, membership)
     assert visuals["b"].node_size_key == 2
     assert visuals["a"].component_rank == membership["a"]
+    assert len(visuals) == layer.n_nodes
 
 
 def test_visuals_require_full_membership():
