@@ -33,6 +33,10 @@ OUTPUT_DIR_ENV = "COLLABNET_OUT"
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
+# the largest --bins and --linspace values accepted: each bin is a histogram
+# row and each linspace point a layer, all held or written by one run
+MAX_BINS = 10_000
+MAX_LINSPACE = 1_000
 
 
 class ConfigError(Exception):
@@ -278,14 +282,24 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_bins(text: str) -> int:
+def _parse_count(option: str, text: str, low: int, high: int) -> int:
+    """An integer option value from ``low`` to ``high``, checked before
+    anything is made from it."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(f"--bins must be a positive integer, got {text!r}")
+        value = low - 1
+    if not low <= value <= high:
+        raise ConfigError(f"{option} must be an integer from {low} to {high}, got {text!r}")
     return value
+
+
+def _parse_bins(text: str) -> int:
+    return _parse_count("--bins", text, 1, MAX_BINS)
+
+
+def _parse_linspace(text: str) -> int:
+    return _parse_count("--linspace", text, 2, MAX_LINSPACE)
 
 
 def _parse_delimiter(text: str) -> str:
@@ -312,7 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     checks.add_argument("--lenient", action="store_true")
     outputs = argparse.ArgumentParser(add_help=False)
     outputs.add_argument(
-        "--bins", dest="n_bins", metavar="BINS", type=_parse_bins, default=stats.DEFAULT_BINS
+        "--bins",
+        dest="n_bins",
+        metavar="BINS",
+        type=_parse_bins,
+        default=stats.DEFAULT_BINS,
+        help=f"histogram bins per feature, 1 to {MAX_BINS} (default {stats.DEFAULT_BINS})",
     )
     outputs.add_argument("--output-dir", type=Path, default=out_dir)
 
@@ -340,7 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--thresholds", type=_parse_thresholds, help="comma-separated increasing list"
     )
-    group.add_argument("--linspace", type=int, help="evenly spaced point count")
+    group.add_argument(
+        "--linspace",
+        type=_parse_linspace,
+        help=f"evenly spaced point count, 2 to {MAX_LINSPACE}",
+    )
     p_build.add_argument(
         "--types",
         dest="type_filter",

@@ -8,7 +8,11 @@ ids and its node-index arrays, and keeps the pairs whose linkage meets its
 threshold; its edges are the parallel arrays ``a``, ``b`` and ``weight`` cut
 from them. The shared pairs are the table's pairs that meet the stack's
 lowest threshold. What is derived per pair, such as export's rendered edge
-lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
+lines, is kept in the shared ``Pairs`` and so made once per stack. When the
+shared pairs are every pair of the table, they are the one-mode projection
+of the project-member incidence, and they carry the table's member teams:
+:mod:`collabnet.metrics` walks a layer that keeps all of them over teams. A
+layer
 builds its adjacency (a numpy CSR pair ``(indptr, indices)``), degree array
 and component ranks from its arrays once, on first use; metrics and export
 read only these, so each layer is numbered into components once.
@@ -59,14 +63,18 @@ class Pairs:
 
     Pair i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
     weight[i]; pairs are in canonical (a, b) order so serialization is
-    byte-stable. ``cache`` holds what callers derive per pair once for every
-    layer cut from these pairs (export keeps its rendered lines there).
+    byte-stable. ``teams``, when given, is a member -> node CSR
+    ``(indptr, indices)`` whose rows each list two or more nodes, and the
+    pairs are exactly the node pairs that share a row. ``cache`` holds what
+    callers derive per pair once for every layer cut from these pairs
+    (export keeps its rendered lines there).
     """
 
     nodes: tuple[str, ...]
     a: np.ndarray
     b: np.ndarray
     weight: np.ndarray
+    teams: tuple[np.ndarray, np.ndarray] | None = None
     cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -205,10 +213,13 @@ def build_layer_stack(
     table as nodes, pairs with linkage >= threshold as weighted edges.
 
     The layers share the pairs that meet the first (lowest) threshold, so
-    nothing is derived for pairs that no layer keeps."""
+    nothing is derived for pairs that no layer keeps. When the lowest
+    threshold is at most the table's minimum linkage, they are all of its
+    pairs, and they carry its member teams."""
     provenance = Provenance(dataset.fingerprint(), dataset.project_types())
     low = table.linkage >= sweep.thresholds[0]
-    pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low])
+    teams = table.teams if low.all() else None
+    pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low], teams)
     return [NetworkLayer(t, pairs, provenance, pairs.weight >= t) for t in sweep.thresholds]
 
 

@@ -5,7 +5,13 @@ over their common members, of the average of the member's two contribution
 percentages. Pairs without common members are not materialized. The table
 holds the sorted project ids and, for every pair, parallel arrays of the two
 project indices, the common-member count and the linkage; threshold sweeps
-in :mod:`collabnet.layers` cut these arrays.
+in :mod:`collabnet.layers` cut these arrays. It also keeps the member teams
+it grouped the pairs by: the project-member incidence whose one-mode
+projection is the set of co-membered pairs (Newman, "Scientific
+collaboration networks", PRE 2001; Latapy, Magnien & Del Vecchio, "Basic
+notions for the analysis of large two-mode networks", Social Networks
+2008), so :mod:`collabnet.metrics` can walk the layer that keeps every
+pair over teams instead of over its edges.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ class LinkageTable:
     ``a[i] < b[i]`` index ``projects``, the sorted project ids, and the pairs
     are in canonical (a, b) order. Iterating yields :class:`PairLinkage` rows.
     min_linkage/max_linkage are None when no pair shares a member.
+    ``teams``, when known, is the CSR ``(indptr, indices)`` of every member
+    in two or more projects, by member id: each row lists its projects'
+    indices, ascending. Two projects form a pair exactly when one row holds
+    both.
     """
 
     projects: tuple[str, ...]
@@ -51,6 +61,7 @@ class LinkageTable:
     b: np.ndarray
     n_common: np.ndarray
     linkage: np.ndarray
+    teams: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def min_linkage(self) -> float | None:
@@ -108,7 +119,9 @@ def build_linkage_table(dataset: Dataset) -> LinkageTable:
     # order, so every value is the same float as a sorted member-by-member sum
     total = np.bincount(pair, (pct[first] + pct[second]) / 2.0, minlength=keys.size)
     linkage = np.clip(total / n_common, 0.0, 100.0)
-    return LinkageTable(projects, *np.divmod(keys, n), n_common, linkage)
+    shared = np.repeat(sizes > 1, sizes)  # rows of members in two or more projects
+    teams = np.concatenate([[0], np.cumsum(sizes[sizes > 1])]), project[shared]
+    return LinkageTable(projects, *np.divmod(keys, n), n_common, linkage, teams)
 
 
 def table_to_csv_bytes(table: LinkageTable) -> bytes:

@@ -36,6 +36,18 @@ corner is a source, and the passes of a component cover all of its nodes.
 tally, so :func:`clustering` alone also walks every level.
 :func:`betweenness` rebuilds the shortest-path counts σ from the levels in
 its own Brandes pass, the only place σ exists.
+
+A layer that keeps every co-membered pair is the one-mode projection of the
+project-member incidence: two projects are adjacent when they share a
+member (Newman 2001, "Scientific collaboration networks"; Latapy, Magnien
+& Del Vecchio 2008, "Basic notions for the analysis of large two-mode
+networks"). When its pairs carry the member teams, each level after the
+first is two half-steps over them instead of one OR over the projected
+edges: each member's word is the OR of its projects' frontier words, then
+each project's next level is the OR of its members' words, minus the bits
+already seen. The teams list far fewer entries than the projected CSR, and
+the levels are the same bits. The first level still comes from the
+projected edges, whose ends the triangle count reads.
 """
 
 from __future__ import annotations
@@ -128,9 +140,11 @@ def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
 
 
 def _passes(layer: NetworkLayer):
-    """Yield (nodes, block, frontier) per BFS pass: node indices, their
-    adjacency as an ``(indptr, indices)`` CSR over block rows, and a
-    (node, word) uint64 array with one bit per source.
+    """Yield (nodes, block, teams, frontier) per BFS pass: node indices,
+    their adjacency as an ``(indptr, indices)`` CSR over block rows, the
+    pass's member teams as :func:`_team_block` cuts them (None unless the
+    layer's pairs carry teams and it keeps all of them) and a (node, word)
+    uint64 array with one bit per source.
 
     A node's bit is its rank inside its own component. Each window of
     64 * _WORDS ranks groups the components that reach into it by the
@@ -138,30 +152,57 @@ def _passes(layer: NetworkLayer):
     pass: no path crosses a component, so their bits never meet. Components
     of one node take no part, so every block row has an edge.
     """
+    teams = layer.pairs.teams
+    if layer.keep is not None and teams is not None and not layer.keep.all():
+        teams = None
     component = layer.component_rank
     order = np.argsort(component, kind="stable")
     first = np.searchsorted(component[order], component)  # where each component starts
     rank = np.argsort(order) - first  # each node's rank inside its own component
     size = np.bincount(component)[component]
+    position = np.empty(layer.n_nodes, np.int64)  # a pass node's index among the pass's
     for start in range(0, size.max(initial=0), 64 * _WORDS):
         # the words each node's component needs in this window; 0 for none
         words = np.where(size > 1, -(-np.clip(size - start, 0, 64 * _WORDS) // 64), 0)
         for w in np.unique(words[words > 0]):
             nodes = np.flatnonzero(words == w)
+            position[nodes] = np.arange(nodes.size)
             window = rank[nodes] - start
             sources = np.flatnonzero((window >= 0) & (window < 64 * _WORDS))
-            yield nodes, _block(layer, nodes), _bits(sources, window[sources], nodes.size)
+            yield (
+                nodes,
+                _block(layer.adjacency, position, nodes),
+                None if teams is None else _team_block(teams, position, nodes),
+                _bits(sources, window[sources], nodes.size),
+            )
 
 
-def _block(layer: NetworkLayer, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR of the layer's rows ``nodes``, renumbered to positions in
-    ``nodes``. The nodes are whole components, so every neighbour is among
-    them."""
-    indptr, indices = layer.adjacency
+def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the ``adjacency`` rows ``nodes``, renumbered to their
+    ``position`` in ``nodes``. The nodes are whole components, so every
+    neighbour is among them."""
+    indptr, indices = adjacency
     sub, entries = _rows(indptr, nodes)
-    position = np.empty(layer.n_nodes, np.int64)
-    position[nodes] = np.arange(nodes.size)
     return sub, position[indices[entries]]
+
+
+def _team_block(teams, position: np.ndarray, nodes: np.ndarray):
+    """The two half-step CSRs of one pass, as ``(to_teams, to_nodes)``:
+    each team that lies among ``nodes`` lists its nodes' ``position`` in
+    them, and each of ``nodes`` lists its teams. The nodes are whole
+    components, so a team lies wholly inside or outside them. Neither CSR
+    has an empty row: a team holds two or more nodes, and each pass node
+    has an edge, so it shares a team."""
+    indptr, indices = teams
+    size = np.diff(indptr)
+    inside = np.zeros(position.size, bool)
+    inside[nodes] = True
+    kept = inside[indices[indptr[:-1]]]  # by each team's first node
+    rows = position[indices[np.repeat(kept, size)]]
+    size = size[kept]
+    team = np.repeat(np.arange(size.size), size)[np.argsort(rows, kind="stable")]
+    to_nodes = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.size))])
+    return (np.concatenate([[0], np.cumsum(size)]), rows), (to_nodes, team)
 
 
 def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,19 +221,34 @@ def _bits(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-def _levels(block: tuple[np.ndarray, np.ndarray], frontier: np.ndarray):
+def _levels(block: tuple[np.ndarray, np.ndarray], frontier: np.ndarray, teams=None):
     """Bit-parallel BFS from every source bit at once: yield, hop 1 first,
     each level's (node, word) bits of the pairs first reached at that hop.
-    Every row needs an edge: reduceat gives a[i], not 0, for an empty one."""
-    indptr, indices = block
+
+    Hop 1 is the OR over each node's neighbours in ``block``. Given
+    ``teams``, the pass's half-step CSRs, every later hop is two half-steps:
+    each team ORs its nodes' frontier bits, then each node ORs its teams'.
+    That reaches the node's neighbours and the node itself, which ``seen``
+    holds. Every row needs an entry: reduceat gives a[i], not 0, for an
+    empty one."""
     seen = frontier.copy()
+    frontier = _gather(block, frontier)
     while True:
-        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
         frontier &= ~seen
         if not frontier.any():
             return
         seen |= frontier
         yield frontier
+        if teams is None:
+            frontier = _gather(block, frontier)
+        else:
+            frontier = _gather(teams[1], _gather(teams[0], frontier))
+
+
+def _gather(csr: tuple[np.ndarray, np.ndarray], bits: np.ndarray) -> np.ndarray:
+    """Row i of the result is the OR of ``bits`` over the entries of CSR row i."""
+    indptr, indices = csr
+    return np.bitwise_or.reduceat(bits[indices], indptr[:-1], axis=0)
 
 
 def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,8 +263,8 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
     reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
-    for nodes, block, frontier in _passes(layer):
-        for d, level in enumerate(_levels(block, frontier), 1):
+    for nodes, block, teams, frontier in _passes(layer):
+        for d, level in enumerate(_levels(block, frontier, teams), 1):
             if d == 1:
                 indptr, indices = block
                 rows = np.repeat(np.arange(nodes.size), np.diff(indptr))
@@ -264,9 +320,9 @@ def betweenness(layer: NetworkLayer) -> dict[str, float]:
     neighbour cell per adjacency entry and source, so a 512-source pass
     over a component of 77,000 entries would hold 316 MB at once."""
     bc = np.zeros(layer.n_nodes)
-    for nodes, block, frontier in _passes(layer):
+    for nodes, block, teams, frontier in _passes(layer):
         dist = np.full((64 * frontier.shape[1], nodes.size), -1, np.int32)
-        for d, level in enumerate(chain([frontier], _levels(block, frontier))):
+        for d, level in enumerate(chain([frontier], _levels(block, frontier, teams))):
             dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little").T > 0] = d
         for start in range(0, dist.shape[0], _SOURCES):
             bc[nodes] += _dependencies(block, dist[start : start + _SOURCES])

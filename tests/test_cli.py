@@ -18,6 +18,7 @@ from collabnet.cli import ConfigError, RunConfig, run_pipeline
 from collabnet.export import ExportFormat
 from collabnet.synth import SynthConfig, generate_csv_bytes
 
+GOLDEN_INPUT = Path(__file__).parent / "data" / "golden_input.csv"
 SMALL_CSV = generate_csv_bytes(SynthConfig(seed=11, n_projects=50, n_members=48))
 # P1's contributions sum to 110, above the accepted 100.5
 OVER_CSV = "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
@@ -213,12 +214,71 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
         assert capsys.readouterr().err.count("error: --delimiter must be one character") == 3
     assert not (tmp_path / "z").exists()
     assert run(["build", str(small_input), "--thresholds", "0,20", "--bins", "abc", "--output-dir", out]) == 2
-    assert capsys.readouterr().err == "error: --bins must be a positive integer, got 'abc'\n"
+    assert capsys.readouterr().err == "error: --bins must be an integer from 1 to 10000, got 'abc'\n"
     for options in (["--projects", "0"], ["--members", "0"], ["--projects", "-3"],
                     ["--projects", "5", "--members", "1"]):
         assert run(["synth", *options, "--out", str(tmp_path / "s.csv")]) == 2
     assert "unreachable with max team size 1" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_count_options_at_their_limits(small_input, tmp_path, capsys):
+    """--bins and --linspace accept their documented maximum and reject one
+    more before anything is made from it."""
+    stats_dir = tmp_path / "stats"
+    argv = ["stats", str(small_input), "--bins", str(cli.MAX_BINS), "--output-dir", str(stats_dir)]
+    assert run(argv) == 0
+    summary = json.loads((stats_dir / "stats_summary.json").read_text())
+    assert summary["contribution_pct"]["n_bins"] == cli.MAX_BINS
+
+    # two pairs whose linkages differ, so every linspace point is a layer of three nodes
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text(
+        "project_id,member_id,contribution_pct,project_type\n"
+        "A,M1,10,IP\nB,M1,30,IP\nC,M2,50,IP\nB,M2,50,IP\n"
+    )
+    build_dir = tmp_path / "build"
+    argv = ["build", str(tiny), "--linspace", str(cli.MAX_LINSPACE), "--output-dir", str(build_dir)]
+    assert run(argv) == 0
+    assert len(list(build_dir.glob("layer_*.graphml"))) == cli.MAX_LINSPACE
+    capsys.readouterr()
+
+    out = tmp_path / "over"
+    for command, option, low, high in (
+        (["stats", str(small_input)], "--bins", 1, cli.MAX_BINS),
+        (["build", str(small_input), "--thresholds", "0,20"], "--bins", 1, cli.MAX_BINS),
+        (["build", str(small_input)], "--linspace", 2, cli.MAX_LINSPACE),
+    ):
+        assert run([*command, option, str(high + 1), "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {option} must be an integer from {low} to {high}, got '{high + 1}'\n"
+        assert captured.out == ""
+        assert not out.exists()
+    with pytest.raises(SystemExit):
+        run(["build", "--help"])
+    help_text = capsys.readouterr().out
+    assert f"1 to {cli.MAX_BINS}" in help_text and f"2 to {cli.MAX_LINSPACE}" in help_text
+
+
+def test_type_filtered_build_equals_build_of_filtered_input(tmp_path):
+    """--types reads the same rows as a build of the input with the other
+    types' rows removed beforehand; both threshold-0 layers keep every
+    co-membered pair, so both walk member teams."""
+    header, *rows = GOLDEN_INPUT.read_text().splitlines(keepends=True)
+    column = header.rstrip("\n").split(",").index("project_type")
+    papers = [row for row in rows if row.rstrip("\n").split(",")[column] == "paper"]
+    filtered = tmp_path / "paper.csv"
+    filtered.write_text(header + "".join(papers))
+    options = ["--thresholds", "0,25", "--dump-linkage"]
+    typed_dir, filtered_dir = tmp_path / "typed", tmp_path / "filtered"
+    assert run(["build", str(GOLDEN_INPUT), *options, "--types", "paper", "--output-dir", str(typed_dir)]) == 0
+    assert run(["build", str(filtered), *options, "--output-dir", str(filtered_dir)]) == 0
+
+    def artifacts(out_dir):
+        return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"}
+
+    typed = artifacts(typed_dir)
+    assert "layer_00_t0.graphml" in typed and typed == artifacts(filtered_dir)
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

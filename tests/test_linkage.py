@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from itertools import combinations
 
 import pytest
 
@@ -118,6 +119,27 @@ def test_table_matches_naive_scan():
             n_common, value = naive[(link.project_a, link.project_b)]
             assert link.n_common == n_common
             assert link.linkage == pytest.approx(value, rel=1e-12)
+
+
+def test_teams_list_each_shared_member_and_cover_every_pair():
+    """The table's teams are the members in two or more projects, by member
+    id, each row its projects' indices; a pair shares a row exactly when it
+    is in the table."""
+    rng = random.Random(77)
+    for _ in range(20):
+        ds = random_dataset(rng)
+        table = build_linkage_table(ds)
+        index = {pid: i for i, pid in enumerate(table.projects)}
+        expected = [
+            sorted(index[pid] for pid in projects)
+            for _, projects in sorted(ds.member_index.items())
+            if len(projects) > 1
+        ]
+        indptr, indices = table.teams
+        teams = [indices[i:j].tolist() for i, j in zip(indptr[:-1], indptr[1:])]
+        assert teams == expected
+        shared = {pair for team in teams for pair in combinations(team, 2)}
+        assert shared == set(zip(table.a.tolist(), table.b.tolist()))
 
 
 def test_table_bounds():

@@ -7,9 +7,12 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from collabnet import metrics
+from collabnet import ingest, metrics
+from collabnet.layers import NetworkLayer, Pairs, build_layer_stack, make_sweep_explicit
+from collabnet.linkage import build_linkage_table
 from collabnet.metrics import (
     LayerMetricsReport,
     betweenness,
@@ -23,6 +26,7 @@ from collabnet.metrics import (
     reports_to_csv_bytes,
     reports_to_json_bytes,
 )
+from collabnet.synth import SynthConfig, generate_csv_bytes
 from oracles import (
     adjacency_of,
     betweenness_oracle,
@@ -289,10 +293,10 @@ PACKING_EDGES = {
 }
 
 
-@pytest.mark.parametrize("sizes", PACKING_EDGES.values(), ids=PACKING_EDGES.keys())
-def test_metrics_match_oracles_at_packing_edges(sizes):
+def _assert_matches_oracles(layer, sizes: tuple) -> None:
+    """Every metric of ``layer``, whose components have ``sizes``, matches
+    networkx and the brute-force oracles."""
     nx = pytest.importorskip("networkx")
-    layer = _layer_of_sizes(random.Random(11), sizes)
     assert sorted(Counter(components(layer)[1].values()).values()) == sorted(sizes)
     adj = adjacency_of(layer)
     graph = nx.Graph(adj)
@@ -300,13 +304,15 @@ def test_metrics_match_oracles_at_packing_edges(sizes):
     bc, cl, cc = betweenness(layer), closeness(layer), clustering(layer)
     expected_bc = nx.betweenness_centrality(graph, normalized=False)
     expected_cl = nx.harmonic_centrality(graph)
+    oracle_cl = {v: closeness_oracle(adj, v) for v in layer.nodes}
+    oracle_cc = {v: clustering_oracle(adj, v) for v in layer.nodes}
     for v in layer.nodes:
         assert bc[v] == pytest.approx(expected_bc[v], rel=1e-9, abs=1e-9)
-        assert cl[v] == pytest.approx(closeness_oracle(adj, v), abs=1e-12)
+        assert cl[v] == pytest.approx(oracle_cl[v], abs=1e-12)
         assert cl[v] == pytest.approx(expected_cl[v], rel=1e-12)
         # triangles are counted per 512-source window, so a component of
         # more than 512 nodes sums its count over several passes
-        assert cc[v] == clustering_oracle(adj, v)
+        assert cc[v] == oracle_cc[v]
     assert any(0.0 < value < 1.0 for value in cc.values())
 
     rep = report(layer)
@@ -317,13 +323,83 @@ def test_metrics_match_oracles_at_packing_edges(sizes):
     assert rep.n_components == components_oracle(adjacency_of(remove_isolated(layer)))
     assert rep.avg_betweenness == pytest.approx(sum(expected_bc.values()) / n, rel=1e-9)
     for field, oracle in (
-        ("avg_closeness", closeness_oracle),
-        ("avg_clustering", clustering_oracle),
-        ("avg_degree", lambda adj, v: len(adj[v])),
+        ("avg_closeness", oracle_cl),
+        ("avg_clustering", oracle_cc),
+        ("avg_degree", {v: len(adj[v]) for v in adj}),
     ):
-        expected = sum(oracle(adj, v) for v in retained) / n
+        expected = sum(oracle[v] for v in retained) / n
         assert getattr(rep, field) == pytest.approx(expected, abs=1e-12)
     assert math.fsum(cc.values()) / n == rep.avg_clustering  # both read one array
+
+
+@pytest.mark.parametrize("sizes", PACKING_EDGES.values(), ids=PACKING_EDGES.keys())
+def test_metrics_match_oracles_at_packing_edges(sizes):
+    _assert_matches_oracles(_layer_of_sizes(random.Random(11), sizes), sizes)
+
+
+def _contributions_of_sizes(rng: random.Random, sizes: tuple) -> bytes:
+    """A contribution table whose co-membership projection has one
+    component per entry of ``sizes``. A component's projects, in shuffled id
+    order, form a chain joined by two-project members; more two-project
+    members join random pairs of them, and every eighth project starts a
+    member of three or four chain neighbours, which closes triangles. A
+    one-project component is a project with a member of its own."""
+    projects = [f"P{i:04d}" for i in range(sum(sizes))]
+    shuffled = rng.sample(projects, len(projects))
+    teams, start = [], 0
+    for size in sizes:
+        part = shuffled[start : start + size]
+        start += size
+        teams += [part[i : i + 2] for i in range(max(size - 1, 1))]
+        teams += [rng.sample(part, 2) for _ in range(size // 8)]
+        teams += [part[i : i + rng.choice((3, 4))] for i in range(0, size - 2, 8)]
+    rows = [f"{p},M{m:05d},1,paper\n" for m, team in enumerate(teams) for p in team]
+    return ("project_id,member_id,contribution_pct,project_type\n" + "".join(rows)).encode()
+
+
+def _threshold_stack(data: bytes, thresholds) -> tuple:
+    """The linkage table of a contribution table and its layer stack."""
+    dataset = ingest.aggregate(ingest.parse_records(data, delimiter=","))
+    table = build_linkage_table(dataset)
+    return table, build_layer_stack(dataset, table, make_sweep_explicit(thresholds))
+
+
+def _team_steps(layer) -> list[bool]:
+    """Per BFS pass, whether it walks member teams."""
+    return [teams is not None for _, _, teams, _ in metrics._passes(layer)]
+
+
+@pytest.mark.parametrize("sizes", PACKING_EDGES.values(), ids=PACKING_EDGES.keys())
+def test_team_built_layers_match_oracles_at_packing_edges(sizes):
+    _, stack = _threshold_stack(_contributions_of_sizes(random.Random(11), sizes), [0])
+    assert all(_team_steps(stack[0]))
+    _assert_matches_oracles(stack[0], sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_team_step_equals_csr_step(seed):
+    """A layer that keeps every co-membered pair walks member teams; the
+    same edges as a standalone layer walk the projected CSR. Every metric
+    is the same float."""
+    data = generate_csv_bytes(SynthConfig(seed=seed, n_projects=600, n_members=260))
+    table, _ = _threshold_stack(data, [0])
+    for lowest in (0.0, -5.0, table.min_linkage):
+        layer, higher = _threshold_stack(data, [lowest, 20])[1]
+        assert not any(_team_steps(higher))  # it keeps some of the pairs
+        assert layer.n_edges == len(table)
+        assert np.bincount(layer.component_rank).max() > 512  # a pass per window
+        steps = _team_steps(layer)
+        assert len(steps) > 1 and all(steps)
+        projected = Pairs(layer.nodes, layer.a, layer.b, layer.weight)
+        plain = NetworkLayer(layer.threshold, projected, layer.provenance)
+        assert not any(_team_steps(plain))
+        assert report(layer) == report(plain)
+        for kernel in (closeness, clustering, betweenness):
+            assert kernel(layer) == kernel(plain)
+
+    above = _threshold_stack(data, [np.nextafter(table.min_linkage, np.inf), 20])[1]
+    assert above[0].pairs.teams is None
+    assert not any(_team_steps(above[0]) + _team_steps(above[1]))
 
 
 def test_handshake_identity():
