@@ -33,10 +33,11 @@ OUTPUT_DIR_ENV = "COLLABNET_OUT"
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
-# the largest --bins and --linspace values accepted: each bin is a histogram
-# row and each linspace point a layer, all held or written by one run
+# the largest --bins value and layer count accepted: each bin is a histogram
+# row and each --thresholds value or --linspace point a layer, all held or
+# written by one run
 MAX_BINS = 10_000
-MAX_LINSPACE = 1_000
+MAX_LAYERS = 1_000
 
 
 class ConfigError(Exception):
@@ -276,6 +277,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"unparseable threshold list: {text!r}") from None
+    if len(values) > MAX_LAYERS:
+        raise ConfigError(f"--thresholds must list at most {MAX_LAYERS} values, got {len(values)}")
     try:
         return layers.make_sweep_explicit(values).thresholds
     except ValueError as exc:
@@ -299,7 +302,7 @@ def _parse_bins(text: str) -> int:
 
 
 def _parse_linspace(text: str) -> int:
-    return _parse_count("--linspace", text, 2, MAX_LINSPACE)
+    return _parse_count("--linspace", text, 2, MAX_LAYERS)
 
 
 def _parse_delimiter(text: str) -> str:
@@ -357,12 +360,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(handler=_cmd_build)
     group = p_build.add_mutually_exclusive_group(required=True)
     group.add_argument(
-        "--thresholds", type=_parse_thresholds, help="comma-separated increasing list"
+        "--thresholds",
+        type=_parse_thresholds,
+        help=f"comma-separated increasing list of 1 to {MAX_LAYERS} values",
     )
     group.add_argument(
         "--linspace",
         type=_parse_linspace,
-        help=f"evenly spaced point count, 2 to {MAX_LINSPACE}",
+        help=f"evenly spaced point count, 2 to {MAX_LAYERS}",
     )
     p_build.add_argument(
         "--types",

@@ -8,14 +8,13 @@ ids and its node-index arrays, and keeps the pairs whose linkage meets its
 threshold; its edges are the parallel arrays ``a``, ``b`` and ``weight`` cut
 from them. The shared pairs are the table's pairs that meet the stack's
 lowest threshold. What is derived per pair, such as export's rendered edge
-lines, is kept in the shared ``Pairs`` and so made once per stack. When the
-shared pairs are every pair of the table, they are the one-mode projection
-of the project-member incidence, and they carry the table's member teams:
-:mod:`collabnet.metrics` walks a layer that keeps all of them over teams. A
-layer
-builds its adjacency (a numpy CSR pair ``(indptr, indices)``), degree array
-and component ranks from its arrays once, on first use; metrics and export
-read only these, so each layer is numbered into components once.
+lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
+that keeps every pair of the table is the one-mode projection of the
+project-member incidence, and the stack gives it the table's member teams,
+which :mod:`collabnet.metrics` walks instead of its edges. A layer builds
+its adjacency (a numpy CSR pair ``(indptr, indices)``), degree array and
+component ranks from its arrays once, on first use; metrics and export read
+only these, so each layer is numbered into components once.
 """
 
 from __future__ import annotations
@@ -63,18 +62,14 @@ class Pairs:
 
     Pair i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
     weight[i]; pairs are in canonical (a, b) order so serialization is
-    byte-stable. ``teams``, when given, is a member -> node CSR
-    ``(indptr, indices)`` whose rows each list two or more nodes, and the
-    pairs are exactly the node pairs that share a row. ``cache`` holds what
-    callers derive per pair once for every layer cut from these pairs
-    (export keeps its rendered lines there).
+    byte-stable. ``cache`` holds what callers derive per pair once for every
+    layer cut from these pairs (export keeps its rendered lines there).
     """
 
     nodes: tuple[str, ...]
     a: np.ndarray
     b: np.ndarray
     weight: np.ndarray
-    teams: tuple[np.ndarray, np.ndarray] | None = None
     cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -86,13 +81,17 @@ class NetworkLayer:
     nodes are kept; metric reports leave them out of their averages). The
     edges are the pairs that ``keep`` marks, every pair when keep is None:
     edge i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
-    weight[i], in the canonical order of ``pairs``.
+    weight[i], in the canonical order of ``pairs``. ``teams``, when given,
+    is a member -> node CSR ``(indptr, indices)`` whose rows each list two
+    or more nodes, and the edges are exactly the node pairs that share a
+    row.
     """
 
     threshold: float
     pairs: Pairs
     provenance: Provenance
     keep: np.ndarray | None = None
+    teams: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -213,14 +212,18 @@ def build_layer_stack(
     table as nodes, pairs with linkage >= threshold as weighted edges.
 
     The layers share the pairs that meet the first (lowest) threshold, so
-    nothing is derived for pairs that no layer keeps. When the lowest
-    threshold is at most the table's minimum linkage, they are all of its
-    pairs, and they carry its member teams."""
+    nothing is derived for pairs that no layer keeps. A layer whose
+    threshold is at most the table's minimum linkage keeps every pair of
+    the table, and it carries the table's member teams."""
     provenance = Provenance(dataset.fingerprint(), dataset.project_types())
     low = table.linkage >= sweep.thresholds[0]
-    teams = table.teams if low.all() else None
-    pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low], teams)
-    return [NetworkLayer(t, pairs, provenance, pairs.weight >= t) for t in sweep.thresholds]
+    pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low])
+    stack = []
+    for t in sweep.thresholds:
+        keep = pairs.weight >= t
+        teams = table.teams if low.all() and keep.all() else None
+        stack.append(NetworkLayer(t, pairs, provenance, keep, teams))
+    return stack
 
 
 def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:

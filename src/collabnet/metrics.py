@@ -29,9 +29,10 @@ keeps one bit per source in uint64 words, so a level is an OR over each
 node's neighbours and c_d is its popcount. One walk over every pass and
 level tallies a layer: it adds each level's popcounts to the histogram and,
 per node, over 1/d to its closeness, and it counts triangles off each
-pass's first level, each node's neighbours among the pass's sources: an
-edge (u, v) closes popcount(level1[u] & level1[v]) triangles whose third
-corner is a source, and the passes of a component cover all of its nodes.
+pass's first level, each node's neighbours among the pass's sources: each
+edge (u, v) of the pass closes popcount(level1[u] & level1[v]) triangles
+whose third corner is a source, and the passes of a component cover all of
+its nodes.
 :func:`report`, :func:`closeness` and :func:`clustering` all read that
 tally, so :func:`clustering` alone also walks every level.
 :func:`betweenness` rebuilds the shortest-path counts σ from the levels in
@@ -41,13 +42,12 @@ A layer that keeps every co-membered pair is the one-mode projection of the
 project-member incidence: two projects are adjacent when they share a
 member (Newman 2001, "Scientific collaboration networks"; Latapy, Magnien
 & Del Vecchio 2008, "Basic notions for the analysis of large two-mode
-networks"). When its pairs carry the member teams, each level after the
-first is two half-steps over them instead of one OR over the projected
-edges: each member's word is the OR of its projects' frontier words, then
-each project's next level is the OR of its members' words, minus the bits
+networks"). When the layer carries the member teams, every level is two
+half-steps over them instead of one OR over the projected edges: each
+member's word is the OR of its projects' frontier words, then each
+project's next level is the OR of its members' words, minus the bits
 already seen. The teams list far fewer entries than the projected CSR, and
-the levels are the same bits. The first level still comes from the
-projected edges, whose ends the triangle count reads.
+the levels are the same bits.
 """
 
 from __future__ import annotations
@@ -140,21 +140,20 @@ def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
 
 
 def _passes(layer: NetworkLayer):
-    """Yield (nodes, block, teams, frontier) per BFS pass: node indices,
-    their adjacency as an ``(indptr, indices)`` CSR over block rows, the
-    pass's member teams as :func:`_team_block` cuts them (None unless the
-    layer's pairs carry teams and it keeps all of them) and a (node, word)
-    uint64 array with one bit per source.
+    """Yield (nodes, ends, steps, frontier) per BFS pass: node indices, the
+    pass's edges as the arrays (u, v) of their ends' positions in nodes,
+    the CSRs one BFS step gathers through (see :func:`_levels`) and a
+    (node, word) uint64 array with one bit per source. The steps are the
+    pass's member teams as :func:`_team_block` cuts them when the layer
+    carries teams, and its adjacency, renumbered to positions, otherwise.
 
     A node's bit is its rank inside its own component. Each window of
     64 * _WORDS ranks groups the components that reach into it by the
     number of words their part of the window needs, and each group is one
-    pass: no path crosses a component, so their bits never meet. Components
-    of one node take no part, so every block row has an edge.
+    pass: no path crosses a component, so their bits never meet, and an
+    edge has both ends in a pass or neither. Components of one node take no
+    part, so every node of a pass has an edge.
     """
-    teams = layer.pairs.teams
-    if layer.keep is not None and teams is not None and not layer.keep.all():
-        teams = None
     component = layer.component_rank
     order = np.argsort(component, kind="stable")
     first = np.searchsorted(component[order], component)  # where each component starts
@@ -165,16 +164,18 @@ def _passes(layer: NetworkLayer):
         # the words each node's component needs in this window; 0 for none
         words = np.where(size > 1, -(-np.clip(size - start, 0, 64 * _WORDS) // 64), 0)
         for w in np.unique(words[words > 0]):
-            nodes = np.flatnonzero(words == w)
+            inside = words == w
+            nodes = np.flatnonzero(inside)
             position[nodes] = np.arange(nodes.size)
+            cut = inside[layer.a]  # the pass's edges
+            ends = position[layer.a[cut]], position[layer.b[cut]]
+            if layer.teams is None:
+                steps = (_block(layer.adjacency, position, nodes),)
+            else:
+                steps = _team_block(layer.teams, position, inside)
             window = rank[nodes] - start
             sources = np.flatnonzero((window >= 0) & (window < 64 * _WORDS))
-            yield (
-                nodes,
-                _block(layer.adjacency, position, nodes),
-                None if teams is None else _team_block(teams, position, nodes),
-                _bits(sources, window[sources], nodes.size),
-            )
+            yield nodes, ends, steps, _bits(sources, window[sources], nodes.size)
 
 
 def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,22 +187,20 @@ def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarr
     return sub, position[indices[entries]]
 
 
-def _team_block(teams, position: np.ndarray, nodes: np.ndarray):
+def _team_block(teams, position: np.ndarray, inside: np.ndarray):
     """The two half-step CSRs of one pass, as ``(to_teams, to_nodes)``:
-    each team that lies among ``nodes`` lists its nodes' ``position`` in
-    them, and each of ``nodes`` lists its teams. The nodes are whole
-    components, so a team lies wholly inside or outside them. Neither CSR
-    has an empty row: a team holds two or more nodes, and each pass node
-    has an edge, so it shares a team."""
+    each team that lies among the nodes ``inside`` marks lists their
+    ``position`` among them, and each of those nodes lists its teams. The
+    nodes are whole components, so a team lies wholly inside or outside
+    them. Neither CSR has an empty row: a team holds two or more nodes, and
+    each pass node has an edge, so it shares a team."""
     indptr, indices = teams
     size = np.diff(indptr)
-    inside = np.zeros(position.size, bool)
-    inside[nodes] = True
     kept = inside[indices[indptr[:-1]]]  # by each team's first node
     rows = position[indices[np.repeat(kept, size)]]
     size = size[kept]
     team = np.repeat(np.arange(size.size), size)[np.argsort(rows, kind="stable")]
-    to_nodes = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.size))])
+    to_nodes = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=inside.sum()))])
     return (np.concatenate([[0], np.cumsum(size)]), rows), (to_nodes, team)
 
 
@@ -221,34 +220,25 @@ def _bits(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-def _levels(block: tuple[np.ndarray, np.ndarray], frontier: np.ndarray, teams=None):
+def _levels(steps, frontier: np.ndarray):
     """Bit-parallel BFS from every source bit at once: yield, hop 1 first,
     each level's (node, word) bits of the pairs first reached at that hop.
 
-    Hop 1 is the OR over each node's neighbours in ``block``. Given
-    ``teams``, the pass's half-step CSRs, every later hop is two half-steps:
-    each team ORs its nodes' frontier bits, then each node ORs its teams'.
-    That reaches the node's neighbours and the node itself, which ``seen``
-    holds. Every row needs an entry: reduceat gives a[i], not 0, for an
-    empty one."""
+    A step gathers through each CSR of ``steps`` in turn, row i taking the
+    OR of the bits of its entries. Over the pass's adjacency, one CSR, that
+    reaches each node's neighbours. Over its teams, two half-steps, each
+    team ORs its nodes' bits and then each node its teams': that reaches
+    the node's neighbours and the node itself, which ``seen`` holds. Every
+    row needs an entry: reduceat gives a[i], not 0, for an empty one."""
     seen = frontier.copy()
-    frontier = _gather(block, frontier)
     while True:
+        for indptr, indices in steps:
+            frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
         frontier &= ~seen
         if not frontier.any():
             return
         seen |= frontier
         yield frontier
-        if teams is None:
-            frontier = _gather(block, frontier)
-        else:
-            frontier = _gather(teams[1], _gather(teams[0], frontier))
-
-
-def _gather(csr: tuple[np.ndarray, np.ndarray], bits: np.ndarray) -> np.ndarray:
-    """Row i of the result is the OR of ``bits`` over the entries of CSR row i."""
-    indptr, indices = csr
-    return np.bitwise_or.reduceat(bits[indices], indptr[:-1], axis=0)
 
 
 def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,20 +247,17 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs_at[d] counts the ordered node pairs d hops apart. Row v of a level
     counts the nodes d hops from v, and d(s, v) = d(v, s), so each node's
     closeness adds its row's popcount over d. At hop 1 the level holds each
-    node's neighbours among the sources, so an edge (u, v), taken once,
+    node's neighbours among the sources, so each edge (u, v) of the pass
     closes popcount(level[u] & level[v]) triangles at both ends. A node's
     clustering is 2*T(v) / (deg*(deg-1)), and 0 below degree 2."""
     pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
     reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
-    for nodes, block, teams, frontier in _passes(layer):
-        for d, level in enumerate(_levels(block, frontier, teams), 1):
+    for nodes, (u, v), steps, frontier in _passes(layer):
+        for d, level in enumerate(_levels(steps, frontier), 1):
             if d == 1:
-                indptr, indices = block
-                rows = np.repeat(np.arange(nodes.size), np.diff(indptr))
-                once = rows < indices
-                shared = np.bitwise_count(level[rows[once]] & level[indices[once]]).sum(axis=1)
-                for end in rows[once], indices[once]:  # integer counts, so the order is exact
+                shared = np.bitwise_count(level[u] & level[v]).sum(axis=1)
+                for end in u, v:  # integer counts, so the order is exact
                     links[nodes] += np.bincount(end, shared, nodes.size)
             counts = np.bitwise_count(level).sum(axis=1, dtype=np.int64)
             pairs_at[d] += counts.sum()
@@ -320,9 +307,12 @@ def betweenness(layer: NetworkLayer) -> dict[str, float]:
     neighbour cell per adjacency entry and source, so a 512-source pass
     over a component of 77,000 entries would hold 316 MB at once."""
     bc = np.zeros(layer.n_nodes)
-    for nodes, block, teams, frontier in _passes(layer):
+    position = np.empty(layer.n_nodes, np.int64)
+    for nodes, _, steps, frontier in _passes(layer):
+        position[nodes] = np.arange(nodes.size)
+        block = _block(layer.adjacency, position, nodes)
         dist = np.full((64 * frontier.shape[1], nodes.size), -1, np.int32)
-        for d, level in enumerate(chain([frontier], _levels(block, frontier, teams))):
+        for d, level in enumerate(chain([frontier], _levels(steps, frontier))):
             dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little").T > 0] = d
         for start in range(0, dist.shape[0], _SOURCES):
             bc[nodes] += _dependencies(block, dist[start : start + _SOURCES])

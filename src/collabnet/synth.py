@@ -56,6 +56,9 @@ TYPE_MIX: Mapping[ProjectType, float] = {
 CONTRIBUTION_MEAN_TARGET = 23.3
 _MEAN_TEAM_SIZE = 100.0 / CONTRIBUTION_MEAN_TARGET
 _MAX_TEAM_SIZE = 12
+# the largest project and member counts accepted, so a draw fits in memory
+MAX_PROJECTS = 100_000
+MAX_MEMBERS = 100_000
 
 # structure of the synthetic collaboration graph
 _GROUP_SIZE = 16  # members per lab-like group
@@ -153,10 +156,12 @@ def _quantized_shares(
 
 def _validate(config: SynthConfig) -> int:
     """The largest team size for ``config``."""
-    if config.n_projects < 1:
-        raise ValueError("n_projects must be positive")
-    if config.n_members < 1:
-        raise ValueError("n_members must be positive")
+    for name, value, high in (
+        ("n_projects", config.n_projects, MAX_PROJECTS),
+        ("n_members", config.n_members, MAX_MEMBERS),
+    ):
+        if not 1 <= value <= high:
+            raise ValueError(f"{name} must be from 1 to {high}, got {value}")
     cap = min(_MAX_TEAM_SIZE, config.n_members)
     if _MEAN_TEAM_SIZE > cap:
         raise ValueError(

@@ -13,7 +13,7 @@ from xml.dom import minidom
 
 import pytest
 
-from collabnet import cli
+from collabnet import cli, synth
 from collabnet.cli import ConfigError, RunConfig, run_pipeline
 from collabnet.export import ExportFormat
 from collabnet.synth import SynthConfig, generate_csv_bytes
@@ -238,16 +238,16 @@ def test_count_options_at_their_limits(small_input, tmp_path, capsys):
         "A,M1,10,IP\nB,M1,30,IP\nC,M2,50,IP\nB,M2,50,IP\n"
     )
     build_dir = tmp_path / "build"
-    argv = ["build", str(tiny), "--linspace", str(cli.MAX_LINSPACE), "--output-dir", str(build_dir)]
+    argv = ["build", str(tiny), "--linspace", str(cli.MAX_LAYERS), "--output-dir", str(build_dir)]
     assert run(argv) == 0
-    assert len(list(build_dir.glob("layer_*.graphml"))) == cli.MAX_LINSPACE
+    assert len(list(build_dir.glob("layer_*.graphml"))) == cli.MAX_LAYERS
     capsys.readouterr()
 
     out = tmp_path / "over"
     for command, option, low, high in (
         (["stats", str(small_input)], "--bins", 1, cli.MAX_BINS),
         (["build", str(small_input), "--thresholds", "0,20"], "--bins", 1, cli.MAX_BINS),
-        (["build", str(small_input)], "--linspace", 2, cli.MAX_LINSPACE),
+        (["build", str(small_input)], "--linspace", 2, cli.MAX_LAYERS),
     ):
         assert run([*command, option, str(high + 1), "--output-dir", str(out)]) == 2
         captured = capsys.readouterr()
@@ -257,7 +257,38 @@ def test_count_options_at_their_limits(small_input, tmp_path, capsys):
     with pytest.raises(SystemExit):
         run(["build", "--help"])
     help_text = capsys.readouterr().out
-    assert f"1 to {cli.MAX_BINS}" in help_text and f"2 to {cli.MAX_LINSPACE}" in help_text
+    assert f"1 to {cli.MAX_BINS}" in help_text and f"2 to {cli.MAX_LAYERS}" in help_text
+    assert f"1 to {cli.MAX_LAYERS} values" in help_text
+
+
+def test_threshold_count_at_its_limit(small_input, tmp_path, capsys):
+    """--thresholds takes at most cli.MAX_LAYERS values, one layer each, and
+    rejects one more before anything is made from it."""
+    values = ",".join(str(t) for t in range(cli.MAX_LAYERS + 1))
+    assert cli._parse_thresholds(values.rpartition(",")[0]) == tuple(map(float, range(cli.MAX_LAYERS)))
+    with pytest.raises(ConfigError):
+        cli._parse_thresholds(values)
+    out = tmp_path / "over"
+    assert run(["build", str(small_input), "--thresholds", values, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    expected = f"--thresholds must list at most {cli.MAX_LAYERS} values, got {cli.MAX_LAYERS + 1}"
+    assert captured.err == f"error: {expected}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, name, high", [
+    ("--projects", "n_projects", synth.MAX_PROJECTS),
+    ("--members", "n_members", synth.MAX_MEMBERS),
+])
+def test_synth_counts_above_their_limit_exit_2(tmp_path, capsys, option, name, high):
+    """A synth count one above its limit is refused before anything is drawn."""
+    out = tmp_path / "s.csv"
+    assert run(["synth", option, str(high + 1), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must be from 1 to {high}, got {high + 1}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_type_filtered_build_equals_build_of_filtered_input(tmp_path):

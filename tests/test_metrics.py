@@ -365,8 +365,8 @@ def _threshold_stack(data: bytes, thresholds) -> tuple:
 
 
 def _team_steps(layer) -> list[bool]:
-    """Per BFS pass, whether it walks member teams."""
-    return [teams is not None for _, _, teams, _ in metrics._passes(layer)]
+    """Per BFS pass, whether it walks member teams: two half-step CSRs."""
+    return [len(steps) == 2 for _, _, steps, _ in metrics._passes(layer)]
 
 
 @pytest.mark.parametrize("sizes", PACKING_EDGES.values(), ids=PACKING_EDGES.keys())
@@ -376,30 +376,46 @@ def test_team_built_layers_match_oracles_at_packing_edges(sizes):
     _assert_matches_oracles(stack[0], sizes)
 
 
+def _assert_equals_csr_twin(layer) -> None:
+    """The same edges as a standalone layer walk the projected CSR; every
+    metric is the same float."""
+    projected = Pairs(layer.nodes, layer.a, layer.b, layer.weight)
+    plain = NetworkLayer(layer.threshold, projected, layer.provenance)
+    assert not any(_team_steps(plain))
+    assert report(layer) == report(plain)
+    for kernel in (closeness, clustering, betweenness):
+        assert kernel(layer) == kernel(plain)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_team_step_equals_csr_step(seed):
-    """A layer that keeps every co-membered pair walks member teams; the
-    same edges as a standalone layer walk the projected CSR. Every metric
-    is the same float."""
+    """A layer that keeps every co-membered pair walks member teams, and
+    only such a layer does, in any stack."""
     data = generate_csv_bytes(SynthConfig(seed=seed, n_projects=600, n_members=260))
     table, _ = _threshold_stack(data, [0])
     for lowest in (0.0, -5.0, table.min_linkage):
         layer, higher = _threshold_stack(data, [lowest, 20])[1]
-        assert not any(_team_steps(higher))  # it keeps some of the pairs
+        assert higher.teams is None  # it keeps some of the pairs
+        assert not any(_team_steps(higher))
         assert layer.n_edges == len(table)
         assert np.bincount(layer.component_rank).max() > 512  # a pass per window
         steps = _team_steps(layer)
         assert len(steps) > 1 and all(steps)
-        projected = Pairs(layer.nodes, layer.a, layer.b, layer.weight)
-        plain = NetworkLayer(layer.threshold, projected, layer.provenance)
-        assert not any(_team_steps(plain))
-        assert report(layer) == report(plain)
-        for kernel in (closeness, clustering, betweenness):
-            assert kernel(layer) == kernel(plain)
+        _assert_equals_csr_twin(layer)
 
     above = _threshold_stack(data, [np.nextafter(table.min_linkage, np.inf), 20])[1]
-    assert above[0].pairs.teams is None
+    assert above[0].teams is None
     assert not any(_team_steps(above[0]) + _team_steps(above[1]))
+
+    mixed = [-5, table.min_linkage, np.nextafter(table.min_linkage, np.inf), 20]
+    stack = _threshold_stack(data, mixed)[1]
+    whole = [layer.n_edges == len(table) for layer in stack]
+    assert whole == [True, True, False, False]
+    for layer, every_pair in zip(stack, whole):
+        assert (layer.teams is not None) == every_pair
+        assert set(_team_steps(layer)) == {every_pair}
+        if every_pair:
+            _assert_equals_csr_twin(layer)
 
 
 def test_handshake_identity():
