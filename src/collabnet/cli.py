@@ -19,8 +19,8 @@ import hashlib
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
@@ -64,8 +64,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.thresholds is None) == (self.linspace is None):
             raise ConfigError("exactly one of thresholds or linspace must be given")
+        if self.thresholds is not None and len(self.thresholds) > MAX_LAYERS:
+            raise ConfigError(
+                f"thresholds must list at most {MAX_LAYERS} values, got {len(self.thresholds)}"
+            )
         if self.linspace is not None and self.linspace < 2:
             raise ConfigError("linspace needs at least 2 points")
+        if self.linspace is not None and self.linspace > MAX_LAYERS:
+            raise ConfigError(f"linspace must be at most {MAX_LAYERS} points, got {self.linspace}")
+        if not 1 <= self.n_bins <= MAX_BINS:
+            raise ConfigError(f"n_bins must be from 1 to {MAX_BINS}, got {self.n_bins}")
         if self.type_filter is not None and not self.type_filter:
             raise ConfigError("type filter must name at least one project type")
 
@@ -76,7 +84,7 @@ def _read_input_bytes(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _parse(data: bytes, delimiter: str, lenient: bool = False) -> list:
+def _parse(data: bytes, delimiter: str, lenient: bool = False) -> ingest.RecordTable:
     """Parse input rows; under ``lenient``, report each skipped row on stderr."""
     skipped: list[ingest.RowError] | None = [] if lenient else None
     records = ingest.parse_records(data, delimiter=delimiter, skipped=skipped)
@@ -87,7 +95,7 @@ def _parse(data: bytes, delimiter: str, lenient: bool = False) -> list:
     return records
 
 
-def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> tuple[list, ingest.Dataset]:
+def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> ingest.Dataset:
     """Parse and aggregate the input; unless ``strict``, report each project
     whose contributions sum above the limit on stderr instead of failing."""
     records = _parse(data, delimiter, lenient)
@@ -95,10 +103,10 @@ def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> tuple[lis
     dataset = ingest.aggregate(records, over=over)
     for err in over or ():
         print(f"warning: {err}", file=sys.stderr)
-    return records, dataset
+    return dataset
 
 
-def _stats_artifacts(records: list, n_bins: int) -> dict[str, bytes]:
+def _stats_artifacts(records: ingest.RecordTable, n_bins: int) -> dict[str, bytes]:
     artifacts: dict[str, bytes] = {}
     notes: dict[str, str] = {}
     contribution = stats.summarize(records, stats.Feature.CONTRIBUTION_PCT, n_bins)
@@ -128,13 +136,14 @@ class _Artifacts:
     directory's manifest.
 
     Making it checks that ``out_dir`` can be a directory, so make it before
-    any work; then use it as a context manager. The directory is made at
-    the first write.
+    any work; then use it as a context manager. The directory, and any
+    missing parent, is made at the first write.
     A clean exit renames every file in name order, ``manifest.json`` last,
     then removes the files the earlier manifest listed and this one does
     not. A run without a manifest refuses, before renaming anything, to
     replace a file the earlier manifest lists, as that would leave it wrong.
-    Any exception removes every temporary file, so no earlier output changes.
+    Any exception removes every temporary file, so no earlier output changes,
+    and then each directory the run made, deepest first, while it is empty.
     """
 
     MANIFEST = "manifest.json"
@@ -147,6 +156,7 @@ class _Artifacts:
         self.out_dir = out_dir
         self.hashes: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
+        self._made: list[Path] = []  # the directories write made, parents first
         self.paths: list[Path] = []
         self._listed: set[str] = set()  # what the directory's collabnet manifest lists
         try:
@@ -158,7 +168,10 @@ class _Artifacts:
             pass
 
     def write(self, name: str, blob: bytes) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        missing = takewhile(lambda p: not os.path.lexists(p), (self.out_dir, *self.out_dir.parents))
+        for directory in reversed(list(missing)):
+            directory.mkdir()
+            self._made.append(directory)
         self._temps[name] = self.out_dir / f".{name}.{os.getpid()}.tmp"
         self._temps[name].write_bytes(blob)
         self.hashes[name] = hashlib.sha256(blob).hexdigest()
@@ -173,6 +186,11 @@ class _Artifacts:
         finally:  # a renamed file has left its temporary name: this removes the rest
             for temp in self._temps.values():
                 temp.unlink(missing_ok=True)
+            for directory in reversed(self._made):  # only a failed run leaves one empty
+                try:
+                    directory.rmdir()
+                except OSError:  # not empty
+                    break
 
     def _commit(self) -> None:
         with_manifest = self.MANIFEST in self._temps
@@ -200,11 +218,10 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
-    records, dataset = _load(input_bytes, config.delimiter, config.lenient, config.strict)
+    dataset = _load(input_bytes, config.delimiter, config.lenient, config.strict)
     if config.type_filter is not None:
-        records = [r for r in records if r.project_type in config.type_filter]
         dataset = ingest.filter_by_type(dataset, config.type_filter)
-        if not dataset.projects:
+        if not dataset.n_projects:
             raise IngestError("type filter removed every project")
 
     table = linkage.build_linkage_table(dataset)
@@ -233,7 +250,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
             )
         out.write("metrics.csv", metrics.reports_to_csv_bytes(reports))
         out.write("metrics.json", metrics.reports_to_json_bytes(reports))
-        for name, blob in _stats_artifacts(records, config.n_bins).items():
+        for name, blob in _stats_artifacts(dataset.records, config.n_bins).items():
             out.write(name, blob)
 
         manifest = {
@@ -409,13 +426,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     data = _read_input_bytes(args.input_path)
-    records, dataset = _load(data, args.delimiter, args.lenient, args.strict)
-    print(f"records: {len(records)}")
+    dataset = _load(data, args.delimiter, args.lenient, args.strict)
+    print(f"records: {len(dataset.records)}")
     print(f"projects: {dataset.n_projects}")
-    print(f"members: {len(dataset.member_index)}")
-    by_type = Counter(p.project_type.value for p in dataset.projects.values())
-    for name in sorted(by_type):
-        print(f"projects[{name}]: {by_type[name]}")
+    print(f"members: {dataset.n_members}")
+    for name, count in dataset.type_counts().items():
+        print(f"projects[{name}]: {count}")
     return EXIT_OK
 
 

@@ -1,9 +1,15 @@
 """Reading, validating and aggregating collaboration records.
 
 The input is a delimited text table with one row per (project, member)
-contribution. Rows are parsed into :class:`ContributionRecord`, then
-aggregated into :class:`Project` entities keyed by id in a :class:`Dataset`.
-All downstream stages (linkage, layers, metrics) consume the Dataset.
+contribution. :func:`parse_records` reads it once into a
+:class:`RecordTable` of columns: project and member ids coded as indices
+into their sorted id tuples, contributions and IC scores as float arrays,
+type codes and source line numbers. Each row check runs over whole columns.
+:func:`aggregate` checks the memberships on the codes and wraps the table in
+a :class:`Dataset`, which linkage, layers, stats and the fingerprint read
+column by column. For callers that want rows or dicts, the table reads as a
+sequence of :class:`ContributionRecord` and the dataset has ``projects`` and
+``member_index`` views.
 A malformed row or an over-limit project raises, unless the caller passes
 a list (``skipped``, ``over``) to collect its error in and go on.
 """
@@ -15,14 +21,17 @@ import hashlib
 import io
 import math
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "ProjectType",
     "ContributionRecord",
+    "RecordTable",
     "Project",
     "Dataset",
     "IngestError",
@@ -60,12 +69,13 @@ class ProjectType(Enum):
     def parse(cls, text: str) -> "ProjectType":
         """Match ``text`` case-insensitively to a project type."""
         try:
-            return _TYPES_BY_NAME[text.strip().lower()]
+            return _TYPES[_TYPE_CODES[text.strip().lower()]]
         except KeyError:
             raise ValueError(f"unknown project type {text!r}") from None
 
 
-_TYPES_BY_NAME = {t.value.lower(): t for t in ProjectType}
+_TYPES = tuple(ProjectType)  # a type code indexes this
+_TYPE_CODES = {t.value.lower(): code for code, t in enumerate(_TYPES)}
 
 
 class IngestError(Exception):
@@ -100,6 +110,98 @@ class ContributionRecord:
     project_type: ProjectType
 
 
+def _coded(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values in Python's sorted order, and each value's index
+    among them. (A numpy string array would drop trailing NULs and merge
+    "M1\\x00" with "M1".)"""
+    ids = sorted(set(values))
+    index = dict(zip(ids, range(len(ids))))
+    return tuple(ids), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def _recoded(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids ``codes`` use, still sorted, and the codes renumbered to them."""
+    used, codes = np.unique(codes, return_inverse=True)
+    return tuple(ids[k] for k in used.tolist()), codes.reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable(Sequence[ContributionRecord]):
+    """Contribution records as columns, one entry per row in input order.
+
+    ``project`` and ``member`` hold each row's ids as indices into
+    ``project_ids`` and ``member_ids``: exactly the ids the rows use, in
+    Python's sorted order. ``contribution_pct`` and ``ic_score`` are
+    float64, the IC score NaN where its cell was empty; ``project_type``
+    indexes ``tuple(ProjectType)``; ``line`` is the source line each row
+    ends on. Indexing and iteration build :class:`ContributionRecord` rows
+    on access, and the table equals any sequence of the same records.
+    """
+
+    project_ids: tuple[str, ...]
+    member_ids: tuple[str, ...]
+    project: np.ndarray
+    member: np.ndarray
+    contribution_pct: np.ndarray
+    ic_score: np.ndarray
+    project_type: np.ndarray
+    line: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[ContributionRecord]) -> RecordTable:
+        """The records' table; row i gets line i + 2, its line in
+        :func:`records_to_csv_bytes` of the same records."""
+        rows = list(records)
+        project_ids, project = _coded([r.project_id for r in rows])
+        member_ids, member = _coded([r.member_id for r in rows])
+        return cls(
+            project_ids,
+            member_ids,
+            project,
+            member,
+            np.array([r.contribution_pct for r in rows], float),
+            np.array([math.nan if r.ic_score is None else r.ic_score for r in rows], float),
+            np.array([_TYPES.index(r.project_type) for r in rows], np.int8),
+            np.arange(2, len(rows) + 2),
+        )
+
+    def __len__(self) -> int:
+        return self.project.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # a negative index counts from the end
+        ic = self.ic_score.item(i)
+        return ContributionRecord(
+            self.project_ids[self.project[i]],
+            self.member_ids[self.member[i]],
+            self.contribution_pct.item(i),
+            None if math.isnan(ic) else ic,
+            _TYPES[self.project_type[i]],
+        )
+
+    def __iter__(self) -> Iterator[ContributionRecord]:
+        pids, mids = self.project_ids, self.member_ids
+        columns = (self.project, self.member, self.contribution_pct, self.ic_score)
+        for p, m, pct, ic, kind in zip(*(c.tolist() for c in columns), self.project_type.tolist()):
+            yield ContributionRecord(
+                pids[p], mids[m], pct, None if math.isnan(ic) else ic, _TYPES[kind]
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _take(self, keep: np.ndarray) -> RecordTable:
+        """The rows where ``keep`` is true, ids renumbered to the ones they use."""
+        project_ids, project = _recoded(self.project_ids, self.project[keep])
+        member_ids, member = _recoded(self.member_ids, self.member[keep])
+        rest = (self.contribution_pct, self.ic_score, self.project_type, self.line)
+        return RecordTable(project_ids, member_ids, project, member, *(c[keep] for c in rest))
+
+
 @dataclass(frozen=True)
 class Project:
     """A project's type and its team, keyed by member id with contribution percentages."""
@@ -108,129 +210,199 @@ class Project:
     members: Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Aggregated projects, keyed by project id.
+    """Validated records, held as the :class:`RecordTable` ``records``: one
+    row per (project, member) membership and one type per project.
 
+    ``Dataset(mapping)`` builds the table from a project id -> Project
+    mapping in which every project has a member. ``projects`` (in order of
+    first appearance, each team in row order) and the inverted
+    ``member_index`` are views built on first use and then cached.
     Treated as immutable after construction; safe to share across threads.
-    ``member_index`` is a view built on first use and then cached; from
-    Python 3.12 two threads reading it first at once may each build it, and
-    both get equal dicts.
+    From Python 3.12 two threads reading a view first at once may each build
+    it, and both get equal dicts.
     """
 
-    projects: Mapping[str, Project]
+    records: RecordTable
+
+    def __init__(self, projects: Mapping[str, Project] | RecordTable) -> None:
+        if not isinstance(projects, RecordTable):
+            if not all(p.members for p in projects.values()):
+                raise ValueError("every project needs at least one member")
+            projects = RecordTable.from_records(
+                ContributionRecord(pid, mid, pct, None, p.project_type)
+                for pid, p in projects.items()
+                for mid, pct in p.members.items()
+            )
+        object.__setattr__(self, "records", projects)
+
+    @cached_property
+    def _first_rows(self) -> np.ndarray:
+        """Each project's first row, by project code."""
+        return np.unique(self.records.project, return_index=True)[1]
+
+    @cached_property
+    def projects(self) -> Mapping[str, Project]:
+        """Project id -> :class:`Project`, in order of first appearance."""
+        t = self.records
+        teams: list[dict[str, float]] = [{} for _ in t.project_ids]
+        for p, m, pct in zip(t.project.tolist(), t.member.tolist(), t.contribution_pct.tolist()):
+            teams[p][t.member_ids[m]] = pct
+        first = self._first_rows
+        return {
+            t.project_ids[p]: Project(_TYPES[t.project_type[first[p]]], teams[p])
+            for p in np.argsort(first).tolist()
+        }
 
     @cached_property
     def member_index(self) -> Mapping[str, frozenset[str]]:
         """The inverted member -> projects index of ``projects``."""
-        index: dict[str, set[str]] = {}
-        for pid, p in self.projects.items():
-            for mid in p.members:
-                index.setdefault(mid, set()).add(pid)
-        return {mid: frozenset(pids) for mid, pids in index.items()}
+        t = self.records
+        ends = np.cumsum(np.bincount(t.member, minlength=self.n_members)).tolist()
+        projects = [t.project_ids[p] for p in t.project[np.argsort(t.member)].tolist()]
+        return {
+            mid: frozenset(projects[start:end])
+            for mid, start, end in zip(t.member_ids, [0, *ends], ends)
+        }
 
     @property
     def n_projects(self) -> int:
-        return len(self.projects)
+        return len(self.records.project_ids)
+
+    @property
+    def n_members(self) -> int:
+        return len(self.records.member_ids)
+
+    def type_counts(self) -> dict[str, int]:
+        """Project count per type label present, by label."""
+        kinds = self.records.project_type[self._first_rows]
+        counts = np.bincount(kinds, minlength=len(_TYPES)).tolist()
+        return dict(sorted((t.value, n) for t, n in zip(_TYPES, counts) if n))
 
     def project_types(self) -> tuple[str, ...]:
         """Sorted distinct type labels present in the dataset."""
-        return tuple(sorted({p.project_type.value for p in self.projects.values()}))
+        return tuple(self.type_counts())
 
     def fingerprint(self) -> str:
-        """SHA-256 over a canonical serialization; stable across runs."""
-        lines = []
-        for pid in sorted(self.projects):
-            p = self.projects[pid]
-            team = "".join(f"\x1e{mid}\x1f{p.members[mid]!r}" for mid in sorted(p.members))
-            lines.append(f"{pid}\x1f{p.project_type.value}{team}\n")
+        """SHA-256 over a canonical serialization; stable across runs: one
+        line per project by id, holding its id, its type and, by member id,
+        each member with the repr of its contribution."""
+        t = self.records
+        order = np.lexsort((t.member, t.project))
+        mids = t.member_ids
+        team = [
+            f"\x1e{mids[m]}\x1f{pct!r}"
+            for m, pct in zip(t.member[order].tolist(), t.contribution_pct[order].tolist())
+        ]
+        ends = np.cumsum(np.bincount(t.project, minlength=self.n_projects)).tolist()
+        kinds = t.project_type[self._first_rows].tolist()
+        lines = [
+            f"{pid}\x1f{_TYPES[kind].value}{''.join(team[start:end])}\n"
+            for pid, kind, start, end in zip(t.project_ids, kinds, [0, *ends], ends)
+        ]
         return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
-def _parse_row(
-    row: Sequence[str], columns: Mapping[str, int], line_num: int
-) -> ContributionRecord:
-    def cell(name: str) -> str:
-        return row[columns[name]].strip()
-
-    project_id = cell("project_id")
-    member_id = cell("member_id")
-    if not project_id or not member_id:
-        raise RowError(line_num, "empty project_id or member_id")
-    for name, value in (("project_id", project_id), ("member_id", member_id)):
-        bad = _UNWRITABLE_CHAR.search(value)
-        if bad:
-            kind = "noncharacter" if bad.group() in "\ufffe\uffff" else "control character"
-            raise RowError(line_num, f"{kind} in {name} {value!r}")
-
-    raw_pct = cell("contribution_pct")
-    try:
-        pct = float(raw_pct)
-    except ValueError:
-        raise RowError(line_num, f"unparseable contribution_pct {raw_pct!r}") from None
-    if not 0.0 <= pct <= 100.0:
-        raise RowError(line_num, f"contribution_pct out of range: {pct}")
-
-    ic: float | None = None
-    if "ic_score" in columns:
-        raw_ic = cell("ic_score")
-        if raw_ic:
-            try:
-                ic = float(raw_ic)
-            except ValueError:
-                raise RowError(line_num, f"unparseable ic_score {raw_ic!r}") from None
-            if not math.isfinite(ic):
-                raise RowError(line_num, f"non-finite ic_score {raw_ic!r}")
-            if ic < 0.0:
-                raise RowError(line_num, f"negative ic_score: {ic}")
-
-    try:
-        ptype = ProjectType.parse(cell("project_type"))
-    except ValueError as exc:
-        raise RowError(line_num, str(exc)) from None
-
-    return ContributionRecord(project_id, member_id, pct, ic, ptype)
+def _unreadable(reader, exc: csv.Error) -> RowError:
+    """The error of a row the csv module cannot split (say, a bare carriage
+    return in an unquoted field). The csv module's advice after " - ", which
+    differs by Python version and names a file mode no CLI user chooses, is
+    dropped."""
+    return RowError(reader.line_num, f"unreadable row: {str(exc).partition(' - ')[0]}")
 
 
-def _rows(reader) -> Iterator[list[str] | RowError]:
-    """The reader's rows in order; a row the csv module cannot split (say,
-    a bare carriage return in an unquoted field) comes as a RowError in its
-    place, so it can be skipped like any other malformed row. The csv
-    module's advice after " - ", which differs by Python version and names
-    a file mode no CLI user chooses, is dropped."""
+def _header(reader) -> list[str]:
+    """The first non-blank row; an unreadable row before it is never skipped."""
     while True:
         try:
-            yield next(reader)
+            row = next(reader)
         except StopIteration:
-            return
+            raise IngestError("input has no header row") from None
         except csv.Error as exc:
-            reason = str(exc).partition(" - ")[0]
-            yield RowError(reader.line_num, f"unreadable row: {reason}")
+            raise _unreadable(reader, exc) from None
+        if any(cell.strip() for cell in row):
+            return row
+
+
+def _split(reader, width: int) -> tuple[list[list[str]], list[int], list[RowError]]:
+    """The rest of the rows: those of ``width`` cells with the line each
+    ends on, and the error of every other row but a blank one."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    errors: list[RowError] = []
+    keep, at = rows.append, lines.append
+    while True:
+        try:
+            for row in reader:
+                if len(row) == width:
+                    keep(row)
+                    at(reader.line_num)
+                elif any(cell.strip() for cell in row):
+                    errors.append(
+                        RowError(reader.line_num, f"expected {width} columns, got {len(row)}")
+                    )
+            return rows, lines, errors
+        except csv.Error as exc:  # the reader goes on at the next line
+            errors.append(_unreadable(reader, exc))
+
+
+def _floats(cells: Sequence[str], blank_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of each stripped cell, and the mask of cells it rejects,
+    which are NaN; under ``blank_ok`` an empty cell is NaN, not rejected."""
+    try:  # float() strips what str.strip() does, but U+001C..U+001F: those fall through
+        values = [float(c) if c or not blank_ok else math.nan for c in cells]
+        return np.array(values, float), np.zeros(len(cells), bool)
+    except ValueError:
+        pass
+    values, rejected = [], []
+    for cell in map(str.strip, cells):
+        try:
+            values.append(float(cell) if cell or not blank_ok else math.nan)
+            rejected.append(False)
+        except ValueError:
+            values.append(math.nan)
+            rejected.append(True)
+    return np.array(values, float), np.array(rejected, bool)
+
+
+def _unwritable(ids: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """The rows whose id holds a character no export can write."""
+    if _UNWRITABLE_CHAR.search(" ".join(ids)) is None:  # the space is writable
+        return np.zeros(codes.size, bool)
+    return np.array([_UNWRITABLE_CHAR.search(v) is not None for v in ids], bool)[codes]
+
+
+def _unwritable_reason(name: str, value: str) -> str:
+    bad = _UNWRITABLE_CHAR.search(value).group()
+    kind = "noncharacter" if bad in "\ufffe\uffff" else "control character"
+    return f"{kind} in {name} {value!r}"
 
 
 def parse_records(
     data: bytes, *, delimiter: str = ",", skipped: list[RowError] | None = None
-) -> list[ContributionRecord]:
-    """Parse a delimited UTF-8 table (a leading BOM is dropped) into
-    contribution records, in input order.
+) -> RecordTable:
+    """Parse a delimited UTF-8 table (a leading BOM is dropped) into one
+    :class:`RecordTable`, rows in input order.
 
     The first non-blank row must be a header naming at least the columns
     project_id, member_id, contribution_pct and project_type (any order,
     matched case-insensitively); ic_score is optional, other named columns
     are ignored, and no name may repeat. Every row must have as many cells
     as the header, empty trailing header cells included. Blank lines are
-    skipped. A malformed row raises :class:`RowError`, unless ``skipped``
-    is a list: then the row is left out and its error appended to the list.
+    skipped. Cells are stripped, and numbers are read with ``float()``.
+
+    The checks run over whole columns, in this order: the cell count (or an
+    unreadable row), an empty id, a control character or noncharacter in
+    project_id then in member_id, a contribution_pct that does not parse or
+    lies outside [0, 100], an ic_score that does not parse, is not finite
+    or is negative, and an unknown type. A row's error is its first failed
+    check. A malformed row raises :class:`RowError` (the first in row order),
+    unless ``skipped`` is a list: then every malformed row is left out and
+    its error appended to the list, in row order.
     """
     reader = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=delimiter)
-    rows = _rows(reader)
-    for header in rows:  # an unreadable header is never skipped
-        if isinstance(header, RowError):
-            raise header
-        if any(cell.strip() for cell in header):
-            break
-    else:
-        raise IngestError("input has no header row")
+    header = _header(reader)
     columns: dict[str, int] = {}
     for i, cell in enumerate(header):
         name = cell.strip().lower()
@@ -242,58 +414,108 @@ def parse_records(
     if missing:
         raise IngestError(f"header is missing columns: {', '.join(missing)}")
 
-    records: list[ContributionRecord] = []
-    for row in rows:
-        if not isinstance(row, RowError) and not any(cell.strip() for cell in row):
-            continue
-        try:
-            if isinstance(row, RowError):
-                raise row
-            if len(row) != len(header):
-                raise RowError(reader.line_num, f"expected {len(header)} columns, got {len(row)}")
-            records.append(_parse_row(row, columns, reader.line_num))
-        except RowError as err:
-            if skipped is None:
-                raise
-            skipped.append(err)
-    return records
+    rows, lines, errors = _split(reader, len(header))
+    n = len(rows)
+    cells = list(zip(*rows)) or [()] * len(header)
+    project_ids, project = _coded(list(map(str.strip, cells[columns["project_id"]])))
+    member_ids, member = _coded(list(map(str.strip, cells[columns["member_id"]])))
+    pct_cells = cells[columns["contribution_pct"]]
+    pct, pct_rejected = _floats(pct_cells)
+    ic_cells = cells[columns["ic_score"]] if "ic_score" in columns else ("",) * n
+    ic, ic_rejected = _floats(ic_cells, blank_ok=True)
+    type_cells = cells[columns["project_type"]]
+    code_of = {c: _TYPE_CODES.get(c.strip().lower(), -1) for c in set(type_cells)}
+    kinds = np.fromiter(map(code_of.__getitem__, type_cells), np.int8, n)
+
+    empty = np.zeros(n, bool)
+    for ids, codes in ((project_ids, project), (member_ids, member)):
+        if ids[:1] == ("",):  # "" sorts first
+            empty |= codes == 0
+    # a row of empty cells is a blank line, and only an empty id can start one
+    blank = np.zeros(n, bool)
+    for i in np.flatnonzero(empty).tolist():
+        blank[i] = not any(cell.strip() for cell in rows[i])
+    # a NaN IC score is a blank cell, or a "nan" cell that is not finite
+    not_finite = ~np.isfinite(ic) & ~ic_rejected
+    for i in np.flatnonzero(not_finite).tolist():
+        not_finite[i] = bool(ic_cells[i].strip())
+
+    checks: list[tuple[np.ndarray, Callable[[int], str]]] = [
+        (empty, lambda i: "empty project_id or member_id"),
+        (
+            _unwritable(project_ids, project),
+            lambda i: _unwritable_reason("project_id", project_ids[project[i]]),
+        ),
+        (
+            _unwritable(member_ids, member),
+            lambda i: _unwritable_reason("member_id", member_ids[member[i]]),
+        ),
+        (pct_rejected, lambda i: f"unparseable contribution_pct {pct_cells[i].strip()!r}"),
+        (
+            ~((pct >= 0.0) & (pct <= 100.0)),  # NaN included
+            lambda i: f"contribution_pct out of range: {pct.item(i)}",
+        ),
+        (ic_rejected, lambda i: f"unparseable ic_score {ic_cells[i].strip()!r}"),
+        (not_finite, lambda i: f"non-finite ic_score {ic_cells[i].strip()!r}"),
+        (ic < 0.0, lambda i: f"negative ic_score: {ic.item(i)}"),
+        (kinds < 0, lambda i: f"unknown project type {type_cells[i].strip()!r}"),
+    ]
+    bad = blank
+    for failed, reason in checks:
+        errors.extend(RowError(lines[i], reason(i)) for i in np.flatnonzero(failed & ~bad).tolist())
+        bad = bad | failed
+    if errors:
+        errors.sort(key=lambda err: err.row)  # rows end on increasing lines
+        if skipped is None:
+            raise errors[0]
+        skipped.extend(errors)
+    table = RecordTable(
+        project_ids, member_ids, project, member, pct, ic, kinds, np.array(lines, np.intp)
+    )
+    return table._take(~bad) if bad.any() else table
 
 
 def aggregate(
     records: Iterable[ContributionRecord], *, over: list[ContributionSumError] | None = None
 ) -> Dataset:
-    """Group validated records into one Project per distinct project_id.
+    """Check the records' memberships and wrap their table in a Dataset.
 
-    Rejects duplicate (project, member) pairs and conflicting type labels
-    for the same project. A project whose contributions sum above
+    ``records`` is a :class:`RecordTable`, or any iterable of records,
+    which is made one. Rejects a repeated (project, member) pair and a
+    project with two type labels; whichever comes first in row order
+    raises, the repeat first on one row. Each project's contributions are
+    summed with ``math.fsum``; a project whose total is above
     ``CONTRIBUTION_SUM_LIMIT`` raises :class:`ContributionSumError`, unless
     ``over`` is a list: then the project is kept and its error appended to
-    the list.
+    the list, projects in order of first appearance.
     """
-    types: dict[str, ProjectType] = {}
-    members: dict[str, dict[str, float]] = {}
-    for rec in records:
-        team = members.setdefault(rec.project_id, {})
-        if rec.member_id in team:
-            raise DuplicateMembershipError(
-                f"duplicate membership ({rec.project_id}, {rec.member_id})"
-            )
-        team[rec.member_id] = rec.contribution_pct
-        known = types.setdefault(rec.project_id, rec.project_type)
-        if known is not rec.project_type:
-            raise IngestError(
-                f"project {rec.project_id} has conflicting types "
-                f"{known.value!r} and {rec.project_type.value!r}"
-            )
+    t = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    repeat = np.ones(len(t), bool)
+    repeat[np.unique(t.project * len(t.member_ids) + t.member, return_index=True)[1]] = False
+    first = np.unique(t.project, return_index=True)[1]
+    conflict = t.project_type != t.project_type[first[t.project]]
+    bad = np.flatnonzero(repeat | conflict)
+    if bad.size:
+        i = bad[0]
+        pid = t.project_ids[t.project[i]]
+        if repeat[i]:
+            mid = t.member_ids[t.member[i]]
+            raise DuplicateMembershipError(f"duplicate membership ({pid}, {mid})")
+        known, other = (_TYPES[t.project_type[row]].value for row in (first[t.project[i]], i))
+        raise IngestError(f"project {pid} has conflicting types {known!r} and {other!r}")
 
-    for pid, team in members.items():
-        total = math.fsum(team.values())  # correctly rounded on every Python
-        if total > CONTRIBUTION_SUM_LIMIT:
-            err = ContributionSumError(f"project {pid} contributions sum to {total:.4f}")
-            if over is None:
-                raise err
-            over.append(err)
-    return Dataset({pid: Project(types[pid], team) for pid, team in members.items()})
+    ends = np.cumsum(np.bincount(t.project, minlength=len(t.project_ids))).tolist()
+    pct = t.contribution_pct[np.argsort(t.project, kind="stable")].tolist()
+    totals = [math.fsum(pct[start:end]) for start, end in zip([0, *ends], ends)]
+    over_limit = np.flatnonzero(np.array(totals) > CONTRIBUTION_SUM_LIMIT).tolist()
+    for p in sorted(over_limit, key=first.__getitem__):  # by first appearance
+        err = ContributionSumError(
+            f"project {t.project_ids[p]} contributions sum to {totals[p]:.4f}"
+        )
+        if over is None:
+            raise err
+        over.append(err)
+    return Dataset(t)
 
 
 def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
@@ -301,7 +523,8 @@ def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
     wanted = frozenset(types)
     if not wanted:
         raise ValueError("type filter must name at least one project type")
-    return Dataset({pid: p for pid, p in dataset.projects.items() if p.project_type in wanted})
+    keep = np.isin(dataset.records.project_type, [_TYPES.index(t) for t in wanted])
+    return dataset if keep.all() else Dataset(dataset.records._take(keep))
 
 
 def _format_number(value: float) -> str:

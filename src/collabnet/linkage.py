@@ -88,24 +88,18 @@ def build_linkage_table(dataset: Dataset) -> LinkageTable:
 
     The value is (1/n) * sum over the n common members of
     (contribution_in_a + contribution_in_b) / 2, so it always lies in
-    [0, 100] for percent-scale contributions. The projects' teams give one
+    [0, 100] for percent-scale contributions. The dataset's records are one
     row per (member, project); grouped by member, each member emits the
     pairs of its projects, so only co-membered pairs are touched and the
     result equals an all-pairs scan.
     """
-    projects = tuple(sorted(dataset.projects))
-    teams = [dataset.projects[pid].members for pid in projects]
-    # member codes in sorted-id order; Python's sort, since a numpy string
-    # array drops trailing NULs and would merge "M1\x00" with "M1"
-    code = {m: i for i, m in enumerate(sorted({m for team in teams for m in team}))}
-    member = np.array([code[m] for team in teams for m in team], np.int64)
-    pct = np.array([v for team in teams for v in team.values()], float)
-    project = np.repeat(np.arange(len(projects)), [len(team) for team in teams])
-    # the rows are made in project order, so a stable sort by member code
-    # puts them by member id, then by project index
-    order = np.argsort(member, kind="stable")
-    project, pct = project[order], pct[order]
-    sizes = np.bincount(member, minlength=len(code))
+    t = dataset.records
+    projects = t.project_ids
+    # the rows by member, then by project: member codes follow sorted member
+    # ids and project codes sorted project ids
+    order = np.lexsort((t.project, t.member))
+    member, project, pct = t.member[order], t.project[order], t.contribution_pct[order]
+    sizes = np.bincount(member, minlength=len(t.member_ids))
     # row i pairs with the rows after it up to the end of its member's team
     rows = np.arange(project.size)
     partners = np.repeat(np.cumsum(sizes), sizes) - rows - 1

@@ -1,7 +1,7 @@
 """Summary statistics and histograms for record features.
 
-Operates on the raw contribution records: contribution percentage is always
-available, IC-score only on records that carry one. Statistics use the
+Operates on the contribution records' columns: contribution percentage is
+always available, IC-score only on records that carry one. Statistics use the
 population convention (divisor N) since a dataset is the full population of
 its projects, not a sample.
 """
@@ -13,11 +13,11 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ingest import ContributionRecord
+from .ingest import ContributionRecord, RecordTable
 
 __all__ = [
     "Feature",
@@ -65,10 +65,12 @@ class FeatureSummary:
         return self.data_max - self.data_min
 
 
-def _feature_values(records: Iterable[ContributionRecord], feature: Feature) -> list[float]:
+def _feature_values(records: Sequence[ContributionRecord], feature: Feature) -> np.ndarray:
+    if not isinstance(records, RecordTable):
+        records = RecordTable.from_records(records)
     if feature is Feature.CONTRIBUTION_PCT:
-        return [r.contribution_pct for r in records]
-    return [r.ic_score for r in records if r.ic_score is not None]
+        return records.contribution_pct
+    return records.ic_score[~np.isnan(records.ic_score)]
 
 
 def summarize(
@@ -81,25 +83,25 @@ def summarize(
     Bins are contiguous and equal width over [min, max] of the observed
     values, with the final bin right-closed so the maximum is counted.
     Records without the feature are skipped; zero usable values raise
-    :class:`FeatureAbsentError`.
+    :class:`FeatureAbsentError`. A :class:`RecordTable` is read column by
+    column; other records are made one first.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
-    values = _feature_values(records, feature)
-    if not values:
+    arr = _feature_values(records, feature)
+    if not arr.size:
         raise FeatureAbsentError(f"feature absent from dataset: {feature.value}")
 
-    arr = np.asarray(values, dtype=float)
     if arr.min() == arr.max():
         # degenerate range: a single zero-width bin holds everything
-        bins = ((float(arr.min()), float(arr.max()), len(values)),)
+        bins = ((float(arr.min()), float(arr.max()), arr.size),)
     else:
         counts, edges = np.histogram(arr, bins=n_bins)
         bins = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     std = float(arr.std())
     return FeatureSummary(
         feature_name=feature,
-        count=len(values),
+        count=arr.size,
         mean=float(arr.mean()),
         std_dev=std,
         variance=std * std,

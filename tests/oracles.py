@@ -1,13 +1,17 @@
 """Naive reference implementations used to cross-check the fast paths.
 
-Everything here favors obviousness over speed: exhaustive double loops,
-explicit path enumeration, flood fill, whole-document ``json.dumps``.
+Everything here favors obviousness over speed: a row-by-row parser,
+exhaustive double loops, explicit path enumeration, flood fill,
+whole-document ``json.dumps``.
 Tests compare library results against these on small random instances and,
 for the layer export, on layers of the default synthetic dataset.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import json
 import math
 import random
@@ -18,8 +22,151 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 
 from collabnet.export import ComponentColor, ExportFormat, VisualAttributes, threshold_label
-from collabnet.ingest import ContributionRecord, Dataset, ProjectType, aggregate
+from collabnet.ingest import (
+    _UNWRITABLE_CHAR,
+    CONTRIBUTION_SUM_LIMIT,
+    ContributionRecord,
+    ContributionSumError,
+    Dataset,
+    DuplicateMembershipError,
+    IngestError,
+    Project,
+    ProjectType,
+    RowError,
+    aggregate,
+)
 from collabnet.layers import NetworkLayer, Pairs, Provenance
+
+
+def _reference_row(row, columns, line_num) -> ContributionRecord:
+    def cell(name: str) -> str:
+        return row[columns[name]].strip()
+
+    project_id = cell("project_id")
+    member_id = cell("member_id")
+    if not project_id or not member_id:
+        raise RowError(line_num, "empty project_id or member_id")
+    for name, value in (("project_id", project_id), ("member_id", member_id)):
+        bad = _UNWRITABLE_CHAR.search(value)
+        if bad:
+            kind = "noncharacter" if bad.group() in "\ufffe\uffff" else "control character"
+            raise RowError(line_num, f"{kind} in {name} {value!r}")
+
+    raw_pct = cell("contribution_pct")
+    try:
+        pct = float(raw_pct)
+    except ValueError:
+        raise RowError(line_num, f"unparseable contribution_pct {raw_pct!r}") from None
+    if not 0.0 <= pct <= 100.0:
+        raise RowError(line_num, f"contribution_pct out of range: {pct}")
+
+    ic = None
+    if "ic_score" in columns:
+        raw_ic = cell("ic_score")
+        if raw_ic:
+            try:
+                ic = float(raw_ic)
+            except ValueError:
+                raise RowError(line_num, f"unparseable ic_score {raw_ic!r}") from None
+            if not math.isfinite(ic):
+                raise RowError(line_num, f"non-finite ic_score {raw_ic!r}")
+            if ic < 0.0:
+                raise RowError(line_num, f"negative ic_score: {ic}")
+
+    try:
+        ptype = ProjectType.parse(cell("project_type"))
+    except ValueError as exc:
+        raise RowError(line_num, str(exc)) from None
+    return ContributionRecord(project_id, member_id, pct, ic, ptype)
+
+
+def _reference_rows(reader):
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield RowError(reader.line_num, f"unreadable row: {str(exc).partition(' - ')[0]}")
+
+
+def reference_parse_records(data: bytes, *, delimiter=",", skipped=None) -> list:
+    """``ingest.parse_records`` as a row-by-row loop: each row is split, then
+    checked cell by cell in a fixed order, and the first failed check is its
+    error."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=delimiter)
+    rows = _reference_rows(reader)
+    for header in rows:
+        if isinstance(header, RowError):
+            raise header
+        if any(cell.strip() for cell in header):
+            break
+    else:
+        raise IngestError("input has no header row")
+    columns: dict[str, int] = {}
+    for i, cell in enumerate(header):
+        name = cell.strip().lower()
+        if name in columns:
+            raise IngestError(f"header repeats column {name}")
+        if name:
+            columns[name] = i
+    required = ("project_id", "member_id", "contribution_pct", "project_type")
+    missing = [c for c in required if c not in columns]
+    if missing:
+        raise IngestError(f"header is missing columns: {', '.join(missing)}")
+
+    records = []
+    for row in rows:
+        if not isinstance(row, RowError) and not any(cell.strip() for cell in row):
+            continue
+        try:
+            if isinstance(row, RowError):
+                raise row
+            if len(row) != len(header):
+                raise RowError(reader.line_num, f"expected {len(header)} columns, got {len(row)}")
+            records.append(_reference_row(row, columns, reader.line_num))
+        except RowError as err:
+            if skipped is None:
+                raise
+            skipped.append(err)
+    return records
+
+
+def reference_aggregate(records, *, over=None) -> dict[str, Project]:
+    """``ingest.aggregate`` as a record loop into per-project dicts: the
+    projects by first appearance, each team in row order."""
+    types: dict[str, ProjectType] = {}
+    members: dict[str, dict[str, float]] = {}
+    for rec in records:
+        team = members.setdefault(rec.project_id, {})
+        if rec.member_id in team:
+            pair = f"({rec.project_id}, {rec.member_id})"
+            raise DuplicateMembershipError(f"duplicate membership {pair}")
+        team[rec.member_id] = rec.contribution_pct
+        known = types.setdefault(rec.project_id, rec.project_type)
+        if known is not rec.project_type:
+            raise IngestError(
+                f"project {rec.project_id} has conflicting types "
+                f"{known.value!r} and {rec.project_type.value!r}"
+            )
+    for pid, team in members.items():
+        total = math.fsum(team.values())
+        if total > CONTRIBUTION_SUM_LIMIT:
+            err = ContributionSumError(f"project {pid} contributions sum to {total:.4f}")
+            if over is None:
+                raise err
+            over.append(err)
+    return {pid: Project(types[pid], team) for pid, team in members.items()}
+
+
+def reference_fingerprint(projects: dict[str, Project]) -> str:
+    """``Dataset.fingerprint`` over per-project dicts."""
+    lines = []
+    for pid in sorted(projects):
+        p = projects[pid]
+        team = "".join(f"\x1e{mid}\x1f{p.members[mid]!r}" for mid in sorted(p.members))
+        lines.append(f"{pid}\x1f{p.project_type.value}{team}\n")
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 def naive_linkage_table(dataset: Dataset) -> dict[tuple[str, str], tuple[int, float]]:

@@ -13,12 +13,16 @@ from xml.dom import minidom
 
 import pytest
 
-from collabnet import cli, synth
+from collabnet import cli, ingest, metrics, synth
 from collabnet.cli import ConfigError, RunConfig, run_pipeline
 from collabnet.export import ExportFormat
 from collabnet.synth import SynthConfig, generate_csv_bytes
 
 GOLDEN_INPUT = Path(__file__).parent / "data" / "golden_input.csv"
+# one row per row check, a row with two faults, an unreadable row and an
+# over-limit project; the CI runtime job diffs its ingest stderr too
+MALFORMED_INPUT = Path(__file__).parent / "data" / "malformed_input.csv"
+MALFORMED_STDERR = Path(__file__).parent / "data" / "malformed_input.stderr"
 SMALL_CSV = generate_csv_bytes(SynthConfig(seed=11, n_projects=50, n_members=48))
 # P1's contributions sum to 110, above the accepted 100.5
 OVER_CSV = "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
@@ -125,6 +129,21 @@ def test_build_type_filter(small_input, tmp_path):
     ) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["types"] == ["IP"]
+
+
+def test_build_and_ingest_build_no_record_rows(small_input, tmp_path, monkeypatch, capsys):
+    # every stage reads the parsed columns; a record row is made only for a
+    # caller that indexes or iterates the table
+    def no_rows(*args):
+        raise AssertionError("a ContributionRecord was built")
+
+    monkeypatch.setattr(ingest, "ContributionRecord", no_rows)
+    for types in ("ip,paper,prototype", "paper"):
+        argv = ["build", str(small_input), "--thresholds", "0,50", "--types", types]
+        assert run([*argv, "--output-dir", str(tmp_path / types)]) == 0
+    assert run(["ingest", str(small_input)]) == 0
+    assert run(["stats", str(small_input), "--output-dir", str(tmp_path / "stats")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_build_linspace_matches_explicit_when_range_is_0_100(tmp_path):
@@ -384,6 +403,34 @@ def test_runconfig_validation():
         RunConfig(input_path="x", output_dir=Path("y"), thresholds=(0.0,), type_filter=frozenset())
 
 
+@pytest.mark.parametrize(
+    "bound, low, high",
+    [
+        ("thresholds", (0.0,) * 1000, (0.0,) * 1001),
+        ("linspace", 1000, 1001),
+        ("n_bins", 1, 0),
+        ("n_bins", 10_000, 10_001),
+    ],
+)
+def test_runconfig_holds_library_callers_to_the_cli_bounds(bound, low, high, tmp_path):
+    # a config is checked when it is made, before any layer is built
+    source = {"thresholds": (0.0,)} if bound == "n_bins" else {}
+    RunConfig(input_path="x", output_dir=tmp_path, **source, **{bound: low})
+    with pytest.raises(ConfigError, match=bound):
+        RunConfig(input_path="x", output_dir=tmp_path, **source, **{bound: high})
+
+
+def test_ingest_lenient_messages_match_the_recorded_stderr(capsys):
+    assert run(["ingest", str(MALFORMED_INPUT), "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == MALFORMED_STDERR.read_text("utf-8")
+    assert captured.out.splitlines()[:3] == ["records: 6", "projects: 3", "members: 4"]
+    # strict row checks stop at the first skipped row, with its message
+    assert run(["ingest", str(MALFORMED_INPUT)]) == 1
+    first = captured.err.splitlines()[0].removeprefix("skipped ")
+    assert capsys.readouterr().err == f"error: {first}\n"
+
+
 def test_failed_write_leaves_no_partial_outputs(small_input, tmp_path, monkeypatch):
     out_dir = tmp_path / "out"
     config = RunConfig(
@@ -404,7 +451,44 @@ def test_failed_write_leaves_no_partial_outputs(small_input, tmp_path, monkeypat
     monkeypatch.setattr(Path, "write_bytes", flaky_write)
     with pytest.raises(OSError):
         run_pipeline(config)
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()  # the run made it, and leaves nothing in it
+
+
+def _fail_after_first_write(monkeypatch):
+    """Make the stage after the first layer's export raise."""
+
+    def broken(reports):
+        raise ValueError("metrics failed")
+
+    monkeypatch.setattr(metrics, "reports_to_csv_bytes", broken)
+
+
+def test_failed_run_removes_the_directories_it_made(small_input, tmp_path, monkeypatch):
+    out_dir = tmp_path / "new" / "out"
+    config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 50.0))
+    _fail_after_first_write(monkeypatch)
+    with pytest.raises(ValueError, match="metrics failed"):
+        run_pipeline(config)
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_run_keeps_an_existing_directory(small_input, tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_bytes(b"kept")
+    (out_dir / "empty").mkdir()
+    config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 50.0))
+    _fail_after_first_write(monkeypatch)
+    with pytest.raises(ValueError, match="metrics failed"):
+        run_pipeline(config)
+    assert sorted(p.name for p in out_dir.iterdir()) == ["empty", "notes.txt"]
+    assert (out_dir / "notes.txt").read_bytes() == b"kept"
+
+    empty_dir = tmp_path / "empty"  # an empty directory that was there stays
+    empty_dir.mkdir()
+    with pytest.raises(ValueError, match="metrics failed"):
+        run_pipeline(RunConfig(input_path=str(small_input), output_dir=empty_dir, thresholds=(0.0,)))
+    assert list(empty_dir.iterdir()) == []
 
 
 def test_stats_refuses_a_build_directory(small_input, tmp_path, capsys):

@@ -4,9 +4,10 @@ import hashlib
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from collabnet import ingest
+from collabnet import ingest, synth
 from collabnet.ingest import (
     ContributionRecord,
     ContributionSumError,
@@ -21,6 +22,7 @@ from collabnet.ingest import (
     parse_records,
     records_to_csv_bytes,
 )
+from collabnet.linkage import build_linkage_table
 from oracles import random_records
 
 HEADER = "project_id,member_id,contribution_pct,ic_score,project_type\n"
@@ -331,14 +333,51 @@ def test_fingerprint_hashes_each_field_in_order():
 
 
 def test_member_index_is_a_cached_view():
-    assert [f.name for f in fields(Dataset)] == ["projects"]
+    assert [f.name for f in fields(Dataset)] == ["records"]
     team = Project(ProjectType.IP, {"M1": 50.0})
     ds = Dataset({"P1": team, "P2": team})
-    assert "member_index" not in vars(ds)
+    assert "member_index" not in vars(ds) and "projects" not in vars(ds)
     assert ds.member_index == {"M1": frozenset({"P1", "P2"})}
     assert ds.member_index is ds.member_index
+    assert ds.projects == {"P1": team, "P2": team}
+    assert ds.projects is ds.projects
 
 
 def test_project_types_listing():
     records = parse(HEADER + "P1,M1,100,,IP\nP2,M2,100,,prototype\n")
     assert aggregate(records).project_types() == ("IP", "prototype")
+
+
+def test_records_and_their_parsed_csv_give_one_dataset():
+    # the calls the benchmark makes: aggregate of synth's record list, and
+    # of the parsed CSV of the same records
+    records = synth.generate(synth.SynthConfig(seed=3, n_projects=300, n_members=150))
+    data = records_to_csv_bytes(records)
+    parsed = parse_records(data)
+    assert len(parsed) == len(data.splitlines()) - 1 == len(records)
+    assert parsed == records
+    listed, tabled = aggregate(records), aggregate(parsed)
+    assert list(listed.projects.items()) == list(tabled.projects.items())
+    assert listed.fingerprint() == tabled.fingerprint()
+    assert listed.n_projects == tabled.n_projects == len({r.project_id for r in records})
+    assert listed.member_index == tabled.member_index
+    one, two = build_linkage_table(listed), build_linkage_table(tabled)
+    assert one.projects == two.projects
+    for name in ("a", "b", "n_common", "linkage"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+    assert all(map(np.array_equal, one.teams, two.teams))
+
+
+def test_record_table_reads_as_a_sequence():
+    text = HEADER + "P2,M1,60,1.5,IP\nP1,M2,40,,paper\n"
+    table = parse(text)
+    assert isinstance(table, ingest.RecordTable)
+    assert (table.project_ids, table.member_ids) == (("P1", "P2"), ("M1", "M2"))
+    assert table.project.tolist() == [1, 0] and table.line.tolist() == [2, 3]
+    first = ContributionRecord("P2", "M1", 60.0, 1.5, ProjectType.IP)
+    second = ContributionRecord("P1", "M2", 40.0, None, ProjectType.PAPER)
+    assert (table[0], table[-1], table[1:]) == (first, second, [second])
+    assert list(reversed(table)) == [second, first]
+    assert table == (first, second) and table != [first] and table != [second, first]
+    with pytest.raises(IndexError):
+        table[2]

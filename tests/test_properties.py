@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from collabnet.export import ExportFormat, assign_visuals, export_layer
 from collabnet.ingest import (
+    CSV_COLUMNS,
     ContributionRecord,
+    IngestError,
     ProjectType,
     RowError,
     aggregate,
@@ -25,7 +27,13 @@ from collabnet.ingest import (
 from collabnet.layers import build_layer
 from collabnet.linkage import build_linkage_table
 from collabnet.metrics import components
-from oracles import naive_linkage_table, reference_export
+from oracles import (
+    naive_linkage_table,
+    reference_aggregate,
+    reference_export,
+    reference_fingerprint,
+    reference_parse_records,
+)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -92,6 +100,93 @@ def test_malformed_cell_reports_its_line(rows, data):
     kept = parse_records(text, skipped=errors)
     assert [e.row for e in errors] == [index + 1]
     assert kept == recs[: index - 1] + recs[index:]
+
+
+# cells for drawn tables: valid ones from small pools, so that memberships
+# repeat, types conflict and teams sum above the limit, then one of each fault
+VALID_CELLS = {
+    "project_id": ["P1", "P2", "P3", " P2 "],
+    "member_id": ["M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8"],
+    "contribution_pct": ["0", "40", "60", "100", "33.3", " 50 ", "1_0", "\x1c70"],
+    "ic_score": ["", "1.5", "0", "-0", "\x1f"],
+    "project_type": ["paper"] * 8 + ["IP", " Prototype "],
+}
+FAULTY_CELLS = {
+    "project_id": ["", "P\x01", "P\ufffe"],
+    "member_id": [" ", "M\x851", "M\uffff"],
+    "contribution_pct": ["abc", "", "150", "-1", "nan"],
+    "ic_score": ["x", "-2", "inf", "nan", "-Infinity"],
+    "project_type": ["patent", ""],
+}
+ODD_ROWS = ["", " , ,", "P1,M1", "P1,M1,50,,IP,x,y", "P\r1,M1,50,,IP", '"P\n1",M1,50,,IP']
+
+
+@st.composite
+def tables(draw):
+    """CSV text with a drawn column order, ic_score present or not, and rows
+    that are mostly valid, some with one or two faulty cells, and some blank,
+    short, long or unreadable."""
+    names = list(CSV_COLUMNS) if draw(st.booleans()) else [c for c in CSV_COLUMNS if c != "ic_score"]
+    names = draw(st.permutations(names))
+    lines = [",".join(names)]
+    for kind in draw(st.lists(st.sampled_from("vvvvvvfo"), max_size=12)):
+        if kind == "o":
+            lines.append(draw(st.sampled_from(ODD_ROWS)))
+            continue
+        cells = {name: draw(st.sampled_from(VALID_CELLS[name])) for name in names}
+        if kind == "f":
+            for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+                cells[name] = draw(st.sampled_from(FAULTY_CELLS[name]))
+        lines.append(",".join(cells[name] for name in names))
+    return "\n".join(lines).encode()
+
+
+def outcome(call, *args, **kwargs):
+    """What a call returned, or the type, text and row of what it raised."""
+    try:
+        return "returned", call(*args, **kwargs)
+    except IngestError as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "row", None)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(tables())
+def test_columnar_ingest_matches_the_row_loop(data):
+    for lenient in (False, True):
+        skipped, expected_skipped = ([], []) if lenient else (None, None)
+        got = outcome(parse_records, data, skipped=skipped)
+        expected = outcome(reference_parse_records, data, skipped=expected_skipped)
+        assert got[0] == expected[0]
+        assert got[1:] == expected[1:]  # a table equals the list of its records
+        assert [str(e) for e in skipped or ()] == [str(e) for e in expected_skipped or ()]
+    if got[0] == "raised":
+        return
+    records, expected_records = got[1], expected[1]
+    assert len(records) == len(expected_records)
+
+    for strict in (True, False):
+        over, expected_over = (None, None) if strict else ([], [])
+        dataset = outcome(aggregate, records, over=over)
+        reference = outcome(reference_aggregate, expected_records, over=expected_over)
+        assert dataset[0] == reference[0]
+        if dataset[0] == "raised":
+            assert dataset[1:] == reference[1:]
+            continue
+        assert [str(e) for e in over or ()] == [str(e) for e in expected_over or ()]
+        dataset, projects = dataset[1], reference[1]
+        assert list(dataset.projects.items()) == list(projects.items())  # first appearance order
+        assert [list(p.members) for p in dataset.projects.values()] == [
+            list(p.members) for p in projects.values()
+        ]
+        assert dataset.fingerprint() == reference_fingerprint(projects)
+        assert dataset.member_index == {
+            mid: frozenset(pid for pid, p in projects.items() if mid in p.members)
+            for p in projects.values()
+            for mid in p.members
+        }
+        from_rows = aggregate(list(expected_records), over=[])  # a plain list of records
+        assert from_rows.fingerprint() == dataset.fingerprint()
+        assert from_rows.projects == dataset.projects
 
 
 any_ids = st.lists(
