@@ -226,16 +226,16 @@ class Dataset:
 
     records: RecordTable
 
-    def __init__(self, projects: Mapping[str, Project] | RecordTable) -> None:
-        if not isinstance(projects, RecordTable):
-            if not all(p.members for p in projects.values()):
+    def __init__(self, source: Mapping[str, Project] | RecordTable) -> None:
+        if not isinstance(source, RecordTable):
+            if not all(p.members for p in source.values()):
                 raise ValueError("every project needs at least one member")
-            projects = RecordTable.from_records(
+            source = RecordTable.from_records(
                 ContributionRecord(pid, mid, pct, None, p.project_type)
-                for pid, p in projects.items()
+                for pid, p in source.items()
                 for mid, pct in p.members.items()
             )
-        object.__setattr__(self, "records", projects)
+        object.__setattr__(self, "records", source)
 
     @cached_property
     def _first_rows(self) -> np.ndarray:
@@ -490,9 +490,10 @@ def aggregate(
     the list, projects in order of first appearance.
     """
     t = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    dataset = Dataset(t)
+    first = dataset._first_rows
     repeat = np.ones(len(t), bool)
     repeat[np.unique(t.project * len(t.member_ids) + t.member, return_index=True)[1]] = False
-    first = np.unique(t.project, return_index=True)[1]
     conflict = t.project_type != t.project_type[first[t.project]]
     bad = np.flatnonzero(repeat | conflict)
     if bad.size:
@@ -515,7 +516,7 @@ def aggregate(
         if over is None:
             raise err
         over.append(err)
-    return Dataset(t)
+    return dataset
 
 
 def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
