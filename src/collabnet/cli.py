@@ -9,7 +9,8 @@ soon as it is made, so no more than one layer's bytes are held at a time;
 the files are renamed into place together, manifest last, once all are
 written, and any failure removes the temporary files instead. ingest and
 build report each skipped row and over-limit project as one stderr line.
-Exit codes: 0 success, 1 input/data error, 2 configuration error.
+Exit codes: 0 success, 1 input/data error (an input too large for memory
+too), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -482,6 +483,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:  # the input is too large for this machine; _Artifacts wrote nothing
+        print("error: out of memory while building the output", file=sys.stderr)
         return EXIT_INPUT
 
 

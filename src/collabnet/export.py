@@ -16,12 +16,14 @@ The JSON document is ``{"graph": {"directed": false, "metadata":
 "degree", "component", "color"}, ...], "edges": [{"source", "target",
 "weight"}, ...]}}`` with each weight ``round(weight, 6)``. Its bytes equal
 ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of that document.
-Each format renders from one node template and one edge template; the
-standard encoder is not used, because with ``indent`` set it runs in pure
-Python. Every id is quoted, and every pair's edge line rendered, once per
-format for all the layers that share the pairs (the layers of a stack), so
-a layer's edge block is the lines its ``keep`` mask selects. Node lines are
-rendered from the degree, component-rank and color-index arrays of a
+Each format has one node line template and one edge line template, rendered
+for all rows at once by :mod:`collabnet.render`; the standard encoder is not
+used for them, because with ``indent`` set it runs in pure Python. Every id
+is quoted, and every pair's edge line rendered, once per format for all the
+layers that share the pairs (the layers of a stack): the lines are one
+buffer with int64 line ends, and a layer's edge block is the buffer runs
+its ``keep`` mask selects, joined. Node lines are rendered per layer from
+the degree, component-rank and color-index arrays of a
 :class:`LayerVisuals`.
 """
 
@@ -29,15 +31,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_quote
 
 import numpy as np
 
+from . import render
 from .layers import NetworkLayer, Pairs, Provenance
 
 __all__ = [
@@ -73,7 +75,7 @@ class VisualAttributes:
 
 
 _COLORS = tuple(ComponentColor)  # a color index points into this
-_COLOR_NAMES = np.array([color.value for color in _COLORS])
+_COLOR_TEXTS = render.texts([color.value for color in _COLORS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,30 +140,46 @@ def export_layer(
     ``visuals`` must be the :class:`LayerVisuals` of this layer's nodes, as
     :func:`assign_visuals` or :func:`parse_jsongraph` make it. Node lines are
     rendered from the shown nodes' degree, rank and color columns. Edge lines
-    come from the layer's pairs, where each pair's line is rendered once per
-    format for every layer that shares the pairs; a layer keeps the lines of
-    its own edges."""
+    come from the layer's pairs, where every pair's line is rendered once per
+    format for all the layers that share the pairs; a layer keeps the lines
+    of its own edges."""
     if fmt not in _FORMATS:
         raise ValueError(f"unsupported export format: {fmt!r}")
     if not (isinstance(visuals, LayerVisuals) and visuals.nodes == layer.nodes):
         raise ValueError("visuals do not cover nodes: pass the LayerVisuals of this layer")
+    _, node_template, _, document = _FORMATS[fmt]
+    ids, edge_text, edge_ends = _rendered(layer.pairs, fmt)
     shown = np.flatnonzero((layer.degrees > 0) | include_isolated)
-    columns = visuals.degree[shown], visuals.rank[shown], _COLOR_NAMES[visuals.color[shown]]
-    ids, lines = _rendered(layer.pairs, fmt)
-    nodes = zip([ids[i] for i in shown.tolist()], *(column.tolist() for column in columns))
-    edges = lines if layer.keep is None else list(compress(lines, layer.keep.tolist()))
-    return _FORMATS[fmt][2](layer, nodes, edges)
+    columns = (
+        render.gather(ids, shown),
+        render.integers(visuals.degree[shown]),
+        render.integers(visuals.rank[shown]),
+        render.gather(_COLOR_TEXTS, visuals.color[shown]),
+    )
+    nodes = render.lines(shown.size, node_template(*columns))
+    return b"".join(document(layer, _runs(*nodes), _runs(edge_text, edge_ends, layer.keep)))
 
 
-def _rendered(pairs: Pairs, fmt: ExportFormat) -> tuple[list[str], list[str]]:
-    """The quoted ids and the edge line of every pair in ``fmt``, made on
-    first use and kept in the pairs' cache."""
+def _rendered(pairs: Pairs, fmt: ExportFormat) -> tuple[tuple, bytearray, np.ndarray]:
+    """The quoted ids' table and the edge lines of every pair in ``fmt``,
+    as one text and its line ends, made on first use and kept in the pairs'
+    cache."""
     if fmt not in pairs.cache:
-        quote, edge_lines, _ = _FORMATS[fmt]
-        ids = [quote(v) for v in pairs.nodes]
-        columns = (pairs.a.tolist(), pairs.b.tolist(), pairs.weight.tolist())
-        pairs.cache[fmt] = ids, edge_lines(ids, *columns)
+        quote, _, edge_template, _ = _FORMATS[fmt]
+        ids = render.texts([quote(v) for v in pairs.nodes])
+        a, b = render.gather(ids, pairs.a), render.gather(ids, pairs.b)
+        pairs.cache[fmt] = ids, *render.lines(pairs.a.size, edge_template(a, b, pairs.weight))
     return pairs.cache[fmt]
+
+
+def _runs(text: bytearray, ends: np.ndarray, keep: np.ndarray | None = None) -> list:
+    """The text of the kept lines (every line when keep is None), as one
+    memoryview per run of consecutive kept lines."""
+    keep = np.ones(ends.size, bool) if keep is None else keep
+    bounds = np.concatenate([[0], ends])
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))  # run starts, stops
+    view = memoryview(text)
+    return [view[i:j] for i, j in zip(bounds[edges[::2]].tolist(), bounds[edges[1::2]].tolist())]
 
 
 def threshold_label(threshold: float) -> str:
@@ -182,110 +200,96 @@ def _xml_quote(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-def _graphml_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
+def _graphml_nodes(v, degree, rank, color) -> list:
     return [
-        f"    <edge source={ids[i]} target={ids[j]}>\n"
-        f'      <data key="weight">{w:.6f}</data>\n'
-        "    </edge>"
-        for i, j, w in zip(a, b, weight)
+        b"    <node id=", v, b'>\n      <data key="degree">', degree,
+        b'</data>\n      <data key="component">', rank,
+        b'</data>\n      <data key="color">', color, b"</data>\n    </node>\n",
     ]
 
 
-def _to_graphml(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes:
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>',
-        '  <key id="component" for="node" attr.name="component" attr.type="int"/>',
-        '  <key id="color" for="node" attr.name="color" attr.type="string"/>',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-        f'  <graph id={_xml_quote("t" + threshold_label(layer.threshold))}'
-        ' edgedefault="undirected">',
+def _graphml_edges(a, b, weight) -> list:
+    return [
+        b"    <edge source=", a, b" target=", b, b'>\n      <data key="weight">',
+        render.decimals(weight), b"</data>\n    </edge>\n",
     ]
-    out += (
-        f"    <node id={v}>\n"
-        f'      <data key="degree">{degree}</data>\n'
-        f'      <data key="component">{rank}</data>\n'
-        f'      <data key="color">{color}</data>\n'
-        "    </node>"
-        for v, degree, rank, color in nodes
-    )
-    out += edges
-    out.append("  </graph>\n</graphml>\n")
-    return "\n".join(out).encode("utf-8")
+
+
+_GRAPHML_HEAD = b"""<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="degree" for="node" attr.name="degree" attr.type="int"/>
+  <key id="component" for="node" attr.name="component" attr.type="int"/>
+  <key id="color" for="node" attr.name="color" attr.type="string"/>
+  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>
+"""
+
+
+def _graphml(layer: NetworkLayer, nodes: list, edges: list) -> list:
+    graph_id = _xml_quote("t" + threshold_label(layer.threshold))
+    head = _GRAPHML_HEAD + f'  <graph id={graph_id} edgedefault="undirected">\n'.encode()
+    return [head, *nodes, *edges, b"  </graph>\n</graphml>\n"]
 
 
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
-    return [f"  {ids[i]} -- {ids[j]} [weight={w:.6f}];" for i, j, w in zip(a, b, weight)]
+def _dot_nodes(v, degree, rank, color) -> list:
+    return [b"  ", v, b" [degree=", degree, b", component=", rank, b", color=", color, b"];\n"]
 
 
-def _to_dot(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes:
-    out = [f"graph {_dot_quote('t' + threshold_label(layer.threshold))} {{"]
-    out += (
-        f"  {v} [degree={degree}, component={rank}, color={color}];"
-        for v, degree, rank, color in nodes
-    )
-    out += edges
-    out.append("}\n")
-    return "\n".join(out).encode("utf-8")
+def _dot_edges(a, b, weight) -> list:
+    return [b"  ", a, b" -- ", b, b" [weight=", render.decimals(weight), b"];\n"]
 
 
-def _json_number(x: float) -> str:
-    """A number as ``json.dumps`` writes it: an int as an int, a finite float
-    (np.float64 too, whose own repr is ``np.float64(...)``) by ``float.__repr__``,
-    and NaN and the infinities by their JavaScript names."""
-    if not isinstance(x, float):
-        return int.__repr__(x)
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+def _dot(layer: NetworkLayer, nodes: list, edges: list) -> list:
+    name = _dot_quote("t" + threshold_label(layer.threshold))
+    return [f"graph {name} {{\n".encode(), *nodes, *edges, b"}\n"]
 
 
-def _json_array(items: list[str], indent: str) -> str:
-    """Rendered items as an indented JSON array closed at ``indent``."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-
-
-def _json_edges(ids: list[str], a: list, b: list, weight: list) -> list[str]:
+def _json_nodes(v, degree, rank, color) -> list:
     return [
-        f'      {{\n        "source": {ids[i]},\n        "target": {ids[j]},\n'
-        f'        "weight": {_json_number(round(w, 6))}\n      }}'
-        for i, j, w in zip(a, b, weight)
+        b'      {\n        "color": "', color, b'",\n        "component": ', rank,
+        b',\n        "degree": ', degree, b',\n        "id": ', v, b"\n      },\n",
     ]
 
 
-def _to_jsongraph(layer: NetworkLayer, nodes: Iterable, edges: list[str]) -> bytes:
-    node_items = [
-        f'      {{\n        "color": "{color}",\n'
-        f'        "component": {rank},\n'
-        f'        "degree": {degree},\n'
-        f'        "id": {v}\n      }}'
-        for v, degree, rank, color in nodes
+def _json_edges(a, b, weight) -> list:
+    return [
+        b'      {\n        "source": ', a, b',\n        "target": ', b,
+        b',\n        "weight": ', render.json_decimals(weight), b"\n      },\n",
     ]
+
+
+def _json_array(runs: list) -> list:
+    """Item runs, each item ending ",\\n", as an indented JSON array."""
+    if not runs:
+        return [b"[]"]
+    return [b"[\n", *runs[:-1], runs[-1][:-2], b"\n    ]"]
+
+
+def _jsongraph(layer: NetworkLayer, nodes: list, edges: list) -> list:
     provenance = layer.provenance
-    types = [f"        {_json_quote(t)}" for t in provenance.project_types]
-    return (
-        '{\n  "graph": {\n    "directed": false,\n'
-        f'    "edges": {_json_array(edges, "    ")},\n'
-        '    "metadata": {\n'
-        f'      "dataset_fingerprint": {_json_quote(provenance.dataset_fingerprint)},\n'
-        f'      "project_types": {_json_array(types, "      ")},\n'
-        f'      "threshold": {_json_number(layer.threshold)}\n'
-        "    },\n"
-        f'    "nodes": {_json_array(node_items, "    ")}\n'
-        "  }\n}\n"
-    ).encode("utf-8")
+    metadata = {
+        "dataset_fingerprint": provenance.dataset_fingerprint,
+        "project_types": list(provenance.project_types),
+        "threshold": layer.threshold,
+    }
+    metadata_text = json.dumps(metadata, indent=2, sort_keys=True).replace("\n", "\n    ")
+    return [
+        b'{\n  "graph": {\n    "directed": false,\n    "edges": ', *_json_array(edges),
+        f',\n    "metadata": {metadata_text},\n    "nodes": '.encode(), *_json_array(nodes),
+        b"\n  }\n}\n",
+    ]
 
 
-# per format: the id quoting, the edge lines of a pair list, the document
+# per format: the id quoting; the node line template of the id, degree, rank
+# and color columns; the edge line template of the two id columns and the
+# weights; the document around the node and edge blocks
 _FORMATS = {
-    ExportFormat.GRAPHML: (_xml_quote, _graphml_edges, _to_graphml),
-    ExportFormat.DOT: (_dot_quote, _dot_edges, _to_dot),
-    ExportFormat.JSONGRAPH: (_json_quote, _json_edges, _to_jsongraph),
+    ExportFormat.GRAPHML: (_xml_quote, _graphml_nodes, _graphml_edges, _graphml),
+    ExportFormat.DOT: (_dot_quote, _dot_nodes, _dot_edges, _dot),
+    ExportFormat.JSONGRAPH: (_json_quote, _json_nodes, _json_edges, _jsongraph),
 }
 
 

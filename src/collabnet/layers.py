@@ -63,7 +63,9 @@ class Pairs:
     Pair i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
     weight[i]; pairs are in canonical (a, b) order so serialization is
     byte-stable. ``cache`` holds what callers derive per pair once for every
-    layer cut from these pairs (export keeps its rendered lines there).
+    layer cut from these pairs: export keeps there, per format, its quoted-id
+    table and every pair's edge line as one byte buffer with int64 line
+    ends, no object per pair.
     """
 
     nodes: tuple[str, ...]

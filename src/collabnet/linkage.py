@@ -23,6 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import render
 from .ingest import Dataset
 
 __all__ = [
@@ -121,13 +122,16 @@ def build_linkage_table(dataset: Dataset) -> LinkageTable:
 def table_to_csv_bytes(table: LinkageTable) -> bytes:
     """Debug dump: project_a, project_b, n_common, linkage (6 decimals).
 
-    Each project id is quoted once, by the csv module as it quotes a field,
-    and each pair is then one line of one template."""
+    Each project id is quoted once, by the csv module as it quotes a field;
+    every pair's line is then rendered at once by :mod:`collabnet.render`."""
     # writerow returns what the file's write returns: here, the formatted row
     row = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
     # each id beside an empty field, as in a pair row (a lone empty field is
     # written as ""), then that field's ",\n" dropped
-    ids = [row((pid, ""))[:-2] for pid in table.projects]
-    columns = (c.tolist() for c in (table.a, table.b, table.n_common, table.linkage))
-    lines = (f"{ids[a]},{ids[b]},{n},{v:.6f}\n" for a, b, n, v in zip(*columns))
-    return ("project_a,project_b,n_common,linkage\n" + "".join(lines)).encode("utf-8")
+    ids = render.texts([row((pid, ""))[:-2] for pid in table.projects])
+    text, _ = render.lines(
+        table.a.size,
+        [render.gather(ids, table.a), b",", render.gather(ids, table.b), b",",
+         render.integers(table.n_common), b",", render.decimals(table.linkage), b"\n"],
+    )
+    return b"project_a,project_b,n_common,linkage\n" + text

@@ -653,6 +653,27 @@ def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, mo
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+def test_out_of_memory_exits_1_with_one_error_line(small_input, tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "new" / "out"
+    real_export = cli.export.export_layer
+    calls = []
+
+    def exhausted_export(*args, **kwargs):  # the second layer's allocation fails
+        calls.append(sorted(p.name for p in out_dir.glob(".*.tmp")))
+        if len(calls) == 2:
+            raise MemoryError
+        return real_export(*args, **kwargs)
+
+    monkeypatch.setattr(cli.export, "export_layer", exhausted_export)
+    argv = ["build", str(small_input), "--thresholds", "0,50", "--dump-linkage", "--output-dir", str(out_dir)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory while building the output\n"
+    assert calls[1] == [f".layer_00_t0.graphml.{os.getpid()}.tmp", f".linkage.csv.{os.getpid()}.tmp"]
+    assert not (tmp_path / "new").exists()
+
+
 def test_include_isolated_flag_changes_exports(small_input, tmp_path):
     kept = tmp_path / "kept"
     dropped = tmp_path / "dropped"

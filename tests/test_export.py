@@ -224,6 +224,7 @@ QUOTED_IDS = [
     "a&b<c>d",
     "back\\slash\\",
     "&amp; \\u0041",  # already looks escaped
+    "nul\x00id",  # a zero byte: the mask, not the byte, tells an id from its padding
 ]
 
 
@@ -245,13 +246,42 @@ def test_export_matches_reference_without_edges():
     assert_matches_reference(make_layer(["a", "b", 'q"'], []))
 
 
+@pytest.mark.filterwarnings("error")  # a numpy cast warning on inf, nan or 1e22 fails
 def test_export_matches_reference_on_number_types():
     weights = [35, 35.0, 1 / 3, 2.5e-7, 1e22, np.float64(2 / 3), np.float64(40)]
-    weights += [float("inf"), float("nan")]
+    weights += [float("inf"), float("nan"), -0.0, 5e-7, 0.0078125, 1e9]
     for threshold in (20, 20.5, 1e-7, np.float64(35.000001)):
         for weight in weights:
             layer = make_layer("abc", [("a", "b", weight), ("b", "c", 7)], threshold)
             assert_matches_reference(layer)
+
+
+KEEPS = {  # which of the five pairs a layer keeps
+    "none": [False] * 5,
+    "every": [True] * 5,
+    "first": [True, False, False, False, False],
+    "last": [False, False, False, False, True],
+    "alternate": [True, False, True, False, True],
+}
+
+
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+def test_edge_blocks_of_layers_that_share_pairs(fmt):
+    """Layers cut from one Pairs take their edge blocks from one rendered
+    buffer: each block equals the reference, whichever lines it keeps."""
+    edges = [("a", "b", 35.5), ("a", "c", 0.0078125), ("b", "d", 1e-5)]
+    edges += [("c", "e", 20.0), ("e", "f", 99.999999)]
+    full = make_layer("abcdef", edges, threshold=5.0)
+    for name, keep in KEEPS.items():
+        layer = layers.NetworkLayer(5.0, full.pairs, full.provenance, np.array(keep))
+        for include_isolated in (True, False):
+            blob = export_layer(layer, visuals_for(layer), fmt, include_isolated=include_isolated)
+            assert blob == reference_export(
+                layer, visuals_for(layer), fmt, include_isolated=include_isolated
+            ), name
+            if fmt is ExportFormat.JSONGRAPH:
+                assert b",\n    ]" not in blob
+    assert list(full.pairs.cache) == [fmt]  # every layer's block came from one buffer
 
 
 def assert_matches_reference_visuals(layer):
