@@ -26,13 +26,15 @@ interior nodes on each of its shortest paths (Brandes 2008, "On variants
 of shortest-path betweenness centrality"). One bit-parallel BFS (Then et
 al. 2015, "The More the Merrier: Efficient Multi-Source Graph Traversal")
 keeps one bit per source in uint64 words, so a level is an OR over each
-node's neighbours and c_d is its popcount. One walk over every pass and
-level tallies a layer: it adds each level's popcounts to the histogram and,
-per node, over 1/d to its closeness, and it counts triangles off each
-pass's first level, each node's neighbours among the pass's sources: each
-edge (u, v) of the pass closes popcount(level1[u] & level1[v]) triangles
-whose third corner is a source, and the passes of a component cover all of
-its nodes.
+node's neighbours and c_d is its popcount. Each step gathers padded
+columns of length-sorted rows plus a tail of the longest rows' excess
+(Bell & Garland 2009's hybrid ELLPACK layout, sorted as in Kreutzer et al.
+2014's SELL-C-σ). One walk over every pass and level tallies a layer: it
+adds each level's popcounts to the histogram and, per node, over 1/d to
+its closeness, and it counts triangles off each pass's first level, each
+node's neighbours among the pass's sources: each edge (u, v) of the pass
+closes popcount(level1[u] & level1[v]) triangles whose third corner is a
+source, and the passes of a component cover all of its nodes.
 :func:`report`, :func:`closeness` and :func:`clustering` all read that
 tally, so :func:`clustering` alone also walks every level.
 :func:`betweenness` rebuilds the shortest-path counts σ from the levels in
@@ -79,7 +81,9 @@ __all__ = [
 ]
 
 _WORDS = 8  # uint64 words per BFS pass over a component of more than 64 nodes
+_COLUMNS = 8  # padded columns per BFS step; entries past them go to a reduceat tail
 _SOURCES = 16  # sources per Brandes run in betweenness()
+_BLOCK_BYTES = 1 << 22  # gathered words per block of the triangle count, as render.lines
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,12 @@ def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
 def _passes(layer: NetworkLayer):
     """Yield (nodes, ends, steps, frontier) per BFS pass: node indices, the
     pass's edges as the arrays (u, v) of their ends' positions in nodes,
-    the CSRs one BFS step gathers through (see :func:`_levels`) and a
-    (node, word) uint64 array with one bit per source. The steps are the
-    pass's member teams as :func:`_team_block` cuts them when the layer
-    carries teams, and its adjacency, renumbered to positions, otherwise.
+    the :func:`_columns` of the CSRs one BFS step gathers through (see
+    :func:`_levels`) and a (node, word) uint64 array with one bit per
+    source. The steps are the pass's member teams as :func:`_team_block`
+    cuts them when the layer carries teams, and its adjacency, renumbered
+    to positions, otherwise; nodes come by decreasing team count or degree,
+    stably, so every step's rows are sorted by length.
 
     A node's bit is its rank inside its own component. Each window of
     64 * _WORDS ranks groups the components that reach into it by the
@@ -159,6 +165,8 @@ def _passes(layer: NetworkLayer):
     first = np.searchsorted(component[order], component)  # where each component starts
     rank = np.argsort(order) - first  # each node's rank inside its own component
     size = np.bincount(component)[component]
+    teams = layer.teams
+    length = layer.degrees if teams is None else np.bincount(teams[1], minlength=layer.n_nodes)
     position = np.empty(layer.n_nodes, np.int64)  # a pass node's index among the pass's
     for start in range(0, size.max(initial=0), 64 * _WORDS):
         # the words each node's component needs in this window; 0 for none
@@ -166,13 +174,15 @@ def _passes(layer: NetworkLayer):
         for w in np.unique(words[words > 0]):
             inside = words == w
             nodes = np.flatnonzero(inside)
+            nodes = nodes[np.argsort(-length[nodes], kind="stable")]
             position[nodes] = np.arange(nodes.size)
             cut = inside[layer.a]  # the pass's edges
             ends = position[layer.a[cut]], position[layer.b[cut]]
-            if layer.teams is None:
+            if teams is None:
                 steps = (_block(layer.adjacency, position, nodes),)
             else:
-                steps = _team_block(layer.teams, position, inside)
+                steps = _team_block(teams, position, inside)
+            steps = tuple(_columns(*csr) for csr in steps)
             window = rank[nodes] - start
             sources = np.flatnonzero((window >= 0) & (window < 64 * _WORDS))
             yield nodes, ends, steps, _bits(sources, window[sources], nodes.size)
@@ -190,18 +200,21 @@ def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarr
 def _team_block(teams, position: np.ndarray, inside: np.ndarray):
     """The two half-step CSRs of one pass, as ``(to_teams, to_nodes)``:
     each team that lies among the nodes ``inside`` marks lists their
-    ``position`` among them, and each of those nodes lists its teams. The
-    nodes are whole components, so a team lies wholly inside or outside
-    them. Neither CSR has an empty row: a team holds two or more nodes, and
-    each pass node has an edge, so it shares a team."""
+    ``position`` among them, the largest team first, and each of those
+    nodes lists its teams. The nodes are whole components, so a team lies
+    wholly inside or outside them. Neither CSR has an empty row: a team
+    holds two or more nodes, and each pass node has an edge, so it shares a
+    team."""
     indptr, indices = teams
     size = np.diff(indptr)
-    kept = inside[indices[indptr[:-1]]]  # by each team's first node
-    rows = position[indices[np.repeat(kept, size)]]
+    kept = np.flatnonzero(inside[indices[indptr[:-1]]])  # by each team's first node
+    kept = kept[np.argsort(-size[kept], kind="stable")]
     size = size[kept]
+    sub, entries = _rows(indptr, kept)
+    rows = position[indices[entries]]
     team = np.repeat(np.arange(size.size), size)[np.argsort(rows, kind="stable")]
     to_nodes = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=inside.sum()))])
-    return (np.concatenate([[0], np.cumsum(size)]), rows), (to_nodes, team)
+    return (sub, rows), (to_nodes, team)
 
 
 def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,20 +233,47 @@ def _bits(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
+def _columns(indptr: np.ndarray, indices: np.ndarray):
+    """Split a CSR whose rows are sorted by decreasing length: column j <
+    _COLUMNS lists entry j of each row that has one, a prefix of the rows,
+    and a tail CSR the entries past _COLUMNS of the rows longer than that."""
+    size = np.diff(indptr)
+    columns = [indices[indptr[: np.count_nonzero(size > j)] + j] for j in range(_COLUMNS)]
+    over = size[size > _COLUMNS] - _COLUMNS
+    place = np.arange(indices.size) - np.repeat(indptr[:-1], size)  # within its row
+    tail = np.concatenate([[0], np.cumsum(over)]), indices[place >= _COLUMNS]
+    return [column for column in columns if column.size], tail
+
+
+def _step(step, frontier: np.ndarray) -> np.ndarray:
+    """Row i of the result is the OR of the ``frontier`` rows that row i of
+    a :func:`_columns` step lists: one gather per column, each ORed into
+    the rows it reaches, then one reduceat over the gathered tail."""
+    columns, (indptr, indices) = step
+    out = frontier.take(columns[0], axis=0)
+    for column in columns[1:]:
+        out[: column.size] |= frontier.take(column, axis=0)
+    if indices.size:
+        gathered = frontier.take(indices, axis=0)
+        out[: indptr.size - 1] |= np.bitwise_or.reduceat(gathered, indptr[:-1], axis=0)
+    return out
+
+
 def _levels(steps, frontier: np.ndarray):
     """Bit-parallel BFS from every source bit at once: yield, hop 1 first,
     each level's (node, word) bits of the pairs first reached at that hop.
 
-    A step gathers through each CSR of ``steps`` in turn, row i taking the
-    OR of the bits of its entries. Over the pass's adjacency, one CSR, that
-    reaches each node's neighbours. Over its teams, two half-steps, each
-    team ORs its nodes' bits and then each node its teams': that reaches
-    the node's neighbours and the node itself, which ``seen`` holds. Every
-    row needs an entry: reduceat gives a[i], not 0, for an empty one."""
+    A step gathers through each CSR of ``steps`` in turn (:func:`_step`),
+    row i taking the OR of the bits of its entries. Over the pass's
+    adjacency, one CSR, that reaches each node's neighbours. Over its
+    teams, two half-steps, each team ORs its nodes' bits and then each node
+    its teams': that reaches the node's neighbours and the node itself,
+    which ``seen`` holds. Every row needs an entry: column 0 sizes the
+    result, and reduceat gives a[i], not 0, for an empty tail row."""
     seen = frontier.copy()
     while True:
-        for indptr, indices in steps:
-            frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
+        for step in steps:
+            frontier = _step(step, frontier)
         frontier &= ~seen
         if not frontier.any():
             return
@@ -248,19 +288,27 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     counts the nodes d hops from v, and d(s, v) = d(v, s), so each node's
     closeness adds its row's popcount over d. At hop 1 the level holds each
     node's neighbours among the sources, so each edge (u, v) of the pass
-    closes popcount(level[u] & level[v]) triangles at both ends. A node's
+    closes popcount(level[u] & level[v]) triangles at both ends, counted a
+    block of about _BLOCK_BYTES of gathered words at a time; every count is
+    a whole number, so its float sums are exact in any order. A node's
     clustering is 2*T(v) / (deg*(deg-1)), and 0 below degree 2."""
     pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
     reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
     for nodes, (u, v), steps, frontier in _passes(layer):
+        ones = np.ones(frontier.shape[1])  # a row's popcount is its words' counts @ ones
+        block = _BLOCK_BYTES // frontier[0].nbytes  # edges per block of the triangle count
         for d, level in enumerate(_levels(steps, frontier), 1):
             if d == 1:
-                shared = np.bitwise_count(level[u] & level[v]).sum(axis=1)
-                for end in u, v:  # integer counts, so the order is exact
-                    links[nodes] += np.bincount(end, shared, nodes.size)
-            counts = np.bitwise_count(level).sum(axis=1, dtype=np.int64)
-            pairs_at[d] += counts.sum()
+                for lo in range(0, u.size, block):
+                    ends = u[lo : lo + block], v[lo : lo + block]
+                    both = level.take(ends[0], axis=0)
+                    both &= level.take(ends[1], axis=0)
+                    shared = np.bitwise_count(both) @ ones
+                    for end in ends:
+                        links[nodes] += np.bincount(end, shared, nodes.size)
+            counts = np.bitwise_count(level) @ ones
+            pairs_at[d] += int(counts.sum())
             reach[nodes] += counts / d
     deg = layer.degrees
     local = np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -416,6 +417,65 @@ def test_team_step_equals_csr_step(seed):
         assert set(_team_steps(layer)) == {every_pair}
         if every_pair:
             _assert_equals_csr_twin(layer)
+
+
+def _hub_input(n_projects: int) -> bytes:
+    """A synth table of ``n_projects`` projects plus a member HUB at 0% in
+    every one of them, and one more project PX tied to the first by a member
+    of their own, also at 0%. A pair that shares only HUB has linkage 0, so
+    the threshold-0 layer is a clique of the synth projects, one team of
+    them all, and PX keeps some clustering values strictly between 0 and 1."""
+    data = generate_csv_bytes(SynthConfig(seed=0, n_projects=n_projects, n_members=n_projects // 2))
+    rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+    types = {row[0]: row[-1] for row in rows}
+    hub = "".join(f"{project},HUB,0,,{kind}\n" for project, kind in types.items())
+    first, kind = rows[0][0], rows[0][-1]
+    return data + f"{hub}{first},MPX,0,,{kind}\nPX,MPX,0,,{kind}\n".encode()
+
+
+def _tails(layer) -> list[bool]:
+    """Per BFS step of every pass, whether it has rows past the columns."""
+    return [indices.size > 0 for *_, steps, _ in metrics._passes(layer) for _, (_, indices) in steps]
+
+
+@pytest.mark.parametrize("threshold", [0, 10])
+def test_hub_layers_match_oracles(threshold):
+    """At 0 a team-walked pass has a team of every synth project; at 10 the
+    projected CSR has rows longer than the padded columns."""
+    nx = pytest.importorskip("networkx")
+    _, (layer,) = _threshold_stack(_hub_input(200), [threshold])
+    assert all(_team_steps(layer)) == (threshold == 0)
+    assert any(_tails(layer))
+    sizes = tuple(map(len, nx.connected_components(nx.Graph(adjacency_of(layer)))))
+    _assert_matches_oracles(layer, sizes)
+
+
+def test_star_layer_matches_oracles():
+    """Two stars, of 63 and of 100 leaves, each with one edge between two
+    leaves: a one-word and a two-word pass, each with a CSR tail."""
+    nodes = [f"n{i:03d}" for i in range(165)]
+    edges = [(nodes[0], leaf) for leaf in nodes[1:64]] + [(nodes[1], nodes[2])]
+    edges += [(nodes[64], leaf) for leaf in nodes[65:]] + [(nodes[65], nodes[66])]
+    layer = make_layer(nodes, edges)
+    assert [frontier.shape[1] for *_, frontier in metrics._passes(layer)] == [1, 2]
+    assert all(_tails(layer))
+    _assert_matches_oracles(layer, (64, 101))
+
+
+def test_hub_report_memory_is_bounded_by_blocks():
+    """The triangle count gathers its edges' words a block at a time: on
+    the threshold-0 layer of 800 projects and a hub, each pass's 319,600
+    edges hold 20 MB of words per gathered copy, and ``report`` stays under
+    eight blocks."""
+    _, (layer,) = _threshold_stack(_hub_input(800), [0])
+    layer.degrees, layer.component_rank  # cached per layer, outside the walk
+    tracemalloc.start()
+    try:
+        report(layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * metrics._BLOCK_BYTES
 
 
 def test_handshake_identity():

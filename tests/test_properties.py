@@ -1,4 +1,4 @@
-"""Property tests for CSV ingest, linkage and layer export.
+"""Property tests for CSV ingest, linkage, layer export and the BFS step.
 
 Examples are derived from the test source (``derandomize=True``) and never
 time out, so every run checks the same cases.
@@ -9,10 +9,12 @@ from __future__ import annotations
 import json
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabnet import metrics
 from collabnet.export import ExportFormat, assign_visuals, export_layer
 from collabnet.ingest import (
     CSV_COLUMNS,
@@ -272,3 +274,31 @@ def test_linkage_symmetric_bounded_and_naive(project_teams):
         n_common, value = naive[(pa, pb)]
         assert link.n_common == n_common
         assert link.linkage == pytest.approx(value, rel=1e-12)
+
+
+# row lengths at the column edges, short rows, and a hub row far past them
+row_lengths = st.one_of(
+    st.sampled_from([1, metrics._COLUMNS, metrics._COLUMNS + 1]),
+    st.integers(1, 3 * metrics._COLUMNS),
+    st.integers(200, 600),
+)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(
+    st.lists(row_lengths, min_size=1, max_size=12),
+    st.integers(1, 40),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_column_step_equals_reduceat(lengths, n_nodes, words, seed):
+    """A BFS step through padded columns and a tail ORs the same frontier
+    rows as one reduceat over each row's gathered entries."""
+    rng = np.random.default_rng(seed)
+    size = np.array(sorted(lengths, reverse=True))
+    indptr = np.concatenate([[0], np.cumsum(size)])
+    indices = rng.integers(0, n_nodes, indptr[-1])
+    frontier = rng.integers(0, 2**64, (n_nodes, words), dtype=np.uint64)
+    expected = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
+    got = metrics._step(metrics._columns(indptr, indices), frontier)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
