@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from collabnet import ingest
@@ -20,6 +22,28 @@ def group_by_project(records):
     for rec in records:
         projects.setdefault(rec.project_id, []).append(rec)
     return projects
+
+
+# the bench's two inputs: each side of a before/after pair draws its dataset
+# with its own synth, so these bytes must not move
+PINNED_CSV = [
+    (
+        SynthConfig(seed=0),
+        "02ab510b74d95fb65b5d5f53d55cf48c3b54b7074b14a5ef19bcbb9cdd00741e",
+        316_959,
+    ),
+    (
+        SynthConfig(seed=1, n_projects=4600, n_members=2000),
+        "d0dbc431691eece4a9a7b2502eb398769755a39c8702c888df33e405afb13fe1",
+        620_806,
+    ),
+]
+
+
+@pytest.mark.parametrize("config, sha256, size", PINNED_CSV)
+def test_generated_csv_bytes_are_pinned(config, sha256, size):
+    data = generate_csv_bytes(config)
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
 
 def test_same_seed_reproduces_exactly():
