@@ -2,8 +2,12 @@
 
 The generator draws projects with teams from a pool of members organized
 into lab-like groups. Every run is fully determined by the seed, so the
-same config always produces the same CSV, byte for byte.
+same config always produces the same CSV, byte for byte. The records come
+back as one table of columns: ids coded as indices into sorted id tuples,
+contributions and IC scores as float arrays.
 """
+
+import numpy as np
 
 from collabnet.ingest import aggregate, parse_records
 from collabnet.synth import SynthConfig, generate, generate_csv_bytes, type_counts
@@ -16,16 +20,14 @@ records = generate(config)
 print(f"records: {len(records)}")
 print(f"planned type counts: { {t.value: n for t, n in type_counts(config).items()} }")
 
-# every project's contributions add up to exactly 100
-by_project: dict[str, list] = {}
-for rec in records:
-    by_project.setdefault(rec.project_id, []).append(rec)
-sums = {pid: sum(r.contribution_pct for r in recs) for pid, recs in by_project.items()}
-print(f"projects: {len(by_project)}, min/max contribution sum: "
-      f"{min(sums.values()):.4f} / {max(sums.values()):.4f}")
+# every project's contributions add up to exactly 100: sum the contribution
+# column by each row's project code
+sums = np.bincount(records.project, weights=records.contribution_pct)
+print(f"projects: {len(records.project_ids)}, min/max contribution sum: "
+      f"{sums.min():.4f} / {sums.max():.4f}")
 
-mean = sum(r.contribution_pct for r in records) / len(records)
-print(f"mean contribution per record: {mean:.2f}")
+print(f"mean contribution per record: {records.contribution_pct.mean():.2f}")
+print(f"records without an IC score: {np.isnan(records.ic_score).sum()}")
 
 # the CSV emitted here is exactly what the ingest stage consumes
 csv_bytes = generate_csv_bytes(config)

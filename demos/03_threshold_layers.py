@@ -3,7 +3,8 @@
 Each layer keeps every project as a node and only the pairs whose linkage
 meets that layer's threshold as edges. Raising the threshold can only
 remove edges, so the stack is nested: a high layer shows the strongly held
-collaborations, a low layer shows everything.
+collaborations, a low layer shows everything. A layer's edges are the
+arrays ``a``, ``b`` (indices into ``nodes``) and ``weight``.
 """
 
 from collabnet.ingest import aggregate, parse_records
@@ -20,13 +21,20 @@ sweep = make_sweep_explicit([0, 20, 40, 60, 80, 100])
 stack = build_layer_stack(dataset, table, sweep)
 print("threshold  edges  isolated")
 for layer in stack:
-    touched = {v for e in layer.edges for v in (e.a, e.b)}
-    print(f"{layer.threshold:9.0f}  {layer.n_edges:5d}  {layer.n_nodes - len(touched):8d}")
+    isolated = layer.n_nodes - int((layer.degrees > 0).sum())
+    print(f"{layer.threshold:9.0f}  {layer.n_edges:5d}  {isolated:8d}")
 
 # nesting: every higher layer's edges are a subset of every lower layer's
+# (the layers share their nodes, so the index pairs compare directly)
 for low, high in zip(stack, stack[1:]):
-    assert {(e.a, e.b) for e in high.edges} <= {(e.a, e.b) for e in low.edges}
+    assert set(zip(high.a.tolist(), high.b.tolist())) <= set(zip(low.a.tolist(), low.b.tolist()))
 print("nesting holds across the stack")
+
+# an edge's ends are indices into the layer's sorted project ids
+top = stack[-1]
+if top.n_edges:
+    a, b = top.nodes[top.a[0]], top.nodes[top.b[0]]
+    print(f"first edge at {top.threshold:.0f}: {a}-{b}, weight {top.weight[0]:.2f}")
 
 # alternatively, derive thresholds from the observed linkage range
 auto = make_sweep_linspace(table, 6)

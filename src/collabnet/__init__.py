@@ -12,15 +12,13 @@ command line.
 __version__ = "0.1.0"
 
 from .ingest import (  # noqa: F401
-    ContributionRecord,
     Dataset,
-    Project,
     ProjectType,
     aggregate,
     filter_by_type,
     parse_records,
 )
-from .linkage import LinkageTable, PairLinkage, build_linkage_table  # noqa: F401
+from .linkage import LinkageTable, build_linkage_table  # noqa: F401
 from .layers import (  # noqa: F401
     NetworkLayer,
     ThresholdSweep,

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_quote
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "ComponentColor",
     "ExportFormat",
     "LayerVisuals",
-    "VisualAttributes",
     "assign_visuals",
     "export_layer",
     "parse_jsongraph",
@@ -67,41 +65,19 @@ class ExportFormat(Enum):
     JSONGRAPH = "json"  # each value doubles as the file extension
 
 
-@dataclass(frozen=True)
-class VisualAttributes:
-    node_size_key: int  # node degree; the viewer scales it
-    component_color: ComponentColor
-    component_rank: int
-
-
 _COLORS = tuple(ComponentColor)  # a color index points into this
 _COLOR_TEXTS = render.texts([color.value for color in _COLORS])
 
 
 @dataclass(frozen=True, eq=False)
-class LayerVisuals(Mapping):
-    """Every node's visual attributes, held as arrays in ``nodes`` order: the
-    degree, the component rank and the color index. Reads as a node ->
-    :class:`VisualAttributes` mapping."""
+class LayerVisuals:
+    """Every node's visual attributes, held as arrays in its layer's
+    ``nodes`` order: the degree (the node size a viewer scales), the
+    component rank and the color, an index into ``tuple(ComponentColor)``."""
 
-    nodes: tuple[str, ...]
     degree: np.ndarray
     rank: np.ndarray
     color: np.ndarray
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.nodes)}
-
-    def __getitem__(self, node: str) -> VisualAttributes:
-        i = self._index[node]
-        return VisualAttributes(int(self.degree[i]), _COLORS[self.color[i]], int(self.rank[i]))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def _color_bands(n_classes: int) -> list[int]:
@@ -125,7 +101,7 @@ def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> LayerV
     _, component, size = np.unique(rank, return_inverse=True, return_counts=True)
     sizes, size_class = np.unique(-size, return_inverse=True)  # class 0: the largest
     color = np.array(_color_bands(sizes.size), np.int64)[size_class[component]]
-    return LayerVisuals(layer.nodes, layer.degrees, rank, color)
+    return LayerVisuals(layer.degrees, rank, color)
 
 
 def export_layer(
@@ -145,7 +121,7 @@ def export_layer(
     of its own edges."""
     if fmt not in _FORMATS:
         raise ValueError(f"unsupported export format: {fmt!r}")
-    if not (isinstance(visuals, LayerVisuals) and visuals.nodes == layer.nodes):
+    if not (isinstance(visuals, LayerVisuals) and visuals.degree.size == layer.n_nodes):
         raise ValueError("visuals do not cover nodes: pass the LayerVisuals of this layer")
     _, node_template, _, document = _FORMATS[fmt]
     ids, edge_text, edge_ends = _rendered(layer.pairs, fmt)
@@ -316,5 +292,5 @@ def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, LayerVisuals]:
     layer = NetworkLayer(float(meta["threshold"]), pairs, provenance)
     columns = ([node[key] for node in shown] for key in ("degree", "component"))
     color = [_COLORS.index(ComponentColor(node["color"])) for node in shown]
-    visuals = LayerVisuals(nodes, *(np.array(c, np.int64) for c in (*columns, color)))
+    visuals = LayerVisuals(*(np.array(c, np.int64) for c in (*columns, color)))
     return layer, visuals

@@ -7,9 +7,8 @@ into their sorted id tuples, contributions and IC scores as float arrays,
 type codes and source line numbers. Each row check runs over whole columns.
 :func:`aggregate` checks the memberships on the codes and wraps the table in
 a :class:`Dataset`, which linkage, layers, stats and the fingerprint read
-column by column. For callers that want rows or dicts, the table reads as a
-sequence of :class:`ContributionRecord` and the dataset has ``projects`` and
-``member_index`` views.
+column by column; the dataset's one dict view is its inverted
+``member_index``.
 A malformed row or an over-limit project raises, unless the caller passes
 a list (``skipped``, ``over``) to collect its error in and go on.
 """
@@ -21,7 +20,7 @@ import hashlib
 import io
 import math
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -30,9 +29,7 @@ import numpy as np
 
 __all__ = [
     "ProjectType",
-    "ContributionRecord",
     "RecordTable",
-    "Project",
     "Dataset",
     "IngestError",
     "RowError",
@@ -99,17 +96,6 @@ class ContributionSumError(IngestError):
     """A project's contributions sum above ``CONTRIBUTION_SUM_LIMIT``."""
 
 
-@dataclass(frozen=True)
-class ContributionRecord:
-    """One raw input row: a member's contribution to one project."""
-
-    project_id: str
-    member_id: str
-    contribution_pct: float
-    ic_score: float | None
-    project_type: ProjectType
-
-
 def _coded(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct values in Python's sorted order, and each value's index
     among them. (A numpy string array would drop trailing NULs and merge
@@ -126,7 +112,7 @@ def _recoded(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], 
 
 
 @dataclass(frozen=True, eq=False)
-class RecordTable(Sequence[ContributionRecord]):
+class RecordTable:
     """Contribution records as columns, one entry per row in input order.
 
     ``project`` and ``member`` hold each row's ids as indices into
@@ -134,8 +120,7 @@ class RecordTable(Sequence[ContributionRecord]):
     Python's sorted order. ``contribution_pct`` and ``ic_score`` are
     float64, the IC score NaN where its cell was empty; ``project_type``
     indexes ``tuple(ProjectType)``; ``line`` is the source line each row
-    ends on. Indexing and iteration build :class:`ContributionRecord` rows
-    on access, and the table equals any sequence of the same records.
+    ends on.
     """
 
     project_ids: tuple[str, ...]
@@ -147,52 +132,8 @@ class RecordTable(Sequence[ContributionRecord]):
     project_type: np.ndarray
     line: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: Iterable[ContributionRecord]) -> RecordTable:
-        """The records' table; row i gets line i + 2, its line in
-        :func:`records_to_csv_bytes` of the same records."""
-        rows = list(records)
-        project_ids, project = _coded([r.project_id for r in rows])
-        member_ids, member = _coded([r.member_id for r in rows])
-        return cls(
-            project_ids,
-            member_ids,
-            project,
-            member,
-            np.array([r.contribution_pct for r in rows], float),
-            np.array([math.nan if r.ic_score is None else r.ic_score for r in rows], float),
-            np.array([_TYPES.index(r.project_type) for r in rows], np.int8),
-            np.arange(2, len(rows) + 2),
-        )
-
     def __len__(self) -> int:
         return self.project.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]  # a negative index counts from the end
-        ic = self.ic_score.item(i)
-        return ContributionRecord(
-            self.project_ids[self.project[i]],
-            self.member_ids[self.member[i]],
-            self.contribution_pct.item(i),
-            None if math.isnan(ic) else ic,
-            _TYPES[self.project_type[i]],
-        )
-
-    def __iter__(self) -> Iterator[ContributionRecord]:
-        pids, mids = self.project_ids, self.member_ids
-        columns = (self.project, self.member, self.contribution_pct, self.ic_score)
-        for p, m, pct, ic, kind in zip(*(c.tolist() for c in columns), self.project_type.tolist()):
-            yield ContributionRecord(
-                pids[p], mids[m], pct, None if math.isnan(ic) else ic, _TYPES[kind]
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def _take(self, keep: np.ndarray) -> RecordTable:
         """The rows where ``keep`` is true, ids renumbered to the ones they use."""
@@ -202,40 +143,18 @@ class RecordTable(Sequence[ContributionRecord]):
         return RecordTable(project_ids, member_ids, project, member, *(c[keep] for c in rest))
 
 
-@dataclass(frozen=True)
-class Project:
-    """A project's type and its team, keyed by member id with contribution percentages."""
-
-    project_type: ProjectType
-    members: Mapping[str, float]
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Validated records, held as the :class:`RecordTable` ``records``: one
     row per (project, member) membership and one type per project.
 
-    ``Dataset(mapping)`` builds the table from a project id -> Project
-    mapping in which every project has a member. ``projects`` (in order of
-    first appearance, each team in row order) and the inverted
-    ``member_index`` are views built on first use and then cached.
-    Treated as immutable after construction; safe to share across threads.
-    From Python 3.12 two threads reading a view first at once may each build
-    it, and both get equal dicts.
+    The inverted ``member_index`` is a view built on first use and then
+    cached. Treated as immutable after construction; safe to share across
+    threads. From Python 3.12 two threads reading the view first at once may
+    each build it, and both get equal dicts.
     """
 
     records: RecordTable
-
-    def __init__(self, source: Mapping[str, Project] | RecordTable) -> None:
-        if not isinstance(source, RecordTable):
-            if not all(p.members for p in source.values()):
-                raise ValueError("every project needs at least one member")
-            source = RecordTable.from_records(
-                ContributionRecord(pid, mid, pct, None, p.project_type)
-                for pid, p in source.items()
-                for mid, pct in p.members.items()
-            )
-        object.__setattr__(self, "records", source)
 
     @cached_property
     def _first_rows(self) -> np.ndarray:
@@ -243,21 +162,8 @@ class Dataset:
         return np.unique(self.records.project, return_index=True)[1]
 
     @cached_property
-    def projects(self) -> Mapping[str, Project]:
-        """Project id -> :class:`Project`, in order of first appearance."""
-        t = self.records
-        teams: list[dict[str, float]] = [{} for _ in t.project_ids]
-        for p, m, pct in zip(t.project.tolist(), t.member.tolist(), t.contribution_pct.tolist()):
-            teams[p][t.member_ids[m]] = pct
-        first = self._first_rows
-        return {
-            t.project_ids[p]: Project(_TYPES[t.project_type[first[p]]], teams[p])
-            for p in np.argsort(first).tolist()
-        }
-
-    @cached_property
     def member_index(self) -> Mapping[str, frozenset[str]]:
-        """The inverted member -> projects index of ``projects``."""
+        """Member id -> the ids of the projects it is a member of."""
         t = self.records
         ends = np.cumsum(np.bincount(t.member, minlength=self.n_members)).tolist()
         projects = [t.project_ids[p] for p in t.project[np.argsort(t.member)].tolist()]
@@ -476,20 +382,19 @@ def parse_records(
 
 
 def aggregate(
-    records: Iterable[ContributionRecord], *, over: list[ContributionSumError] | None = None
+    records: RecordTable, *, over: list[ContributionSumError] | None = None
 ) -> Dataset:
     """Check the records' memberships and wrap their table in a Dataset.
 
-    ``records`` is a :class:`RecordTable`, or any iterable of records,
-    which is made one. Rejects a repeated (project, member) pair and a
-    project with two type labels; whichever comes first in row order
-    raises, the repeat first on one row. Each project's contributions are
-    summed with ``math.fsum``; a project whose total is above
-    ``CONTRIBUTION_SUM_LIMIT`` raises :class:`ContributionSumError`, unless
-    ``over`` is a list: then the project is kept and its error appended to
-    the list, projects in order of first appearance.
+    Rejects a repeated (project, member) pair and a project with two type
+    labels; whichever comes first in row order raises, the repeat first on
+    one row. Each project's contributions are summed with ``math.fsum``; a
+    project whose total is above ``CONTRIBUTION_SUM_LIMIT`` raises
+    :class:`ContributionSumError`, unless ``over`` is a list: then the
+    project is kept and its error appended to the list, projects in order
+    of first appearance.
     """
-    t = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    t = records
     dataset = Dataset(t)
     first = dataset._first_rows
     repeat = np.ones(len(t), bool)
@@ -533,19 +438,22 @@ def _format_number(value: float) -> str:
     return repr(value) if value != int(value) else str(int(value))
 
 
-def records_to_csv_bytes(records: Iterable[ContributionRecord]) -> bytes:
-    """Write records in the CSV schema consumed by :func:`parse_records`."""
+def records_to_csv_bytes(records: RecordTable) -> bytes:
+    """Write the table's rows, in row order, in the CSV schema consumed by
+    :func:`parse_records`; a NaN IC score is an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(
-            (
-                rec.project_id,
-                rec.member_id,
-                _format_number(rec.contribution_pct),
-                "" if rec.ic_score is None else _format_number(rec.ic_score),
-                rec.project_type.value,
-            )
+    t = records
+    columns = (t.project, t.member, t.contribution_pct, t.ic_score, t.project_type)
+    writer.writerows(
+        (
+            t.project_ids[p],
+            t.member_ids[m],
+            _format_number(pct),
+            "" if math.isnan(ic) else _format_number(ic),
+            _TYPES[kind].value,
         )
+        for p, m, pct, ic, kind in zip(*(c.tolist() for c in columns))
+    )
     return buf.getvalue().encode("utf-8")

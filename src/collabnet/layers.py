@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .ingest import Dataset
 from .linkage import LinkageTable
 
 __all__ = [
-    "Edge",
     "Provenance",
     "Pairs",
     "NetworkLayer",
@@ -40,12 +39,6 @@ __all__ = [
     "build_layer",
     "build_layer_stack",
 ]
-
-
-class Edge(NamedTuple):
-    a: str
-    b: str
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -123,13 +116,6 @@ class NetworkLayer:
         return self.a.size
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as (id, id, weight) tuples, for callers that want names."""
-        ids = self.nodes
-        columns = zip(self.a.tolist(), self.b.tolist(), self.weight.tolist())
-        return tuple(Edge(ids[a], ids[b], w) for a, b, w in columns)
-
-    @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric adjacency in CSR form, the pair ``(indptr, indices)``:
         the neighbours of ``nodes[i]`` are ``indices[indptr[i]:indptr[i + 1]]``.
@@ -193,7 +179,8 @@ def make_sweep_explicit(values: Sequence[float]) -> ThresholdSweep:
 
 
 def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
-    """n_points evenly spaced thresholds from min to max observed linkage."""
+    """n_points evenly spaced thresholds from min to max observed linkage;
+    a range too narrow for n_points distinct floats is rejected."""
     if n_points < 2:
         raise ValueError("linspace sweep needs at least 2 points")
     if table.min_linkage is None or table.max_linkage is None:
@@ -204,6 +191,8 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
     step = (hi - lo) / (n_points - 1)
     values = [lo + i * step for i in range(n_points - 1)]
     values.append(hi)  # endpoint exact regardless of float stepping
+    if len(set(values)) < n_points:
+        raise ValueError(f"linkage range [{lo}, {hi}] is too narrow for {n_points} thresholds")
     return ThresholdSweep(tuple(values))
 
 

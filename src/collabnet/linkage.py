@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator
 
 import numpy as np
 
@@ -27,21 +26,10 @@ from . import render
 from .ingest import Dataset
 
 __all__ = [
-    "PairLinkage",
     "LinkageTable",
     "build_linkage_table",
     "table_to_csv_bytes",
 ]
-
-
-@dataclass(frozen=True)
-class PairLinkage:
-    """Linkage between one unordered project pair (project_a < project_b)."""
-
-    project_a: str
-    project_b: str
-    n_common: int
-    linkage: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +37,7 @@ class LinkageTable:
     """All pair linkages of a dataset, one array entry per co-membered pair.
 
     ``a[i] < b[i]`` index ``projects``, the sorted project ids, and the pairs
-    are in canonical (a, b) order. Iterating yields :class:`PairLinkage` rows.
-    min_linkage/max_linkage are None when no pair shares a member.
+    are in canonical (a, b) order. min_linkage/max_linkage are None when no pair shares a member.
     ``teams``, when known, is the CSR ``(indptr, indices)`` of every member
     in two or more projects, by member id: each row lists its projects'
     indices, ascending. Two projects form a pair exactly when one row holds
@@ -74,14 +61,6 @@ class LinkageTable:
 
     def __len__(self) -> int:
         return self.linkage.size
-
-    def __iter__(self) -> Iterator[PairLinkage]:
-        return (PairLinkage(*row) for row in self._rows())
-
-    def _rows(self) -> Iterator[tuple[str, str, int, float]]:
-        ids = self.projects
-        columns = (self.a, self.b, self.n_common, self.linkage)
-        return ((ids[a], ids[b], n, v) for a, b, n, v in zip(*(c.tolist() for c in columns)))
 
 
 def build_linkage_table(dataset: Dataset) -> LinkageTable:

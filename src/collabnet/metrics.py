@@ -144,48 +144,55 @@ def components(layer: NetworkLayer) -> tuple[int, dict[str, int]]:
 
 
 def _passes(layer: NetworkLayer):
-    """Yield (nodes, ends, steps, frontier) per BFS pass: node indices, the
-    pass's edges as the arrays (u, v) of their ends' positions in nodes,
-    the :func:`_columns` of the CSRs one BFS step gathers through (see
-    :func:`_levels`) and a (node, word) uint64 array with one bit per
-    source. The steps are the pass's member teams as :func:`_team_block`
+    """Yield (nodes, ends, steps, frontiers) per group of BFS passes: node
+    indices, the group's edges as the arrays (u, v) of their ends'
+    positions in nodes, the :func:`_columns` of the CSRs one BFS step
+    gathers through (see :func:`_levels`) and an iterator over the
+    group's passes, each a (node, word) uint64 array with one bit per
+    source. The steps are the group's member teams as :func:`_team_block`
     cuts them when the layer carries teams, and its adjacency, renumbered
     to positions, otherwise; nodes come by decreasing team count or degree,
     stably, so every step's rows are sorted by length.
 
-    A node's bit is its rank inside its own component. Each window of
-    64 * _WORDS ranks groups the components that reach into it by the
-    number of words their part of the window needs, and each group is one
-    pass: no path crosses a component, so their bits never meet, and an
-    edge has both ends in a pass or neither. Components of one node take no
-    part, so every node of a pass has an edge.
+    A node's bit is its rank inside its own component. A group holds the
+    components that need the same number of words, ceil(size / 64), and
+    each window of 64 * _WORDS ranks is one pass over it: no path crosses
+    a component, so their bits never meet, and an edge has both ends in a
+    group or neither. Every component of a group reaches into each of its
+    windows, and a node's windows come in rank order. Components of one
+    node take no part, so every node of a group has an edge.
     """
     component = layer.component_rank
     order = np.argsort(component, kind="stable")
     first = np.searchsorted(component[order], component)  # where each component starts
     rank = np.argsort(order) - first  # each node's rank inside its own component
     size = np.bincount(component)[component]
+    words = np.where(size > 1, -(-size // 64), 0)  # 0 for a one-node component
     teams = layer.teams
     length = layer.degrees if teams is None else np.bincount(teams[1], minlength=layer.n_nodes)
-    position = np.empty(layer.n_nodes, np.int64)  # a pass node's index among the pass's
-    for start in range(0, size.max(initial=0), 64 * _WORDS):
-        # the words each node's component needs in this window; 0 for none
-        words = np.where(size > 1, -(-np.clip(size - start, 0, 64 * _WORDS) // 64), 0)
-        for w in np.unique(words[words > 0]):
-            inside = words == w
-            nodes = np.flatnonzero(inside)
-            nodes = nodes[np.argsort(-length[nodes], kind="stable")]
-            position[nodes] = np.arange(nodes.size)
-            cut = inside[layer.a]  # the pass's edges
-            ends = position[layer.a[cut]], position[layer.b[cut]]
-            if teams is None:
-                steps = (_block(layer.adjacency, position, nodes),)
-            else:
-                steps = _team_block(teams, position, inside)
-            steps = tuple(_columns(*csr) for csr in steps)
-            window = rank[nodes] - start
-            sources = np.flatnonzero((window >= 0) & (window < 64 * _WORDS))
-            yield nodes, ends, steps, _bits(sources, window[sources], nodes.size)
+    position = np.empty(layer.n_nodes, np.int64)  # a group node's index among the group's
+    for w in np.unique(words[words > 0]).tolist():
+        inside = words == w
+        nodes = np.flatnonzero(inside)
+        nodes = nodes[np.argsort(-length[nodes], kind="stable")]
+        position[nodes] = np.arange(nodes.size)
+        cut = inside[layer.a]  # the group's edges
+        ends = position[layer.a[cut]], position[layer.b[cut]]
+        if teams is None:
+            steps = (_block(layer.adjacency, position, nodes),)
+        else:
+            steps = _team_block(teams, position, inside)
+        steps = tuple(_columns(*csr) for csr in steps)
+        yield nodes, ends, steps, _frontiers(rank[nodes], w)
+
+
+def _frontiers(rank: np.ndarray, words: int):
+    """The source bits of each window of 64 * _WORDS of the ``rank``s, which
+    all lie below 64 * ``words``: one (node, word) uint64 array per window."""
+    for start in range(0, 64 * words, 64 * _WORDS):
+        window = rank - start
+        sources = np.flatnonzero((window >= 0) & (window < 64 * _WORDS))
+        yield _bits(sources, window[sources], rank.size)
 
 
 def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +205,7 @@ def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarr
 
 
 def _team_block(teams, position: np.ndarray, inside: np.ndarray):
-    """The two half-step CSRs of one pass, as ``(to_teams, to_nodes)``:
+    """The two half-step CSRs of one pass group, as ``(to_teams, to_nodes)``:
     each team that lies among the nodes ``inside`` marks lists their
     ``position`` among them, the largest team first, and each of those
     nodes lists its teams. The nodes are whole components, so a team lies
@@ -295,21 +302,22 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
     reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
-    for nodes, (u, v), steps, frontier in _passes(layer):
-        ones = np.ones(frontier.shape[1])  # a row's popcount is its words' counts @ ones
-        block = _BLOCK_BYTES // frontier[0].nbytes  # edges per block of the triangle count
-        for d, level in enumerate(_levels(steps, frontier), 1):
-            if d == 1:
-                for lo in range(0, u.size, block):
-                    ends = u[lo : lo + block], v[lo : lo + block]
-                    both = level.take(ends[0], axis=0)
-                    both &= level.take(ends[1], axis=0)
-                    shared = np.bitwise_count(both) @ ones
-                    for end in ends:
-                        links[nodes] += np.bincount(end, shared, nodes.size)
-            counts = np.bitwise_count(level) @ ones
-            pairs_at[d] += int(counts.sum())
-            reach[nodes] += counts / d
+    for nodes, (u, v), steps, frontiers in _passes(layer):
+        for frontier in frontiers:
+            ones = np.ones(frontier.shape[1])  # a row's popcount is its words' counts @ ones
+            block = _BLOCK_BYTES // frontier[0].nbytes  # edges per block of the triangle count
+            for d, level in enumerate(_levels(steps, frontier), 1):
+                if d == 1:
+                    for lo in range(0, u.size, block):
+                        ends = u[lo : lo + block], v[lo : lo + block]
+                        both = level.take(ends[0], axis=0)
+                        both &= level.take(ends[1], axis=0)
+                        shared = np.bitwise_count(both) @ ones
+                        for end in ends:
+                            links[nodes] += np.bincount(end, shared, nodes.size)
+                counts = np.bitwise_count(level) @ ones
+                pairs_at[d] += int(counts.sum())
+                reach[nodes] += counts / d
     deg = layer.degrees
     local = np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)
     return pairs_at, reach, local
@@ -356,14 +364,15 @@ def betweenness(layer: NetworkLayer) -> dict[str, float]:
     over a component of 77,000 entries would hold 316 MB at once."""
     bc = np.zeros(layer.n_nodes)
     position = np.empty(layer.n_nodes, np.int64)
-    for nodes, _, steps, frontier in _passes(layer):
+    for nodes, _, steps, frontiers in _passes(layer):
         position[nodes] = np.arange(nodes.size)
         block = _block(layer.adjacency, position, nodes)
-        dist = np.full((64 * frontier.shape[1], nodes.size), -1, np.int32)
-        for d, level in enumerate(chain([frontier], _levels(steps, frontier))):
-            dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little").T > 0] = d
-        for start in range(0, dist.shape[0], _SOURCES):
-            bc[nodes] += _dependencies(block, dist[start : start + _SOURCES])
+        for frontier in frontiers:
+            dist = np.full((64 * frontier.shape[1], nodes.size), -1, np.int32)
+            for d, level in enumerate(chain([frontier], _levels(steps, frontier))):
+                dist[np.unpackbits(level.view(np.uint8), axis=1, bitorder="little").T > 0] = d
+            for start in range(0, dist.shape[0], _SOURCES):
+                bc[nodes] += _dependencies(block, dist[start : start + _SOURCES])
     return dict(zip(layer.nodes, (bc / 2.0).tolist()))  # ordered (s, t) -> unordered
 
 

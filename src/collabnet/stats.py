@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import ContributionRecord, RecordTable
+from .ingest import RecordTable
 
 __all__ = [
     "Feature",
@@ -65,16 +65,14 @@ class FeatureSummary:
         return self.data_max - self.data_min
 
 
-def _feature_values(records: Sequence[ContributionRecord], feature: Feature) -> np.ndarray:
-    if not isinstance(records, RecordTable):
-        records = RecordTable.from_records(records)
+def _feature_values(records: RecordTable, feature: Feature) -> np.ndarray:
     if feature is Feature.CONTRIBUTION_PCT:
         return records.contribution_pct
     return records.ic_score[~np.isnan(records.ic_score)]
 
 
 def summarize(
-    records: Sequence[ContributionRecord],
+    records: RecordTable,
     feature: Feature,
     n_bins: int = DEFAULT_BINS,
 ) -> FeatureSummary:
@@ -83,8 +81,7 @@ def summarize(
     Bins are contiguous and equal width over [min, max] of the observed
     values, with the final bin right-closed so the maximum is counted.
     Records without the feature are skipped; zero usable values raise
-    :class:`FeatureAbsentError`. A :class:`RecordTable` is read column by
-    column; other records are made one first.
+    :class:`FeatureAbsentError`.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be positive")

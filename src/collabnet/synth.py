@@ -29,12 +29,13 @@ Model choices, all synthetic:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .ingest import ContributionRecord, ProjectType, records_to_csv_bytes
+from .ingest import ProjectType, RecordTable, _recoded, records_to_csv_bytes
 
 __all__ = [
     "SynthConfig",
@@ -208,8 +209,10 @@ def _draw_team(
     return team, outsider
 
 
-def generate(config: SynthConfig) -> list[ContributionRecord]:
-    """Draw a full synthetic dataset, reproducible from the seed.
+def generate(config: SynthConfig) -> RecordTable:
+    """Draw a full synthetic dataset, reproducible from the seed: one row per
+    membership, by project and then member, row i on line i + 2 as in
+    :func:`generate_csv_bytes`.
 
     Per project: a team size from the truncated geometric model, a team from
     the group/crew process (single-member projects go to the group's venture
@@ -221,16 +224,14 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
     counts = type_counts(config)
     rng = np.random.default_rng(config.seed)
 
-    types: list[ProjectType] = []
-    for t in ProjectType:
-        types.extend([t] * counts[t])
-    types_arr = np.array([t.value for t in types], dtype=object)
-    rng.shuffle(types_arr)
+    # each project's type, as an index into tuple(ProjectType)
+    kinds = np.repeat(np.arange(len(ProjectType), dtype=np.int8), [counts[t] for t in ProjectType])
+    rng.shuffle(kinds)
 
     p_geom = _truncated_geometric_p(_MEAN_TEAM_SIZE, cap)
     pid_width = len(str(config.n_projects))
     mid_width = len(str(config.n_members))
-    member_ids = [f"M{i + 1:0{mid_width}d}" for i in range(config.n_members)]
+    member_ids = tuple(f"M{i + 1:0{mid_width}d}" for i in range(config.n_members))
 
     # equal-as-possible groups: no undersized remainder group
     n_groups = max(1, round(config.n_members / _GROUP_SIZE))
@@ -262,11 +263,11 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
     group_weights = np.ones(n_groups)
     last_teams: list[list[tuple[int, float]]] = [[] for _ in range(n_groups)]
 
-    records: list[ContributionRecord] = []
+    project: list[int] = []
+    member: list[int] = []
+    pct_column: list[float] = []
+    ic_column: list[float] = []
     for p in range(config.n_projects):
-        pid = f"P{p + 1:0{pid_width}d}"
-        ptype = ProjectType(types_arr[p])
-
         g = int(rng.choice(n_groups, p=group_weights / group_weights.sum()))
         group_weights[g] += _GROUP_ATTACHMENT
         # teams come from one group, so its size is a hard ceiling
@@ -312,9 +313,25 @@ def generate(config: SynthConfig) -> list[ContributionRecord]:
 
         for idx, pct in zip(team, contributions):
             pct = float(pct)
-            ic = round(ic_total * pct / 100.0, 4) if ic_total is not None else None
-            records.append(ContributionRecord(pid, member_ids[idx], pct, ic, ptype))
-    return records
+            project.append(p)
+            member.append(idx)
+            pct_column.append(pct)
+            ic_column.append(round(ic_total * pct / 100.0, 4) if has_ic else math.nan)
+
+    project_ids = tuple(f"P{p + 1:0{pid_width}d}" for p in range(config.n_projects))
+    # zero-padded ids sort as their numbers, so the codes are the indices
+    used_member_ids, member_codes = _recoded(member_ids, np.array(member, np.intp))
+    project_codes = np.array(project, np.intp)
+    return RecordTable(
+        project_ids,
+        used_member_ids,
+        project_codes,
+        member_codes,
+        np.array(pct_column),
+        np.array(ic_column),
+        kinds[project_codes],
+        np.arange(2, project_codes.size + 2),
+    )
 
 
 def generate_csv_bytes(config: SynthConfig) -> bytes:

@@ -5,6 +5,12 @@ exhaustive double loops, explicit path enumeration, flood fill,
 whole-document ``json.dumps``.
 Tests compare library results against these on small random instances and,
 for the layer export, on layers of the default synthetic dataset.
+
+The library holds records, pairs, edges and visuals only as columns; the
+tests read them as rows here (:class:`Row`, :func:`rows_of`,
+:func:`teams_of`, :func:`linkage_rows`, :func:`edges_of`,
+:func:`visuals_of`) and build inputs from rows by writing their CSV text
+(:func:`csv_of`) and parsing it.
 """
 
 from __future__ import annotations
@@ -17,28 +23,129 @@ import math
 import random
 from collections import deque
 from itertools import combinations
+from typing import NamedTuple
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from collabnet.export import ComponentColor, ExportFormat, VisualAttributes, threshold_label
+from collabnet.export import ComponentColor, ExportFormat, LayerVisuals, threshold_label
 from collabnet.ingest import (
     _UNWRITABLE_CHAR,
     CONTRIBUTION_SUM_LIMIT,
-    ContributionRecord,
+    CSV_COLUMNS,
     ContributionSumError,
     Dataset,
     DuplicateMembershipError,
     IngestError,
-    Project,
     ProjectType,
+    RecordTable,
     RowError,
     aggregate,
+    parse_records,
 )
 from collabnet.layers import NetworkLayer, Pairs, Provenance
+from collabnet.linkage import LinkageTable
 
 
-def _reference_row(row, columns, line_num) -> ContributionRecord:
+class Row(NamedTuple):
+    """One contribution row: a member's contribution to one project."""
+
+    project_id: str
+    member_id: str
+    contribution_pct: float
+    ic_score: float | None = None
+    project_type: ProjectType = ProjectType.IP
+
+
+class Team(NamedTuple):
+    """A project's type and its members' contributions, by member id."""
+
+    project_type: ProjectType
+    members: dict[str, float]
+
+
+class Visual(NamedTuple):
+    """A node's degree, component color and component rank."""
+
+    degree: int
+    color: ComponentColor
+    rank: int
+
+
+def rows_of(table: RecordTable) -> list[Row]:
+    """The table's rows, in row order."""
+    kinds = tuple(ProjectType)
+    return [
+        Row(
+            table.project_ids[p],
+            table.member_ids[m],
+            pct,
+            None if math.isnan(ic) else ic,
+            kinds[kind],
+        )
+        for p, m, pct, ic, kind in zip(
+            table.project.tolist(),
+            table.member.tolist(),
+            table.contribution_pct.tolist(),
+            table.ic_score.tolist(),
+            table.project_type.tolist(),
+        )
+    ]
+
+
+def csv_of(rows) -> bytes:
+    """The input CSV of ``rows``, each a :class:`Row` or a tuple of its first
+    three or more fields; numbers are written by ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        p, m, pct, ic, kind = Row(*row)
+        writer.writerow((p, m, repr(pct), "" if ic is None else repr(ic), kind.value))
+    return buf.getvalue().encode("utf-8")
+
+
+def table_of(rows) -> RecordTable:
+    """The parsed table of ``rows``' CSV text."""
+    return parse_records(csv_of(rows))
+
+
+def dataset_of(rows, **kwargs) -> Dataset:
+    """The aggregated dataset of ``rows``' CSV text."""
+    return aggregate(table_of(rows), **kwargs)
+
+
+def teams_of(dataset: Dataset) -> dict[str, Team]:
+    """Project id -> :class:`Team`, projects in order of first appearance
+    and each team in row order, read row by row."""
+    teams: dict[str, Team] = {}
+    for p, m, pct, _, kind in rows_of(dataset.records):
+        teams.setdefault(p, Team(kind, {})).members[m] = pct
+    return teams
+
+
+def linkage_rows(table: LinkageTable) -> list[tuple[str, str, int, float]]:
+    """Each pair's (project_a, project_b, n_common, linkage), in table order."""
+    ids = table.projects
+    columns = (table.a, table.b, table.n_common, table.linkage)
+    return [(ids[a], ids[b], n, v) for a, b, n, v in zip(*(c.tolist() for c in columns))]
+
+
+def edges_of(layer: NetworkLayer) -> list[tuple[str, str, float]]:
+    """Each edge's (id, id, weight), in canonical order."""
+    ids = layer.nodes
+    columns = zip(layer.a.tolist(), layer.b.tolist(), layer.weight.tolist())
+    return [(ids[a], ids[b], w) for a, b, w in columns]
+
+
+def visuals_of(layer: NetworkLayer, visuals: LayerVisuals) -> dict[str, Visual]:
+    """Node -> :class:`Visual`, from the layer's visuals arrays."""
+    colors = tuple(ComponentColor)
+    columns = zip(visuals.degree.tolist(), visuals.color.tolist(), visuals.rank.tolist())
+    return {v: Visual(d, colors[c], r) for v, (d, c, r) in zip(layer.nodes, columns)}
+
+
+def _reference_row(row, columns, line_num) -> Row:
     def cell(name: str) -> str:
         return row[columns[name]].strip()
 
@@ -77,7 +184,7 @@ def _reference_row(row, columns, line_num) -> ContributionRecord:
         ptype = ProjectType.parse(cell("project_type"))
     except ValueError as exc:
         raise RowError(line_num, str(exc)) from None
-    return ContributionRecord(project_id, member_id, pct, ic, ptype)
+    return Row(project_id, member_id, pct, ic, ptype)
 
 
 def _reference_rows(reader):
@@ -132,7 +239,7 @@ def reference_parse_records(data: bytes, *, delimiter=",", skipped=None) -> list
     return records
 
 
-def reference_aggregate(records, *, over=None) -> dict[str, Project]:
+def reference_aggregate(records, *, over=None) -> dict[str, Team]:
     """``ingest.aggregate`` as a record loop into per-project dicts: the
     projects by first appearance, each team in row order."""
     types: dict[str, ProjectType] = {}
@@ -156,10 +263,10 @@ def reference_aggregate(records, *, over=None) -> dict[str, Project]:
             if over is None:
                 raise err
             over.append(err)
-    return {pid: Project(types[pid], team) for pid, team in members.items()}
+    return {pid: Team(types[pid], team) for pid, team in members.items()}
 
 
-def reference_fingerprint(projects: dict[str, Project]) -> str:
+def reference_fingerprint(projects: dict[str, Team]) -> str:
     """``Dataset.fingerprint`` over per-project dicts."""
     lines = []
     for pid in sorted(projects):
@@ -173,9 +280,9 @@ def naive_linkage_table(dataset: Dataset) -> dict[tuple[str, str], tuple[int, fl
     """Exhaustive all-pairs scan; sums each side separately before halving,
     so the float path differs from the library's per-member averaging."""
     out: dict[tuple[str, str], tuple[int, float]] = {}
-    pids = sorted(dataset.projects)
-    for pa, pb in combinations(pids, 2):
-        a, b = dataset.projects[pa], dataset.projects[pb]
+    projects = teams_of(dataset)
+    for pa, pb in combinations(sorted(projects), 2):
+        a, b = projects[pa], projects[pb]
         common = sorted(set(a.members) & set(b.members))
         if not common:
             continue
@@ -282,19 +389,19 @@ def assert_same_layer(one: NetworkLayer, two: NetworkLayer) -> None:
     """Layers hold arrays, so they are compared field by field."""
     assert one.threshold == two.threshold
     assert one.nodes == two.nodes
-    assert one.edges == two.edges
+    assert edges_of(one) == edges_of(two)
     assert one.provenance == two.provenance
 
 
 def adjacency_of(layer: NetworkLayer) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in layer.nodes}
-    for a, b, _ in layer.edges:
+    for a, b, _ in edges_of(layer):
         adj[a].add(b)
         adj[b].add(a)
     return adj
 
 
-def reference_visuals(layer: NetworkLayer) -> dict[str, VisualAttributes]:
+def reference_visuals(layer: NetworkLayer) -> dict[str, Visual]:
     """Every node's degree, component rank and color by flood fill: components
     ranked by size, largest first, then by smallest id; the distinct sizes,
     largest first, banded blue, green (upper middle half), red, gray."""
@@ -320,7 +427,7 @@ def reference_visuals(layer: NetworkLayer) -> dict[str, VisualAttributes]:
     bands = ([ComponentColor.BLUE] + bands + [ComponentColor.GRAY])[: len(distinct)]
     color_of = dict(zip(distinct, bands))
     return {
-        v: VisualAttributes(len(adj[v]), color_of[len(comp)], rank)
+        v: Visual(len(adj[v]), color_of[len(comp)], rank)
         for rank, comp in enumerate(comps)
         for v in comp
     }
@@ -338,7 +445,7 @@ def random_layer(rng: random.Random, max_nodes: int = 8) -> NetworkLayer:
 
 def random_records(
     rng: random.Random, max_projects: int = 20, max_members: int = 10
-) -> list[ContributionRecord]:
+) -> list[Row]:
     n_projects = rng.randint(2, max_projects)
     n_members = rng.randint(2, max_members)
     members = [f"M{i}" for i in range(n_members)]
@@ -353,18 +460,23 @@ def random_records(
             else:
                 share = round(rng.uniform(0.1, left / (len(team) - i)), 4)
                 left -= share
-            records.append(ContributionRecord(f"P{p}", m, share, None, ptype))
+            records.append(Row(f"P{p}", m, share, None, ptype))
     return records
 
 
 def random_dataset(rng: random.Random, **kwargs) -> Dataset:
-    return aggregate(random_records(rng, **kwargs))
+    return dataset_of(random_records(rng, **kwargs))
 
 
 def reference_export(layer: NetworkLayer, visuals, fmt: ExportFormat, *, include_isolated=True) -> bytes:
     """Layer export written element by element: JSON through ``json.dumps`` of
-    the whole document, GraphML and DOT quoting every id where it is used."""
-    touched = {e.a for e in layer.edges} | {e.b for e in layer.edges}
+    the whole document, GraphML and DOT quoting every id where it is used.
+    ``visuals`` is the layer's :class:`LayerVisuals` or a node ->
+    :class:`Visual` map."""
+    edges = edges_of(layer)
+    if isinstance(visuals, LayerVisuals):
+        visuals = visuals_of(layer, visuals)
+    touched = {a for a, _, _ in edges} | {b for _, b, _ in edges}
     nodes = [v for v in layer.nodes if include_isolated or v in touched]
     if fmt is ExportFormat.JSONGRAPH:
         doc = {
@@ -378,15 +490,15 @@ def reference_export(layer: NetworkLayer, visuals, fmt: ExportFormat, *, include
                 "nodes": [
                     {
                         "id": v,
-                        "degree": visuals[v].node_size_key,
-                        "component": visuals[v].component_rank,
-                        "color": visuals[v].component_color.value,
+                        "degree": visuals[v].degree,
+                        "component": visuals[v].rank,
+                        "color": visuals[v].color.value,
                     }
                     for v in nodes
                 ],
                 "edges": [
                     {"source": a, "target": b, "weight": round(weight, 6)}
-                    for a, b, weight in layer.edges
+                    for a, b, weight in edges
                 ],
             }
         }
@@ -405,11 +517,11 @@ def reference_export(layer: NetworkLayer, visuals, fmt: ExportFormat, *, include
         for v in nodes:
             vis = visuals[v]
             out.append(f"    <node id={quoteattr(v)}>")
-            out.append(f'      <data key="degree">{vis.node_size_key}</data>')
-            out.append(f'      <data key="component">{vis.component_rank}</data>')
-            out.append(f'      <data key="color">{escape(vis.component_color.value)}</data>')
+            out.append(f'      <data key="degree">{vis.degree}</data>')
+            out.append(f'      <data key="component">{vis.rank}</data>')
+            out.append(f'      <data key="color">{escape(vis.color.value)}</data>')
             out.append("    </node>")
-        for a, b, weight in layer.edges:
+        for a, b, weight in edges:
             out.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}>")
             out.append(f'      <data key="weight">{weight:.6f}</data>')
             out.append("    </edge>")
@@ -424,10 +536,10 @@ def reference_export(layer: NetworkLayer, visuals, fmt: ExportFormat, *, include
     for v in nodes:
         vis = visuals[v]
         out.append(
-            f"  {dot_quote(v)} [degree={vis.node_size_key}, "
-            f"component={vis.component_rank}, color={vis.component_color.value}];"
+            f"  {dot_quote(v)} [degree={vis.degree}, "
+            f"component={vis.rank}, color={vis.color.value}];"
         )
-    for a, b, weight in layer.edges:
+    for a, b, weight in edges:
         out.append(f"  {dot_quote(a)} -- {dot_quote(b)} [weight={weight:.6f}];")
     out.append("}")
     return ("\n".join(out) + "\n").encode("utf-8")

@@ -19,9 +19,13 @@ from oracles import (
     closeness_oracle,
     clustering_oracle,
     components_oracle,
+    dataset_of,
+    edges_of,
+    linkage_rows,
     naive_linkage_table,
+    random_dataset,
     random_layer,
-    random_records,
+    visuals_of,
 )
 
 THRESHOLDS = (0.0, 20.0, 40.0, 60.0, 80.0, 100.0)
@@ -39,14 +43,15 @@ def test_criterion_1_linkage_oracle_200_datasets():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        dataset = ingest.aggregate(random_records(rng, max_projects=20, max_members=10))
+        dataset = random_dataset(rng, max_projects=20, max_members=10)
         table = linkage.build_linkage_table(dataset)
         naive = naive_linkage_table(dataset)
-        assert [(link.project_a, link.project_b) for link in table] == sorted(naive)
-        for link in table:
-            n_common, value = naive[(link.project_a, link.project_b)]
-            assert link.n_common == n_common
-            rel = abs(link.linkage - value) / max(abs(value), 1e-300)
+        rows = linkage_rows(table)
+        assert [row[:2] for row in rows] == sorted(naive)
+        for a, b, n, value in rows:
+            n_common, expected = naive[(a, b)]
+            assert n == n_common
+            rel = abs(value - expected) / max(abs(expected), 1e-300)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     _criterion(
@@ -59,9 +64,7 @@ def test_criterion_1_linkage_oracle_200_datasets():
 
 def test_criterion_2_worked_linkage_value():
     rows = (("A", "M1", 50.0), ("A", "M2", 20.0), ("B", "M1", 30.0), ("B", "M2", 40.0))
-    dataset = ingest.aggregate(
-        ingest.ContributionRecord(p, m, c, None, ingest.ProjectType.IP) for p, m, c in rows
-    )
+    dataset = dataset_of(rows)
     values = linkage.build_linkage_table(dataset).linkage.tolist()
     _criterion(
         2, "two-common-member example evaluates to exactly 35.0", values == [35.0], repr(values)
@@ -98,7 +101,7 @@ def test_criterion_4_layer_nesting_100_runs():
     rng = random.Random(40_004)
     runs = passes = 0
     while runs < 100:
-        dataset = ingest.aggregate(random_records(rng))
+        dataset = random_dataset(rng)
         table = linkage.build_linkage_table(dataset)
         if len(table) == 0:
             continue
@@ -112,8 +115,8 @@ def test_criterion_4_layer_nesting_100_runs():
         prev_pairs = None
         prev_isolated = -1
         for layer in stack:
-            pairs = {(e.a, e.b) for e in layer.edges}
-            touched = {v for e in layer.edges for v in (e.a, e.b)}
+            pairs = {edge[:2] for edge in edges_of(layer)}
+            touched = {v for pair in pairs for v in pair}
             isolated = len(layer.nodes) - len(touched)
             if prev_pairs is not None:
                 good &= pairs <= prev_pairs
@@ -166,7 +169,7 @@ def test_criterion_6_scale_and_enumeration(tmp_path):
     shared = Counter(
         pair for pids in dataset.member_index.values() for pair in combinations(sorted(pids), 2)
     )
-    pairs = {(link.project_a, link.project_b): link.n_common for link in table}
+    pairs = {(a, b): n for a, b, n, _ in linkage_rows(table)}
     enumeration_ok = len(pairs) == len(table) and pairs == shared
 
     config = cli.RunConfig(
@@ -219,19 +222,18 @@ def test_criterion_8_export_integrity_20_runs():
             ok &= blob == export.export_layer(layer, visuals, export.ExportFormat.JSONGRAPH)
             back_layer, back_visuals = export.parse_jsongraph(blob)
             ok &= back_layer.nodes == layer.nodes
-            ok &= [(e.a, e.b) for e in back_layer.edges] == [(e.a, e.b) for e in layer.edges]
-            ok &= all(
-                back.weight == round(orig.weight, 6)
-                for back, orig in zip(back_layer.edges, layer.edges)
-            )
-            ok &= back_visuals == visuals
+            back_edges, edges = edges_of(back_layer), edges_of(layer)
+            ok &= [edge[:2] for edge in back_edges] == [edge[:2] for edge in edges]
+            ok &= all(back[2] == round(orig[2], 6) for back, orig in zip(back_edges, edges))
+            by_node = visuals_of(layer, visuals)
+            ok &= visuals_of(back_layer, back_visuals) == by_node
             sizes: dict[int, int] = {}
             for v in layer.nodes:
                 sizes[membership[v]] = sizes.get(membership[v], 0) + 1
             if sizes:
                 top = max(sizes.values())
                 ok &= all(
-                    (visuals[v].component_color == export.ComponentColor.BLUE)
+                    (by_node[v].color == export.ComponentColor.BLUE)
                     == (sizes[membership[v]] == top)
                     for v in layer.nodes
                 )

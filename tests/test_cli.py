@@ -13,7 +13,7 @@ from xml.dom import minidom
 
 import pytest
 
-from collabnet import cli, ingest, metrics, synth
+from collabnet import cli, metrics, synth
 from collabnet.cli import ConfigError, RunConfig, run_pipeline
 from collabnet.export import ExportFormat
 from collabnet.synth import SynthConfig, generate_csv_bytes
@@ -23,6 +23,8 @@ GOLDEN_INPUT = Path(__file__).parent / "data" / "golden_input.csv"
 # over-limit project; the CI runtime job diffs its ingest stderr too
 MALFORMED_INPUT = Path(__file__).parent / "data" / "malformed_input.csv"
 MALFORMED_STDERR = Path(__file__).parent / "data" / "malformed_input.stderr"
+# two pairs whose linkages are one ulp apart; the CI runtime job builds it too
+NARROW_INPUT = Path(__file__).parent / "data" / "narrow_linkage.csv"
 SMALL_CSV = generate_csv_bytes(SynthConfig(seed=11, n_projects=50, n_members=48))
 # P1's contributions sum to 110, above the accepted 100.5
 OVER_CSV = "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
@@ -131,21 +133,6 @@ def test_build_type_filter(small_input, tmp_path):
     assert manifest["config"]["types"] == ["IP"]
 
 
-def test_build_and_ingest_build_no_record_rows(small_input, tmp_path, monkeypatch, capsys):
-    # every stage reads the parsed columns; a record row is made only for a
-    # caller that indexes or iterates the table
-    def no_rows(*args):
-        raise AssertionError("a ContributionRecord was built")
-
-    monkeypatch.setattr(ingest, "ContributionRecord", no_rows)
-    for types in ("ip,paper,prototype", "paper"):
-        argv = ["build", str(small_input), "--thresholds", "0,50", "--types", types]
-        assert run([*argv, "--output-dir", str(tmp_path / types)]) == 0
-    assert run(["ingest", str(small_input)]) == 0
-    assert run(["stats", str(small_input), "--output-dir", str(tmp_path / "stats")]) == 0
-    assert "error" not in capsys.readouterr().err
-
-
 def test_build_linspace_matches_explicit_when_range_is_0_100(tmp_path):
     # craft input whose linkage range is exactly [0, 100]
     text = (
@@ -161,6 +148,19 @@ def test_build_linspace_matches_explicit_when_range_is_0_100(tmp_path):
     assert run(["build", str(src), "--thresholds", "0,20,40,60,80,100", "--output-dir", str(explicit_dir)]) == 0
     assert run(["build", str(src), "--linspace", "6", "--output-dir", str(linspace_dir)]) == 0
     assert (explicit_dir / "metrics.csv").read_bytes() == (linspace_dir / "metrics.csv").read_bytes()
+
+
+def test_build_linspace_on_a_range_narrower_than_its_points_exit_1(tmp_path, capsys):
+    # the two pairs' linkages are 50.0 and 50.00000000000001: no three distinct
+    # floats lie evenly between them
+    out_dir = tmp_path / "out"
+    assert run(["build", str(NARROW_INPUT), "--linspace", "3", "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: linkage range [50.0, 50.00000000000001] is too narrow for 3 thresholds\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_build_is_deterministic(small_input, tmp_path):

@@ -12,13 +12,19 @@ from collabnet import cli, export, ingest, layers, linkage, synth
 from collabnet.export import (
     ComponentColor,
     ExportFormat,
-    VisualAttributes,
     assign_visuals,
     export_layer,
     parse_jsongraph,
 )
 from collabnet.metrics import components, remove_isolated
-from oracles import make_layer, random_layer, reference_export, reference_visuals
+from oracles import (
+    edges_of,
+    make_layer,
+    random_layer,
+    reference_export,
+    reference_visuals,
+    visuals_of,
+)
 
 
 def visuals_for(layer):
@@ -26,23 +32,23 @@ def visuals_for(layer):
     return assign_visuals(layer, membership)
 
 
-def color_of(visuals, node):
-    return visuals[node].component_color
+def colors_of(layer):
+    """Node -> its component color."""
+    return {v: visual.color for v, visual in visuals_of(layer, visuals_for(layer)).items()}
 
 
 def test_single_component_all_blue():
     layer = make_layer("abc", [("a", "b"), ("b", "c")])
-    visuals = visuals_for(layer)
-    assert {v.component_color for v in visuals.values()} == {ComponentColor.BLUE}
+    assert set(colors_of(layer).values()) == {ComponentColor.BLUE}
 
 
 def test_two_size_classes_blue_and_gray():
     layer = make_layer(
         "abcdefz", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")]
     )
-    visuals = visuals_for(layer)
-    assert color_of(visuals, "a") == ComponentColor.BLUE
-    assert color_of(visuals, "z") == ComponentColor.GRAY
+    colors = colors_of(layer)
+    assert colors["a"] == ComponentColor.BLUE
+    assert colors["z"] == ComponentColor.GRAY
 
 
 def test_four_size_classes_full_banding():
@@ -52,12 +58,11 @@ def test_four_size_classes_full_banding():
         chain = [f"{prefix}{i}" for i in range(size)]
         nodes.extend(chain)
         edges.extend(zip(chain, chain[1:]))
-    layer = make_layer(nodes, edges)
-    visuals = visuals_for(layer)
-    assert color_of(visuals, "a0") == ComponentColor.BLUE
-    assert color_of(visuals, "b0") == ComponentColor.GREEN
-    assert color_of(visuals, "c0") == ComponentColor.RED
-    assert color_of(visuals, "d0") == ComponentColor.GRAY
+    colors = colors_of(make_layer(nodes, edges))
+    assert colors["a0"] == ComponentColor.BLUE
+    assert colors["b0"] == ComponentColor.GREEN
+    assert colors["c0"] == ComponentColor.RED
+    assert colors["d0"] == ComponentColor.GRAY
 
 
 def test_three_size_classes_upper_middle_green():
@@ -66,16 +71,15 @@ def test_three_size_classes_upper_middle_green():
         chain = [f"{prefix}{i}" for i in range(size)]
         nodes.extend(chain)
         edges.extend(zip(chain, chain[1:]))
-    visuals = visuals_for(make_layer(nodes, edges))
-    assert color_of(visuals, "a0") == ComponentColor.BLUE
-    assert color_of(visuals, "b0") == ComponentColor.GREEN
-    assert color_of(visuals, "c0") == ComponentColor.GRAY
+    colors = colors_of(make_layer(nodes, edges))
+    assert colors["a0"] == ComponentColor.BLUE
+    assert colors["b0"] == ComponentColor.GREEN
+    assert colors["c0"] == ComponentColor.GRAY
 
 
 def test_equal_size_components_share_color():
     layer = make_layer("abcd", [("a", "b"), ("c", "d")])
-    visuals = visuals_for(layer)
-    assert {v.component_color for v in visuals.values()} == {ComponentColor.BLUE}
+    assert set(colors_of(layer).values()) == {ComponentColor.BLUE}
 
 
 def test_blue_always_on_a_maximum_component():
@@ -85,26 +89,22 @@ def test_blue_always_on_a_maximum_component():
         count, membership = components(layer)
         if count == 0:
             continue
-        visuals = assign_visuals(layer, membership)
+        colors = colors_of(layer)
         sizes: dict[int, int] = {}
         for v in layer.nodes:
             sizes[membership[v]] = sizes.get(membership[v], 0) + 1
         max_size = max(sizes.values())
         for v in layer.nodes:
-            if sizes[membership[v]] == max_size:
-                assert visuals[v].component_color == ComponentColor.BLUE
-            assert (visuals[v].component_color == ComponentColor.BLUE) == (
-                sizes[membership[v]] == max_size
-            )
+            assert (colors[v] == ComponentColor.BLUE) == (sizes[membership[v]] == max_size)
 
 
 def test_visuals_carry_degree_and_rank():
     layer = make_layer("abc", [("a", "b"), ("b", "c")])
     _, membership = components(layer)
     visuals = assign_visuals(layer, membership)
-    assert visuals["b"].node_size_key == 2
-    assert visuals["a"].component_rank == membership["a"]
-    assert len(visuals) == layer.n_nodes
+    assert visuals.degree.tolist() == [1, 2, 1]
+    assert visuals.rank.tolist() == [membership[v] for v in layer.nodes]
+    assert visuals_of(layer, visuals)["b"] == (2, ComponentColor.BLUE, 0)
 
 
 def test_visuals_require_full_membership():
@@ -153,9 +153,8 @@ def test_jsongraph_roundtrip():
     parsed_layer, parsed_visuals = parse_jsongraph(blob)
     assert parsed_layer.nodes == LAYER.nodes
     assert parsed_layer.threshold == LAYER.threshold
-    assert [(e.a, e.b) for e in parsed_layer.edges] == [("a", "b")]
-    assert parsed_layer.edges[0].weight == 35.0
-    assert parsed_visuals == visuals
+    assert edges_of(parsed_layer) == [("a", "b", 35.0)]
+    assert visuals_of(parsed_layer, parsed_visuals) == visuals_of(LAYER, visuals)
     assert parsed_layer.provenance == LAYER.provenance
 
 
@@ -183,6 +182,9 @@ def test_unsupported_format_rejected():
 def test_missing_visuals_rejected():
     with pytest.raises(ValueError, match="visuals"):
         export_layer(LAYER, {}, ExportFormat.DOT)
+    other = make_layer("abc", [("a", "b", 35.0)], threshold=20.0)
+    with pytest.raises(ValueError, match="visuals do not cover nodes"):
+        export_layer(LAYER, visuals_for(other), ExportFormat.DOT)
 
 
 def test_threshold_label_trimming():

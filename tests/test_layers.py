@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from collabnet.export import ExportFormat, assign_visuals, export_layer, parse_jsongraph
-from collabnet.ingest import ContributionRecord, ProjectType, aggregate
 from collabnet.layers import (
     ThresholdSweep,
     build_layer,
@@ -24,16 +23,16 @@ from collabnet.metrics import (
     remove_isolated,
     report,
 )
-from oracles import assert_same_layer, random_records, reference_export
+from oracles import (
+    assert_same_layer,
+    dataset_of,
+    edges_of,
+    linkage_rows,
+    random_dataset,
+    reference_export,
+)
 
-
-def dataset(rows):
-    return aggregate(
-        [ContributionRecord(p, m, c, None, ProjectType.IP) for p, m, c in rows]
-    )
-
-
-WORKED = dataset(
+WORKED = dataset_of(
     [
         ("A", "M1", 50.0),
         ("A", "M2", 20.0),
@@ -89,20 +88,19 @@ def test_build_layer_nodes_and_threshold_zero():
     table = build_linkage_table(WORKED)
     layer = build_layer(WORKED, table, 0.0)
     assert layer.nodes == ("A", "B", "C")  # isolated C retained
-    assert [(e.a, e.b) for e in layer.edges] == [("A", "B")]
-    assert layer.edges[0].weight == 35.0
+    assert edges_of(layer) == [("A", "B", 35.0)]
 
 
 def test_build_layer_boundary():
     table = build_linkage_table(WORKED)
     at_threshold = build_layer(WORKED, table, 35.0)
-    assert len(at_threshold.edges) == 1
+    assert at_threshold.n_edges == 1
     just_above = build_layer(WORKED, table, 35.000001)
-    assert len(just_above.edges) == 0
+    assert just_above.n_edges == 0
 
 
 def test_build_layer_threshold_100_exact_only():
-    ds = dataset(
+    ds = dataset_of(
         [
             ("A", "M1", 100.0),
             ("B", "M1", 100.0),
@@ -112,7 +110,7 @@ def test_build_layer_threshold_100_exact_only():
     )
     table = build_linkage_table(ds)
     layer = build_layer(ds, table, 100.0)
-    assert [(e.a, e.b) for e in layer.edges] == [("A", "B")]
+    assert [edge[:2] for edge in edges_of(layer)] == [("A", "B")]
 
 
 def test_stack_order_and_singleton():
@@ -130,29 +128,29 @@ def test_stack_order_and_singleton():
 def test_stack_nesting_and_monotone_counts():
     rng = random.Random(5)
     for _ in range(20):
-        ds = aggregate(random_records(rng))
+        ds = random_dataset(rng)
         table = build_linkage_table(ds)
         if len(table) == 0:
             continue
         stack = build_layer_stack(ds, table, make_sweep_explicit([0, 25, 50, 75, 100]))
         for low, high in zip(stack, stack[1:]):
             assert low.nodes == high.nodes
-            low_pairs = {(e.a, e.b) for e in low.edges}
-            assert {(e.a, e.b) for e in high.edges} <= low_pairs
+            low_pairs = {edge[:2] for edge in edges_of(low)}
+            assert {edge[:2] for edge in edges_of(high)} <= low_pairs
             assert high.n_edges <= low.n_edges
 
 
 def test_isolated_count_nondecreasing():
     rng = random.Random(6)
     for _ in range(10):
-        ds = aggregate(random_records(rng))
+        ds = random_dataset(rng)
         table = build_linkage_table(ds)
         if len(table) == 0:
             continue
         stack = build_layer_stack(ds, table, make_sweep_explicit([0, 30, 60, 90]))
         isolated = []
         for layer in stack:
-            touched = {v for e in layer.edges for v in (e.a, e.b)}
+            touched = {v for edge in edges_of(layer) for v in edge[:2]}
             isolated.append(len(layer.nodes) - len(touched))
         assert isolated == sorted(isolated)
 
@@ -182,22 +180,22 @@ def test_provenance_carries_fingerprint_and_types():
 def test_stack_layers_match_naive_filter():
     rng = random.Random(8)
     for _ in range(40):
-        ds = aggregate(random_records(rng))
+        ds = random_dataset(rng)
         table = build_linkage_table(ds)
-        ties = {link.linkage for link in table}  # a threshold equal to a value keeps it
+        ties = set(table.linkage.tolist())  # a threshold equal to a value keeps it
         thresholds = sorted(ties | {0.0} | {rng.uniform(0.0, 100.0) for _ in range(4)})
         stack = build_layer_stack(ds, table, make_sweep_explicit(thresholds))
         for layer in stack:
             t = layer.threshold
-            naive = [(p.project_a, p.project_b, p.linkage) for p in table if p.linkage >= t]
-            assert [tuple(e) for e in layer.edges] == naive
-            assert layer.edges == build_layer(ds, table, t).edges
+            naive = [(a, b, v) for a, b, _, v in linkage_rows(table) if v >= t]
+            assert edges_of(layer) == naive
+            assert edges_of(layer) == edges_of(build_layer(ds, table, t))
 
 
 def test_stack_shares_only_the_pairs_of_its_lowest_threshold():
     rng = random.Random(9)
     for _ in range(20):
-        ds = aggregate(random_records(rng))
+        ds = random_dataset(rng)
         table = build_linkage_table(ds)
         thresholds = sorted({rng.uniform(0.0, 100.0) for _ in range(3)})
         stack = build_layer_stack(ds, table, make_sweep_explicit(thresholds))
@@ -206,8 +204,8 @@ def test_stack_shares_only_the_pairs_of_its_lowest_threshold():
         assert np.array_equal(stack[0].pairs.weight, table.linkage[low])
         assert np.array_equal(stack[0].pairs.a, table.a[low])
         for layer in stack:
-            naive = [(p.project_a, p.project_b, p.linkage) for p in table if p.linkage >= layer.threshold]
-            assert [tuple(e) for e in layer.edges] == naive
+            t = layer.threshold
+            assert edges_of(layer) == [(a, b, v) for a, b, _, v in linkage_rows(table) if v >= t]
 
 
 def assert_exports_match_reference(layer):
@@ -229,15 +227,15 @@ DEGENERATE = {
 
 @pytest.mark.parametrize("rows", DEGENERATE.values(), ids=DEGENERATE.keys())
 def test_degenerate_inputs_give_empty_arrays_layers_and_exports(rows):
-    ds = dataset(rows)
+    ds = dataset_of(rows)
     table = build_linkage_table(ds)
     assert [column.size for column in (table.a, table.b, table.n_common, table.linkage)] == [0] * 4
-    assert len(table) == 0 and list(table) == []
+    assert len(table) == 0
     assert table.min_linkage is None and table.max_linkage is None
     assert table_to_csv_bytes(table) == b"project_a,project_b,n_common,linkage\n"
     for layer in build_layer_stack(ds, table, make_sweep_explicit([0, 50, 100])):
-        assert layer.nodes == tuple(sorted(ds.projects))
-        assert layer.n_edges == 0 and layer.edges == ()
+        assert layer.nodes == ds.records.project_ids
+        assert layer.n_edges == 0 and edges_of(layer) == []
         n = layer.n_nodes
         zeros = LayerMetricsReport(layer.threshold, 0, 0, n, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
         assert report(layer) == zeros
@@ -251,7 +249,7 @@ def test_degenerate_inputs_give_empty_arrays_layers_and_exports(rows):
 
 
 def test_member_on_every_project_links_every_pair():
-    ds = dataset([(p, "M0", 40.0) for p in "ABCD"] + [(p, "M" + p, 60.0) for p in "ABCD"])
+    ds = dataset_of([(p, "M0", 40.0) for p in "ABCD"] + [(p, "M" + p, 60.0) for p in "ABCD"])
     table = build_linkage_table(ds)
     assert (table.a.tolist(), table.b.tolist()) == ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
     assert table.n_common.tolist() == [1] * 6 and table.linkage.tolist() == [40.0] * 6

@@ -5,21 +5,17 @@ import io
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from collabnet.ingest import ContributionRecord, ProjectType, aggregate
-from collabnet.linkage import PairLinkage, build_linkage_table, table_to_csv_bytes
-from oracles import naive_linkage_table, random_dataset
+from collabnet.linkage import LinkageTable, build_linkage_table, table_to_csv_bytes
+from oracles import dataset_of, linkage_rows, naive_linkage_table, random_dataset, teams_of
 
 
 def table_of(teams: dict[str, dict[str, float]]):
     """The linkage table of a dataset given as project -> {member: pct}."""
-    records = [
-        ContributionRecord(pid, m, pct, None, ProjectType.IP)
-        for pid, team in teams.items()
-        for m, pct in team.items()
-    ]
-    return build_linkage_table(aggregate(records, over=[]))  # scaled teams may exceed 100
+    rows = [(pid, m, pct) for pid, team in teams.items() for m, pct in team.items()]
+    return build_linkage_table(dataset_of(rows, over=[]))  # scaled teams may exceed 100
 
 
 def test_common_members():
@@ -31,7 +27,7 @@ def test_common_members():
             "D": {"M1": 50, "M2": 50},
         }
     )
-    assert {(p.project_a, p.project_b): p.n_common for p in table} == {
+    assert {(a, b): n for a, b, n, _ in linkage_rows(table)} == {
         ("A", "B"): 1,
         ("A", "D"): 2,
         ("B", "D"): 1,
@@ -41,7 +37,7 @@ def test_common_members():
 def test_pair_linkage_worked_example():
     # two common members: (50+30)/2 = 40 and (20+40)/2 = 30, mean = 35
     table = table_of({"A": {"M1": 50.0, "M2": 20.0}, "B": {"M1": 30.0, "M2": 40.0}})
-    assert list(table) == [PairLinkage("A", "B", 2, 35.0)]
+    assert linkage_rows(table) == [("A", "B", 2, 35.0)]
 
 
 def test_pair_linkage_maximal():
@@ -51,14 +47,14 @@ def test_pair_linkage_maximal():
 
 def test_pair_linkage_disjoint_absent():
     table = table_of({"A": {"M1": 100.0}, "B": {"M2": 100.0}, "C": {"M1": 100.0}})
-    assert [(p.project_a, p.project_b) for p in table] == [("A", "C")]
+    assert [row[:2] for row in linkage_rows(table)] == [("A", "C")]
 
 
 def test_pair_linkage_symmetric_canonical():
     table = table_of({"Z": {"M1": 80.0, "M2": 20.0}, "B": {"M1": 10.0}})
     assert table.projects == ("B", "Z")
     assert (table.a.tolist(), table.b.tolist()) == ([0], [1])
-    assert list(table) == [PairLinkage("B", "Z", 1, 45.0)]
+    assert linkage_rows(table) == [("B", "Z", 1, 45.0)]
 
 
 def test_pair_linkage_scales_linearly():
@@ -86,24 +82,15 @@ def test_table_small_cases():
         ("P2", "M2", 100.0),
         ("P3", "M1", 100.0),
     ]
-    ds = aggregate(
-        [ContributionRecord(p, m, c, None, ProjectType.IP) for p, m, c in rows]
-    )
-    table = build_linkage_table(ds)
-    assert [(p.project_a, p.project_b) for p in table] == [("P1", "P2"), ("P1", "P3")]
+    table = build_linkage_table(dataset_of(rows))
+    assert [row[:2] for row in linkage_rows(table)] == [("P1", "P2"), ("P1", "P3")]
     assert len(table) == 2
-    assert table.min_linkage == min(p.linkage for p in table)
-    assert table.max_linkage == max(p.linkage for p in table)
+    assert table.min_linkage == min(table.linkage.tolist())
+    assert table.max_linkage == max(table.linkage.tolist())
 
 
 def test_table_empty_when_disjoint():
-    ds = aggregate(
-        [
-            ContributionRecord("P1", "M1", 100.0, None, ProjectType.IP),
-            ContributionRecord("P2", "M2", 100.0, None, ProjectType.IP),
-        ]
-    )
-    table = build_linkage_table(ds)
+    table = build_linkage_table(dataset_of([("P1", "M1", 100.0), ("P2", "M2", 100.0)]))
     assert len(table) == 0
     assert table.min_linkage is None and table.max_linkage is None
 
@@ -114,11 +101,10 @@ def test_table_matches_naive_scan():
         ds = random_dataset(rng)
         table = build_linkage_table(ds)
         naive = naive_linkage_table(ds)
-        assert [(p.project_a, p.project_b) for p in table] == sorted(naive)
-        for link in table:
-            n_common, value = naive[(link.project_a, link.project_b)]
-            assert link.n_common == n_common
-            assert link.linkage == pytest.approx(value, rel=1e-12)
+        rows = linkage_rows(table)
+        assert [row[:2] for row in rows] == sorted(naive)
+        for a, b, n, value in rows:
+            assert (n, value) == pytest.approx(naive[(a, b)], rel=1e-12)
 
 
 def test_teams_list_each_shared_member_and_cover_every_pair():
@@ -146,35 +132,31 @@ def test_table_bounds():
     rng = random.Random(99)
     for _ in range(20):
         ds = random_dataset(rng)
-        for link in build_linkage_table(ds):
-            assert 0.0 <= link.linkage <= 100.0
-            assert link.project_a < link.project_b
-            a, b = ds.projects[link.project_a], ds.projects[link.project_b]
-            assert link.n_common == len(a.members.keys() & b.members.keys()) >= 1
+        projects = teams_of(ds)
+        for a, b, n, value in linkage_rows(build_linkage_table(ds)):
+            assert 0.0 <= value <= 100.0
+            assert a < b
+            assert n == len(projects[a].members.keys() & projects[b].members.keys()) >= 1
 
 
 def test_table_csv_dump():
-    ds = aggregate(
-        [
-            ContributionRecord("A", "M1", 50.0, None, ProjectType.IP),
-            ContributionRecord("A", "M2", 20.0, None, ProjectType.IP),
-            ContributionRecord("B", "M1", 30.0, None, ProjectType.IP),
-            ContributionRecord("B", "M2", 40.0, None, ProjectType.IP),
-        ]
-    )
-    text = table_to_csv_bytes(build_linkage_table(ds)).decode()
+    table = table_of({"A": {"M1": 50.0, "M2": 20.0}, "B": {"M1": 30.0, "M2": 40.0}})
+    text = table_to_csv_bytes(table).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "project_a,project_b,n_common,linkage"
     assert lines[1] == "A,B,2,35.000000"
 
 
 def test_table_csv_dump_quotes_ids_as_csv_writer_does():
+    # ids no parsed input holds (a leading space, a tab) as well: the table is
+    # built from its columns, every pair with one common member
     ids = ["plain", "a,b", 'he said "hi"', " lead", "x'y", "caf\u00e9", "semi;colon", "tab\there"]
-    records = [ContributionRecord(pid, "M1", 10.0, None, ProjectType.IP) for pid in ids]
-    table = build_linkage_table(aggregate(records))
+    ids.sort()
+    a, b = np.array(list(combinations(range(len(ids)), 2))).T
+    table = LinkageTable(tuple(ids), a, b, np.ones(a.size, np.int64), np.full(a.size, 10.0))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("project_a", "project_b", "n_common", "linkage"))
-    writer.writerows((p.project_a, p.project_b, p.n_common, f"{p.linkage:.6f}") for p in table)
+    writer.writerows((pa, pb, n, f"{v:.6f}") for pa, pb, n, v in linkage_rows(table))
     assert len(table) == len(ids) * (len(ids) - 1) // 2
     assert table_to_csv_bytes(table) == buf.getvalue().encode("utf-8")

@@ -34,6 +34,7 @@ from oracles import (
     closeness_oracle,
     clustering_oracle,
     components_oracle,
+    edges_of,
     make_layer,
     random_layer,
 )
@@ -48,7 +49,7 @@ def test_remove_isolated():
     layer = make_layer("abcde", [("a", "b"), ("b", "c"), ("a", "c")])
     kept = remove_isolated(layer)
     assert kept.nodes == ("a", "b", "c")
-    assert kept.edges == layer.edges
+    assert edges_of(kept) == edges_of(layer)
 
     edgeless = make_layer("ab", [])
     assert remove_isolated(edgeless).nodes == ()
@@ -258,7 +259,7 @@ def test_metrics_match_networkx_on_multi_batch_layers():
         layer = _layer_with_components(rng)
         graph = nx.Graph()
         graph.add_nodes_from(layer.nodes)
-        graph.add_edges_from((a, b) for a, b, _ in layer.edges)
+        graph.add_edges_from((a, b) for a, b, _ in edges_of(layer))
         retained = graph.subgraph(v for v in graph if graph.degree(v) > 0)
         n = retained.number_of_nodes()
         assert max(map(len, nx.connected_components(graph))) > 64  # a multi-word pass
@@ -282,11 +283,12 @@ def test_metrics_match_networkx_on_multi_batch_layers():
 
 
 # The BFS gives each node the bit of its rank inside its own component and
-# runs 512 ranks per window; the components that reach into a window share
-# one pass per number of 64-bit words their part of it needs.
+# runs 512 ranks per window; the components that need the same number of
+# 64-bit words share one pass per window.
 PACKING_EDGES = {
     "64_and_65_nodes": (1, 64, 1, 65, 1, 1, 65, 64, 1),
     "over_512_nodes": (1, 1030, 1, 3, 1),
+    "two_over_512_of_different_words": (2, 520, 1, 700, 3, 1, 64, 12),
     "many_small_sharing_a_word": tuple(
         random.Random(3).choices((1, 1, 2, 3, 4, 7, 12, 30, 63, 64), k=60)
     ),
@@ -336,6 +338,18 @@ def _assert_matches_oracles(layer, sizes: tuple) -> None:
 @pytest.mark.parametrize("sizes", PACKING_EDGES.values(), ids=PACKING_EDGES.keys())
 def test_metrics_match_oracles_at_packing_edges(sizes):
     _assert_matches_oracles(_layer_of_sizes(random.Random(11), sizes), sizes)
+
+
+def test_components_of_different_word_counts_get_their_own_passes():
+    """Components of 520 and 700 nodes need 9 and 11 words: each is its own
+    group, planned once, with one pass per 512-rank window; the small
+    components share the one-word group."""
+    layer = _layer_of_sizes(random.Random(11), PACKING_EDGES["two_over_512_of_different_words"])
+    groups = [
+        (nodes.size, [frontier.shape[1] for frontier in frontiers])
+        for nodes, _, _, frontiers in metrics._passes(layer)
+    ]
+    assert groups == [(2 + 64 + 3 + 12, [1]), (520, [8, 1]), (700, [8, 3])]
 
 
 def _contributions_of_sizes(rng: random.Random, sizes: tuple) -> bytes:
@@ -457,7 +471,8 @@ def test_star_layer_matches_oracles():
     edges = [(nodes[0], leaf) for leaf in nodes[1:64]] + [(nodes[1], nodes[2])]
     edges += [(nodes[64], leaf) for leaf in nodes[65:]] + [(nodes[65], nodes[66])]
     layer = make_layer(nodes, edges)
-    assert [frontier.shape[1] for *_, frontier in metrics._passes(layer)] == [1, 2]
+    words = [frontier.shape[1] for *_, frontiers in metrics._passes(layer) for frontier in frontiers]
+    assert words == [1, 2]
     assert all(_tails(layer))
     _assert_matches_oracles(layer, (64, 101))
 
@@ -503,7 +518,7 @@ def test_relabeling_invariance():
         mapping = {v: f"x{ord(v[1]) * 7 % 97:02d}{v}" for v in layer.nodes}
         relabeled = make_layer(
             [mapping[v] for v in layer.nodes],
-            [(mapping[a], mapping[b], w) for a, b, w in layer.edges],
+            [(mapping[a], mapping[b], w) for a, b, w in edges_of(layer)],
         )
         one, two = report(layer), report(relabeled)
         assert one.n_nodes_retained == two.n_nodes_retained

@@ -18,7 +18,6 @@ from collabnet import metrics
 from collabnet.export import ExportFormat, assign_visuals, export_layer
 from collabnet.ingest import (
     CSV_COLUMNS,
-    ContributionRecord,
     IngestError,
     ProjectType,
     RowError,
@@ -30,11 +29,18 @@ from collabnet.layers import build_layer
 from collabnet.linkage import build_linkage_table
 from collabnet.metrics import components
 from oracles import (
+    Row,
+    csv_of,
+    dataset_of,
+    edges_of,
+    linkage_rows,
     naive_linkage_table,
     reference_aggregate,
     reference_export,
     reference_fingerprint,
     reference_parse_records,
+    rows_of,
+    teams_of,
 )
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -52,7 +58,7 @@ ids = st.text(
 percents = st.floats(0.0, 100.0)
 records = st.lists(
     st.builds(
-        ContributionRecord,
+        Row,
         ids,
         ids,
         percents,
@@ -67,7 +73,9 @@ records = st.lists(
 @DETERMINISTIC
 @given(records)
 def test_csv_roundtrip(recs):
-    assert parse_records(records_to_csv_bytes(recs)) == recs
+    table = parse_records(csv_of(recs))
+    assert rows_of(table) == recs
+    assert rows_of(parse_records(records_to_csv_bytes(table))) == recs
 
 
 BAD_CELLS = {
@@ -86,8 +94,8 @@ COLUMNS = list(BAD_CELLS)
     st.data(),
 )
 def test_malformed_cell_reports_its_line(rows, data):
-    recs = [ContributionRecord(p, m, pct, None, ProjectType.IP) for p, m, pct in rows]
-    lines = records_to_csv_bytes(recs).decode().splitlines()
+    recs = [Row(p, m, pct) for p, m, pct in rows]
+    lines = csv_of(recs).decode().splitlines()
     index = data.draw(st.integers(1, len(rows)))  # lines[0] is the header
     column = data.draw(st.sampled_from(COLUMNS))
     cells = lines[index].split(",")
@@ -101,7 +109,7 @@ def test_malformed_cell_reports_its_line(rows, data):
     errors: list[RowError] = []
     kept = parse_records(text, skipped=errors)
     assert [e.row for e in errors] == [index + 1]
-    assert kept == recs[: index - 1] + recs[index:]
+    assert rows_of(kept) == recs[: index - 1] + recs[index:]
 
 
 # cells for drawn tables: valid ones from small pools, so that memberships
@@ -159,12 +167,14 @@ def test_columnar_ingest_matches_the_row_loop(data):
         got = outcome(parse_records, data, skipped=skipped)
         expected = outcome(reference_parse_records, data, skipped=expected_skipped)
         assert got[0] == expected[0]
-        assert got[1:] == expected[1:]  # a table equals the list of its records
+        if got[0] == "returned":
+            assert rows_of(got[1]) == expected[1]
+        else:
+            assert got[1:] == expected[1:]
         assert [str(e) for e in skipped or ()] == [str(e) for e in expected_skipped or ()]
     if got[0] == "raised":
         return
     records, expected_records = got[1], expected[1]
-    assert len(records) == len(expected_records)
 
     for strict in (True, False):
         over, expected_over = (None, None) if strict else ([], [])
@@ -176,8 +186,8 @@ def test_columnar_ingest_matches_the_row_loop(data):
             continue
         assert [str(e) for e in over or ()] == [str(e) for e in expected_over or ()]
         dataset, projects = dataset[1], reference[1]
-        assert list(dataset.projects.items()) == list(projects.items())  # first appearance order
-        assert [list(p.members) for p in dataset.projects.values()] == [
+        assert list(teams_of(dataset).items()) == list(projects.items())  # first appearance order
+        assert [list(p.members) for p in teams_of(dataset).values()] == [
             list(p.members) for p in projects.values()
         ]
         assert dataset.fingerprint() == reference_fingerprint(projects)
@@ -186,9 +196,6 @@ def test_columnar_ingest_matches_the_row_loop(data):
             for p in projects.values()
             for mid in p.members
         }
-        from_rows = aggregate(list(expected_records), over=[])  # a plain list of records
-        assert from_rows.fingerprint() == dataset.fingerprint()
-        assert from_rows.projects == dataset.projects
 
 
 any_ids = st.lists(
@@ -199,13 +206,9 @@ any_ids = st.lists(
 def built_layer(project_ids):
     """The threshold-0 layer and visuals of projects sharing two members, or
     None when ingest rejects an id."""
-    recs = [
-        ContributionRecord(p, m, 10.0, None, ProjectType.IP)
-        for p in project_ids
-        for m in ("M1", "M2")
-    ]
+    recs = [Row(p, m, 10.0) for p in project_ids for m in ("M1", "M2")]
     try:
-        parsed = parse_records(records_to_csv_bytes(recs))
+        parsed = parse_records(csv_of(recs))
     except RowError:
         return None
     dataset = aggregate(parsed)
@@ -242,7 +245,7 @@ def test_accepted_ids_survive_json(project_ids):
     assert blob == reference_export(layer, visuals, ExportFormat.JSONGRAPH)
     graph = json.loads(blob)["graph"]
     assert [node["id"] for node in graph["nodes"]] == sorted(p.strip() for p in project_ids)
-    assert [(e["source"], e["target"]) for e in graph["edges"]] == [e[:2] for e in layer.edges]
+    assert [(e["source"], e["target"]) for e in graph["edges"]] == [e[:2] for e in edges_of(layer)]
 
 
 teams = st.dictionaries(st.sampled_from([f"M{i}" for i in range(6)]), percents, min_size=1, max_size=4)
@@ -253,27 +256,25 @@ teams = st.dictionaries(st.sampled_from([f"M{i}" for i in range(6)]), percents, 
 def test_linkage_symmetric_bounded_and_naive(project_teams):
     def dataset_named(name):
         recs = [
-            ContributionRecord(name(i), m, pct, None, ProjectType.PAPER)
+            Row(name(i), m, pct, None, ProjectType.PAPER)
             for i, team in enumerate(project_teams)
             for m, pct in team.items()
         ]
-        return aggregate(recs, over=[])  # random teams may sum above 100
+        return dataset_of(recs, over=[])  # random teams may sum above 100
 
     dataset = dataset_named(lambda i: f"P{i}")
-    table = build_linkage_table(dataset)
+    rows = linkage_rows(build_linkage_table(dataset))
     # ids in reverse order swap the two sides of every pair
-    flipped = build_linkage_table(dataset_named(lambda i: f"Q{9 - i}"))
-    flipped = {(p.project_b, p.project_a): p for p in flipped}
+    flipped = linkage_rows(build_linkage_table(dataset_named(lambda i: f"Q{9 - i}")))
+    flipped = {(b, a): (n, value) for a, b, n, value in flipped}
     naive = naive_linkage_table(dataset)
-    assert [(link.project_a, link.project_b) for link in table] == sorted(naive)
-    for link in table:
-        pa, pb = link.project_a, link.project_b
-        twin = flipped[(f"Q{9 - int(pa[1:])}", f"Q{9 - int(pb[1:])}")]
-        assert (twin.n_common, twin.linkage) == (link.n_common, link.linkage)
-        assert 0.0 <= link.linkage <= 100.0
-        n_common, value = naive[(pa, pb)]
-        assert link.n_common == n_common
-        assert link.linkage == pytest.approx(value, rel=1e-12)
+    assert [row[:2] for row in rows] == sorted(naive)
+    for pa, pb, n, value in rows:
+        assert flipped[(f"Q{9 - int(pa[1:])}", f"Q{9 - int(pb[1:])}")] == (n, value)
+        assert 0.0 <= value <= 100.0
+        n_common, expected = naive[(pa, pb)]
+        assert n == n_common
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 # row lengths at the column edges, short rows, and a hub row far past them

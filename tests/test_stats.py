@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from collabnet.ingest import ContributionRecord, ProjectType
 from collabnet.stats import (
     Feature,
     FeatureAbsentError,
@@ -14,16 +13,17 @@ from collabnet.stats import (
     summaries_to_json_bytes,
     summarize,
 )
+from oracles import Row, table_of
 
 
-def record(pct: float, ic: float | None = None) -> ContributionRecord:
-    return ContributionRecord("P", f"M{pct}-{ic}", pct, ic, ProjectType.IP)
+def record(pct: float, ic: float | None = None) -> Row:
+    return Row("P", f"M{pct}-{ic}", pct, ic)
 
 
 def records_from(values, ic=False):
     if ic:
-        return [record(50.0, v) for v in values]
-    return [record(v) for v in values]
+        return table_of(record(50.0, v) for v in values)
+    return table_of(record(v) for v in values)
 
 
 def test_constant_data():
@@ -93,7 +93,7 @@ def test_shift_property():
 
 
 def test_ic_records_skipped_when_absent():
-    records = [record(10.0, 1.0), record(20.0, None), record(30.0, 3.0)]
+    records = table_of([record(10.0, 1.0), record(20.0, None), record(30.0, 3.0)])
     summary = summarize(records, Feature.IC_SCORE)
     assert summary.count == 2
     assert summary.mean == 2.0
@@ -101,9 +101,9 @@ def test_ic_records_skipped_when_absent():
 
 def test_feature_absent_error():
     with pytest.raises(FeatureAbsentError, match="feature absent"):
-        summarize([record(10.0, None)], Feature.IC_SCORE)
+        summarize(table_of([record(10.0, None)]), Feature.IC_SCORE)
     with pytest.raises(FeatureAbsentError):
-        summarize([], Feature.CONTRIBUTION_PCT)
+        summarize(table_of([]), Feature.CONTRIBUTION_PCT)
 
 
 def test_bad_bin_count():
