@@ -128,7 +128,7 @@ def _stats_artifacts(records: ingest.RecordTable, n_bins: int) -> dict[str, byte
 
 
 def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFormat) -> str:
-    return f"layer_{index:02d}_t{export.threshold_label(layer.threshold)}.{fmt.value}"
+    return f"layer_{index:02d}_t{layers.threshold_label(layer.threshold)}.{fmt.value}"
 
 
 class _Artifacts:

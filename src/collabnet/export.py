@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii as _json_quote
 import numpy as np
 
 from . import render
-from .layers import NetworkLayer, Pairs, Provenance
+from .layers import NetworkLayer, Pairs, Provenance, threshold_label
 
 __all__ = [
     "ComponentColor",
@@ -48,7 +48,6 @@ __all__ = [
     "assign_visuals",
     "export_layer",
     "parse_jsongraph",
-    "threshold_label",
 ]
 
 
@@ -156,11 +155,6 @@ def _runs(text: bytearray, ends: np.ndarray, keep: np.ndarray | None = None) -> 
     edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))  # run starts, stops
     view = memoryview(text)
     return [view[i:j] for i, j in zip(bounds[edges[::2]].tolist(), bounds[edges[1::2]].tolist())]
-
-
-def threshold_label(threshold: float) -> str:
-    """The threshold to 6 decimals, trailing zeros trimmed: 35.0 -> "35"."""
-    return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
 
 
 def _xml_quote(text: str) -> str:

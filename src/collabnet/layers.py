@@ -11,10 +11,10 @@ lowest threshold. What is derived per pair, such as export's rendered edge
 lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
 that keeps every pair of the table is the one-mode projection of the
 project-member incidence, and the stack gives it the table's member teams,
-which :mod:`collabnet.metrics` walks instead of its edges. A layer builds
-its adjacency (a numpy CSR pair ``(indptr, indices)``), degree array and
-component ranks from its arrays once, on first use; metrics and export read
-only these, so each layer is numbered into components once.
+which :mod:`collabnet.metrics` walks instead of its edges. A layer holds
+no adjacency of its own: it counts its degrees and numbers its components
+from its edge arrays once, on first use, and metrics builds each BFS pass
+group's CSR from that group's edges.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "ThresholdSweep",
     "make_sweep_explicit",
     "make_sweep_linspace",
+    "threshold_label",
     "build_layer",
     "build_layer_stack",
 ]
@@ -116,23 +117,10 @@ class NetworkLayer:
         return self.a.size
 
     @cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric adjacency in CSR form, the pair ``(indptr, indices)``:
-        the neighbours of ``nodes[i]`` are ``indices[indptr[i]:indptr[i + 1]]``.
-
-        Each edge is listed from both ends, the ``b`` ends first; a stable
-        sort by row then keeps each row's neighbours ascending, since the
-        pairs are in canonical (a, b) order.
-        """
-        rows = np.concatenate([self.b, self.a])
-        indices = np.concatenate([self.a, self.b])[np.argsort(rows, kind="stable")]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n_nodes))])
-        return indptr, indices
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         """Number of incident edges of each node, in ``nodes`` order."""
-        return np.diff(self.adjacency[0])
+        n = self.n_nodes
+        return np.bincount(self.a, minlength=n) + np.bincount(self.b, minlength=n)
 
     @cached_property
     def component_rank(self) -> np.ndarray:
@@ -153,9 +141,16 @@ class NetworkLayer:
         return np.argsort(order)[root]  # order's inverse; tied sizes keep root order
 
 
+def threshold_label(threshold: float) -> str:
+    """The threshold to 6 decimals, trailing zeros trimmed: 35.0 -> "35".
+    It names a layer's file and graph, so no sweep repeats one."""
+    return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
+
+
 @dataclass(frozen=True)
 class ThresholdSweep:
-    """A strictly increasing list of thresholds, explicit or linspace-derived."""
+    """A strictly increasing list of thresholds, explicit or linspace-derived,
+    each with its own :func:`threshold_label`."""
 
     thresholds: tuple[float, ...]
 
@@ -170,6 +165,8 @@ class ThresholdSweep:
                 raise ValueError(
                     f"thresholds must be strictly increasing, got {lo} before {hi}"
                 )
+            if threshold_label(lo) == threshold_label(hi):  # labels round monotonically
+                raise ValueError(f"thresholds {lo} and {hi} share the label t{threshold_label(lo)}")
 
 
 def make_sweep_explicit(values: Sequence[float]) -> ThresholdSweep:
@@ -180,7 +177,7 @@ def make_sweep_explicit(values: Sequence[float]) -> ThresholdSweep:
 
 def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
     """n_points evenly spaced thresholds from min to max observed linkage;
-    a range too narrow for n_points distinct floats is rejected."""
+    a range too narrow for n_points distinct labels is rejected."""
     if n_points < 2:
         raise ValueError("linspace sweep needs at least 2 points")
     if table.min_linkage is None or table.max_linkage is None:
@@ -191,7 +188,7 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
     step = (hi - lo) / (n_points - 1)
     values = [lo + i * step for i in range(n_points - 1)]
     values.append(hi)  # endpoint exact regardless of float stepping
-    if len(set(values)) < n_points:
+    if len(set(map(threshold_label, values))) < n_points:
         raise ValueError(f"linkage range [{lo}, {hi}] is too narrow for {n_points} thresholds")
     return ThresholdSweep(tuple(values))
 

@@ -5,10 +5,10 @@ node and averaged over the layer; global metrics (density, connected
 components) describe the whole graph. Reports describe the connected part
 of a layer but measure the layer in place: an isolated node is a one-node
 component with no distances and no triangles, so it adds to no sum. Every
-kernel reads the layer's ``(indptr, indices)`` CSR adjacency and component
-ranks, each built once per layer, and each per-node function returns the
-values of all nodes at once, as a node -> value map, from the same kernel
-:func:`report` averages.
+kernel reads the layer's edge arrays, degrees and component ranks, and
+builds each BFS pass group's CSR adjacency from that group's own edges;
+each per-node function returns the values of all nodes at once, as a
+node -> value map, from the same kernel :func:`report` averages.
 
 Closeness here is the reciprocal-distance form: sum over other nodes of
 1/d(v, u), with unreachable nodes contributing 0. Many graph libraries call
@@ -150,9 +150,9 @@ def _passes(layer: NetworkLayer):
     gathers through (see :func:`_levels`) and an iterator over the
     group's passes, each a (node, word) uint64 array with one bit per
     source. The steps are the group's member teams as :func:`_team_block`
-    cuts them when the layer carries teams, and its adjacency, renumbered
-    to positions, otherwise; nodes come by decreasing team count or degree,
-    stably, so every step's rows are sorted by length.
+    cuts them when the layer carries teams, and otherwise its adjacency, a
+    :func:`_grouped` CSR of its ends; nodes come by decreasing team count
+    or degree, stably, so every step's rows are sorted by length.
 
     A node's bit is its rank inside its own component. A group holds the
     components that need the same number of words, ceil(size / 64), and
@@ -177,13 +177,13 @@ def _passes(layer: NetworkLayer):
         nodes = nodes[np.argsort(-length[nodes], kind="stable")]
         position[nodes] = np.arange(nodes.size)
         cut = inside[layer.a]  # the group's edges
-        ends = position[layer.a[cut]], position[layer.b[cut]]
+        u, v = position[layer.a[cut]], position[layer.b[cut]]
         if teams is None:
-            steps = (_block(layer.adjacency, position, nodes),)
+            steps = (_grouped(np.concatenate([v, u]), np.concatenate([u, v]), nodes.size),)
         else:
             steps = _team_block(teams, position, inside)
         steps = tuple(_columns(*csr) for csr in steps)
-        yield nodes, ends, steps, _frontiers(rank[nodes], w)
+        yield nodes, (u, v), steps, _frontiers(rank[nodes], w)
 
 
 def _frontiers(rank: np.ndarray, words: int):
@@ -195,13 +195,15 @@ def _frontiers(rank: np.ndarray, words: int):
         yield _bits(sources, window[sources], rank.size)
 
 
-def _block(adjacency, position: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR of the ``adjacency`` rows ``nodes``, renumbered to their
-    ``position`` in ``nodes``. The nodes are whole components, so every
-    neighbour is among them."""
-    indptr, indices = adjacency
-    sub, entries = _rows(indptr, nodes)
-    return sub, position[indices[entries]]
+def _grouped(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indptr, indices)`` whose row k lists the ``values`` of
+    key k, in their given order, for keys below ``n``.
+
+    Given a group's edge ends (u, v), keys v then u and values u then v
+    list each node's neighbours once per edge; the edges are in canonical
+    (a, b) order, so each row's neighbours come in ascending node index."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
+    return indptr, values[np.argsort(keys, kind="stable")]
 
 
 def _team_block(teams, position: np.ndarray, inside: np.ndarray):
@@ -219,9 +221,7 @@ def _team_block(teams, position: np.ndarray, inside: np.ndarray):
     size = size[kept]
     sub, entries = _rows(indptr, kept)
     rows = position[indices[entries]]
-    team = np.repeat(np.arange(size.size), size)[np.argsort(rows, kind="stable")]
-    to_nodes = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=inside.sum()))])
-    return (sub, rows), (to_nodes, team)
+    return (sub, rows), _grouped(rows, np.repeat(np.arange(size.size), size), inside.sum())
 
 
 def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,10 +363,8 @@ def betweenness(layer: NetworkLayer) -> dict[str, float]:
     neighbour cell per adjacency entry and source, so a 512-source pass
     over a component of 77,000 entries would hold 316 MB at once."""
     bc = np.zeros(layer.n_nodes)
-    position = np.empty(layer.n_nodes, np.int64)
-    for nodes, _, steps, frontiers in _passes(layer):
-        position[nodes] = np.arange(nodes.size)
-        block = _block(layer.adjacency, position, nodes)
+    for nodes, (u, v), steps, frontiers in _passes(layer):
+        block = _grouped(np.concatenate([v, u]), np.concatenate([u, v]), nodes.size)
         for frontier in frontiers:
             dist = np.full((64 * frontier.shape[1], nodes.size), -1, np.int32)
             for d, level in enumerate(chain([frontier], _levels(steps, frontier))):

@@ -28,7 +28,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from collabnet.export import ComponentColor, ExportFormat, LayerVisuals, threshold_label
+from collabnet.export import ComponentColor, ExportFormat, LayerVisuals
 from collabnet.ingest import (
     _UNWRITABLE_CHAR,
     CONTRIBUTION_SUM_LIMIT,
@@ -43,7 +43,7 @@ from collabnet.ingest import (
     aggregate,
     parse_records,
 )
-from collabnet.layers import NetworkLayer, Pairs, Provenance
+from collabnet.layers import NetworkLayer, Pairs, Provenance, threshold_label
 from collabnet.linkage import LinkageTable
 
 

@@ -163,6 +163,32 @@ def test_build_linspace_on_a_range_narrower_than_its_points_exit_1(tmp_path, cap
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (
+            [str(GOLDEN_INPUT), "--thresholds", "50,50.0000001"],
+            2,
+            "thresholds 50.0 and 50.0000001 share the label t50",
+        ),
+        (
+            [str(NARROW_INPUT), "--linspace", "2"],
+            1,
+            "linkage range [50.0, 50.00000000000001] is too narrow for 2 thresholds",
+        ),
+    ],
+    ids=["thresholds", "linspace"],
+)
+def test_build_with_two_thresholds_of_one_label_fails(tmp_path, capsys, args, code, message):
+    """Both would write two layers named t50: the labels round to 6 decimals."""
+    out_dir = tmp_path / "out"
+    assert run(["build", *args, "--output-dir", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_build_is_deterministic(small_input, tmp_path):
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for d in dirs:

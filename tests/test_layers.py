@@ -12,6 +12,7 @@ from collabnet.layers import (
     build_layer_stack,
     make_sweep_explicit,
     make_sweep_linspace,
+    threshold_label,
 )
 from collabnet.linkage import LinkageTable, build_linkage_table, table_to_csv_bytes
 from collabnet.metrics import (
@@ -82,6 +83,22 @@ def test_explicit_sweep_validation():
         make_sweep_explicit([0.0, float("inf")])
     with pytest.raises(ValueError):
         ThresholdSweep(())
+    # a label names a layer's file and graph, so no two layers share one
+    with pytest.raises(ValueError, match=r"^thresholds 50.0 and 50.0000001 share the label t50$"):
+        make_sweep_explicit([0, 50, 50.0000001, 60])
+    with pytest.raises(ValueError, match="share the label t0$"):
+        ThresholdSweep((0.0, 5e-324))
+    assert make_sweep_explicit([50, 50.000001]).thresholds == (50.0, 50.000001)
+
+
+@pytest.mark.parametrize("lo, hi, n", [(50.0, 50.00000000000001, 2), (0.0, 1e-5, 12)])
+def test_linspace_rejects_a_range_too_narrow_for_distinct_labels(lo, hi, n):
+    """Two points one ulp apart are distinct floats with one label, and so
+    are two of twelve points 1e-5 wide, which lie under 1e-6 apart."""
+    with pytest.raises(ValueError) as err:
+        make_sweep_linspace(fake_table(lo, hi), n)
+    assert str(err.value) == f"linkage range [{lo}, {hi}] is too narrow for {n} thresholds"
+    assert len(make_sweep_linspace(fake_table(lo, lo + 1.0), n).thresholds) == n
 
 
 def test_build_layer_nodes_and_threshold_zero():
@@ -183,13 +200,17 @@ def test_stack_layers_match_naive_filter():
         ds = random_dataset(rng)
         table = build_linkage_table(ds)
         ties = set(table.linkage.tolist())  # a threshold equal to a value keeps it
-        thresholds = sorted(ties | {0.0} | {rng.uniform(0.0, 100.0) for _ in range(4)})
-        stack = build_layer_stack(ds, table, make_sweep_explicit(thresholds))
-        for layer in stack:
-            t = layer.threshold
-            naive = [(a, b, v) for a, b, _, v in linkage_rows(table) if v >= t]
-            assert edges_of(layer) == naive
-            assert edges_of(layer) == edges_of(build_layer(ds, table, t))
+        by_label: dict[str, list[float]] = {}
+        for t in sorted(ties | {0.0} | {rng.uniform(0.0, 100.0) for _ in range(4)}):
+            by_label.setdefault(threshold_label(t), []).append(t)
+        # a sweep takes one value per label, so values an ulp apart go to different sweeps
+        for k in range(max(map(len, by_label.values()))):
+            thresholds = [same[min(k, len(same) - 1)] for same in by_label.values()]
+            for layer in build_layer_stack(ds, table, make_sweep_explicit(thresholds)):
+                t = layer.threshold
+                naive = [(a, b, v) for a, b, _, v in linkage_rows(table) if v >= t]
+                assert edges_of(layer) == naive
+                assert edges_of(layer) == edges_of(build_layer(ds, table, t))
 
 
 def test_stack_shares_only_the_pairs_of_its_lowest_threshold():

@@ -422,8 +422,10 @@ def test_team_step_equals_csr_step(seed):
     assert above[0].teams is None
     assert not any(_team_steps(above[0]) + _team_steps(above[1]))
 
-    mixed = [-5, table.min_linkage, np.nextafter(table.min_linkage, np.inf), 20]
+    # min_linkage + 1e-6 keeps the pairs nextafter keeps, under a label of its own
+    mixed = [-5, table.min_linkage, table.min_linkage + 1e-6, 20]
     stack = _threshold_stack(data, mixed)[1]
+    assert np.array_equal(stack[2].keep, table.linkage > table.min_linkage)
     whole = [layer.n_edges == len(table) for layer in stack]
     assert whole == [True, True, False, False]
     for layer, every_pair in zip(stack, whole):
@@ -491,6 +493,22 @@ def test_hub_report_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * metrics._BLOCK_BYTES
+
+
+def test_hub_degrees_count_the_edge_arrays_in_place():
+    """A layer's degrees are two counts over its edge arrays, with no copy
+    of its edges: the threshold-0 layer of 800 projects and a hub has
+    319,601 edges, a CSR of them peaks near 20 MB to build, and counting
+    its degrees stays under 1 MB."""
+    _, (layer,) = _threshold_stack(_hub_input(800), [0])
+    layer.a, layer.b  # cut from the stack's pairs, cached per layer
+    tracemalloc.start()
+    try:
+        layer.degrees
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_handshake_identity():

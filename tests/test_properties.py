@@ -1,4 +1,4 @@
-"""Property tests for CSV ingest, linkage, layer export and the BFS step.
+"""Property tests for CSV ingest, linkage, layer export and the BFS CSRs.
 
 Examples are derived from the test source (``derandomize=True``) and never
 time out, so every run checks the same cases.
@@ -25,7 +25,7 @@ from collabnet.ingest import (
     parse_records,
     records_to_csv_bytes,
 )
-from collabnet.layers import build_layer
+from collabnet.layers import NetworkLayer, Pairs, Provenance, build_layer
 from collabnet.linkage import build_linkage_table
 from collabnet.metrics import components
 from oracles import (
@@ -303,3 +303,36 @@ def test_column_step_equals_reduceat(lengths, n_nodes, words, seed):
     expected = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
     got = metrics._step(metrics._columns(indptr, indices), frontier)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@st.composite
+def canonical_edges(draw):
+    """A node count and an edge list over it in canonical (a, b) order: some
+    nodes isolated, some at the end of many edges, some pairs repeated."""
+    n = draw(st.integers(1, 40))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=80))
+    return n, sorted((min(e), max(e)) for e in pairs if e[0] != e[1])
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(canonical_edges())
+def test_grouped_csr_lists_neighbours_ascending_once_per_edge(graph):
+    """The CSR of edge ends (u, v), v ends first, lists each node's
+    neighbours once per edge in ascending node index, over the whole layer
+    and over each BFS pass group, whose rows are its nodes' positions."""
+    n, edges = graph
+    a = np.array([e[0] for e in edges], np.int64)
+    b = np.array([e[1] for e in edges], np.int64)
+    nodes = tuple(f"n{i:02d}" for i in range(n))
+    layer = NetworkLayer(0.0, Pairs(nodes, a, b, np.ones(a.size)), Provenance("f", ()))
+    around = [sorted([j for i, j in edges if i == k] + [i for i, j in edges if j == k]) for k in range(n)]
+
+    indptr, indices = metrics._grouped(np.concatenate([b, a]), np.concatenate([a, b]), n)
+    assert np.array_equal(np.diff(indptr), layer.degrees)
+    assert [indices[indptr[k] : indptr[k + 1]].tolist() for k in range(n)] == around
+    for group, (u, v), _, _ in metrics._passes(layer):
+        indptr, indices = metrics._grouped(np.concatenate([v, u]), np.concatenate([u, v]), group.size)
+        assert np.array_equal(np.diff(indptr), layer.degrees[group])
+        rows = [group[indices[indptr[r] : indptr[r + 1]]].tolist() for r in range(group.size)]
+        assert rows == [around[k] for k in group.tolist()]
