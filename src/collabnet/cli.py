@@ -4,10 +4,12 @@ build runs the whole pipeline on one input file: parse, aggregate, optional
 type filter, linkage table, threshold sweep, per-layer metric reports,
 layer exports, feature statistics and a manifest with content hashes.
 Outputs are deterministic: the same input bytes and flags always produce a
-byte-identical artifact set. Each artifact is written to a temporary file as
-soon as it is made, so no more than one layer's bytes are held at a time;
-the files are renamed into place together, manifest last, once all are
-written, and any failure removes the temporary files instead. ingest and
+byte-identical artifact set. Each artifact is handed to a writer thread as
+soon as it is made, which writes it to a temporary file and hashes it while
+the main thread measures and renders the next layer, so at most two
+documents are held at a time, the one being written and the one being
+built; the files are renamed into place together, manifest last, once all
+are written, and any failure removes the temporary files instead. ingest and
 build report each skipped row and over-limit project as one stderr line.
 Exit codes: 0 success, 1 input/data error (an input too large for memory
 too), 2 configuration error.
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
@@ -139,10 +142,16 @@ class _Artifacts:
     Making it checks that ``out_dir`` can be a directory, so make it before
     any work; then use it as a context manager. The directory, and any
     missing parent, is made at the first write.
-    A clean exit renames every file in name order, ``manifest.json`` last,
-    then removes the files the earlier manifest listed and this one does
-    not. A run without a manifest refuses, before renaming anything, to
-    replace a file the earlier manifest lists, as that would leave it wrong.
+    Each write hands its bytes to a writer thread, which writes the
+    temporary file and hashes it while the caller goes on; a write first
+    waits for the one before it, so one is in flight at a time, and a
+    writer's failure is raised on the calling thread at that wait, or at
+    :meth:`digests` or the exit.
+    The exit waits for the writer on every path, then a clean exit renames
+    every file in name order, ``manifest.json`` last, and removes the files
+    the earlier manifest listed and this one does not. A run without a
+    manifest refuses, before renaming anything, to replace a file the
+    earlier manifest lists, as that would leave it wrong.
     Any exception removes every temporary file, so no earlier output changes,
     and then each directory the run made, deepest first, while it is empty.
     """
@@ -155,9 +164,11 @@ class _Artifacts:
         if not existing.is_dir():
             raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
         self.out_dir = out_dir
-        self.hashes: dict[str, str] = {}
+        self._hashes: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
         self._made: list[Path] = []  # the directories write made, parents first
+        self._writer: threading.Thread | None = None
+        self._failure: Exception | None = None  # the writer's, until _wait raises it
         self.paths: list[Path] = []
         self._listed: set[str] = set()  # what the directory's collabnet manifest lists
         try:
@@ -173,9 +184,31 @@ class _Artifacts:
         for directory in reversed(list(missing)):
             directory.mkdir()
             self._made.append(directory)
-        self._temps[name] = self.out_dir / f".{name}.{os.getpid()}.tmp"
-        self._temps[name].write_bytes(blob)
-        self.hashes[name] = hashlib.sha256(blob).hexdigest()
+        temp = self._temps[name] = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        self._wait()
+        self._writer = threading.Thread(target=self._store, args=(name, temp, blob))
+        self._writer.start()
+
+    def _store(self, name: str, temp: Path, blob: bytes) -> None:
+        """The writer thread's work: one temporary file and its hash."""
+        try:
+            temp.write_bytes(blob)
+            self._hashes[name] = hashlib.sha256(blob).hexdigest()
+        except Exception as exc:  # OSError, MemoryError: the calling thread raises it
+            self._failure = exc
+
+    def _wait(self) -> None:
+        """Wait for the write in flight, and raise its failure here."""
+        if self._writer is not None:
+            self._writer.join()
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
+
+    def digests(self) -> dict[str, str]:
+        """Each artifact's sha256 by name, once every write so far is done."""
+        self._wait()
+        return dict(self._hashes)
 
     def __enter__(self) -> _Artifacts:
         return self
@@ -183,8 +216,11 @@ class _Artifacts:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
+                self._wait()
                 self._commit()
         finally:  # a renamed file has left its temporary name: this removes the rest
+            if self._writer is not None:  # an exception in flight outranks a write's
+                self._writer.join()
             for temp in self._temps.values():
                 temp.unlink(missing_ok=True)
             for directory in reversed(self._made):  # only a failed run leaves one empty
@@ -213,9 +249,9 @@ class _Artifacts:
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
-    Each artifact goes to a temporary file as soon as it is made, and only
+    Each artifact goes to the writer thread as soon as it is made, and only
     its hash is kept (see :class:`_Artifacts`); the manifest is written
-    last, from those hashes.
+    last, from those hashes, once the last of them is in.
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
@@ -274,7 +310,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
                 "n_bins": config.n_bins,
             },
             "dataset_fingerprint": stack[0].provenance.dataset_fingerprint,
-            "artifacts": dict(out.hashes),
+            "artifacts": out.digests(),
         }
         out.write(
             out.MANIFEST,

@@ -137,14 +137,27 @@ class NetworkLayer:
             np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
             while not np.array_equal(root, root[root]):
                 root = root[root]
-        order = np.argsort(-np.bincount(root, minlength=self.n_nodes), kind="stable")
-        return np.argsort(order)[root]  # order's inverse; tied sizes keep root order
+        size = np.bincount(root, minlength=self.n_nodes)
+        order = _stable_order(size.max(initial=0) - size)  # tied sizes keep root order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank[root]
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, cast
+    first to the narrowest unsigned type that holds the largest: numpy sorts
+    keys of 16 bits or fewer by a radix sort, in linear time."""
+    dtype = np.min_scalar_type(int(keys.max(initial=0)))
+    return np.argsort(keys.astype(dtype, copy=False), kind="stable")
 
 
 def threshold_label(threshold: float) -> str:
-    """The threshold to 6 decimals, trailing zeros trimmed: 35.0 -> "35".
-    It names a layer's file and graph, so no sweep repeats one."""
-    return f"{threshold:.6f}".rstrip("0").rstrip(".") or "0"
+    """The threshold to 6 decimals, trailing zeros trimmed: 35.0 -> "35",
+    and "0" for any that rounds to zero, -0.0000001 too. It names a layer's
+    file and graph, so no sweep repeats one."""
+    label = f"{threshold:.6f}".rstrip("0").rstrip(".")
+    return "0" if label == "-0" else label
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .layers import NetworkLayer, Pairs
+from .layers import NetworkLayer, Pairs, _stable_order
 
 __all__ = [
     "LayerMetricsReport",
@@ -163,18 +163,22 @@ def _passes(layer: NetworkLayer):
     node take no part, so every node of a group has an edge.
     """
     component = layer.component_rank
-    order = np.argsort(component, kind="stable")
-    first = np.searchsorted(component[order], component)  # where each component starts
-    rank = np.argsort(order) - first  # each node's rank inside its own component
-    size = np.bincount(component)[component]
+    counts = np.bincount(component)
+    first = np.cumsum(counts) - counts  # where each component starts in component order
+    order = _stable_order(component)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rank -= first[component]  # each node's rank inside its own component
+    size = counts[component]
     words = np.where(size > 1, -(-size // 64), 0)  # 0 for a one-node component
     teams = layer.teams
     length = layer.degrees if teams is None else np.bincount(teams[1], minlength=layer.n_nodes)
+    longest = length.max(initial=0)
     position = np.empty(layer.n_nodes, np.int64)  # a group node's index among the group's
-    for w in np.unique(words[words > 0]).tolist():
+    for w in (np.flatnonzero(np.bincount(words)[1:]) + 1).tolist():
         inside = words == w
         nodes = np.flatnonzero(inside)
-        nodes = nodes[np.argsort(-length[nodes], kind="stable")]
+        nodes = nodes[_stable_order(longest - length[nodes])]
         position[nodes] = np.arange(nodes.size)
         cut = inside[layer.a]  # the group's edges
         u, v = position[layer.a[cut]], position[layer.b[cut]]
@@ -203,7 +207,7 @@ def _grouped(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, 
     list each node's neighbours once per edge; the edges are in canonical
     (a, b) order, so each row's neighbours come in ascending node index."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
-    return indptr, values[np.argsort(keys, kind="stable")]
+    return indptr, values[_stable_order(keys)]
 
 
 def _team_block(teams, position: np.ndarray, inside: np.ndarray):
@@ -217,8 +221,9 @@ def _team_block(teams, position: np.ndarray, inside: np.ndarray):
     indptr, indices = teams
     size = np.diff(indptr)
     kept = np.flatnonzero(inside[indices[indptr[:-1]]])  # by each team's first node
-    kept = kept[np.argsort(-size[kept], kind="stable")]
     size = size[kept]
+    order = _stable_order(size.max(initial=0) - size)
+    kept, size = kept[order], size[order]
     sub, entries = _rows(indptr, kept)
     rows = position[indices[entries]]
     return (sub, rows), _grouped(rows, np.repeat(np.arange(size.size), size), inside.sum())
@@ -384,17 +389,19 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     m = layer.n_edges
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
     pairs_at, _, local_clustering = _tally(layer)
-    hops = np.arange(1, pairs_at.size)
+    depth = int(np.flatnonzero(pairs_at).max(initial=0))  # no pair lies further apart
+    pairs_at = pairs_at[1 : depth + 1]
+    hops = np.arange(1, depth + 1)
 
     return LayerMetricsReport(
         threshold=layer.threshold,
         n_nodes_retained=n,
         n_edges=m,
         n_isolated_removed=layer.n_nodes - n,
-        avg_closeness=math.fsum(pairs_at[1:] / hops) / per_node,
-        avg_betweenness=int(pairs_at[1:] @ (hops - 1)) / (2 * per_node),
+        avg_closeness=math.fsum((pairs_at / hops).tolist()) / per_node,
+        avg_betweenness=int(pairs_at @ (hops - 1)) / (2 * per_node),
         avg_degree=2 * m / per_node,
-        avg_clustering=math.fsum(local_clustering) / per_node,
+        avg_clustering=math.fsum(local_clustering.tolist()) / per_node,
         density=2.0 * m / (n * (n - 1)) if n > 1 else 0.0,
         n_components=int(np.count_nonzero(np.bincount(layer.component_rank) > 1)),
     )

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 from xml.dom import minidom
@@ -172,15 +174,21 @@ def test_build_linspace_on_a_range_narrower_than_its_points_exit_1(tmp_path, cap
             "thresholds 50.0 and 50.0000001 share the label t50",
         ),
         (
+            [str(GOLDEN_INPUT), "--thresholds=-0.0000001,0.0000001"],
+            2,
+            "thresholds -1e-07 and 1e-07 share the label t0",
+        ),
+        (
             [str(NARROW_INPUT), "--linspace", "2"],
             1,
             "linkage range [50.0, 50.00000000000001] is too narrow for 2 thresholds",
         ),
     ],
-    ids=["thresholds", "linspace"],
+    ids=["thresholds", "negative_zero", "linspace"],
 )
 def test_build_with_two_thresholds_of_one_label_fails(tmp_path, capsys, args, code, message):
-    """Both would write two layers named t50: the labels round to 6 decimals."""
+    """Each would write two layers of one name: the labels round to 6
+    decimals, and one that rounds to zero is t0 whatever its sign."""
     out_dir = tmp_path / "out"
     assert run(["build", *args, "--output-dir", str(out_dir)]) == code
     captured = capsys.readouterr()
@@ -190,13 +198,28 @@ def test_build_with_two_thresholds_of_one_label_fails(tmp_path, capsys, args, co
 
 
 def test_build_is_deterministic(small_input, tmp_path):
-    dirs = [tmp_path / "run1", tmp_path / "run2"]
-    for d in dirs:
-        assert run(
-            ["build", str(small_input), "--thresholds", "0,30,60", "--format", "json", "--output-dir", str(d)]
-        ) == 0
-    for name in sorted(p.name for p in dirs[0].iterdir()):
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    """Five builds back to back, each hashing on the writer thread while it
+    renders the next layer, with threads switched as often as the
+    interpreter allows: equal bytes, and each manifest lists the sha256 of
+    the files written."""
+    argv = ["build", str(small_input), "--thresholds", "0,30,60", "--format", "json", "--dump-linkage"]
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(5):
+            out_dir = tmp_path / f"run{i}"
+            assert run([*argv, "--output-dir", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    finally:
+        sys.setswitchinterval(interval)
+    for output in outputs:
+        listed = json.loads(output["manifest.json"])["artifacts"]
+        assert listed == {
+            name: hashlib.sha256(blob).hexdigest() for name, blob in output.items() if name != "manifest.json"
+        }
+    assert len(outputs[0]) == 10
+    assert all(output == outputs[0] for output in outputs)
 
 
 def test_build_manifest_hashes(small_input, tmp_path):
@@ -591,7 +614,10 @@ def test_negative_zero_threshold_is_threshold_zero(small_input, tmp_path):
     assert json.loads(outputs[0]["manifest.json"])["config"]["thresholds"] == [0.0, 20.0]
 
 
-@pytest.mark.parametrize(("text", "first"), [("-0,20", "layer_00_t0"), ("-5,20", "layer_00_t-5")])
+@pytest.mark.parametrize(
+    ("text", "first"),
+    [("-0,20", "layer_00_t0"), ("-5,20", "layer_00_t-5"), ("-0.0000001", "layer_00_t0")],
+)
 def test_negative_threshold_list_as_separate_argument(small_input, tmp_path, text, first):
     forms = {
         "joined": [f"--thresholds={text}"],
@@ -604,7 +630,8 @@ def test_negative_threshold_list_as_separate_argument(small_input, tmp_path, tex
         assert run(["build", str(small_input), *threshold_args, "--output-dir", str(out_dir)]) == 0
         outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert outputs[0] == outputs[1] == outputs[2]
-    assert f"{first}.graphml" in outputs[0]
+    graph_id = first.removeprefix("layer_00_")  # a label that rounds to zero is t0, not t-0
+    assert f'<graph id="{graph_id}"' in outputs[0][f"{first}.graphml"].decode()
 
 
 def _child_env() -> dict[str, str]:
@@ -616,7 +643,7 @@ def _child_env() -> dict[str, str]:
 
 
 def test_cli_import_leaves_out_heavy_modules():
-    heavy = ["scipy", "xml.sax", "urllib.request"]
+    heavy = ["scipy", "xml.sax", "urllib.request", "concurrent.futures"]
     code = f"import sys, collabnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
@@ -655,6 +682,25 @@ def test_failed_streamed_write_keeps_previous_outputs(small_input, tmp_path, mon
     assert "wrote" not in capsys.readouterr().out
 
 
+def _record_writes(monkeypatch, delay: float = 0.0) -> list[Path]:
+    """Record each path ``Path.write_bytes`` writes, in order, each write
+    taking at least ``delay`` seconds."""
+    real_write = Path.write_bytes
+    written = []
+
+    def recording_write(self, data):
+        written.append(self)
+        time.sleep(delay)
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", recording_write)
+    return written
+
+
+def _temp(out_dir: Path, name: str) -> Path:
+    return out_dir / f".{name}.{os.getpid()}.tmp"
+
+
 def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "out"
     argv = ["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]
@@ -666,16 +712,19 @@ def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, mo
     calls = []
 
     def failing_export(*args, **kwargs):
-        calls.append(sorted(p.name for p in out_dir.glob(".*.tmp")))
+        calls.append(1)
         if len(calls) == 2:
             raise ValueError("cannot render layer")
         return real_export(*args, **kwargs)
 
     monkeypatch.setattr(cli.export, "export_layer", failing_export)
+    written = _record_writes(monkeypatch)
     assert run(argv) == 1
     assert "cannot render layer" in capsys.readouterr().err
-    # the first layer was already on disk, under its temporary name, when the second failed
-    assert calls == [[], [f".layer_00_t0.graphml.{os.getpid()}.tmp"]]
+    # the first layer went to its temporary file before the run ended, and the
+    # failure removed it
+    assert written == [_temp(out_dir, "layer_00_t0.graphml")]
+    assert not written[0].exists()
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
@@ -685,19 +734,74 @@ def test_out_of_memory_exits_1_with_one_error_line(small_input, tmp_path, monkey
     calls = []
 
     def exhausted_export(*args, **kwargs):  # the second layer's allocation fails
-        calls.append(sorted(p.name for p in out_dir.glob(".*.tmp")))
+        calls.append(1)
         if len(calls) == 2:
             raise MemoryError
         return real_export(*args, **kwargs)
 
     monkeypatch.setattr(cli.export, "export_layer", exhausted_export)
+    written = _record_writes(monkeypatch)
     argv = ["build", str(small_input), "--thresholds", "0,50", "--dump-linkage", "--output-dir", str(out_dir)]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory while building the output\n"
-    assert calls[1] == [f".layer_00_t0.graphml.{os.getpid()}.tmp", f".linkage.csv.{os.getpid()}.tmp"]
+    assert written == [_temp(out_dir, "linkage.csv"), _temp(out_dir, "layer_00_t0.graphml")]
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_out_of_memory_on_the_writer_thread_exits_1_with_one_error_line(
+    small_input, tmp_path, monkeypatch, capsys, failing
+):
+    out_dir = tmp_path / "new" / "out"
+    real_write = Path.write_bytes
+    calls = {"n": 0}
+
+    def exhausted_write(self, data):
+        calls["n"] += 1
+        if calls["n"] == failing:
+            raise MemoryError
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", exhausted_write)
+    argv = ["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory while building the output\n"
+    assert calls["n"] == failing  # no write starts after a failed one
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("failure", [None, ValueError, KeyboardInterrupt])
+def test_no_writer_thread_outlives_the_run(small_input, tmp_path, monkeypatch, failure):
+    """Slow writes keep the first layer's write in flight while the second
+    layer fails: the run still waits for it before removing anything."""
+    out_dir = tmp_path / "out"
+    config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 50.0))
+    real_export = cli.export.export_layer
+    calls = []
+
+    def export(*args, **kwargs):
+        calls.append(1)
+        if failure is not None and len(calls) == 2:
+            raise failure("stopped")
+        return real_export(*args, **kwargs)
+
+    monkeypatch.setattr(cli.export, "export_layer", export)
+    written = _record_writes(monkeypatch, delay=0.05)
+    threads = set(threading.enumerate())
+    if failure is None:
+        assert [p.name for p in run_pipeline(config)][-1] == "manifest.json"
+        assert len(written) == 8
+    else:
+        with pytest.raises(failure, match="stopped"):
+            run_pipeline(config)
+        assert written == [_temp(out_dir, "layer_00_t0.graphml")]
+        assert not out_dir.exists()
+    assert set(threading.enumerate()) <= threads
+    assert not any(p.exists() for p in written)
 
 
 def test_include_isolated_flag_changes_exports(small_input, tmp_path):

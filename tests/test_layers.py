@@ -89,6 +89,18 @@ def test_explicit_sweep_validation():
     with pytest.raises(ValueError, match="share the label t0$"):
         ThresholdSweep((0.0, 5e-324))
     assert make_sweep_explicit([50, 50.000001]).thresholds == (50.0, 50.000001)
+    # a negative threshold that rounds to zero is labelled t0, so it meets a positive one
+    with pytest.raises(ValueError, match=r"^thresholds -1e-07 and 1e-07 share the label t0$"):
+        make_sweep_explicit([-0.0000001, 0.0000001])
+
+
+@pytest.mark.parametrize(
+    "threshold, label",
+    [(0.0, "0"), (-0.0, "0"), (-1e-7, "0"), (-4.9e-7, "0"), (4.9e-7, "0"), (-5.1e-7, "-0.000001"),
+     (-5.0, "-5"), (35.0, "35"), (35.000001, "35.000001"), (50.0000001, "50")],
+)
+def test_threshold_label_rounds_to_six_decimals_without_a_negative_zero(threshold, label):
+    assert threshold_label(threshold) == label
 
 
 @pytest.mark.parametrize("lo, hi, n", [(50.0, 50.00000000000001, 2), (0.0, 1e-5, 12)])

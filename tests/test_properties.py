@@ -25,7 +25,7 @@ from collabnet.ingest import (
     parse_records,
     records_to_csv_bytes,
 )
-from collabnet.layers import NetworkLayer, Pairs, Provenance, build_layer
+from collabnet.layers import NetworkLayer, Pairs, Provenance, _stable_order, build_layer
 from collabnet.linkage import build_linkage_table
 from collabnet.metrics import components
 from oracles import (
@@ -303,6 +303,21 @@ def test_column_step_equals_reduceat(lengths, n_nodes, words, seed):
     expected = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
     got = metrics._step(metrics._columns(indptr, indices), frontier)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(
+    st.sampled_from([1, 255, 256, 2**16 - 1, 2**16, 2**32, 2**40]),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_stable_order_equals_a_stable_argsort(top, n, seed):
+    """Keys cast to the narrowest unsigned type that holds them sort into
+    the same permutation as the int64 keys: equal keys keep their order,
+    at every width boundary."""
+    keys = np.random.default_rng(seed).integers(0, top, n, endpoint=True)
+    keys[: n // 3] = keys[n // 3 : 2 * (n // 3)]  # repeated keys
+    assert np.array_equal(_stable_order(keys), np.argsort(keys, kind="stable"))
 
 
 @st.composite
