@@ -40,7 +40,7 @@ print(csv_bytes.decode().splitlines()[1])   # first data row
 # contributions sum above 100.5)
 dataset = aggregate(parse_records(csv_bytes))
 print(f"aggregated {dataset.n_projects} projects, "
-      f"{len(dataset.member_index)} distinct members")
+      f"{dataset.n_members} distinct members")
 
 # reproducibility: the same seed gives identical bytes
 assert generate_csv_bytes(config) == csv_bytes

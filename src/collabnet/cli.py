@@ -50,7 +50,9 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything one build run needs; exactly one threshold source is set."""
+    """Everything one build run needs; exactly one threshold source is set.
+    Every value is checked when the config is made, before any input is read;
+    ``thresholds`` must form a sweep and is kept as the sweep normalizes it."""
 
     input_path: str
     output_dir: Path
@@ -68,10 +70,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.thresholds is None) == (self.linspace is None):
             raise ConfigError("exactly one of thresholds or linspace must be given")
-        if self.thresholds is not None and len(self.thresholds) > MAX_LAYERS:
-            raise ConfigError(
-                f"thresholds must list at most {MAX_LAYERS} values, got {len(self.thresholds)}"
-            )
+        if self.thresholds is not None:
+            if len(self.thresholds) > MAX_LAYERS:
+                raise ConfigError(
+                    f"thresholds must list at most {MAX_LAYERS} values, got {len(self.thresholds)}"
+                )
+            try:
+                self.thresholds = layers.make_sweep_explicit(self.thresholds).thresholds
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.linspace is not None and self.linspace < 2:
             raise ConfigError("linspace needs at least 2 points")
         if self.linspace is not None and self.linspace > MAX_LAYERS:
@@ -263,7 +270,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     table = linkage.build_linkage_table(dataset)
     if config.thresholds is not None:
-        sweep = layers.make_sweep_explicit(config.thresholds)
+        sweep = layers.ThresholdSweep(config.thresholds)
     else:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(dataset, table, sweep)
@@ -327,16 +334,15 @@ def _parse_types(text: str) -> frozenset[ProjectType]:
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
+    """The listed numbers, at most ``MAX_LAYERS``; :class:`RunConfig` checks
+    that they form a sweep."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"unparseable threshold list: {text!r}") from None
     if len(values) > MAX_LAYERS:
         raise ConfigError(f"--thresholds must list at most {MAX_LAYERS} values, got {len(values)}")
-    try:
-        return layers.make_sweep_explicit(values).thresholds
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return values
 
 
 def _parse_count(option: str, text: str, low: int, high: int) -> int:

@@ -4,7 +4,7 @@ The input is a delimited text table with one row per (project, member)
 contribution. :func:`parse_records` reads it once into a
 :class:`RecordTable` of columns: project and member ids coded as indices
 into their sorted id tuples, contributions and IC scores as float arrays,
-type codes and source line numbers. Each row check runs over whole columns.
+and type codes. Each row check runs over whole columns.
 :func:`aggregate` checks the memberships on the codes and wraps the table in
 a :class:`Dataset`, which linkage, layers, stats and the fingerprint read
 column by column; the dataset's one dict view is its inverted
@@ -45,6 +45,9 @@ __all__ = [
 # Per-project contribution totals are nominally 100; real exports carry
 # rounding slop, so sums up to this limit are accepted silently.
 CONTRIBUTION_SUM_LIMIT = 100.5
+# aggregate sums contributions as whole numbers of 1e-9 percent: float64
+# adds whole numbers below 2**53 exactly, in any order.
+_UNITS_PER_PCT = 10**9
 
 # No export format can carry these in an id: Unicode category Cc, and the
 # noncharacters U+FFFE and U+FFFF, the only other code points a UTF-8 input
@@ -119,8 +122,7 @@ class RecordTable:
     ``project_ids`` and ``member_ids``: exactly the ids the rows use, in
     Python's sorted order. ``contribution_pct`` and ``ic_score`` are
     float64, the IC score NaN where its cell was empty; ``project_type``
-    indexes ``tuple(ProjectType)``; ``line`` is the source line each row
-    ends on.
+    indexes ``tuple(ProjectType)``.
     """
 
     project_ids: tuple[str, ...]
@@ -130,7 +132,6 @@ class RecordTable:
     contribution_pct: np.ndarray
     ic_score: np.ndarray
     project_type: np.ndarray
-    line: np.ndarray
 
     def __len__(self) -> int:
         return self.project.size
@@ -139,7 +140,7 @@ class RecordTable:
         """The rows where ``keep`` is true, ids renumbered to the ones they use."""
         project_ids, project = _recoded(self.project_ids, self.project[keep])
         member_ids, member = _recoded(self.member_ids, self.member[keep])
-        rest = (self.contribution_pct, self.ic_score, self.project_type, self.line)
+        rest = (self.contribution_pct, self.ic_score, self.project_type)
         return RecordTable(project_ids, member_ids, project, member, *(c[keep] for c in rest))
 
 
@@ -256,11 +257,6 @@ def _split(reader, width: int) -> tuple[list[list[str]], list[int], list[RowErro
 def _floats(cells: Sequence[str], blank_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``float()`` of each stripped cell, and the mask of cells it rejects,
     which are NaN; under ``blank_ok`` an empty cell is NaN, not rejected."""
-    try:  # float() strips what str.strip() does, but U+001C..U+001F: those fall through
-        values = [float(c) if c or not blank_ok else math.nan for c in cells]
-        return np.array(values, float), np.zeros(len(cells), bool)
-    except ValueError:
-        pass
     values, rejected = [], []
     for cell in map(str.strip, cells):
         try:
@@ -274,8 +270,6 @@ def _floats(cells: Sequence[str], blank_ok: bool = False) -> tuple[np.ndarray, n
 
 def _unwritable(ids: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
     """The rows whose id holds a character no export can write."""
-    if _UNWRITABLE_CHAR.search(" ".join(ids)) is None:  # the space is writable
-        return np.zeros(codes.size, bool)
     return np.array([_UNWRITABLE_CHAR.search(v) is not None for v in ids], bool)[codes]
 
 
@@ -375,9 +369,7 @@ def parse_records(
         if skipped is None:
             raise errors[0]
         skipped.extend(errors)
-    table = RecordTable(
-        project_ids, member_ids, project, member, pct, ic, kinds, np.array(lines, np.intp)
-    )
+    table = RecordTable(project_ids, member_ids, project, member, pct, ic, kinds)
     return table._take(~bad) if bad.any() else table
 
 
@@ -388,7 +380,9 @@ def aggregate(
 
     Rejects a repeated (project, member) pair and a project with two type
     labels; whichever comes first in row order raises, the repeat first on
-    one row. Each project's contributions are summed with ``math.fsum``; a
+    one row. Each project's contributions are summed as whole numbers of
+    1e-9 percent, so the total of cells with at most 9 decimals is exact
+    (a cell with more is rounded to that unit, for this check only); a
     project whose total is above ``CONTRIBUTION_SUM_LIMIT`` raises
     :class:`ContributionSumError`, unless ``over`` is a list: then the
     project is kept and its error appended to the list, projects in order
@@ -410,14 +404,12 @@ def aggregate(
         known, other = (_TYPES[t.project_type[row]].value for row in (first[t.project[i]], i))
         raise IngestError(f"project {pid} has conflicting types {known!r} and {other!r}")
 
-    ends = np.cumsum(np.bincount(t.project, minlength=len(t.project_ids))).tolist()
-    pct = t.contribution_pct[np.argsort(t.project, kind="stable")].tolist()
-    totals = [math.fsum(pct[start:end]) for start, end in zip([0, *ends], ends)]
-    over_limit = np.flatnonzero(np.array(totals) > CONTRIBUTION_SUM_LIMIT).tolist()
+    units = np.rint(t.contribution_pct * _UNITS_PER_PCT)
+    totals = np.bincount(t.project, units, len(t.project_ids))
+    over_limit = np.flatnonzero(totals > CONTRIBUTION_SUM_LIMIT * _UNITS_PER_PCT).tolist()
     for p in sorted(over_limit, key=first.__getitem__):  # by first appearance
-        err = ContributionSumError(
-            f"project {t.project_ids[p]} contributions sum to {totals[p]:.4f}"
-        )
+        total = totals[p] / _UNITS_PER_PCT
+        err = ContributionSumError(f"project {t.project_ids[p]} contributions sum to {total:.4f}")
         if over is None:
             raise err
         over.append(err)

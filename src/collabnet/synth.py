@@ -211,7 +211,7 @@ def _draw_team(
 
 def generate(config: SynthConfig) -> RecordTable:
     """Draw a full synthetic dataset, reproducible from the seed: one row per
-    membership, by project and then member, row i on line i + 2 as in
+    membership, by project and then member, in the row order of
     :func:`generate_csv_bytes`.
 
     Per project: a team size from the truncated geometric model, a team from
@@ -330,7 +330,6 @@ def generate(config: SynthConfig) -> RecordTable:
         np.array(pct_column),
         np.array(ic_column),
         kinds[project_codes],
-        np.arange(2, project_codes.size + 2),
     )
 
 

@@ -22,6 +22,7 @@ import json
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 from xml.sax.saxutils import escape, quoteattr
@@ -257,9 +258,11 @@ def reference_aggregate(records, *, over=None) -> dict[str, Team]:
                 f"{known.value!r} and {rec.project_type.value!r}"
             )
     for pid, team in members.items():
-        total = math.fsum(team.values())
+        # exact, over the shortest decimal that reads back as each value:
+        # a cell's own text when it has at most 9 decimals
+        total = sum(Fraction(repr(v)) for v in team.values())
         if total > CONTRIBUTION_SUM_LIMIT:
-            err = ContributionSumError(f"project {pid} contributions sum to {total:.4f}")
+            err = ContributionSumError(f"project {pid} contributions sum to {float(total):.4f}")
             if over is None:
                 raise err
             over.append(err)

@@ -27,6 +27,9 @@ MALFORMED_INPUT = Path(__file__).parent / "data" / "malformed_input.csv"
 MALFORMED_STDERR = Path(__file__).parent / "data" / "malformed_input.stderr"
 # two pairs whose linkages are one ulp apart; the CI runtime job builds it too
 NARROW_INPUT = Path(__file__).parent / "data" / "narrow_linkage.csv"
+# one project whose contributions total exactly 100.5, though a float sum of
+# them does not; the CI runtime job ingests it under --strict too
+EXACT_LIMIT_INPUT = Path(__file__).parent / "data" / "exact_limit.csv"
 SMALL_CSV = generate_csv_bytes(SynthConfig(seed=11, n_projects=50, n_members=48))
 # P1's contributions sum to 110, above the accepted 100.5
 OVER_CSV = "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
@@ -441,6 +444,29 @@ def test_over_limit_notice_under_warnings_as_errors(tmp_path):
     assert not (tmp_path / "strict").exists()
 
 
+def test_strict_ingest_accepts_a_total_of_exactly_the_limit(tmp_path, capsys):
+    assert run(["ingest", str(EXACT_LIMIT_INPUT), "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    over = tmp_path / "over.csv"  # one ten-thousandth more
+    over.write_text(EXACT_LIMIT_INPUT.read_text().replace("74.6723", "74.6724"))
+    assert run(["ingest", str(over), "--strict"]) == 1
+    assert capsys.readouterr().err == "error: project P1 contributions sum to 100.5001\n"
+
+
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [
+        ((20.0, 10.0), "strictly increasing"),
+        ((50.0, 50.0000001), "share the label t50"),
+        ((0.0, float("inf")), "not finite"),
+    ],
+)
+def test_runconfig_rejects_a_bad_sweep_before_reading(thresholds, message, tmp_path):
+    missing = tmp_path / "missing.csv"  # a read would fail with OSError instead
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(input_path=str(missing), output_dir=tmp_path / "out", thresholds=thresholds)
+
+
 def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(input_path="x", output_dir=Path("y"))  # no threshold source
@@ -450,12 +476,15 @@ def test_runconfig_validation():
         RunConfig(input_path="x", output_dir=Path("y"), linspace=1)
     with pytest.raises(ConfigError):
         RunConfig(input_path="x", output_dir=Path("y"), thresholds=(0.0,), type_filter=frozenset())
+    # the thresholds are kept as the sweep normalizes them
+    config = RunConfig(input_path="x", output_dir=Path("y"), thresholds=[-0.0, 20])
+    assert config.thresholds == (0.0, 20.0) and str(config.thresholds[0]) == "0.0"
 
 
 @pytest.mark.parametrize(
     "bound, low, high",
     [
-        ("thresholds", (0.0,) * 1000, (0.0,) * 1001),
+        ("thresholds", tuple(map(float, range(1000))), tuple(map(float, range(1001)))),
         ("linspace", 1000, 1001),
         ("n_bins", 1, 0),
         ("n_bins", 10_000, 10_001),

@@ -171,7 +171,6 @@ def test_parse_lenient_collects_errors():
     errors: list[RowError] = []
     records = parse(text, skipped=errors)
     assert [r.project_id for r in rows_of(records)] == ["P1", "P3"]
-    assert records.line.tolist() == [2, 4]
     assert len(errors) == 1 and errors[0].row == 3
 
 
@@ -247,7 +246,6 @@ def test_filter_by_type():
     only_ip = filter_by_type(ds, {ProjectType.IP})
     assert only_ip.records.project_ids == ("P1",)
     assert only_ip.member_index == {"M1": frozenset({"P1"})}
-    assert only_ip.records.line.tolist() == [2]
 
     all_types = filter_by_type(ds, set(ProjectType))
     assert all_types is ds
@@ -327,7 +325,7 @@ def test_records_and_their_parsed_csv_give_one_dataset():
     parsed = parse_records(data)
     assert len(parsed) == len(data.splitlines()) - 1 == len(records)
     assert records_to_csv_bytes(parsed) == data
-    assert_same_columns(parsed, records)  # synth numbers row i as line i + 2
+    assert_same_columns(parsed, records)
     drawn, read = aggregate(records), aggregate(parsed)
     assert drawn.fingerprint() == read.fingerprint()
     assert drawn.n_projects == read.n_projects == 300
@@ -336,7 +334,7 @@ def test_records_and_their_parsed_csv_give_one_dataset():
 
 def assert_same_columns(one, two):
     assert (one.project_ids, one.member_ids) == (two.project_ids, two.member_ids)
-    for name in ("project", "member", "contribution_pct", "ic_score", "project_type", "line"):
+    for name in ("project", "member", "contribution_pct", "ic_score", "project_type"):
         assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True), name
 
 
@@ -349,4 +347,4 @@ def test_record_table_columns():
     assert table.contribution_pct.tolist() == [60.0, 40.0]
     assert np.array_equal(table.ic_score, [1.5, np.nan], equal_nan=True)
     assert table.project_type.tolist() == [0, 1]  # indices into tuple(ProjectType)
-    assert table.line.tolist() == [2, 3] and len(table) == 2
+    assert len(table) == 2

@@ -7,11 +7,12 @@ time out, so every run checks the same cases.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabnet import metrics
@@ -196,6 +197,35 @@ def test_columnar_ingest_matches_the_row_loop(data):
             for p in projects.values()
             for mid in p.members
         }
+
+
+@st.composite
+def teams_near_the_limit(draw):
+    """One team's contribution cells: 2 to 6 of them, each in [0, 100] with
+    the same 1 to 9 decimals, whose exact total is 100.5 or one unit of the
+    last decimal either side."""
+    places = draw(st.integers(1, 9))
+    unit = 10**places
+    left = 1005 * unit // 10 + draw(st.sampled_from([-1, 0, 1]))
+    size = draw(st.integers(2, 6))
+    cells = []
+    for rest in range(size - 1, 0, -1):  # rest: the cells still to draw after this one
+        cells.append(draw(st.integers(max(0, left - rest * 100 * unit), min(100 * unit, left))))
+        left -= cells[-1]
+    cells.append(left)
+    return [f"{c // unit}.{c % unit:0{places}d}" for c in cells]
+
+
+@settings(DETERMINISTIC, max_examples=500)
+@given(teams_near_the_limit())
+@example(["9.4198", "16.4079", "74.6723"])  # a float sum of these is above 100.5
+def test_over_limit_check_is_exact(cells):
+    text = "project_id,member_id,contribution_pct,project_type\n" + "".join(
+        f"P1,M{i},{cell},paper\n" for i, cell in enumerate(cells)
+    )
+    over: list[IngestError] = []
+    aggregate(parse_records(text.encode()), over=over)
+    assert bool(over) == (sum(map(Fraction, cells)) > Fraction("100.5"))
 
 
 any_ids = st.lists(
