@@ -1,6 +1,7 @@
 """collabnet: threshold-layered network analysis of collaboration records.
 
-Pipeline: parse contribution records (:mod:`collabnet.ingest`), score
+Pipeline: parse and check contribution records into one
+:class:`~collabnet.ingest.RecordTable` (:mod:`collabnet.ingest`), score
 co-membered project pairs (:mod:`collabnet.linkage`), sweep thresholds into
 network layers (:mod:`collabnet.layers`), measure each layer
 (:mod:`collabnet.metrics`), and serialize for viewers
@@ -12,8 +13,8 @@ command line.
 __version__ = "0.1.0"
 
 from .ingest import (  # noqa: F401
-    Dataset,
     ProjectType,
+    RecordTable,
     aggregate,
     filter_by_type,
     parse_records,

@@ -106,15 +106,14 @@ def _parse(data: bytes, delimiter: str, lenient: bool = False) -> ingest.RecordT
     return records
 
 
-def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> ingest.Dataset:
+def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> ingest.RecordTable:
     """Parse and aggregate the input; unless ``strict``, report each project
     whose contributions sum above the limit on stderr instead of failing."""
-    records = _parse(data, delimiter, lenient)
     over: list[ingest.ContributionSumError] | None = None if strict else []
-    dataset = ingest.aggregate(records, over=over)
+    records = ingest.aggregate(_parse(data, delimiter, lenient), over=over)
     for err in over or ():
         print(f"warning: {err}", file=sys.stderr)
-    return dataset
+    return records
 
 
 def _stats_artifacts(records: ingest.RecordTable, n_bins: int) -> dict[str, bytes]:
@@ -262,18 +261,18 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
-    dataset = _load(input_bytes, config.delimiter, config.lenient, config.strict)
+    records = _load(input_bytes, config.delimiter, config.lenient, config.strict)
     if config.type_filter is not None:
-        dataset = ingest.filter_by_type(dataset, config.type_filter)
-        if not dataset.n_projects:
+        records = ingest.filter_by_type(records, config.type_filter)
+        if not records.n_projects:
             raise IngestError("type filter removed every project")
 
-    table = linkage.build_linkage_table(dataset)
+    table = linkage.build_linkage_table(records)
     if config.thresholds is not None:
         sweep = layers.ThresholdSweep(config.thresholds)
     else:
         sweep = layers.make_sweep_linspace(table, config.linspace)
-    stack = layers.build_layer_stack(dataset, table, sweep)
+    stack = layers.build_layer_stack(records, table, sweep)
 
     with out:
         if config.dump_linkage:  # first, before export's per-stack lines take memory
@@ -294,7 +293,7 @@ def run_pipeline(config: RunConfig) -> list[Path]:
             )
         out.write("metrics.csv", metrics.reports_to_csv_bytes(reports))
         out.write("metrics.json", metrics.reports_to_json_bytes(reports))
-        for name, blob in _stats_artifacts(dataset.records, config.n_bins).items():
+        for name, blob in _stats_artifacts(records, config.n_bins).items():
             out.write(name, blob)
 
         manifest = {
@@ -469,11 +468,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     data = _read_input_bytes(args.input_path)
-    dataset = _load(data, args.delimiter, args.lenient, args.strict)
-    print(f"records: {len(dataset.records)}")
-    print(f"projects: {dataset.n_projects}")
-    print(f"members: {dataset.n_members}")
-    for name, count in dataset.type_counts().items():
+    records = _load(data, args.delimiter, args.lenient, args.strict)
+    print(f"records: {len(records)}")
+    print(f"projects: {records.n_projects}")
+    print(f"members: {records.n_members}")
+    for name, count in records.type_counts().items():
         print(f"projects[{name}]: {count}")
     return EXIT_OK
 

@@ -5,10 +5,9 @@ contribution. :func:`parse_records` reads it once into a
 :class:`RecordTable` of columns: project and member ids coded as indices
 into their sorted id tuples, contributions and IC scores as float arrays,
 and type codes. Each row check runs over whole columns.
-:func:`aggregate` checks the memberships on the codes and wraps the table in
-a :class:`Dataset`, which linkage, layers, stats and the fingerprint read
-column by column; the dataset's one dict view is its inverted
-``member_index``.
+:func:`aggregate` checks the memberships on the codes and returns the table
+it checked, which linkage, layers, stats and the fingerprint read column by
+column; the table's one dict view is its inverted ``member_index``.
 A malformed row or an over-limit project raises, unless the caller passes
 a list (``skipped``, ``over``) to collect its error in and go on.
 """
@@ -30,7 +29,6 @@ import numpy as np
 __all__ = [
     "ProjectType",
     "RecordTable",
-    "Dataset",
     "IngestError",
     "RowError",
     "DuplicateMembershipError",
@@ -122,7 +120,14 @@ class RecordTable:
     ``project_ids`` and ``member_ids``: exactly the ids the rows use, in
     Python's sorted order. ``contribution_pct`` and ``ic_score`` are
     float64, the IC score NaN where its cell was empty; ``project_type``
-    indexes ``tuple(ProjectType)``.
+    indexes ``tuple(ProjectType)``. A table that :func:`aggregate` has
+    checked holds one row per (project, member) membership and one type per
+    project.
+
+    The inverted ``member_index`` is a view built on first use and then
+    cached. Treated as immutable after construction; safe to share across
+    threads. From Python 3.12 two threads reading the view first at once may
+    each build it, and both get equal dicts.
     """
 
     project_ids: tuple[str, ...]
@@ -143,70 +148,54 @@ class RecordTable:
         rest = (self.contribution_pct, self.ic_score, self.project_type)
         return RecordTable(project_ids, member_ids, project, member, *(c[keep] for c in rest))
 
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Validated records, held as the :class:`RecordTable` ``records``: one
-    row per (project, member) membership and one type per project.
-
-    The inverted ``member_index`` is a view built on first use and then
-    cached. Treated as immutable after construction; safe to share across
-    threads. From Python 3.12 two threads reading the view first at once may
-    each build it, and both get equal dicts.
-    """
-
-    records: RecordTable
-
     @cached_property
     def _first_rows(self) -> np.ndarray:
         """Each project's first row, by project code."""
-        return np.unique(self.records.project, return_index=True)[1]
+        return np.unique(self.project, return_index=True)[1]
 
     @cached_property
     def member_index(self) -> Mapping[str, frozenset[str]]:
         """Member id -> the ids of the projects it is a member of."""
-        t = self.records
-        ends = np.cumsum(np.bincount(t.member, minlength=self.n_members)).tolist()
-        projects = [t.project_ids[p] for p in t.project[np.argsort(t.member)].tolist()]
+        ends = np.cumsum(np.bincount(self.member, minlength=self.n_members)).tolist()
+        projects = [self.project_ids[p] for p in self.project[np.argsort(self.member)].tolist()]
         return {
             mid: frozenset(projects[start:end])
-            for mid, start, end in zip(t.member_ids, [0, *ends], ends)
+            for mid, start, end in zip(self.member_ids, [0, *ends], ends)
         }
 
     @property
     def n_projects(self) -> int:
-        return len(self.records.project_ids)
+        return len(self.project_ids)
 
     @property
     def n_members(self) -> int:
-        return len(self.records.member_ids)
+        return len(self.member_ids)
 
     def type_counts(self) -> dict[str, int]:
         """Project count per type label present, by label."""
-        kinds = self.records.project_type[self._first_rows]
+        kinds = self.project_type[self._first_rows]
         counts = np.bincount(kinds, minlength=len(_TYPES)).tolist()
         return dict(sorted((t.value, n) for t, n in zip(_TYPES, counts) if n))
 
     def project_types(self) -> tuple[str, ...]:
-        """Sorted distinct type labels present in the dataset."""
+        """Sorted distinct type labels present in the table."""
         return tuple(self.type_counts())
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical serialization; stable across runs: one
         line per project by id, holding its id, its type and, by member id,
         each member with the repr of its contribution."""
-        t = self.records
-        order = np.lexsort((t.member, t.project))
-        mids = t.member_ids
+        order = np.lexsort((self.member, self.project))
+        mids = self.member_ids
         team = [
             f"\x1e{mids[m]}\x1f{pct!r}"
-            for m, pct in zip(t.member[order].tolist(), t.contribution_pct[order].tolist())
+            for m, pct in zip(self.member[order].tolist(), self.contribution_pct[order].tolist())
         ]
-        ends = np.cumsum(np.bincount(t.project, minlength=self.n_projects)).tolist()
-        kinds = t.project_type[self._first_rows].tolist()
+        ends = np.cumsum(np.bincount(self.project, minlength=self.n_projects)).tolist()
+        kinds = self.project_type[self._first_rows].tolist()
         lines = [
             f"{pid}\x1f{_TYPES[kind].value}{''.join(team[start:end])}\n"
-            for pid, kind, start, end in zip(t.project_ids, kinds, [0, *ends], ends)
+            for pid, kind, start, end in zip(self.project_ids, kinds, [0, *ends], ends)
         ]
         return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
@@ -375,12 +364,13 @@ def parse_records(
 
 def aggregate(
     records: RecordTable, *, over: list[ContributionSumError] | None = None
-) -> Dataset:
-    """Check the records' memberships and wrap their table in a Dataset.
+) -> RecordTable:
+    """Check the records' memberships and return the same table.
 
     Rejects a repeated (project, member) pair and a project with two type
     labels; whichever comes first in row order raises, the repeat first on
-    one row. Each project's contributions are summed as whole numbers of
+    one row. So a table it returns holds one row per (project, member)
+    membership and one type per project. Each project's contributions are summed as whole numbers of
     1e-9 percent, so the total of cells with at most 9 decimals is exact
     (a cell with more is rounded to that unit, for this check only); a
     project whose total is above ``CONTRIBUTION_SUM_LIMIT`` raises
@@ -389,8 +379,7 @@ def aggregate(
     of first appearance.
     """
     t = records
-    dataset = Dataset(t)
-    first = dataset._first_rows
+    first = t._first_rows
     repeat = np.ones(len(t), bool)
     repeat[np.unique(t.project * len(t.member_ids) + t.member, return_index=True)[1]] = False
     conflict = t.project_type != t.project_type[first[t.project]]
@@ -413,16 +402,17 @@ def aggregate(
         if over is None:
             raise err
         over.append(err)
-    return dataset
+    return t
 
 
-def filter_by_type(dataset: Dataset, types: Iterable[ProjectType]) -> Dataset:
-    """Restrict a dataset to projects of the given types."""
+def filter_by_type(records: RecordTable, types: Iterable[ProjectType]) -> RecordTable:
+    """Restrict a table to projects of the given types: the table itself
+    when it holds no other type."""
     wanted = frozenset(types)
     if not wanted:
         raise ValueError("type filter must name at least one project type")
-    keep = np.isin(dataset.records.project_type, [_TYPES.index(t) for t in wanted])
-    return dataset if keep.all() else Dataset(dataset.records._take(keep))
+    keep = np.isin(records.project_type, [_TYPES.index(t) for t in wanted])
+    return records if keep.all() else records._take(keep)
 
 
 def _format_number(value: float) -> str:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import Dataset
+from .ingest import RecordTable
 from .linkage import LinkageTable
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a layer came from: dataset hash and the type labels it holds."""
+    """Where a layer came from: its records' hash and the type labels they hold."""
 
     dataset_fingerprint: str
     project_types: tuple[str, ...]
@@ -73,7 +73,7 @@ class Pairs:
 class NetworkLayer:
     """One generated graph at a single threshold.
 
-    nodes is the full project id set of the source dataset, sorted (isolated
+    nodes is the full project id set of the source records, sorted (isolated
     nodes are kept; metric reports leave them out of their averages). The
     edges are the pairs that ``keep`` marks, every pair when keep is None:
     edge i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
@@ -207,7 +207,7 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
 
 
 def build_layer_stack(
-    dataset: Dataset, table: LinkageTable, sweep: ThresholdSweep
+    records: RecordTable, table: LinkageTable, sweep: ThresholdSweep
 ) -> list[NetworkLayer]:
     """One layer per sweep threshold, in sweep order: all projects of the
     table as nodes, pairs with linkage >= threshold as weighted edges.
@@ -216,7 +216,7 @@ def build_layer_stack(
     nothing is derived for pairs that no layer keeps. A layer whose
     threshold is at most the table's minimum linkage keeps every pair of
     the table, and it carries the table's member teams."""
-    provenance = Provenance(dataset.fingerprint(), dataset.project_types())
+    provenance = Provenance(records.fingerprint(), records.project_types())
     low = table.linkage >= sweep.thresholds[0]
     pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low])
     stack = []
@@ -227,6 +227,6 @@ def build_layer_stack(
     return stack
 
 
-def build_layer(dataset: Dataset, table: LinkageTable, threshold: float) -> NetworkLayer:
+def build_layer(records: RecordTable, table: LinkageTable, threshold: float) -> NetworkLayer:
     """The stack of one threshold: the graph at ``threshold`` alone."""
-    return build_layer_stack(dataset, table, make_sweep_explicit([threshold]))[0]
+    return build_layer_stack(records, table, make_sweep_explicit([threshold]))[0]

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import render
-from .ingest import Dataset
+from .ingest import RecordTable
 
 __all__ = [
     "LinkageTable",
@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LinkageTable:
-    """All pair linkages of a dataset, one array entry per co-membered pair.
+    """All pair linkages of a record table, one array entry per co-membered pair.
 
     ``a[i] < b[i]`` index ``projects``, the sorted project ids, and the pairs
     are in canonical (a, b) order. min_linkage/max_linkage are None when no pair shares a member.
@@ -63,17 +63,17 @@ class LinkageTable:
         return self.linkage.size
 
 
-def build_linkage_table(dataset: Dataset) -> LinkageTable:
+def build_linkage_table(records: RecordTable) -> LinkageTable:
     """Compute linkage for every project pair sharing at least one member.
 
     The value is (1/n) * sum over the n common members of
     (contribution_in_a + contribution_in_b) / 2, so it always lies in
-    [0, 100] for percent-scale contributions. The dataset's records are one
+    [0, 100] for percent-scale contributions. A checked table holds one
     row per (member, project); grouped by member, each member emits the
     pairs of its projects, so only co-membered pairs are touched and the
     result equals an all-pairs scan.
     """
-    t = dataset.records
+    t = records
     projects = t.project_ids
     # the rows by member, then by project: member codes follow sorted member
     # ids and project codes sorted project ids

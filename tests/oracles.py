@@ -35,7 +35,6 @@ from collabnet.ingest import (
     CONTRIBUTION_SUM_LIMIT,
     CSV_COLUMNS,
     ContributionSumError,
-    Dataset,
     DuplicateMembershipError,
     IngestError,
     ProjectType,
@@ -111,16 +110,16 @@ def table_of(rows) -> RecordTable:
     return parse_records(csv_of(rows))
 
 
-def dataset_of(rows, **kwargs) -> Dataset:
-    """The aggregated dataset of ``rows``' CSV text."""
+def dataset_of(rows, **kwargs) -> RecordTable:
+    """The parsed table of ``rows``' CSV text, checked by :func:`aggregate`."""
     return aggregate(table_of(rows), **kwargs)
 
 
-def teams_of(dataset: Dataset) -> dict[str, Team]:
+def teams_of(records: RecordTable) -> dict[str, Team]:
     """Project id -> :class:`Team`, projects in order of first appearance
     and each team in row order, read row by row."""
     teams: dict[str, Team] = {}
-    for p, m, pct, _, kind in rows_of(dataset.records):
+    for p, m, pct, _, kind in rows_of(records):
         teams.setdefault(p, Team(kind, {})).members[m] = pct
     return teams
 
@@ -270,7 +269,7 @@ def reference_aggregate(records, *, over=None) -> dict[str, Team]:
 
 
 def reference_fingerprint(projects: dict[str, Team]) -> str:
-    """``Dataset.fingerprint`` over per-project dicts."""
+    """``RecordTable.fingerprint`` over per-project dicts."""
     lines = []
     for pid in sorted(projects):
         p = projects[pid]
@@ -279,11 +278,11 @@ def reference_fingerprint(projects: dict[str, Team]) -> str:
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
-def naive_linkage_table(dataset: Dataset) -> dict[tuple[str, str], tuple[int, float]]:
+def naive_linkage_table(records: RecordTable) -> dict[tuple[str, str], tuple[int, float]]:
     """Exhaustive all-pairs scan; sums each side separately before halving,
     so the float path differs from the library's per-member averaging."""
     out: dict[tuple[str, str], tuple[int, float]] = {}
-    projects = teams_of(dataset)
+    projects = teams_of(records)
     for pa, pb in combinations(sorted(projects), 2):
         a, b = projects[pa], projects[pb]
         common = sorted(set(a.members) & set(b.members))
@@ -467,7 +466,7 @@ def random_records(
     return records
 
 
-def random_dataset(rng: random.Random, **kwargs) -> Dataset:
+def random_dataset(rng: random.Random, **kwargs) -> RecordTable:
     return dataset_of(random_records(rng, **kwargs))
 
 

@@ -156,14 +156,14 @@ def test_build_linspace_matches_explicit_when_range_is_0_100(tmp_path):
 
 
 def test_build_linspace_on_a_range_narrower_than_its_points_exit_1(tmp_path, capsys):
-    # the two pairs' linkages are 50.0 and 50.00000000000001: no three distinct
-    # floats lie evenly between them
+    # the two pairs' linkages are exactly 50 and 50.0000001: every threshold
+    # between them rounds to the label t50
     out_dir = tmp_path / "out"
     assert run(["build", str(NARROW_INPUT), "--linspace", "3", "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: linkage range [50.0, 50.00000000000001] is too narrow for 3 thresholds\n"
+        "error: linkage range [50.0, 50.0000001] is too narrow for 3 thresholds\n"
     )
     assert not out_dir.exists()
 
@@ -184,7 +184,7 @@ def test_build_linspace_on_a_range_narrower_than_its_points_exit_1(tmp_path, cap
         (
             [str(NARROW_INPUT), "--linspace", "2"],
             1,
-            "linkage range [50.0, 50.00000000000001] is too narrow for 2 thresholds",
+            "linkage range [50.0, 50.0000001] is too narrow for 2 thresholds",
         ),
     ],
     ids=["thresholds", "negative_zero", "linspace"],

@@ -2,15 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from collabnet import ingest, synth
+from collabnet import ingest, layers, synth
 from collabnet.ingest import (
     ContributionSumError,
-    Dataset,
     DuplicateMembershipError,
     IngestError,
     ProjectType,
@@ -20,6 +18,7 @@ from collabnet.ingest import (
     parse_records,
     records_to_csv_bytes,
 )
+from collabnet.linkage import build_linkage_table
 from oracles import Row, random_dataset, rows_of, table_of, teams_of
 
 HEADER = "project_id,member_id,contribution_pct,ic_score,project_type\n"
@@ -244,11 +243,11 @@ def test_filter_by_type():
     )
     ds = aggregate(records)
     only_ip = filter_by_type(ds, {ProjectType.IP})
-    assert only_ip.records.project_ids == ("P1",)
+    assert only_ip.project_ids == ("P1",)
     assert only_ip.member_index == {"M1": frozenset({"P1"})}
 
-    all_types = filter_by_type(ds, set(ProjectType))
-    assert all_types is ds
+    # every type kept: the same table, not a copy
+    assert filter_by_type(ds, set(ProjectType)) is ds is records
     assert filter_by_type(ds, {ProjectType.PAPER}).n_projects == 1
 
     with pytest.raises(ValueError):
@@ -259,8 +258,8 @@ def test_roundtrip_parse_aggregate_serialize():
     rng = random.Random(11)
     for _ in range(10):
         ds = random_dataset(rng)
-        data = records_to_csv_bytes(ds.records)
-        assert rows_of(aggregate(parse_records(data)).records) == rows_of(ds.records)
+        data = records_to_csv_bytes(ds)
+        assert rows_of(aggregate(parse_records(data))) == rows_of(ds)
 
 
 def test_csv_write_read_roundtrip():
@@ -305,8 +304,7 @@ def test_fingerprint_hashes_each_field_in_order():
 
 
 def test_member_index_is_a_cached_view():
-    assert [f.name for f in fields(Dataset)] == ["records"]
-    ds = Dataset(table_of([Row("P1", "M1", 50.0), Row("P2", "M1", 50.0)]))
+    ds = table_of([Row("P1", "M1", 50.0), Row("P2", "M1", 50.0)])
     assert "member_index" not in vars(ds)
     assert ds.member_index == {"M1": frozenset({"P1", "P2"})}
     assert ds.member_index is ds.member_index
@@ -319,7 +317,7 @@ def test_project_types_listing():
 
 def test_records_and_their_parsed_csv_give_one_dataset():
     # the calls the benchmark makes: aggregate of synth's table, and of the
-    # parsed CSV of the same table
+    # parsed CSV of the same table, then the threshold-0 layer of the result
     records = synth.generate(synth.SynthConfig(seed=3, n_projects=300, n_members=150))
     data = records_to_csv_bytes(records)
     parsed = parse_records(data)
@@ -327,9 +325,14 @@ def test_records_and_their_parsed_csv_give_one_dataset():
     assert records_to_csv_bytes(parsed) == data
     assert_same_columns(parsed, records)
     drawn, read = aggregate(records), aggregate(parsed)
+    assert drawn is records and read is parsed
+    assert len(drawn) == len(read) == len(records)
     assert drawn.fingerprint() == read.fingerprint()
     assert drawn.n_projects == read.n_projects == 300
     assert drawn.member_index == read.member_index
+    layer = layers.build_layer(read, build_linkage_table(read), 0.0)  # as scale_probe
+    assert layer.nodes == read.project_ids
+    assert layer.n_edges == len(build_linkage_table(drawn)) > 0
 
 
 def assert_same_columns(one, two):

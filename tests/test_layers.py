@@ -267,7 +267,7 @@ def test_degenerate_inputs_give_empty_arrays_layers_and_exports(rows):
     assert table.min_linkage is None and table.max_linkage is None
     assert table_to_csv_bytes(table) == b"project_a,project_b,n_common,linkage\n"
     for layer in build_layer_stack(ds, table, make_sweep_explicit([0, 50, 100])):
-        assert layer.nodes == ds.records.project_ids
+        assert layer.nodes == ds.project_ids
         assert layer.n_edges == 0 and edges_of(layer) == []
         n = layer.n_nodes
         zeros = LayerMetricsReport(layer.threshold, 0, 0, n, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
