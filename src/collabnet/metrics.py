@@ -26,17 +26,18 @@ interior nodes on each of its shortest paths (Brandes 2008, "On variants
 of shortest-path betweenness centrality"). One bit-parallel BFS (Then et
 al. 2015, "The More the Merrier: Efficient Multi-Source Graph Traversal")
 keeps one bit per source in uint64 words, so a level is an OR over each
-node's neighbours and c_d is its popcount. Each step gathers padded
-columns of length-sorted rows plus a tail of the longest rows' excess
-(Bell & Garland 2009's hybrid ELLPACK layout, sorted as in Kreutzer et al.
-2014's SELL-C-σ). One walk over every pass and level tallies a layer: it
-adds each level's popcounts to the histogram and, per node, over 1/d to
-its closeness, and it counts triangles off each pass's first level, each
-node's neighbours among the pass's sources: each edge (u, v) of the pass
-closes popcount(level1[u] & level1[v]) triangles whose third corner is a
-source, and the passes of a component cover all of its nodes.
-:func:`report`, :func:`closeness` and :func:`clustering` all read that
-tally, so :func:`clustering` alone also walks every level.
+node's neighbours and c_d is its popcount; a row's count is an integer sum
+of its words' bit counts, with no float product and no BLAS. Each step
+gathers padded columns of length-sorted rows plus a tail of the longest
+rows' excess (Bell & Garland 2009's hybrid ELLPACK layout, sorted as in
+Kreutzer et al. 2014's SELL-C-σ). One walk over every pass and level
+tallies a layer: it adds each level's popcounts to the histogram and, per
+node, over 1/d to its closeness, and it counts triangles off each pass's
+first level, each node's neighbours among the pass's sources: each edge
+(u, v) of the pass closes popcount(level1[u] & level1[v]) triangles whose
+third corner is a source, and the passes of a component cover all of its
+nodes. :func:`report`, :func:`closeness` and :func:`clustering` all read
+that tally, so :func:`clustering` alone also walks every level.
 :func:`betweenness` rebuilds the shortest-path counts σ from the levels in
 its own Brandes pass, the only place σ exists.
 
@@ -301,15 +302,14 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     closeness adds its row's popcount over d. At hop 1 the level holds each
     node's neighbours among the sources, so each edge (u, v) of the pass
     closes popcount(level[u] & level[v]) triangles at both ends, counted a
-    block of about _BLOCK_BYTES of gathered words at a time; every count is
-    a whole number, so its float sums are exact in any order. A node's
-    clustering is 2*T(v) / (deg*(deg-1)), and 0 below degree 2."""
+    block of about _BLOCK_BYTES of gathered words at a time. Each count is an
+    integer sum of a row's word bit counts (no BLAS), so its float sums are
+    exact. A node's clustering is 2*T(v) / (deg*(deg-1)), 0 below degree 2."""
     pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
     reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
     for nodes, (u, v), steps, frontiers in _passes(layer):
         for frontier in frontiers:
-            ones = np.ones(frontier.shape[1])  # a row's popcount is its words' counts @ ones
             block = _BLOCK_BYTES // frontier[0].nbytes  # edges per block of the triangle count
             for d, level in enumerate(_levels(steps, frontier), 1):
                 if d == 1:
@@ -317,10 +317,10 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                         ends = u[lo : lo + block], v[lo : lo + block]
                         both = level.take(ends[0], axis=0)
                         both &= level.take(ends[1], axis=0)
-                        shared = np.bitwise_count(both) @ ones
+                        shared = np.einsum("ij->i", np.bitwise_count(both), dtype=np.uint16)
                         for end in ends:
                             links[nodes] += np.bincount(end, shared, nodes.size)
-                counts = np.bitwise_count(level) @ ones
+                counts = np.einsum("ij->i", np.bitwise_count(level), dtype=np.uint16)
                 pairs_at[d] += int(counts.sum())
                 reach[nodes] += counts / d
     deg = layer.degrees

@@ -293,6 +293,7 @@ PACKING_EDGES = {
         random.Random(3).choices((1, 1, 2, 3, 4, 7, 12, 30, 63, 64), k=60)
     ),
     "65_to_128_sharing_two_words": (1, 65, 100, 3, 128, 1, 77, 64),
+    "one_per_word_count": (64, 128, 192, 256, 320, 384, 448, 512),
 }
 
 
@@ -467,16 +468,20 @@ def test_hub_layers_match_oracles(threshold):
 
 
 def test_star_layer_matches_oracles():
-    """Two stars, of 63 and of 100 leaves, each with one edge between two
-    leaves: a one-word and a two-word pass, each with a CSR tail."""
-    nodes = [f"n{i:03d}" for i in range(165)]
+    """Three stars, of 63, 100 and 512 leaves, each with one edge between
+    two leaves: a one-word, a two-word and a nine-word pass group, each with
+    a CSR tail. The last hub's id sorts last, so its rank is 512 and the
+    first window's sources are its leaves: its hop-1 row holds all 512 bits,
+    the largest count a row of 8 words gives."""
+    nodes = [f"n{i:03d}" for i in range(678)]
     edges = [(nodes[0], leaf) for leaf in nodes[1:64]] + [(nodes[1], nodes[2])]
-    edges += [(nodes[64], leaf) for leaf in nodes[65:]] + [(nodes[65], nodes[66])]
+    edges += [(nodes[64], leaf) for leaf in nodes[65:165]] + [(nodes[65], nodes[66])]
+    edges += [(nodes[-1], leaf) for leaf in nodes[165:-1]] + [(nodes[165], nodes[166])]
     layer = make_layer(nodes, edges)
     words = [frontier.shape[1] for *_, frontiers in metrics._passes(layer) for frontier in frontiers]
-    assert words == [1, 2]
+    assert words == [1, 2, 8, 1]
     assert all(_tails(layer))
-    _assert_matches_oracles(layer, (64, 101))
+    _assert_matches_oracles(layer, (64, 101, 513))
 
 
 def test_hub_report_memory_is_bounded_by_blocks():
