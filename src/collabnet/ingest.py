@@ -43,8 +43,8 @@ __all__ = [
 # Per-project contribution totals are nominally 100; real exports carry
 # rounding slop, so sums up to this limit are accepted silently.
 CONTRIBUTION_SUM_LIMIT = 100.5
-# aggregate sums contributions as whole numbers of 1e-9 percent: float64
-# adds whole numbers below 2**53 exactly, in any order.
+# Contributions are summed as whole numbers of 1e-9 percent (RecordTable.units):
+# float64 adds whole numbers below 2**53 exactly, in any order.
 _UNITS_PER_PCT = 10**9
 
 # No export format can carry these in an id: Unicode category Cc, and the
@@ -124,10 +124,10 @@ class RecordTable:
     checked holds one row per (project, member) membership and one type per
     project.
 
-    The inverted ``member_index`` is a view built on first use and then
-    cached. Treated as immutable after construction; safe to share across
-    threads. From Python 3.12 two threads reading the view first at once may
-    each build it, and both get equal dicts.
+    ``units`` and the inverted ``member_index`` are views built on first use
+    and then cached. Treated as immutable after construction; safe to share
+    across threads. From Python 3.12 two threads reading a view first at
+    once may each build it, and both get equal values.
     """
 
     project_ids: tuple[str, ...]
@@ -152,6 +152,12 @@ class RecordTable:
     def _first_rows(self) -> np.ndarray:
         """Each project's first row, by project code."""
         return np.unique(self.project, return_index=True)[1]
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """Each row's contribution in whole units of 1e-9 percent, as float64;
+        a cell with more than 9 decimals is rounded to the unit."""
+        return np.rint(self.contribution_pct * _UNITS_PER_PCT)
 
     @cached_property
     def member_index(self) -> Mapping[str, frozenset[str]]:
@@ -370,13 +376,11 @@ def aggregate(
     Rejects a repeated (project, member) pair and a project with two type
     labels; whichever comes first in row order raises, the repeat first on
     one row. So a table it returns holds one row per (project, member)
-    membership and one type per project. Each project's contributions are summed as whole numbers of
-    1e-9 percent, so the total of cells with at most 9 decimals is exact
-    (a cell with more is rounded to that unit, for this check only); a
-    project whose total is above ``CONTRIBUTION_SUM_LIMIT`` raises
-    :class:`ContributionSumError`, unless ``over`` is a list: then the
-    project is kept and its error appended to the list, projects in order
-    of first appearance.
+    membership and one type per project. Each project's contributions are
+    summed in :attr:`RecordTable.units`, exactly; a project whose total is
+    above ``CONTRIBUTION_SUM_LIMIT`` raises :class:`ContributionSumError`,
+    unless ``over`` is a list: then the project is kept and its error
+    appended to the list, projects in order of first appearance.
     """
     t = records
     first = t._first_rows
@@ -393,8 +397,7 @@ def aggregate(
         known, other = (_TYPES[t.project_type[row]].value for row in (first[t.project[i]], i))
         raise IngestError(f"project {pid} has conflicting types {known!r} and {other!r}")
 
-    units = np.rint(t.contribution_pct * _UNITS_PER_PCT)
-    totals = np.bincount(t.project, units, len(t.project_ids))
+    totals = np.bincount(t.project, t.units, len(t.project_ids))
     over_limit = np.flatnonzero(totals > CONTRIBUTION_SUM_LIMIT * _UNITS_PER_PCT).tolist()
     for p in sorted(over_limit, key=first.__getitem__):  # by first appearance
         total = totals[p] / _UNITS_PER_PCT

@@ -2,10 +2,11 @@
 
 Two projects that share at least one member get a linkage value: the mean,
 over their common members, of the average of the member's two contribution
-percentages. Pairs without common members are not materialized. The table
-holds the sorted project ids and, for every pair, parallel arrays of the two
-project indices, the common-member count and the linkage; threshold sweeps
-in :mod:`collabnet.layers` cut these arrays. It also keeps the member teams
+percentages, summed exactly in whole units of 1e-9 percent and divided once.
+Pairs without common members are not materialized. The table holds the
+sorted project ids and, for every pair, parallel arrays of the two project
+indices, the common-member count and the linkage; threshold sweeps in
+:mod:`collabnet.layers` cut these arrays. It also keeps the member teams
 it grouped the pairs by: the project-member incidence whose one-mode
 projection is the set of co-membered pairs (Newman, "Scientific
 collaboration networks", PRE 2001; Latapy, Magnien & Del Vecchio, "Basic
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import render
-from .ingest import RecordTable
+from .ingest import _UNITS_PER_PCT, RecordTable
 
 __all__ = [
     "LinkageTable",
@@ -67,18 +68,20 @@ def build_linkage_table(records: RecordTable) -> LinkageTable:
     """Compute linkage for every project pair sharing at least one member.
 
     The value is (1/n) * sum over the n common members of
-    (contribution_in_a + contribution_in_b) / 2, so it always lies in
-    [0, 100] for percent-scale contributions. A checked table holds one
-    row per (member, project); grouped by member, each member emits the
-    pairs of its projects, so only co-membered pairs are touched and the
-    result equals an all-pairs scan.
+    (contribution_in_a + contribution_in_b) / 2, in [0, 100], summed in
+    ``records.units`` (1e-9 percent): a summand is at most 2e11, so for up
+    to 45,035 common members each total is a whole number below 2**53,
+    exact in any order, and one division gives the float nearest the exact
+    mean. A checked table holds one row per (member, project); grouped by
+    member, each member emits the pairs of its projects, so only
+    co-membered pairs are touched and the result equals an all-pairs scan.
     """
     t = records
     projects = t.project_ids
     # the rows by member, then by project: member codes follow sorted member
     # ids and project codes sorted project ids
     order = np.lexsort((t.project, t.member))
-    member, project, pct = t.member[order], t.project[order], t.contribution_pct[order]
+    member, project, units = t.member[order], t.project[order], t.units[order]
     sizes = np.bincount(member, minlength=len(t.member_ids))
     # row i pairs with the rows after it up to the end of its member's team
     rows = np.arange(project.size)
@@ -89,10 +92,8 @@ def build_linkage_table(records: RecordTable) -> LinkageTable:
     n = len(projects)
     keys, pair = np.unique(project[first] * n + project[second], return_inverse=True)
     n_common = np.bincount(pair, minlength=keys.size)
-    # bincount adds each pair's summands in emission order, which is member-id
-    # order, so every value is the same float as a sorted member-by-member sum
-    total = np.bincount(pair, (pct[first] + pct[second]) / 2.0, minlength=keys.size)
-    linkage = np.clip(total / n_common, 0.0, 100.0)
+    total = np.bincount(pair, units[first] + units[second], minlength=keys.size)
+    linkage = total / (2 * _UNITS_PER_PCT * n_common)
     shared = np.repeat(sizes > 1, sizes)  # rows of members in two or more projects
     teams = np.concatenate([[0], np.cumsum(sizes[sizes > 1])]), project[shared]
     return LinkageTable(projects, *np.divmod(keys, n), n_common, linkage, teams)

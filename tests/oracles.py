@@ -239,6 +239,13 @@ def reference_parse_records(data: bytes, *, delimiter=",", skipped=None) -> list
     return records
 
 
+def units_of(pct: float) -> int:
+    """A contribution in whole units of 1e-9 percent, as ingest rounds it: the
+    float nearest pct * 1e9, rounded half to even. For a cell with at most 9
+    decimals that is the cell's exact value."""
+    return round(pct * 10**9)
+
+
 def reference_aggregate(records, *, over=None) -> dict[str, Team]:
     """``ingest.aggregate`` as a record loop into per-project dicts: the
     projects by first appearance, each team in row order."""
@@ -257,9 +264,7 @@ def reference_aggregate(records, *, over=None) -> dict[str, Team]:
                 f"{known.value!r} and {rec.project_type.value!r}"
             )
     for pid, team in members.items():
-        # exact, over the shortest decimal that reads back as each value:
-        # a cell's own text when it has at most 9 decimals
-        total = sum(Fraction(repr(v)) for v in team.values())
+        total = Fraction(sum(map(units_of, team.values())), 10**9)
         if total > CONTRIBUTION_SUM_LIMIT:
             err = ContributionSumError(f"project {pid} contributions sum to {float(total):.4f}")
             if over is None:
@@ -279,8 +284,9 @@ def reference_fingerprint(projects: dict[str, Team]) -> str:
 
 
 def naive_linkage_table(records: RecordTable) -> dict[tuple[str, str], tuple[int, float]]:
-    """Exhaustive all-pairs scan; sums each side separately before halving,
-    so the float path differs from the library's per-member averaging."""
+    """Exhaustive all-pairs scan in exact arithmetic: each pair's mean is the
+    ``Fraction`` of its cells' summed :func:`units_of`, returned as the
+    nearest float."""
     out: dict[tuple[str, str], tuple[int, float]] = {}
     projects = teams_of(records)
     for pa, pb in combinations(sorted(projects), 2):
@@ -288,10 +294,8 @@ def naive_linkage_table(records: RecordTable) -> dict[tuple[str, str], tuple[int
         common = sorted(set(a.members) & set(b.members))
         if not common:
             continue
-        total_a = sum(a.members[m] for m in common)
-        total_b = sum(b.members[m] for m in common)
-        value = (total_a + total_b) / 2.0 / len(common)
-        out[(pa, pb)] = (len(common), value)
+        units = sum(units_of(team.members[m]) for team in (a, b) for m in common)
+        out[(pa, pb)] = (len(common), float(Fraction(units, 2 * 10**9 * len(common))))
     return out
 
 

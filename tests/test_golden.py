@@ -19,9 +19,9 @@ from collabnet import cli
 GOLDEN_INPUT = Path(__file__).parent / "data" / "golden_input.csv"  # synth seed 11, 50 x 48
 
 GOLDEN_SHA256 = {
-    "layer_00_t0.dot": "9f6b8dec42637a483c233f54550cb523adf5be4b90aeeeadca3d7e91d783bdc0",
-    "layer_00_t0.graphml": "f0b86b87d78ea19be2b6c33639666593fe3a19e5c9e5bac77fe6bf433947cd27",
-    "layer_00_t0.json": "9e8df078483bd528c4e03dc7640bbd86108a1087c77e512f9ffec1b2fecc8e6b",
+    "layer_00_t0.dot": "cad958eef056fe742879cf04beaa7259fcb525f99e1feaf0a13b7b628d4c21bd",
+    "layer_00_t0.graphml": "58181c544dfeae8b0f3ab7bdb834970eb4348da30e83fe5d6e376374a13a5c00",
+    "layer_00_t0.json": "7421d7a5b5f15cd46f668f92f6f44e93819ca2b79d9d56905bbf4df33032b1da",
     "layer_01_t25.dot": "635ce8d13646ea11ef063ba51a69e6ecf8f0ee89d373ebb7e3553d6a008c0240",
     "layer_01_t25.graphml": "57d49644bc2e412c9865e1358914914a46325566c6a401f69a9854db005e7428",
     "layer_01_t25.json": "4e4cde32f86f867fa01093bd265853d9610775b4b88264fce553f12f89254710",
@@ -31,7 +31,7 @@ GOLDEN_SHA256 = {
     "layer_03_t75.dot": "0d379ab9e87ec8bd65a4ce3aadcffb6323b14aec83b373787fef4d3bacef4b0d",
     "layer_03_t75.graphml": "df75ac4646472667716a959f084c240cf10f6e6b5c13df064256e1c6c9098fbf",
     "layer_03_t75.json": "644992130a3178199afbe514185acbe452aede98923dd40d30f07b75c68a8bc3",
-    "linkage.csv": "2d28d90adc555df850c458069bb82337e0a7173eb372f72a4b2f5fb3d9a84b9d",
+    "linkage.csv": "8febef4d49750d5a7f0f34ddcbee4e192eaad9ce0ca99877e19d9cba7e528f7a",
     "metrics.csv": "9f5398751514b4f8da6ba37a5d34908260806dd6ed70bfa1863e2a4ca81a41e2",
     "metrics.json": "c8c8166ff088cf232d782675305665d651acb141f8db207c1f539cc07d942ddc",
     "stats_contribution_pct.csv": "2d3c3985a2f60ebd4764ec7f58001fa23d05584fc3bb3c8445e51c9efa0988c0",

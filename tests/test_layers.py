@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from collabnet.export import ExportFormat, assign_visuals, export_layer, parse_jsongraph
+from collabnet.ingest import aggregate, parse_records
 from collabnet.layers import (
     ThresholdSweep,
     build_layer,
@@ -42,6 +44,11 @@ WORKED = dataset_of(
         ("C", "M3", 100.0),
     ]
 )  # one A-B pair at linkage 35.0, C isolated
+# one A-B pair of two common members at linkage exactly 50; the CI runtime job
+# builds the same file
+EXACT_TIE = aggregate(parse_records((Path(__file__).parent / "data" / "exact_tie.csv").read_bytes()))
+# one P1-P2 pair of one common member at linkage exactly 36.65935
+ONE_MEMBER_TIE = dataset_of([("P1", "m1", 68.2555), ("P2", "m1", 5.0632)])
 
 
 def fake_table(lo, hi):
@@ -121,11 +128,16 @@ def test_build_layer_nodes_and_threshold_zero():
 
 
 def test_build_layer_boundary():
-    table = build_linkage_table(WORKED)
-    at_threshold = build_layer(WORKED, table, 35.0)
-    assert at_threshold.n_edges == 1
-    just_above = build_layer(WORKED, table, 35.000001)
-    assert just_above.n_edges == 0
+    """A pair whose exact linkage is the threshold is in that layer: a float
+    sum of the two ties' cells gives 49.99999999999999 and
+    36.659349999999996."""
+    for ds, value in ((WORKED, 35.0), (EXACT_TIE, 50.0), (ONE_MEMBER_TIE, 36.65935)):
+        table = build_linkage_table(ds)
+        assert table.linkage.tolist() == [value]
+        at_threshold = build_layer(ds, table, value)
+        assert at_threshold.n_edges == 1
+        just_above = build_layer(ds, table, value + 0.000001)
+        assert just_above.n_edges == 0
 
 
 def test_build_layer_threshold_100_exact_only():

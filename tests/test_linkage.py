@@ -3,19 +3,28 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from collabnet.ingest import aggregate, parse_records
 from collabnet.linkage import LinkageTable, build_linkage_table, table_to_csv_bytes
+from collabnet.synth import SynthConfig, generate_csv_bytes
 from oracles import dataset_of, linkage_rows, naive_linkage_table, random_dataset, teams_of
+
+
+def teams_dataset(teams: dict[str, dict[str, float]]):
+    """The dataset given as project -> {member: pct}."""
+    rows = [(pid, m, pct) for pid, team in teams.items() for m, pct in team.items()]
+    return dataset_of(rows, over=[])  # scaled teams may exceed 100
 
 
 def table_of(teams: dict[str, dict[str, float]]):
     """The linkage table of a dataset given as project -> {member: pct}."""
-    rows = [(pid, m, pct) for pid, team in teams.items() for m, pct in team.items()]
-    return build_linkage_table(dataset_of(rows, over=[]))  # scaled teams may exceed 100
+    return build_linkage_table(teams_dataset(teams))
 
 
 def test_common_members():
@@ -57,22 +66,50 @@ def test_pair_linkage_symmetric_canonical():
     assert linkage_rows(table) == [("B", "Z", 1, 45.0)]
 
 
+def scaled_pairs(rng, cell, lam):
+    """Two A-B datasets, the second with every cell times ``lam``."""
+    members = {f"M{i}": cell() for i in range(rng.randint(1, 5))}
+    others = {f"M{i}": cell() for i in range(rng.randint(1, 5))}
+    base = teams_dataset({"A": members, "B": others})
+    scaled = teams_dataset(
+        {
+            "A": {m: lam * c for m, c in members.items()},
+            "B": {m: lam * c for m, c in others.items()},
+        }
+    )
+    return base, scaled
+
+
 def test_pair_linkage_scales_linearly():
     rng = random.Random(3)
+    # cells with about 15 decimals are each rounded to the 1e-9-percent unit,
+    # so scaling holds only to a unit per cell; both tables are exact
     for _ in range(50):
-        members = {f"M{i}": rng.uniform(1, 40) for i in range(rng.randint(1, 5))}
-        others = {f"M{i}": rng.uniform(1, 40) for i in range(rng.randint(1, 5))}
-        base = table_of({"A": members, "B": others})
-        lam = rng.uniform(0.1, 2.0)
-        scaled = table_of(
-            {
-                "A": {m: lam * c for m, c in members.items()},
-                "B": {m: lam * c for m, c in others.items()},
-            }
-        )
+        datasets = scaled_pairs(rng, lambda: rng.uniform(1, 40), rng.uniform(0.1, 2.0))
+        for ds in datasets:
+            assert [(n, value) for *_, n, value in linkage_rows(build_linkage_table(ds))] == [
+                naive_linkage_table(ds)[("A", "B")]
+            ]
+    # cells of 4 decimals times a lam of 2 stay on the unit grid
+    for _ in range(50):
+        lam = rng.randint(10, 200) / 100
+        datasets = scaled_pairs(rng, lambda: rng.randint(10**4, 40 * 10**4) / 10**4, lam)
+        base, scaled = map(build_linkage_table, datasets)
         assert len(base) == len(scaled) == 1  # both teams hold M0
         assert scaled.n_common[0] == base.n_common[0]
         assert scaled.linkage[0] == pytest.approx(lam * base.linkage[0], rel=1e-12)
+
+
+def test_a_cell_past_9_decimals_is_rounded_to_the_unit_for_linkage_and_the_limit():
+    """One rule for every contribution sum: a cell is rounded to a whole
+    number of 1e-9 percent."""
+    over: list = []
+    rows = [("P1", "M1", 50.2500000004), ("P1", "M2", 50.25), ("P2", "M1", 50.2500000004)]
+    table = build_linkage_table(dataset_of(rows, over=over))
+    assert over == []  # the exact total is 100.5000000004
+    assert table.linkage.tolist() == [50.25]
+    dataset_of([("P1", "M1", 50.2500000006), ("P1", "M2", 50.25)], over=over)
+    assert [str(err) for err in over] == ["project P1 contributions sum to 100.5000"]
 
 
 def test_table_small_cases():
@@ -104,7 +141,28 @@ def test_table_matches_naive_scan():
         rows = linkage_rows(table)
         assert [row[:2] for row in rows] == sorted(naive)
         for a, b, n, value in rows:
-            assert (n, value) == pytest.approx(naive[(a, b)], rel=1e-12)
+            assert (n, value) == naive[(a, b)]
+
+
+def test_default_synth_linkage_is_the_exact_mean_of_the_cell_text():
+    """Every pair of the default dataset is the float nearest the exact mean
+    of its cells, read as decimal text: 58 pairs are exactly 50, P0391-P1128
+    among them, which a float sum of the cells puts one ulp below."""
+    data = generate_csv_bytes(SynthConfig(seed=0))
+    cells: dict[str, dict[str, Fraction]] = defaultdict(dict)
+    for row in csv.DictReader(io.StringIO(data.decode())):
+        cells[row["member_id"]][row["project_id"]] = Fraction(row["contribution_pct"])
+    exact: dict[tuple[str, str], list] = defaultdict(list)
+    for team in cells.values():
+        for pa, pb in combinations(sorted(team), 2):
+            exact[pa, pb].append((team[pa] + team[pb]) / 2)
+    rows = linkage_rows(build_linkage_table(aggregate(parse_records(data))))
+    assert [row[:2] for row in rows] == sorted(exact)
+    assert [(n, value) for *_, n, value in rows] == [
+        (len(terms), float(sum(terms) / len(terms))) for _, terms in sorted(exact.items())
+    ]
+    tied = [row[:2] for row in rows if row[3] == 50.0]
+    assert len(tied) == 58 and ("P0391", "P1128") in tied
 
 
 def test_teams_list_each_shared_member_and_cover_every_pair():
