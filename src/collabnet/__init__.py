@@ -7,8 +7,11 @@ network layers (:mod:`collabnet.layers`), measure each layer
 (:mod:`collabnet.metrics`), and serialize for viewers
 (:mod:`collabnet.export`). :mod:`collabnet.synth` generates calibrated
 synthetic datasets and :mod:`collabnet.cli` drives everything from the
-command line.
+command line. :mod:`collabnet.synth` loads on first use, so a build never
+compiles or runs it.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -30,4 +33,10 @@ from .layers import (  # noqa: F401
 )
 from .metrics import LayerMetricsReport, report  # noqa: F401
 from .stats import Feature, FeatureSummary, summarize  # noqa: F401
-from .synth import SynthConfig, generate  # noqa: F401
+
+
+def __getattr__(name: str):
+    if name in ("synth", "SynthConfig", "generate"):
+        synth = importlib.import_module(".synth", __name__)
+        return synth if name == "synth" else getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,11 +13,18 @@ are written, and any failure removes the temporary files instead. ingest and
 build report each skipped row and over-limit project as one stderr line.
 Exit codes: 0 success, 1 input/data error (an input too large for memory
 too), 2 configuration error.
+
+The ``collabnet`` script and ``python -m collabnet.cli`` run :func:`entry`,
+which freezes the import-time objects out of the cyclic collector
+(``gc.freeze``) before :func:`main`, so no collection walks them, the one at
+exit included; :func:`main` in process leaves the collector alone. Only the
+synth command imports :mod:`collabnet.synth`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -28,10 +35,10 @@ from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
-from . import export, ingest, layers, linkage, metrics, stats, synth
+from . import export, ingest, layers, linkage, metrics, stats
 from .ingest import IngestError, ProjectType
 
-__all__ = ["RunConfig", "ConfigError", "run_pipeline", "main"]
+__all__ = ["RunConfig", "ConfigError", "run_pipeline", "main", "entry"]
 
 OUTPUT_DIR_ENV = "COLLABNET_OUT"
 EXIT_OK = 0
@@ -452,6 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     config = synth.SynthConfig(
         seed=args.seed, n_projects=args.projects, n_members=args.members
     )
@@ -530,5 +539,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry: freeze the import-time heap, run :func:`main`, exit."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 from collabnet import cli, metrics, synth
@@ -672,13 +674,68 @@ def _child_env() -> dict[str, str]:
 
 
 def test_cli_import_leaves_out_heavy_modules():
-    heavy = ["scipy", "xml.sax", "urllib.request", "concurrent.futures"]
+    heavy = ["scipy", "xml.sax", "urllib.request", "concurrent.futures", "collabnet.synth"]
     code = f"import sys, collabnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_entry_freezes_the_import_heap_then_exits_with_main_status():
+    code = "import gc, collabnet.cli as cli; cli.main = lambda: print(gc.get_freeze_count() > 0) or 3; cli.entry()"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (3, "True\n", "")
+
+
+def test_package_loads_synth_on_first_use():
+    code = """
+import sys, collabnet
+assert "collabnet.synth" not in sys.modules
+synth = collabnet.synth
+from collabnet import SynthConfig, generate
+assert (SynthConfig, generate) == (synth.SynthConfig, synth.generate)
+try:
+    collabnet.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'collabnet' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("collabnet.no_such_name resolved")
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_build_frees_its_data_by_reference_counting(tmp_path):
+    """A build's arrays and buffers are freed when their last reference goes,
+    not left in reference cycles for the cyclic collector to find."""
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,25,50,75", "--dump-linkage"]
+    frozen, enabled, debug = gc.get_freeze_count(), gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+        gc.collect()
+        held = [
+            type(ref).__name__
+            for obj in gc.garbage
+            for ref in gc.get_referents(obj)
+            if (isinstance(ref, np.ndarray) and ref.nbytes > 1024)
+            or (isinstance(ref, (bytes, bytearray)) and len(ref) > 1024)
+        ]
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+    assert held == []
+    assert gc.get_freeze_count() == frozen  # main() in process freezes nothing
 
 
 BUILD_WRITES = 8  # 2 layers, metrics.csv/.json, 3 stats files, manifest
@@ -821,6 +878,7 @@ def test_no_writer_thread_outlives_the_run(small_input, tmp_path, monkeypatch, f
     monkeypatch.setattr(cli.export, "export_layer", export)
     written = _record_writes(monkeypatch, delay=0.05)
     threads = set(threading.enumerate())
+    collector = gc.get_freeze_count(), gc.isenabled()
     if failure is None:
         assert [p.name for p in run_pipeline(config)][-1] == "manifest.json"
         assert len(written) == 8
@@ -830,6 +888,7 @@ def test_no_writer_thread_outlives_the_run(small_input, tmp_path, monkeypatch, f
         assert written == [_temp(out_dir, "layer_00_t0.graphml")]
         assert not out_dir.exists()
     assert set(threading.enumerate()) <= threads
+    assert (gc.get_freeze_count(), gc.isenabled()) == collector
     assert not any(p.exists() for p in written)
 
 

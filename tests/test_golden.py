@@ -12,6 +12,9 @@ say so.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from collabnet import cli
@@ -48,3 +51,19 @@ def test_build_artifacts_match_recorded_hashes(tmp_path):
         assert cli.main([*argv, "--dump-linkage", "--output-dir", str(out)]) == 0
         found.update(json.loads((out / "manifest.json").read_bytes())["artifacts"])
     assert found == GOLDEN_SHA256
+
+
+def test_module_entry_builds_the_recorded_bytes(tmp_path):
+    """``python -m collabnet.cli``, the benchmark's own invocation, runs
+    through the process entry and writes the same bytes."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,25,50,75", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-m", "collabnet.cli", *argv, "--dump-linkage", "--output-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    found = json.loads((tmp_path / "manifest.json").read_bytes())["artifacts"]
+    assert found == {n: h for n, h in GOLDEN_SHA256.items() if not n.endswith((".graphml", ".dot"))}
