@@ -33,8 +33,8 @@ table = build_linkage_table(dataset)
 layer = build_layer(dataset, table, 20.0)
 
 count, membership = components(layer)
-visuals = assign_visuals(layer, membership)  # degree, rank and color arrays, in node order
-counts = np.bincount(visuals.color, minlength=len(ComponentColor)).tolist()
+visuals = assign_visuals(layer, membership)  # color indices, in node order
+counts = np.bincount(visuals, minlength=len(ComponentColor)).tolist()
 palette = {color.value: n for color, n in zip(ComponentColor, counts) if n}
 print(f"layer t=20: {layer.n_edges} edges, {count} components, colors {palette}")
 
@@ -44,11 +44,12 @@ for fmt in ExportFormat:
     path.write_bytes(blob)
     print(f"wrote {path} ({len(blob)} bytes)")
 
-# the JSON document parses back into an identical layer + attributes
+# the JSON document parses back into an identical layer + colors
 back_layer, back_visuals = parse_jsongraph((out_dir / "layer_t20.json").read_bytes())
 assert back_layer.nodes == layer.nodes
-for name in ("degree", "rank", "color"):
-    assert np.array_equal(getattr(back_visuals, name), getattr(visuals, name))
+assert np.array_equal(back_layer.degrees, layer.degrees)
+assert np.array_equal(back_layer.component_rank, layer.component_rank)
+assert np.array_equal(back_visuals, visuals)
 print("JSON round-trip: ok")
 
 # a peek at the DOT output

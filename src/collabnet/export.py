@@ -23,8 +23,8 @@ is quoted, and every pair's edge line rendered, once per format for all the
 layers that share the pairs (the layers of a stack): the lines are one
 buffer with int64 line ends, and a layer's edge block is the buffer runs
 its ``keep`` mask selects, joined. Node lines are rendered per layer from
-the degree, component-rank and color-index arrays of a
-:class:`LayerVisuals`.
+the layer's degrees and component ranks (``NetworkLayer.degrees`` and
+``component_rank``) and the color indices of :func:`assign_visuals`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_quote
 
@@ -44,7 +43,6 @@ from .layers import NetworkLayer, Pairs, Provenance, threshold_label
 __all__ = [
     "ComponentColor",
     "ExportFormat",
-    "LayerVisuals",
     "assign_visuals",
     "export_layer",
     "parse_jsongraph",
@@ -68,17 +66,6 @@ _COLORS = tuple(ComponentColor)  # a color index points into this
 _COLOR_TEXTS = render.texts([color.value for color in _COLORS])
 
 
-@dataclass(frozen=True, eq=False)
-class LayerVisuals:
-    """Every node's visual attributes, held as arrays in its layer's
-    ``nodes`` order: the degree (the node size a viewer scales), the
-    component rank and the color, an index into ``tuple(ComponentColor)``."""
-
-    degree: np.ndarray
-    rank: np.ndarray
-    color: np.ndarray
-
-
 def _color_bands(n_classes: int) -> list[int]:
     """Color indices for n distinct component sizes, largest class first."""
     middles = max(n_classes - 2, 0)
@@ -86,12 +73,11 @@ def _color_bands(n_classes: int) -> list[int]:
     return ([0] + [1] * greens + [2] * (middles - greens) + [3])[:n_classes]
 
 
-def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> LayerVisuals:
-    """Per-node visual attributes from a component membership map.
-
-    ``membership`` must cover every node of the layer (as produced by
-    :func:`collabnet.metrics.components` on the same layer).
-    """
+def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> np.ndarray:
+    """Each node's color, an int64 index into ``tuple(ComponentColor)`` in
+    the layer's ``nodes`` order: the size class of its component in
+    ``membership``, which must cover every node of the layer (as
+    :func:`collabnet.metrics.components` makes it)."""
     try:
         rank = np.array([membership[v] for v in layer.nodes], np.int64)
     except KeyError:
@@ -99,37 +85,36 @@ def assign_visuals(layer: NetworkLayer, membership: Mapping[str, int]) -> LayerV
         raise ValueError(f"membership does not cover nodes: {missing[:5]}") from None
     _, component, size = np.unique(rank, return_inverse=True, return_counts=True)
     sizes, size_class = np.unique(-size, return_inverse=True)  # class 0: the largest
-    color = np.array(_color_bands(sizes.size), np.int64)[size_class[component]]
-    return LayerVisuals(layer.degrees, rank, color)
+    return np.array(_color_bands(sizes.size), np.int64)[size_class[component]]
 
 
 def export_layer(
     layer: NetworkLayer,
-    visuals: LayerVisuals,
+    visuals: np.ndarray,
     fmt: ExportFormat,
     *,
     include_isolated: bool = True,
 ) -> bytes:
     """Serialize a layer with its visual attributes to the chosen format.
 
-    ``visuals`` must be the :class:`LayerVisuals` of this layer's nodes, as
-    :func:`assign_visuals` or :func:`parse_jsongraph` make it. Node lines are
-    rendered from the shown nodes' degree, rank and color columns. Edge lines
-    come from the layer's pairs, where every pair's line is rendered once per
-    format for all the layers that share the pairs; a layer keeps the lines
-    of its own edges."""
+    ``visuals`` must be the color indices of this layer's nodes, as
+    :func:`assign_visuals` or :func:`parse_jsongraph` make them. Node lines
+    are rendered from the shown nodes' degrees and component ranks, which the
+    layer holds, and their colors. Edge lines come from the layer's pairs,
+    where every pair's line is rendered once per format for all the layers
+    that share the pairs; a layer keeps the lines of its own edges."""
     if fmt not in _FORMATS:
         raise ValueError(f"unsupported export format: {fmt!r}")
-    if not (isinstance(visuals, LayerVisuals) and visuals.degree.size == layer.n_nodes):
-        raise ValueError("visuals do not cover nodes: pass the LayerVisuals of this layer")
+    if not (isinstance(visuals, np.ndarray) and visuals.shape == (layer.n_nodes,)):
+        raise ValueError("visuals do not cover nodes: pass the colors of this layer's nodes")
     _, node_template, _, document = _FORMATS[fmt]
     ids, edge_text, edge_ends = _rendered(layer.pairs, fmt)
     shown = np.flatnonzero((layer.degrees > 0) | include_isolated)
     columns = (
         render.gather(ids, shown),
-        render.integers(visuals.degree[shown]),
-        render.integers(visuals.rank[shown]),
-        render.gather(_COLOR_TEXTS, visuals.color[shown]),
+        render.integers(layer.degrees[shown]),
+        render.integers(layer.component_rank[shown]),
+        render.gather(_COLOR_TEXTS, visuals[shown]),
     )
     nodes = render.lines(shown.size, node_template(*columns))
     return b"".join(document(layer, _runs(*nodes), _runs(edge_text, edge_ends, layer.keep)))
@@ -263,13 +248,11 @@ _FORMATS = {
 }
 
 
-def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, LayerVisuals]:
-    """Rebuild a layer and its visual attributes from a JSON graph document.
-
-    Inverse of the JSON export: restores threshold, provenance, nodes,
-    weighted edges and the per-node visual attributes. Edge weights come
-    back as written, rounded to 6 decimals.
-    """
+def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, np.ndarray]:
+    """Rebuild a layer and its nodes' color indices from a JSON graph
+    document; edge weights come back as written, to 6 decimals. The layer's
+    degrees and component ranks equal the document's: every edge is written,
+    and the one-node components a document may leave out rank last."""
     doc = json.loads(data.decode("utf-8"))
     graph = doc["graph"]
     meta = graph["metadata"]
@@ -284,7 +267,5 @@ def parse_jsongraph(data: bytes) -> tuple[NetworkLayer, LayerVisuals]:
     pairs = Pairs(nodes, a.astype(np.int64), b.astype(np.int64), weight)
     provenance = Provenance(meta["dataset_fingerprint"], tuple(meta["project_types"]))
     layer = NetworkLayer(float(meta["threshold"]), pairs, provenance)
-    columns = ([node[key] for node in shown] for key in ("degree", "component"))
-    color = [_COLORS.index(ComponentColor(node["color"])) for node in shown]
-    visuals = LayerVisuals(*(np.array(c, np.int64) for c in (*columns, color)))
-    return layer, visuals
+    colors = [_COLORS.index(ComponentColor(node["color"])) for node in shown]
+    return layer, np.array(colors, np.int64)

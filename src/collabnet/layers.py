@@ -160,6 +160,11 @@ def threshold_label(threshold: float) -> str:
     return "0" if label == "-0" else label
 
 
+# NAME_MAX (255 bytes) less the 32 that the longest temporary layer file
+# name adds: ".layer_999_t" before the label, ".graphml.<7-digit pid>.tmp" after
+_MAX_LABEL = 223
+
+
 @dataclass(frozen=True)
 class ThresholdSweep:
     """A strictly increasing list of thresholds, explicit or linspace-derived,
@@ -173,6 +178,11 @@ class ThresholdSweep:
         for t in self.thresholds:
             if not math.isfinite(t):
                 raise ValueError(f"threshold {t!r} is not finite")
+            if len(threshold_label(t)) > _MAX_LABEL:
+                raise ValueError(
+                    f"threshold {t!r} is too large to name a file: its label"
+                    f" has more than {_MAX_LABEL} characters"
+                )
         for lo, hi in zip(self.thresholds, self.thresholds[1:]):
             if not lo < hi:
                 raise ValueError(
@@ -196,8 +206,6 @@ def make_sweep_linspace(table: LinkageTable, n_points: int) -> ThresholdSweep:
     if table.min_linkage is None or table.max_linkage is None:
         raise ValueError("no co-membered pairs: linkage range is undefined")
     lo, hi = table.min_linkage, table.max_linkage
-    if lo == hi:
-        raise ValueError(f"degenerate linkage range [{lo}, {hi}]")
     step = (hi - lo) / (n_points - 1)
     values = [lo + i * step for i in range(n_points - 1)]
     values.append(hi)  # endpoint exact regardless of float stepping

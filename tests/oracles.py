@@ -29,7 +29,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from collabnet.export import ComponentColor, ExportFormat, LayerVisuals
+from collabnet.export import ComponentColor, ExportFormat
 from collabnet.ingest import (
     _UNWRITABLE_CHAR,
     CONTRIBUTION_SUM_LIMIT,
@@ -138,10 +138,11 @@ def edges_of(layer: NetworkLayer) -> list[tuple[str, str, float]]:
     return [(ids[a], ids[b], w) for a, b, w in columns]
 
 
-def visuals_of(layer: NetworkLayer, visuals: LayerVisuals) -> dict[str, Visual]:
-    """Node -> :class:`Visual`, from the layer's visuals arrays."""
+def visuals_of(layer: NetworkLayer, visuals: np.ndarray) -> dict[str, Visual]:
+    """Node -> :class:`Visual`, from the layer's degrees and component ranks
+    and the nodes' color indices."""
     colors = tuple(ComponentColor)
-    columns = zip(visuals.degree.tolist(), visuals.color.tolist(), visuals.rank.tolist())
+    columns = zip(layer.degrees.tolist(), visuals.tolist(), layer.component_rank.tolist())
     return {v: Visual(d, colors[c], r) for v, (d, c, r) in zip(layer.nodes, columns)}
 
 
@@ -477,10 +478,10 @@ def random_dataset(rng: random.Random, **kwargs) -> RecordTable:
 def reference_export(layer: NetworkLayer, visuals, fmt: ExportFormat, *, include_isolated=True) -> bytes:
     """Layer export written element by element: JSON through ``json.dumps`` of
     the whole document, GraphML and DOT quoting every id where it is used.
-    ``visuals`` is the layer's :class:`LayerVisuals` or a node ->
+    ``visuals`` is the color index array of the layer's nodes or a node ->
     :class:`Visual` map."""
     edges = edges_of(layer)
-    if isinstance(visuals, LayerVisuals):
+    if isinstance(visuals, np.ndarray):
         visuals = visuals_of(layer, visuals)
     touched = {a for a, _, _ in edges} | {b for _, b, _ in edges}
     nodes = [v for v in layer.nodes if include_isolated or v in touched]

@@ -461,6 +461,7 @@ def test_strict_ingest_accepts_a_total_of_exactly_the_limit(tmp_path, capsys):
         ((20.0, 10.0), "strictly increasing"),
         ((50.0, 50.0000001), "share the label t50"),
         ((0.0, float("inf")), "not finite"),
+        ((0.0, 1e300), "too large to name a file"),
     ],
 )
 def test_runconfig_rejects_a_bad_sweep_before_reading(thresholds, message, tmp_path):

@@ -99,11 +99,13 @@ def test_blue_always_on_a_maximum_component():
 
 
 def test_visuals_carry_degree_and_rank():
-    layer = make_layer("abc", [("a", "b"), ("b", "c")])
+    layer = make_layer("abcz", [("a", "b"), ("b", "c")])
     _, membership = components(layer)
     visuals = assign_visuals(layer, membership)
-    assert visuals.degree.tolist() == [1, 2, 1]
-    assert visuals.rank.tolist() == [membership[v] for v in layer.nodes]
+    assert layer.degrees.tolist() == [1, 2, 1, 0]
+    assert layer.component_rank.tolist() == [membership[v] for v in layer.nodes] == [0, 0, 0, 1]
+    assert visuals.dtype == np.int64
+    assert visuals.tolist() == [0, 0, 0, 3]  # blue, and gray for the smaller class
     assert visuals_of(layer, visuals)["b"] == (2, ComponentColor.BLUE, 0)
 
 
@@ -340,5 +342,7 @@ def test_standalone_layers_match_reference():
         back, back_visuals = parse_jsongraph(blob)
         assert export_layer(back, back_visuals, ExportFormat.JSONGRAPH) == blob
         assert_matches_reference_visuals(back)
+        blob = export_layer(layer, visuals_for(layer), ExportFormat.JSONGRAPH, include_isolated=False)
+        assert export_layer(*parse_jsongraph(blob), ExportFormat.JSONGRAPH, include_isolated=False) == blob
     for nodes, edges in (("abz", [("a", "b")]), ("abcdef", [("a", "b"), ("c", "d"), ("e", "f")])):
         assert_matches_reference_visuals(make_layer(nodes, edges, threshold=5.0))

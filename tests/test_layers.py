@@ -68,7 +68,7 @@ def test_linspace_simple():
 
 
 def test_linspace_degenerate_range_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="too narrow"):
         make_sweep_linspace(fake_table(10.0, 10.0), 2)
 
 
