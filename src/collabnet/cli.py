@@ -9,8 +9,10 @@ soon as it is made, which writes it to a temporary file and hashes it while
 the main thread measures and renders the next layer, so at most two
 documents are held at a time, the one being written and the one being
 built; the files are renamed into place together, manifest last, once all
-are written, and any failure removes the temporary files instead. ingest and
-build report each skipped row and over-limit project as one stderr line.
+are written, and any failure removes the temporary files instead. Every
+command that reads a table parses and aggregates it the same way: ingest,
+stats and build report each over-limit project as one stderr line, and
+ingest and build under ``--lenient`` each skipped row.
 Exit codes: 0 success, 1 input/data error (an input too large for memory
 too), 2 configuration error.
 
@@ -24,6 +26,7 @@ synth command imports :mod:`collabnet.synth`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -102,22 +105,18 @@ def _read_input_bytes(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _parse(data: bytes, delimiter: str, lenient: bool = False) -> ingest.RecordTable:
-    """Parse input rows; under ``lenient``, report each skipped row on stderr."""
+def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> ingest.RecordTable:
+    """Parse and aggregate the input. Under ``lenient``, report each skipped
+    row on stderr; unless ``strict``, report each project whose
+    contributions sum above the limit there too, instead of failing."""
     skipped: list[ingest.RowError] | None = [] if lenient else None
     records = ingest.parse_records(data, delimiter=delimiter, skipped=skipped)
     for err in skipped or ():
         print(f"skipped {err}", file=sys.stderr)
     if not records:
         raise IngestError("input contains no data rows")
-    return records
-
-
-def _load(data: bytes, delimiter: str, lenient: bool, strict: bool) -> ingest.RecordTable:
-    """Parse and aggregate the input; unless ``strict``, report each project
-    whose contributions sum above the limit on stderr instead of failing."""
     over: list[ingest.ContributionSumError] | None = None if strict else []
-    records = ingest.aggregate(_parse(data, delimiter, lenient), over=over)
+    records = ingest.aggregate(records, over=over)
     for err in over or ():
         print(f"warning: {err}", file=sys.stderr)
     return records
@@ -167,6 +166,8 @@ class _Artifacts:
     earlier manifest lists, as that would leave it wrong.
     Any exception removes every temporary file, so no earlier output changes,
     and then each directory the run made, deepest first, while it is empty.
+    A file or directory that cannot be removed stays and keeps no other
+    from going, and the run's own exception is the one raised.
     """
 
     MANIFEST = "manifest.json"
@@ -235,12 +236,11 @@ class _Artifacts:
             if self._writer is not None:  # an exception in flight outranks a write's
                 self._writer.join()
             for temp in self._temps.values():
-                temp.unlink(missing_ok=True)
+                with contextlib.suppress(OSError):  # one that stays keeps no other
+                    temp.unlink(missing_ok=True)
             for directory in reversed(self._made):  # only a failed run leaves one empty
-                try:
+                with contextlib.suppress(OSError):  # not empty
                     directory.rmdir()
-                except OSError:  # not empty
-                    break
 
     def _commit(self) -> None:
         with_manifest = self.MANIFEST in self._temps
@@ -488,7 +488,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     out = _Artifacts(args.output_dir)
-    records = _parse(_read_input_bytes(args.input_path), args.delimiter)
+    records = _load(_read_input_bytes(args.input_path), args.delimiter, lenient=False, strict=False)
     with out:
         for name, blob in _stats_artifacts(records, args.n_bins).items():
             out.write(name, blob)

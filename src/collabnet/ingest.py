@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +55,7 @@ _UNWRITABLE_CHAR = re.compile("[\x00-\x1f\x7f-\x9f\ufffe\uffff]")
 
 CSV_COLUMNS = ("project_id", "member_id", "contribution_pct", "ic_score", "project_type")
 _REQUIRED_COLUMNS = ("project_id", "member_id", "contribution_pct", "project_type")
+_END_LINE = '""'  # read after the input: a blank row, unless a quoted field left open takes it
 
 
 class ProjectType(Enum):
@@ -229,11 +231,13 @@ def _header(reader) -> list[str]:
 
 def _split(reader, width: int) -> tuple[list[list[str]], list[int], list[RowError]]:
     """The rest of the rows: those of ``width`` cells with the line each
-    ends on, and the error of every other row but a blank one."""
+    ends on, and the error of every other row but a blank one. The last row
+    is the blank one of ``_END_LINE``, unless a quoted field was left open."""
     rows: list[list[str]] = []
     lines: list[int] = []
     errors: list[RowError] = []
     keep, at = rows.append, lines.append
+    row = None
     while True:
         try:
             for row in reader:
@@ -244,9 +248,12 @@ def _split(reader, width: int) -> tuple[list[list[str]], list[int], list[RowErro
                     errors.append(
                         RowError(reader.line_num, f"expected {width} columns, got {len(row)}")
                     )
-            return rows, lines, errors
+            break
         except csv.Error as exc:  # the reader goes on at the next line
             errors.append(_unreadable(reader, exc))
+    if row != [""]:  # the rows after the quote are unreadable, so even lenient stops
+        raise RowError(reader.line_num - 1, "unreadable row: unterminated quoted field")
+    return rows, lines, errors
 
 
 def _floats(cells: Sequence[str], blank_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -294,9 +301,11 @@ def parse_records(
     or is negative, and an unknown type. A row's error is its first failed
     check. A malformed row raises :class:`RowError` (the first in row order),
     unless ``skipped`` is a list: then every malformed row is left out and
-    its error appended to the list, in row order.
+    its error appended to the list, in row order. A quoted field still open
+    at the end of the input raises, as an unreadable header does.
     """
-    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=delimiter)
+    text = data.decode("utf-8-sig")
+    reader = csv.reader(chain(io.StringIO(text), [_END_LINE]), delimiter=delimiter)
     header = _header(reader)
     columns: dict[str, int] = {}
     for i, cell in enumerate(header):

@@ -31,13 +31,15 @@ of its words' bit counts, with no float product and no BLAS. Each step
 gathers padded columns of length-sorted rows plus a tail of the longest
 rows' excess (Bell & Garland 2009's hybrid ELLPACK layout, sorted as in
 Kreutzer et al. 2014's SELL-C-σ). One walk over every pass and level
-tallies a layer: it adds each level's popcounts to the histogram and, per
-node, over 1/d to its closeness, and it counts triangles off each pass's
-first level, each node's neighbours among the pass's sources: each edge
-(u, v) of the pass closes popcount(level1[u] & level1[v]) triangles whose
-third corner is a source, and the passes of a component cover all of its
-nodes. :func:`report`, :func:`closeness` and :func:`clustering` all read
-that tally, so :func:`clustering` alone also walks every level.
+tallies a layer, and only counts: each row's popcount goes into one
+integer hop table, at[d - 1, v] the nodes d hops from v, whose row sums are
+the histogram; triangles are counted off each pass's first level, each
+node's neighbours among the pass's sources: each edge (u, v) of the pass
+closes popcount(level1[u] & level1[v]) triangles whose third corner is a
+source, and the passes of a component cover all of its nodes. A node's
+closeness sums at[d - 1, v] / d in hop order, however the passes fall.
+:func:`report`, :func:`closeness` and :func:`clustering` all read that
+tally, so :func:`clustering` alone also walks every level.
 :func:`betweenness` rebuilds the shortest-path counts σ from the levels in
 its own Brandes pass, the only place σ exists.
 
@@ -120,13 +122,17 @@ def degree(layer: NetworkLayer) -> dict[str, int]:
 
 def closeness(layer: NetworkLayer) -> dict[str, float]:
     """Sum of reciprocal shortest-path distances from each node to every
-    other node. Distances are unweighted hop counts; unreachable nodes add 0."""
-    return dict(zip(layer.nodes, _tally(layer)[1].tolist()))
+    other node. Distances are unweighted hop counts; unreachable nodes add 0.
+    Each node sums its count of nodes d hops away over d, nearest first."""
+    reach = np.zeros(layer.n_nodes)
+    for d, count in enumerate(_tally(layer)[0], 1):
+        reach += count / d
+    return dict(zip(layer.nodes, reach.tolist()))
 
 
 def clustering(layer: NetworkLayer) -> dict[str, float]:
     """Fraction of possible triangles through each node."""
-    return dict(zip(layer.nodes, _tally(layer)[2].tolist()))
+    return dict(zip(layer.nodes, _tally(layer)[1].tolist()))
 
 
 def density(layer: NetworkLayer) -> float:
@@ -150,10 +156,11 @@ def _passes(layer: NetworkLayer):
     positions in nodes, the :func:`_columns` of the CSRs one BFS step
     gathers through (see :func:`_levels`) and an iterator over the
     group's passes, each a (node, word) uint64 array with one bit per
-    source. The steps are the group's member teams as :func:`_team_block`
-    cuts them when the layer carries teams, and otherwise its adjacency, a
-    :func:`_grouped` CSR of its ends; nodes come by decreasing team count
-    or degree, stably, so every step's rows are sorted by length.
+    source. Every step is a :func:`_grouped` CSR: the group's adjacency,
+    or, when the layer carries teams, two half-steps from the group's team
+    entries, team -> nodes and node -> teams, the largest team first; nodes
+    come by decreasing team count or degree, stably, so every step's rows
+    are sorted by length. No row is empty: a team holds two or more nodes.
 
     A node's bit is its rank inside its own component. A group holds the
     components that need the same number of words, ceil(size / 64), and
@@ -174,6 +181,11 @@ def _passes(layer: NetworkLayer):
     words = np.where(size > 1, -(-size // 64), 0)  # 0 for a one-node component
     teams = layer.teams
     length = layer.degrees if teams is None else np.bincount(teams[1], minlength=layer.n_nodes)
+    if teams is not None:  # each team entry's team, numbered by decreasing size, stably
+        team_size = np.diff(teams[0])
+        team = np.empty_like(team_size)
+        team[_stable_order(team_size.max(initial=0) - team_size)] = np.arange(team_size.size)
+        team = np.repeat(team, team_size)
     longest = length.max(initial=0)
     position = np.empty(layer.n_nodes, np.int64)  # a group node's index among the group's
     for w in (np.flatnonzero(np.bincount(words)[1:]) + 1).tolist():
@@ -185,8 +197,14 @@ def _passes(layer: NetworkLayer):
         u, v = position[layer.a[cut]], position[layer.b[cut]]
         if teams is None:
             steps = (_grouped(np.concatenate([v, u]), np.concatenate([u, v]), nodes.size),)
-        else:
-            steps = _team_block(teams, position, inside)
+        else:  # the group's team entries: a team lies wholly inside the group or out
+            entry = inside[teams[1]]
+            member, number = position[teams[1][entry]], team[entry]
+            present = np.zeros(team_size.size, bool)
+            present[number] = True
+            local = (np.cumsum(present) - 1)[number]  # the group's teams, renumbered in order
+            n_teams = np.count_nonzero(present)
+            steps = _grouped(local, member, n_teams), _grouped(member, local, nodes.size)
         steps = tuple(_columns(*csr) for csr in steps)
         yield nodes, (u, v), steps, _frontiers(rank[nodes], w)
 
@@ -209,25 +227,6 @@ def _grouped(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, 
     (a, b) order, so each row's neighbours come in ascending node index."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
     return indptr, values[_stable_order(keys)]
-
-
-def _team_block(teams, position: np.ndarray, inside: np.ndarray):
-    """The two half-step CSRs of one pass group, as ``(to_teams, to_nodes)``:
-    each team that lies among the nodes ``inside`` marks lists their
-    ``position`` among them, the largest team first, and each of those
-    nodes lists its teams. The nodes are whole components, so a team lies
-    wholly inside or outside them. Neither CSR has an empty row: a team
-    holds two or more nodes, and each pass node has an edge, so it shares a
-    team."""
-    indptr, indices = teams
-    size = np.diff(indptr)
-    kept = np.flatnonzero(inside[indices[indptr[:-1]]])  # by each team's first node
-    size = size[kept]
-    order = _stable_order(size.max(initial=0) - size)
-    kept, size = kept[order], size[order]
-    sub, entries = _rows(indptr, kept)
-    rows = position[indices[entries]]
-    return (sub, rows), _grouped(rows, np.repeat(np.arange(size.size), size), inside.sum())
 
 
 def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,19 +293,18 @@ def _levels(steps, frontier: np.ndarray):
         yield frontier
 
 
-def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One walk over every pass and level: (pairs_at, closeness, clustering).
+def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray]:
+    """One walk over every pass and level: (at, clustering).
 
-    pairs_at[d] counts the ordered node pairs d hops apart. Row v of a level
-    counts the nodes d hops from v, and d(s, v) = d(v, s), so each node's
-    closeness adds its row's popcount over d. At hop 1 the level holds each
-    node's neighbours among the sources, so each edge (u, v) of the pass
-    closes popcount(level[u] & level[v]) triangles at both ends, counted a
-    block of about _BLOCK_BYTES of gathered words at a time. Each count is an
-    integer sum of a row's word bit counts (no BLAS), so its float sums are
-    exact. A node's clustering is 2*T(v) / (deg*(deg-1)), 0 below degree 2."""
-    pairs_at = np.zeros(layer.n_nodes, np.int64)  # no two nodes are n_nodes hops apart
-    reach = np.zeros(layer.n_nodes)  # each node's closeness: its row popcounts over d
+    at[d - 1, v] counts the nodes d hops from v: row v of a level holds
+    the sources d hops from v, and d(s, v) = d(v, s). At hop 1 the level
+    holds each node's neighbours among the sources, so each edge (u, v) of
+    the pass closes popcount(level[u] & level[v]) triangles at both ends,
+    counted a block of about _BLOCK_BYTES of gathered words at a time. Each
+    count is an integer sum of a row's word bit counts (no BLAS), so the
+    table is the same whatever the pass plan. A node's clustering is
+    2*T(v) / (deg*(deg-1)), 0 below degree 2."""
+    at = []  # one row per hop, appended as the walk first goes that deep
     links = np.zeros(layer.n_nodes)  # 2 * triangles at each node
     for nodes, (u, v), steps, frontiers in _passes(layer):
         for frontier in frontiers:
@@ -320,12 +318,12 @@ def _tally(layer: NetworkLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                         shared = np.einsum("ij->i", np.bitwise_count(both), dtype=np.uint16)
                         for end in ends:
                             links[nodes] += np.bincount(end, shared, nodes.size)
-                counts = np.einsum("ij->i", np.bitwise_count(level), dtype=np.uint16)
-                pairs_at[d] += int(counts.sum())
-                reach[nodes] += counts / d
+                if d > len(at):
+                    at.append(np.zeros(layer.n_nodes, np.int64))
+                at[d - 1][nodes] += np.einsum("ij->i", np.bitwise_count(level), dtype=np.uint16)
     deg = layer.degrees
     local = np.divide(links, deg * (deg - 1), out=np.zeros(deg.size), where=deg > 1)
-    return pairs_at, reach, local
+    return np.array(at, np.int64).reshape(len(at), layer.n_nodes), local
 
 
 def _dependencies(block: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndarray:
@@ -388,10 +386,9 @@ def report(layer: NetworkLayer) -> LayerMetricsReport:
     n = int(np.count_nonzero(layer.degrees))
     m = layer.n_edges
     per_node = max(n, 1)  # with no nodes every sum below is 0, so the report is zeros
-    pairs_at, _, local_clustering = _tally(layer)
-    depth = int(np.flatnonzero(pairs_at).max(initial=0))  # no pair lies further apart
-    pairs_at = pairs_at[1 : depth + 1]
-    hops = np.arange(1, depth + 1)
+    at, local_clustering = _tally(layer)
+    pairs_at = at.sum(axis=1)  # the ordered node pairs at each hop distance
+    hops = np.arange(1, len(at) + 1)
 
     return LayerMetricsReport(
         threshold=layer.threshold,

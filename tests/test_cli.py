@@ -32,6 +32,8 @@ NARROW_INPUT = Path(__file__).parent / "data" / "narrow_linkage.csv"
 # one project whose contributions total exactly 100.5, though a float sum of
 # them does not; the CI runtime job ingests it under --strict too
 EXACT_LIMIT_INPUT = Path(__file__).parent / "data" / "exact_limit.csv"
+# P1 lists M1 twice; the CI runtime job runs stats on it too
+DUPLICATE_INPUT = Path(__file__).parent / "data" / "duplicate_membership.csv"
 SMALL_CSV = generate_csv_bytes(SynthConfig(seed=11, n_projects=50, n_members=48))
 # P1's contributions sum to 110, above the accepted 100.5
 OVER_CSV = "project_id,member_id,contribution_pct,project_type\nP1,M1,70,IP\nP1,M2,40,IP\nP2,M1,10,IP\n"
@@ -102,6 +104,23 @@ def test_stats_outputs(small_input, tmp_path, capsys):
     assert names == {"stats_contribution_pct.csv", "stats_ic_score.csv", "stats_summary.json"}
     summary = json.loads((out_dir / "stats_summary.json").read_text())
     assert summary["notes"]["linkage_feature"] == "contribution_pct"
+
+
+def test_stats_checks_memberships_as_ingest_and_build_do(tmp_path, capsys):
+    """stats loads through the same loader: a repeated membership fails it
+    with one error line and nothing written, and an over-limit project is
+    a warning."""
+    out_dir = tmp_path / "stats"
+    assert run(["ingest", str(DUPLICATE_INPUT)]) == 1
+    error = capsys.readouterr()
+    assert run(["stats", str(DUPLICATE_INPUT), "--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr() == error == ("", "error: duplicate membership (P1, M1)\n")
+    assert not out_dir.exists()
+
+    over = tmp_path / "over.csv"
+    over.write_text(OVER_CSV)
+    assert run(["stats", str(over), "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == "warning: " + OVER_MESSAGE
 
 
 def test_build_explicit_thresholds(small_input, tmp_path, capsys):
@@ -551,6 +570,32 @@ def test_failed_run_removes_the_directories_it_made(small_input, tmp_path, monke
     with pytest.raises(ValueError, match="metrics failed"):
         run_pipeline(config)
     assert not (tmp_path / "new").exists()
+
+
+def test_failed_cleanup_removes_every_other_file_and_raises_the_runs_error(
+    small_input, tmp_path, monkeypatch
+):
+    out_dir = tmp_path / "new" / "dir"
+    config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 20.0, 40.0))
+
+    def disk_full(self):
+        raise OSError("disk full")
+
+    real_unlink, refused = Path.unlink, []
+
+    def refuse_once(self, missing_ok=False):
+        if not refused:
+            refused.append(self)
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(cli._Artifacts, "_commit", disk_full)
+    monkeypatch.setattr(Path, "unlink", refuse_once)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(config)
+    # the refused file keeps the directories it is in, and nothing else stays
+    assert sorted((tmp_path / "new").rglob("*")) == [out_dir, *refused]
+    assert refused[0].name.startswith(".layer_00_t0.graphml.")
 
 
 def test_failed_run_keeps_an_existing_directory(small_input, tmp_path, monkeypatch):

@@ -114,6 +114,25 @@ def test_parse_unsplittable_row_message():
     assert str(exc.value) == "row 2: unreadable row: new-line character seen in unquoted field"
 
 
+def test_parse_quote_left_open_at_the_end_is_never_skipped():
+    """The csv module ends a quoted field at the end of the data as if it
+    were closed; an input that ends inside one fails on its last line,
+    under ``skipped`` too, as the rows after the quote are unreadable."""
+    cases = [
+        (HEADER + 'P1,M1,50,,"paper', 2),  # would read as the type paper
+        (HEADER + 'P1,M1,50,,paper\nP2,M1,50,,"paper\n', 3),
+        (HEADER + '"P1,M1,50,,paper\nP2,M1,50,,paper\n', 3),  # the rows read as one cell
+        (HEADER.rstrip() + ',notes\nP1,M1,50,,paper,"x\n', 2),  # an ignored column
+        (HEADER.rstrip() + ',"notes\nP1,M1,50,,paper,x\n', 2),  # in the header
+    ]
+    for text, row in cases:
+        for skipped in (None, []):
+            with pytest.raises(RowError, match="unreadable row: unterminated quoted field") as exc:
+                parse(text, skipped=skipped)
+            assert exc.value.row == row
+    assert len(parse(HEADER + 'P1,M1,50,,"paper"')) == 1  # closed at the very end
+
+
 def test_parse_unsplittable_header_is_never_skipped():
     text = "project_id,member\r_id,contribution_pct,project_type\nP1,M1,50,IP\n"
     for skipped in (None, []):

@@ -353,6 +353,32 @@ def test_components_of_different_word_counts_get_their_own_passes():
     assert groups == [(2 + 64 + 3 + 12, [1]), (520, [8, 1]), (700, [8, 3])]
 
 
+def _synth_layers() -> list:
+    """The default synth dataset's layers at 0, which walks member teams
+    over a component of more than 512 nodes, and at 20, which walks edges
+    over components of up to 300."""
+    data = generate_csv_bytes(SynthConfig(seed=0))
+    return _threshold_stack(data, [0])[1] + _threshold_stack(data, [20])[1]
+
+
+def test_results_do_not_depend_on_the_pass_plan(monkeypatch):
+    """Windows of 64, 128, 256 and 512 sources give every node the same
+    closeness and clustering, and the same report: the walk only counts,
+    and each node sums its counts in hop order."""
+    layers = _synth_layers() + [
+        _layer_of_sizes(random.Random(11), PACKING_EDGES[name])
+        for name in ("over_512_nodes", "two_over_512_of_different_words")
+    ]
+    assert [_team_steps(layer)[-1] for layer in layers] == [True, False, False, False]
+    largest = [np.bincount(layer.component_rank).max() for layer in layers]
+    assert largest[0] > 512 and min(largest) > 64  # one window of 64 sources is not enough
+    results = []
+    for words in (1, 2, 4, 8):
+        monkeypatch.setattr(metrics, "_WORDS", words)
+        results.append([(closeness(layer), clustering(layer), report(layer)) for layer in layers])
+    assert results[1:] == results[:1] * 3
+
+
 def _contributions_of_sizes(rng: random.Random, sizes: tuple) -> bytes:
     """A contribution table whose co-membership projection has one
     component per entry of ``sizes``. A component's projects, in shuffled id
