@@ -14,13 +14,16 @@ command that reads a table parses and aggregates it the same way: ingest,
 stats and build report each over-limit project as one stderr line, and
 ingest and build under ``--lenient`` each skipped row.
 Exit codes: 0 success, 1 input/data error (an input too large for memory
-too), 2 configuration error.
+too), 2 configuration error, 130 interrupted (SIGINT, Ctrl-C), 143
+terminated (SIGTERM); a signal is reported as one stderr line, once the
+run's temporary files and the directories it made are removed.
 
 The ``collabnet`` script and ``python -m collabnet.cli`` run :func:`entry`,
 which freezes the import-time objects out of the cyclic collector
 (``gc.freeze``) before :func:`main`, so no collection walks them, the one at
-exit included; :func:`main` in process leaves the collector alone. Only the
-synth command imports :mod:`collabnet.synth`.
+exit included, and turns SIGTERM into an exception, as Python does SIGINT;
+:func:`main` in process leaves the collector and the signal handlers alone.
+Only the synth command imports :mod:`collabnet.synth`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import gc
 import hashlib
 import json
 import os
+import signal
 import sys
 import threading
 from dataclasses import dataclass, fields
@@ -47,6 +51,8 @@ OUTPUT_DIR_ENV = "COLLABNET_OUT"
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 128 + signal.SIGINT
+EXIT_TERMINATED = 128 + signal.SIGTERM
 # the largest --bins value and layer count accepted: each bin is a histogram
 # row and each --thresholds value or --linspace point a layer, all held or
 # written by one run
@@ -56,6 +62,11 @@ MAX_LAYERS = 1_000
 
 class ConfigError(Exception):
     """Invalid flag combination or option value."""
+
+
+class _Terminated(BaseException):
+    """The SIGTERM that :func:`entry` raises in the main thread; like
+    ``KeyboardInterrupt``, no ``except Exception`` catches it."""
 
 
 @dataclass
@@ -537,11 +548,25 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # the input is too large for this machine; _Artifacts wrote nothing
         print("error: out of memory while building the output", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:  # _Artifacts removed what the run made
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+
+
+def _terminate(signum, frame) -> None:
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # a second one waits for the cleanup
+    raise _Terminated
 
 
 def entry() -> None:
-    """The process entry: freeze the import-time heap, run :func:`main`, exit."""
+    """The process entry: freeze the import-time heap, turn SIGTERM into an
+    exception unless the parent ignores it, run :func:`main`, exit."""
     gc.freeze()
+    if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
+        signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

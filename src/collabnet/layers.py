@@ -5,16 +5,21 @@ every pair whose linkage meets the threshold is an undirected weighted edge.
 Sweeping an increasing list of thresholds yields a stack of nested layers.
 Every layer of a stack shares one :class:`Pairs`, the table's sorted project
 ids and its node-index arrays, and keeps the pairs whose linkage meets its
-threshold; its edges are the parallel arrays ``a``, ``b`` and ``weight`` cut
-from them. The shared pairs are the table's pairs that meet the stack's
-lowest threshold. What is derived per pair, such as export's rendered edge
-lines, is kept in the shared ``Pairs`` and so made once per stack. A layer
-that keeps every pair of the table is the one-mode projection of the
-project-member incidence, and the stack gives it the table's member teams,
-which :mod:`collabnet.metrics` walks instead of its edges. A layer holds
-no adjacency of its own: it counts its degrees and numbers its components
-from its edge arrays once, on first use, and metrics builds each BFS pass
-group's CSR from that group's edges.
+threshold as a mask; its edges are the parallel arrays ``a``, ``b`` and
+``weight``. The shared pairs are the table's pairs that meet the stack's
+lowest threshold, and the table's own arrays when that is all of them. A
+layer's edges exist once, in the shared pairs: a layer that keeps every
+pair reads the shared arrays themselves, with no mask, and any other layer
+cuts them on each read, so a caller that reads an edge array more than
+once reads it into a local. What is derived per pair, such as export's
+rendered edge lines, is kept in the shared ``Pairs`` and so made once per
+stack. A layer that keeps every pair of the table is the one-mode
+projection of the project-member incidence, and the stack gives it the
+table's member teams, which :mod:`collabnet.metrics` walks instead of its
+edges. A layer holds no adjacency of its own and caches only per-node
+arrays: it counts its degrees and numbers its components from its edges
+once, on first use, and metrics builds each BFS pass group's CSR from that
+group's edges.
 """
 
 from __future__ import annotations
@@ -77,7 +82,10 @@ class NetworkLayer:
     nodes are kept; metric reports leave them out of their averages). The
     edges are the pairs that ``keep`` marks, every pair when keep is None:
     edge i joins ``nodes[a[i]]`` and ``nodes[b[i]]``, a[i] < b[i], with
-    weight[i], in the canonical order of ``pairs``. ``teams``, when given,
+    weight[i], in the canonical order of ``pairs``. With keep None, ``a``,
+    ``b`` and ``weight`` are the pairs' own arrays; otherwise each read cuts
+    a new copy, which the layer does not keep. Only the per-node
+    ``degrees`` and ``component_rank`` are cached. ``teams``, when given,
     is a member -> node CSR ``(indptr, indices)`` whose rows each list two
     or more nodes, and the edges are exactly the node pairs that share a
     row.
@@ -93,15 +101,15 @@ class NetworkLayer:
     def nodes(self) -> tuple[str, ...]:
         return self.pairs.nodes
 
-    @cached_property
+    @property
     def a(self) -> np.ndarray:
         return self._cut(self.pairs.a)
 
-    @cached_property
+    @property
     def b(self) -> np.ndarray:
         return self._cut(self.pairs.b)
 
-    @cached_property
+    @property
     def weight(self) -> np.ndarray:
         return self._cut(self.pairs.weight)
 
@@ -114,7 +122,7 @@ class NetworkLayer:
 
     @property
     def n_edges(self) -> int:
-        return self.a.size
+        return self.pairs.a.size if self.keep is None else int(np.count_nonzero(self.keep))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -129,12 +137,13 @@ class NetworkLayer:
         each node's root. Each pass hangs the larger of two adjacent roots
         under the smaller, then points every node straight at its root, until
         no edge joins two different roots."""
+        a, b = self.a, self.b
         root = np.arange(self.n_nodes)
         while True:
-            a, b = root[self.a], root[self.b]
-            if np.array_equal(a, b):
+            ra, rb = root[a], root[b]
+            if np.array_equal(ra, rb):
                 break
-            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
             while not np.array_equal(root, root[root]):
                 root = root[root]
         size = np.bincount(root, minlength=self.n_nodes)
@@ -221,16 +230,22 @@ def build_layer_stack(
     table as nodes, pairs with linkage >= threshold as weighted edges.
 
     The layers share the pairs that meet the first (lowest) threshold, so
-    nothing is derived for pairs that no layer keeps. A layer whose
-    threshold is at most the table's minimum linkage keeps every pair of
-    the table, and it carries the table's member teams."""
+    nothing is derived for pairs that no layer keeps; when that is every
+    pair of the table, they are the table's own arrays. Each layer holds
+    only its mask of the shared pairs, and none (``keep=None``) when it
+    keeps them all. A layer whose threshold is at most the table's minimum
+    linkage keeps every pair of the table, and it carries the table's
+    member teams."""
     provenance = Provenance(records.fingerprint(), records.project_types())
     low = table.linkage >= sweep.thresholds[0]
-    pairs = Pairs(table.projects, table.a[low], table.b[low], table.linkage[low])
+    whole = bool(low.all())
+    cut = slice(None) if whole else low  # a slice is a view, a mask a copy
+    pairs = Pairs(table.projects, table.a[cut], table.b[cut], table.linkage[cut])
     stack = []
     for t in sweep.thresholds:
         keep = pairs.weight >= t
-        teams = table.teams if low.all() and keep.all() else None
+        keep = None if keep.all() else keep
+        teams = table.teams if whole and keep is None else None
         stack.append(NetworkLayer(t, pairs, provenance, keep, teams))
     return stack
 

@@ -187,14 +187,15 @@ def _passes(layer: NetworkLayer):
         team[_stable_order(team_size.max(initial=0) - team_size)] = np.arange(team_size.size)
         team = np.repeat(team, team_size)
     longest = length.max(initial=0)
+    a, b = layer.a, layer.b  # each read of a cut layer's edges is a copy
     position = np.empty(layer.n_nodes, np.int64)  # a group node's index among the group's
     for w in (np.flatnonzero(np.bincount(words)[1:]) + 1).tolist():
         inside = words == w
         nodes = np.flatnonzero(inside)
         nodes = nodes[_stable_order(longest - length[nodes])]
         position[nodes] = np.arange(nodes.size)
-        cut = inside[layer.a]  # the group's edges
-        u, v = position[layer.a[cut]], position[layer.b[cut]]
+        cut = inside[a]  # the group's edges
+        u, v = position[a[cut]], position[b[cut]]
         if teams is None:
             steps = (_grouped(np.concatenate([v, u]), np.concatenate([u, v]), nodes.size),)
         else:  # the group's team entries: a team lies wholly inside the group or out

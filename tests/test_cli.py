@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -755,6 +756,82 @@ else:
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("ignored", [False, True])
+def test_entry_turns_sigterm_into_an_exception_unless_the_parent_ignores_it(ignored):
+    ignore = "signal.signal(signal.SIGTERM, signal.SIG_IGN); " if ignored else ""
+    code = (
+        f"import signal, collabnet.cli as cli; {ignore}"
+        "cli.main = lambda: print(signal.getsignal(signal.SIGTERM) is cli._terminate) or 0; "
+        "cli.entry()"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"{not ignored}\n", "")
+
+
+def test_main_in_process_installs_no_signal_handler(small_input, tmp_path):
+    handlers = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
+    argv = ["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(tmp_path)]
+    assert run(argv) == 0
+    assert (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)) == handlers
+
+
+@pytest.fixture(scope="module")
+def fine_sweep_input(tmp_path_factory):
+    """The default-size synth table: a 100-point sweep of it with a linkage
+    dump writes the dump first, once the stack is built, and then spends
+    seconds on its layers, time enough to signal the run mid-build."""
+    path = tmp_path_factory.mktemp("fine_sweep") / "input.csv"
+    path.write_bytes(generate_csv_bytes(SynthConfig(seed=0)))
+    return path
+
+
+# entry() leaves SIGINT to Python, which raises KeyboardInterrupt for it only
+# when the parent did not ignore it, as a shell does for a background job; the
+# child restores Python's handler before it enters the CLI
+_SIGINT_ENTRY = (
+    "import signal, collabnet.cli as cli; "
+    "signal.signal(signal.SIGINT, signal.default_int_handler); cli.entry()"
+)
+
+
+@pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGTERM, 143, "terminated"), (signal.SIGINT, 130, "interrupted")],
+    ids=["SIGTERM", "SIGINT"],
+)
+def test_a_signal_mid_build_removes_what_the_run_made(
+    fine_sweep_input, tmp_path, signum, code, message
+):
+    """A signal sent once the run has written a temporary file leaves no
+    temporary file and no directory that the run made, and ends the run
+    with one error line, no traceback, and the signal's exit code."""
+    out_dir = tmp_path / "sig" / "deep"
+    argv = ["build", str(fine_sweep_input), "--linspace", "100", "--format", "json"]
+    argv += ["--dump-linkage", "--output-dir", str(out_dir)]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SIGINT_ENTRY, *argv],
+        env=_child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(out_dir.glob(".*.tmp")):
+            assert child.poll() is None, "the build ended before it wrote a temporary file"
+            assert time.monotonic() < deadline, "no temporary file within 60 s"
+            time.sleep(0.01)
+        child.send_signal(signum)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (code, "", f"error: {message}\n")
+    assert not (tmp_path / "sig").exists()
 
 
 def test_build_frees_its_data_by_reference_counting(tmp_path):

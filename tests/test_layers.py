@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from collabnet.metrics import (
     remove_isolated,
     report,
 )
+from collabnet.synth import SynthConfig, generate_csv_bytes
 from oracles import (
     assert_same_layer,
     dataset_of,
@@ -251,6 +254,86 @@ def test_stack_shares_only_the_pairs_of_its_lowest_threshold():
         for layer in stack:
             t = layer.threshold
             assert edges_of(layer) == [(a, b, v) for a, b, _, v in linkage_rows(table) if v >= t]
+
+
+SWEPT = aggregate(
+    parse_records(generate_csv_bytes(SynthConfig(seed=2, n_projects=300, n_members=150)))
+)
+
+
+def _measure_and_export(stack) -> None:
+    """What a build does with each layer, its outputs dropped."""
+    for layer in stack:
+        report(layer)
+        visuals = assign_visuals(layer, components(layer)[1])
+        export_layer(layer, visuals, ExportFormat.JSONGRAPH)
+
+
+def test_measured_layers_hold_no_edge_arrays():
+    """After a build's work on every layer, each layer holds its keep mask
+    and its two per-node arrays, and no copy of its edges."""
+    table = build_linkage_table(SWEPT)
+    stack = build_layer_stack(SWEPT, table, make_sweep_linspace(table, 12))
+    _measure_and_export(stack)
+    assert stack[0].keep is None and all(layer.keep.dtype == bool for layer in stack[1:])
+    for layer in stack:
+        held = {
+            name: value.size
+            for name, value in vars(layer).items()
+            if isinstance(value, np.ndarray) and name != "keep"
+        }
+        assert held == {"degrees": layer.n_nodes, "component_rank": layer.n_nodes}
+        assert layer.n_edges == layer.a.size == layer.b.size == layer.weight.size
+
+
+def test_a_layer_that_keeps_every_pair_reads_the_shared_arrays():
+    """The every-pair layer has no mask, and a stack whose lowest threshold
+    keeps every pair of the table shares the table's arrays; a layer that
+    keeps every pair of a stack cut above the minimum has no mask either,
+    and no teams."""
+    table = build_linkage_table(SWEPT)
+    stack = build_layer_stack(SWEPT, table, make_sweep_linspace(table, 5))
+    every = stack[0]
+    assert every.keep is None and every.teams is not None
+    shared = every.pairs
+    for column, own in ((shared.a, table.a), (shared.b, table.b), (shared.weight, table.linkage)):
+        assert np.shares_memory(column, own)
+    assert every.a is every.pairs.a and every.weight is every.pairs.weight
+
+    values = np.unique(table.linkage)
+    gap = int(np.argmax(np.diff(values[1:]))) + 1  # the widest gap above the minimum
+    lo, hi = values[gap], values[gap + 1]
+    between = make_sweep_explicit([lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3])
+    cut = build_layer_stack(SWEPT, table, between)
+    assert not np.shares_memory(cut[0].pairs.a, table.a)
+    assert [layer.keep is None for layer in cut] == [True, True]
+    assert [layer.teams for layer in cut] == [None, None]
+    assert cut[1].n_edges == np.count_nonzero(table.linkage >= hi)
+
+
+def test_each_added_layer_retains_only_its_mask_and_node_arrays():
+    """The memory a stack holds after every layer is measured and exported
+    grows per added layer by at most its keep mask, its degrees and its
+    component ranks, plus 2 KB for the layer object and the arrays' headers:
+    not by its edges, about 18 KB a layer here."""
+    table = build_linkage_table(SWEPT)
+
+    def retained(n_points: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stack = build_layer_stack(SWEPT, table, make_sweep_linspace(table, n_points))
+            _measure_and_export(stack)
+            gc.collect()  # what a cycle holds is not retained
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    few, many = 10, 40
+    per_layer = len(table) + 2 * 8 * SWEPT.n_projects + 2048
+    assert len(table) > 4 * SWEPT.n_projects  # an edge copy per layer would break the bound
+    retained(few)  # first-use costs, such as imports, land here
+    assert retained(many) - retained(few) <= (many - few) * per_layer
 
 
 def assert_exports_match_reference(layer):

@@ -528,11 +528,11 @@ def test_hub_report_memory_is_bounded_by_blocks():
 
 def test_hub_degrees_count_the_edge_arrays_in_place():
     """A layer's degrees are two counts over its edge arrays, with no copy
-    of its edges: the threshold-0 layer of 800 projects and a hub has
-    319,601 edges, a CSR of them peaks near 20 MB to build, and counting
-    its degrees stays under 1 MB."""
+    of its edges: the threshold-0 layer of 800 projects and a hub keeps
+    every pair, so its edge arrays are the table's own; it has 319,601
+    edges, a CSR of them peaks near 20 MB to build, and counting its
+    degrees stays under 1 MB."""
     _, (layer,) = _threshold_stack(_hub_input(800), [0])
-    layer.a, layer.b  # cut from the stack's pairs, cached per layer
     tracemalloc.start()
     try:
         layer.degrees
