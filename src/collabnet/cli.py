@@ -21,9 +21,19 @@ run's temporary files and the directories it made are removed.
 The ``collabnet`` script and ``python -m collabnet.cli`` run :func:`entry`,
 which freezes the import-time objects out of the cyclic collector
 (``gc.freeze``) before :func:`main`, so no collection walks them, the one at
-exit included, and turns SIGTERM into an exception, as Python does SIGINT;
-:func:`main` in process leaves the collector and the signal handlers alone.
-Only the synth command imports :mod:`collabnet.synth`.
+exit included; turns SIGTERM into an exception, and SIGINT into one that a
+second SIGINT does not repeat while the cleanup runs; and lets a build use
+the CPUs the process may run on. Such a build, once its layer stack and the
+stack's edge lines are made and before its first write, forks one worker
+process per CPU but one when its layers are enough work (:func:`_shares`).
+Each process measures, exports, writes and hashes its share of the layers
+through the same loop, the workers under the parent's temporary names; the
+parent collects their reports and hashes through a pipe and writes the rest.
+A worker's failure is raised in the parent, and any failure or signal there
+kills and reaps the workers before the cleanup removes every temporary
+file, theirs too. :func:`main` in process leaves the collector and the
+signal handlers alone and never forks. Only the synth command imports
+:mod:`collabnet.synth`.
 """
 
 from __future__ import annotations
@@ -34,12 +44,17 @@ import gc
 import hashlib
 import json
 import os
+import pickle
+import re
 import signal
 import sys
 import threading
+import warnings
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
+from typing import BinaryIO
 
 from . import __version__
 from . import export, ingest, layers, linkage, metrics, stats
@@ -157,6 +172,25 @@ def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFo
     return f"layer_{index:02d}_t{layers.threshold_label(layer.threshold)}.{fmt.value}"
 
 
+# the temporary file of an artifact collabnet writes, .NAME.PID.tmp; the
+# group is the pid of the run that made it
+_TEMPORARY = re.compile(
+    r"\.(?:layer_\d+_t[-.\d]+\.(?:graphml|dot|json)|linkage\.csv|metrics\.(?:csv|json)"
+    r"|stats_(?:contribution_pct|ic_score)\.csv|stats_summary\.json|manifest\.json)"
+    r"\.([1-9]\d{0,6})\.tmp"
+)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # PermissionError: another user's process
+        pass
+    return True
+
+
 class _Artifacts:
     """Writes artifacts to temporary files in ``out_dir`` as they are made,
     keeping only each one's sha256, then renames them into place; owns the
@@ -164,7 +198,13 @@ class _Artifacts:
 
     Making it checks that ``out_dir`` can be a directory, so make it before
     any work; then use it as a context manager. The directory, and any
-    missing parent, is made at the first write.
+    missing parent, is made at the first write, or at :meth:`expect`.
+    Every temporary name holds the pid of the process that made this object:
+    a worker forked from that process writes its files under the same names
+    (see :class:`_Workers`), the parent takes them as its own with
+    :meth:`expect` before the fork, so every cleanup path removes them too,
+    and :meth:`adopt` takes their hashes. A worker whose parent is gone
+    raises at its next write.
     Each write hands its bytes to a writer thread, which writes the
     temporary file and hashes it while the caller goes on; a write first
     waits for the one before it, so one is in flight at a time, and a
@@ -178,7 +218,10 @@ class _Artifacts:
     Any exception removes every temporary file, so no earlier output changes,
     and then each directory the run made, deepest first, while it is empty.
     A file or directory that cannot be removed stays and keeps no other
-    from going, and the run's own exception is the one raised.
+    from going, and the run's own exception is the one raised. Last, on
+    every path, the exit removes what a killed run left in the directory:
+    the temporary files of names collabnet writes whose pid no process has.
+    It never touches another name, or a file of a live process.
     """
 
     MANIFEST = "manifest.json"
@@ -189,6 +232,7 @@ class _Artifacts:
         if not existing.is_dir():
             raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
         self.out_dir = out_dir
+        self._pid = os.getpid()  # every temporary name holds it, a forked worker's too
         self._hashes: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
         self._made: list[Path] = []  # the directories write made, parents first
@@ -204,14 +248,26 @@ class _Artifacts:
         except (OSError, ValueError, TypeError, KeyError):
             pass
 
-    def write(self, name: str, blob: bytes) -> None:
+    def expect(self, names: Iterable[str]) -> None:
+        """Make the directory, and take the temporary files that a forked
+        worker will write under these names as this run's own."""
         missing = takewhile(lambda p: not os.path.lexists(p), (self.out_dir, *self.out_dir.parents))
         for directory in reversed(list(missing)):
             directory.mkdir()
             self._made.append(directory)
-        temp = self._temps[name] = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        for name in names:
+            self._temps[name] = self.out_dir / f".{name}.{self._pid}.tmp"
+
+    def adopt(self, hashes: dict[str, str]) -> None:
+        """The hashes of the files a forked worker wrote."""
+        self._hashes |= hashes
+
+    def write(self, name: str, blob: bytes) -> None:
+        if os.getpid() != self._pid and os.getppid() != self._pid:
+            raise ChildProcessError("the build's process is gone")  # a worker stops here
+        self.expect([name])
         self._wait()
-        self._writer = threading.Thread(target=self._store, args=(name, temp, blob))
+        self._writer = threading.Thread(target=self._store, args=(name, self._temps[name], blob))
         self._writer.start()
 
     def _store(self, name: str, temp: Path, blob: bytes) -> None:
@@ -252,6 +308,17 @@ class _Artifacts:
             for directory in reversed(self._made):  # only a failed run leaves one empty
                 with contextlib.suppress(OSError):  # not empty
                     directory.rmdir()
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Remove what a killed run left: a temporary file of a name
+        collabnet writes, under the pid of a process that no longer exists."""
+        with contextlib.suppress(OSError), os.scandir(self.out_dir) as entries:
+            for entry in entries:
+                match = _TEMPORARY.fullmatch(entry.name)
+                if match and not _alive(int(match[1])):
+                    with contextlib.suppress(OSError):
+                        os.unlink(entry.path)
 
     def _commit(self) -> None:
         with_manifest = self.MANIFEST in self._temps
@@ -270,12 +337,156 @@ class _Artifacts:
                     (self.out_dir / name).unlink()
 
 
+# A build's work in edge units, measured per layer on the bench inputs (2
+# vCPU): a layer costs about _LAYER_UNITS plus one per edge, and a linkage
+# dump about _DUMP_UNITS per pair. A process's share pays for its fork only
+# from _FORK_UNITS (about 25 ms of work there, where a fork and its pipe
+# take 2 ms), and from one unit per pair of the stack: forking and the
+# copy-on-write faults after it grow with the memory the stack holds, and
+# cost a hub input of 2.6M pairs about 100 ms.
+_LAYER_UNITS = 8_000
+_DUMP_UNITS = 0.65
+_FORK_UNITS = 50_000
+_cpus = 1  # the processes a build may split its layers over; entry() counts them
+
+
+def _shares(stack: list[layers.NetworkLayer], dump_units: float) -> list[list[int]]:
+    """The layer indices each process measures, the parent's first, each
+    in layer order. There are as many processes as CPUs and layers allow,
+    but no more than shares worth a fork; the layers go longest first, each
+    to the process with the least work so far, the parent starting at
+    ``dump_units``."""
+    units = [_LAYER_UNITS + layer.n_edges for layer in stack]
+    worth = max(_FORK_UNITS, stack[0].pairs.a.size)
+    processes = max(1, min(_cpus, len(stack), int((dump_units + sum(units)) // worth)))
+    loads = [dump_units] + [0.0] * (processes - 1)
+    shares: list[list[int]] = [[] for _ in loads]
+    for i in sorted(range(len(stack)), key=lambda i: -units[i]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += units[i]
+    return [sorted(share) for share in shares]
+
+
+def _measure(
+    stack: list[layers.NetworkLayer], share: list[int], out: _Artifacts, config: RunConfig
+) -> dict[int, metrics.LayerMetricsReport]:
+    """Report, export and write the layers of ``share``; their reports by index."""
+    reports = {}
+    for i in share:
+        layer = stack[i]
+        reports[i] = metrics.report(layer)
+        _, membership = metrics.components(layer)
+        visuals = export.assign_visuals(layer, membership)
+        out.write(
+            _layer_filename(i, layer, config.export_format),
+            export.export_layer(
+                layer,
+                visuals,
+                config.export_format,
+                include_isolated=config.include_isolated,
+            ),
+        )
+    return reports
+
+
+class _Workers:
+    """Forked worker processes, each running one task and sending back,
+    pickled through a pipe, what it returned or the exception it raised.
+
+    Use it as a context manager: the exit kills and reaps every worker not
+    yet collected, so none outlives the run or writes after it. A worker
+    ignores SIGINT, which a terminal sends the whole process group, as the
+    parent handles it; it takes SIGTERM's default action; and it always
+    ends with ``os._exit``, running none of the parent's cleanup.
+    """
+
+    def __init__(self) -> None:
+        self._running: dict[int, BinaryIO] = {}  # pid -> the read end of its pipe
+
+    def __enter__(self) -> _Workers:
+        return self
+
+    def start(self, task: Callable[[], object]) -> None:
+        """Fork a worker that runs ``task``. Fork only while no other Python
+        thread is alive."""
+        read, write = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with other OS threads forks.
+                # No Python thread is alive here; the others are OpenBLAS's,
+                # which installs pthread_atfork handlers, and no worker calls BLAS.
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            self._work(task, read, write)
+        self._running[pid] = open(read, "rb")
+        os.close(write)
+
+    @staticmethod
+    def _work(task: Callable[[], object], read: int, write: int) -> None:
+        """The worker's whole life: run the task, send what came of it, exit."""
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.close(read)
+            try:
+                message = task()
+            except BaseException as exc:  # the parent raises it
+                message = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(message, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def results(self) -> list:
+        """What each worker's task returned, in start order, once it has
+        ended; a worker's exception is raised here."""
+        results = []
+        for pid, pipe in list(self._running.items()):
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del self._running[pid]
+            pipe.close()
+            try:
+                message = pickle.loads(payload)
+            except Exception:  # nothing or a part: the worker died
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(
+                    f"a layer worker process {how} before it sent its results"
+                ) from None
+            if isinstance(message, BaseException):
+                raise message
+            results.append(message)
+        return results
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for pid, pipe in self._running.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+        while self._running:
+            os.waitpid(self._running.popitem()[0], 0)
+
+
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
     Each artifact goes to the writer thread as soon as it is made, and only
     its hash is kept (see :class:`_Artifacts`); the manifest is written
-    last, from those hashes, once the last of them is in.
+    last, from those hashes, once the last of them is in. Under
+    :func:`entry`, once the stack is built, a build of enough work splits
+    its layers over one process per CPU (see :func:`_shares`): the parent
+    forks a worker for every share but its own, and each process measures,
+    exports, writes and hashes its share of the layers.
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
@@ -292,23 +503,20 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(records, table, sweep)
 
-    with out:
-        if config.dump_linkage:  # first, before export's per-stack lines take memory
+    with out, _Workers() as workers:
+        mine, *theirs = _shares(stack, _DUMP_UNITS * len(table) if config.dump_linkage else 0)
+        if theirs:  # the edge lines every layer's document cuts, rendered once for all
+            export._rendered(stack[0].pairs, config.export_format)
+        for share in theirs:  # before the first write, so no writer thread is alive
+            out.expect(_layer_filename(i, stack[i], config.export_format) for i in share)
+            workers.start(lambda share=share: (_measure(stack, share, out, config), out.digests()))
+        if config.dump_linkage:  # first, before this process's documents take memory
             out.write("linkage.csv", linkage.table_to_csv_bytes(table))
-        reports = []
-        for i, layer in enumerate(stack):
-            reports.append(metrics.report(layer))
-            _, membership = metrics.components(layer)
-            visuals = export.assign_visuals(layer, membership)
-            out.write(
-                _layer_filename(i, layer, config.export_format),
-                export.export_layer(
-                    layer,
-                    visuals,
-                    config.export_format,
-                    include_isolated=config.include_isolated,
-                ),
-            )
+        by_index = _measure(stack, mine, out, config)
+        for measured, hashes in workers.results():
+            by_index |= measured
+            out.adopt(hashes)
+        reports = [by_index[i] for i in range(len(stack))]
         out.write("metrics.csv", metrics.reports_to_csv_bytes(reports))
         out.write("metrics.json", metrics.reports_to_json_bytes(reports))
         for name, blob in _stats_artifacts(records, config.n_bins).items():
@@ -561,12 +769,24 @@ def _terminate(signum, frame) -> None:
     raise _Terminated
 
 
+def _interrupt(signum, frame) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a second Ctrl-C waits for the cleanup
+    raise KeyboardInterrupt
+
+
 def entry() -> None:
     """The process entry: freeze the import-time heap, turn SIGTERM into an
-    exception unless the parent ignores it, run :func:`main`, exit."""
+    exception unless the parent ignores it, and SIGINT into one that a second
+    SIGINT does not repeat, let a build fork a worker per CPU, run
+    :func:`main`, exit."""
+    global _cpus
     gc.freeze()
     if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
         signal.signal(signal.SIGTERM, _terminate)
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, _interrupt)
+    if hasattr(os, "sched_getaffinity"):  # Linux; elsewhere a build stays in one process
+        _cpus = len(os.sched_getaffinity(0))
     sys.exit(main())
 
 

@@ -13,6 +13,7 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from xml.dom import minidom
 
 import numpy as np
@@ -721,7 +722,8 @@ def _child_env() -> dict[str, str]:
 
 
 def test_cli_import_leaves_out_heavy_modules():
-    heavy = ["scipy", "xml.sax", "urllib.request", "concurrent.futures", "collabnet.synth"]
+    heavy = ["scipy", "xml.sax", "urllib.request", "concurrent.futures", "multiprocessing"]
+    heavy.append("collabnet.synth")
     code = f"import sys, collabnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
@@ -789,15 +791,58 @@ def fine_sweep_input(tmp_path_factory):
     return path
 
 
-# entry() leaves SIGINT to Python, which raises KeyboardInterrupt for it only
-# when the parent did not ignore it, as a shell does for a background job; the
-# child restores Python's handler before it enters the CLI
+# entry() handles SIGINT only when the parent did not ignore it, as a shell
+# does for a background job; the child restores Python's handler before it
+# enters the CLI, and reports two CPUs, so the build forks one worker on any host
 _SIGINT_ENTRY = (
-    "import signal, collabnet.cli as cli; "
+    "import os, signal, collabnet.cli as cli; os.sched_getaffinity = lambda pid: {0, 1}; "
     "signal.signal(signal.SIGINT, signal.default_int_handler); cli.entry()"
 )
 
 
+def _children(pid: int) -> set[int]:
+    return {
+        int(child)
+        for path in Path(f"/proc/{pid}/task").glob("*/children")
+        for child in path.read_text().split()
+    }
+
+
+def _gone(pid: int) -> bool:
+    """No process has the pid, or only an exited one that nobody reaps."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] in "ZX"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+def _start_fine_sweep(input_path: Path, out_dir: Path, **popen) -> tuple[subprocess.Popen, set[int]]:
+    """A 100-point sweep, once it has written a temporary file: the child
+    and the workers it forked before that write."""
+    argv = ["build", str(input_path), "--linspace", "100", "--format", "json"]
+    argv += ["--dump-linkage", "--output-dir", str(out_dir)]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SIGINT_ENTRY, *argv],
+        env=_child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        **popen,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(out_dir.glob(".*.tmp")):
+            assert child.poll() is None, "the build ended before it wrote a temporary file"
+            assert time.monotonic() < deadline, "no temporary file within 60 s"
+            time.sleep(0.01)
+        return child, _children(child.pid)
+    except BaseException:
+        child.kill()
+        child.wait()
+        raise
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
 @pytest.mark.parametrize(
     "signum, code, message",
     [(signal.SIGTERM, 143, "terminated"), (signal.SIGINT, 130, "interrupted")],
@@ -807,24 +852,11 @@ def test_a_signal_mid_build_removes_what_the_run_made(
     fine_sweep_input, tmp_path, signum, code, message
 ):
     """A signal sent once the run has written a temporary file leaves no
-    temporary file and no directory that the run made, and ends the run
-    with one error line, no traceback, and the signal's exit code."""
-    out_dir = tmp_path / "sig" / "deep"
-    argv = ["build", str(fine_sweep_input), "--linspace", "100", "--format", "json"]
-    argv += ["--dump-linkage", "--output-dir", str(out_dir)]
-    child = subprocess.Popen(
-        [sys.executable, "-c", _SIGINT_ENTRY, *argv],
-        env=_child_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    temporary file, no directory that the run made and no worker process,
+    and ends the run with one error line, no traceback, and the signal's
+    exit code."""
+    child, workers = _start_fine_sweep(fine_sweep_input, tmp_path / "sig" / "deep")
     try:
-        deadline = time.monotonic() + 60
-        while not any(out_dir.glob(".*.tmp")):
-            assert child.poll() is None, "the build ended before it wrote a temporary file"
-            assert time.monotonic() < deadline, "no temporary file within 60 s"
-            time.sleep(0.01)
         child.send_signal(signum)
         out, err = child.communicate(timeout=60)
     finally:
@@ -832,6 +864,237 @@ def test_a_signal_mid_build_removes_what_the_run_made(
         child.wait()
     assert (child.returncode, out, err) == (code, "", f"error: {message}\n")
     assert not (tmp_path / "sig").exists()
+    assert len(workers) == 1
+    assert all(_gone(pid) for pid in workers)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+def test_two_ctrl_c_to_the_process_group_end_the_run_once(fine_sweep_input, tmp_path):
+    """A terminal sends Ctrl-C to the whole process group: the worker ignores
+    it, and the second one does not cut the parent's cleanup short."""
+    child, workers = _start_fine_sweep(
+        fine_sweep_input, tmp_path / "sig" / "deep", start_new_session=True
+    )
+    try:
+        os.killpg(child.pid, signal.SIGINT)
+        os.killpg(child.pid, signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
+    assert not (tmp_path / "sig").exists()
+    assert len(workers) == 1
+    assert all(_gone(pid) for pid in workers)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+def test_a_killed_builds_worker_stops_and_the_next_build_sweeps_its_files(
+    fine_sweep_input, tmp_path
+):
+    """SIGKILL leaves the temporary files of the parent and of its worker;
+    the worker stops at its next layer, and the next build into the
+    directory removes them all."""
+    out_dir = tmp_path / "out"
+    child, workers = _start_fine_sweep(fine_sweep_input, out_dir)
+    child.kill()
+    child.communicate(timeout=60)
+    deadline = time.monotonic() + 60
+    while not all(_gone(pid) for pid in workers):
+        assert time.monotonic() < deadline, "the worker outlived its parent by 60 s"
+        time.sleep(0.05)
+    left = {p.name for p in out_dir.glob(".*.tmp")}
+    assert left and all(name.endswith(f".{child.pid}.tmp") for name in left)
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--output-dir", str(out_dir)]
+    assert run(argv) == 0
+    assert not any(out_dir.glob(".*.tmp"))
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_a_build_removes_only_collabnets_temporary_files_of_dead_processes(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    dead = _dead_pid()
+    stale = [f".layer_03_t-2.5.dot.{dead}.tmp", f".metrics.csv.{dead}.tmp", f".manifest.json.{dead}.tmp"]
+    kept = [
+        f".layer_07_t0.graphml.{os.getpid()}.tmp",  # a live process's
+        f".x.{dead}.tmp",  # a name collabnet does not write
+        ".x.1.tmp",
+        f".notes.txt.{dead}.tmp",
+        f"metrics.csv.{dead}.tmp",
+    ]
+    for name in stale + kept:
+        (out_dir / name).write_text("partial")
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--dump-linkage"]
+    assert run([*argv, "--output-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")) == sorted(kept)
+    # every name a build writes is one the sweep knows
+    written = [p.name for p in out_dir.iterdir() if not p.name.endswith(".tmp")]
+    assert len(written) == 9
+    assert all(cli._TEMPORARY.fullmatch(f".{name}.{dead}.tmp") for name in written)
+
+
+def _entry_code(cpus: int, prelude: str = "") -> str:
+    """A child that enters the CLI as ``python -m collabnet.cli`` does, on
+    ``cpus`` CPUs, and prints to stderr how many workers it forked."""
+    return (
+        "import atexit, os, runpy, sys\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "atexit.register(lambda: print(f'forked {len(forks)}', file=sys.stderr))\n"
+        f"{prelude}"
+        "runpy.run_module('collabnet.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def double_input(tmp_path_factory):
+    """The 2x synth table that the fine_sweep_2x benchmark builds."""
+    path = tmp_path_factory.mktemp("double") / "input.csv"
+    path.write_bytes(generate_csv_bytes(SynthConfig(seed=1, n_projects=4600, n_members=2000)))
+    return path
+
+
+_TWENTY_UP = ",".join(str(t) for t in range(20, 101, 5))
+
+
+@pytest.mark.parametrize(
+    "table, cpus, options",
+    [
+        ("single", 2, ["--thresholds", "0,20,40,60,80,100"]),
+        ("single", 2, ["--linspace", "30", "--format", "json", "--dump-linkage"]),
+        ("single", 3, ["--linspace", "30", "--format", "dot", "--no-include-isolated"]),
+        ("single", 2, ["--linspace", "30", "--types", "paper", "--format", "json"]),
+        ("double", 2, ["--thresholds", _TWENTY_UP, "--format", "json", "--dump-linkage"]),
+        ("double", 2, ["--thresholds", "0,20,40,60,80,100", "--no-include-isolated"]),
+    ],
+    ids=["graphml", "json-linkage", "dot-3cpus", "types", "fine-sweep-2x", "graphml-2x"],
+)
+def test_a_forked_build_writes_the_bytes_of_one_process(
+    fine_sweep_input, double_input, tmp_path, table, cpus, options
+):
+    """The process entry splits the layers over a worker per CPU but one;
+    ``main()`` in process builds them all itself: both write the same files."""
+    input_path = {"single": fine_sweep_input, "double": double_input}[table]
+    argv = ["build", str(input_path), *options, "--output-dir"]
+    result = subprocess.run(
+        [sys.executable, "-c", _entry_code(cpus), *argv, str(tmp_path / "forked")],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, f"forked {cpus - 1}\n")
+    assert run([*argv, str(tmp_path / "single")]) == 0
+    forked = {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
+    assert forked == {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("raise MemoryError", "out of memory while building the output"),
+        ("raise OSError(28, 'No space left on device')", "[Errno 28] No space left on device"),
+        ("os.kill(os.getpid(), 9)", "a layer worker process was killed by signal 9 before it sent its results"),
+    ],
+    ids=["MemoryError", "OSError", "killed"],
+)
+def test_a_failing_worker_ends_the_build_as_one_process_would(
+    fine_sweep_input, tmp_path, failure, message
+):
+    """The worker fails on its first layer: the parent reports it as one
+    error line with exit 1, and leaves no directory and no process."""
+    pids = tmp_path / "workers.txt"
+    prelude = (
+        "from collabnet import export\n"
+        "parent, real = os.getpid(), export.export_layer\n"
+        "def failing(*args, **kwargs):\n"
+        "    if os.getpid() != parent:\n"
+        f"        open({str(pids)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        f"        {failure}\n"
+        "    return real(*args, **kwargs)\n"
+        "export.export_layer = failing\n"
+    )
+    out_dir = tmp_path / "new" / "out"
+    argv = ["build", str(fine_sweep_input), "--linspace", "30", "--output-dir", str(out_dir)]
+    result = subprocess.run(
+        [sys.executable, "-c", _entry_code(2, prelude), *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: {message}\nforked 1\n"
+    assert not (tmp_path / "new").exists()
+    workers = [int(pid) for pid in pids.read_text().split()]
+    assert len(workers) == 1 and _gone(workers[0])
+
+
+def test_main_in_process_stays_in_one_process(fine_sweep_input, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("main() in process forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["build", str(fine_sweep_input), "--linspace", "30", "--output-dir", str(tmp_path)]
+    assert run(argv) == 0
+
+
+def _stack(edges: list[int], pairs: int) -> list:
+    """Stand-ins for the layers of a stack of ``pairs`` shared pairs."""
+    shared = SimpleNamespace(a=np.zeros(pairs, np.int64))
+    return [SimpleNamespace(n_edges=n, pairs=shared) for n in edges]
+
+
+@pytest.mark.parametrize(
+    "cpus, edges, pairs, dump, shares",
+    [
+        # longest first, each to the process with the least work so far
+        (2, [40_000, 30_000, 20_000, 10_000, 0], 40_000, 0, [[0, 3, 4], [1, 2]]),
+        (2, [40_000, 30_000, 20_000, 10_000, 0], 40_000, 30_000, [[1, 3], [0, 2, 4]]),
+        (3, [100_000, 80_000, 60_000, 40_000, 0], 40_000, 0, [[0], [1, 4], [2, 3]]),
+        # no more processes than layers
+        (4, [60_000, 60_000], 60_000, 0, [[0], [1]]),
+        # no share below the fork's worth: 50,000 units, and one per shared pair
+        (8, [50_000] * 4, 50_000, 0, [[0], [1], [2], [3]]),
+        (8, [50_000] * 4, 100_000, 0, [[0, 2], [1, 3]]),
+        (8, [1_000] * 5, 1_000, 0, [[0, 1, 2, 3, 4]]),
+        (2, [1_000_000, 10_000], 1_000_000, 0, [[0, 1]]),
+        (1, [40_000, 30_000, 20_000, 10_000, 0], 40_000, 0, [[0, 1, 2, 3, 4]]),
+    ],
+)
+def test_shares_balance_the_layers_over_the_processes(monkeypatch, cpus, edges, pairs, dump, shares):
+    monkeypatch.setattr(cli, "_cpus", cpus)
+    assert cli._shares(_stack(edges, pairs), dump) == shares
+
+
+@pytest.mark.parametrize("ignored", [False, True])
+def test_entry_interrupts_once_unless_the_parent_ignores_sigint(ignored):
+    ignore = "signal.signal(signal.SIGINT, signal.SIG_IGN)" if ignored else "0"
+    code = (
+        f"import signal, collabnet.cli as cli; {ignore}\n"
+        "def main():\n"
+        "    if signal.getsignal(signal.SIGINT) is not cli._interrupt:\n"
+        "        return 5\n"
+        "    try:\n"
+        "        signal.raise_signal(signal.SIGINT)\n"
+        "    except KeyboardInterrupt:\n"
+        "        signal.raise_signal(signal.SIGINT)  # ignored now\n"
+        "        return 4\n"
+        "cli.main = main\n"
+        "cli.entry()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (5 if ignored else 4, "", "")
 
 
 def test_build_frees_its_data_by_reference_counting(tmp_path):
