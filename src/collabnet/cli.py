@@ -22,24 +22,26 @@ The ``collabnet`` script and ``python -m collabnet.cli`` run :func:`entry`,
 which freezes the import-time objects out of the cyclic collector
 (``gc.freeze``) before :func:`main`, so no collection walks them, the one at
 exit included; turns SIGTERM into an exception, and SIGINT into one that a
-second SIGINT does not repeat while the cleanup runs; and lets a build use
-the CPUs the process may run on. Such a build, once its layer stack and the
-stack's edge lines are made and before its first write, forks one worker
-process per CPU but one when its layers are enough work (:func:`_shares`).
-Each process measures, exports, writes and hashes its share of the layers
-through the same loop, the workers under the parent's temporary names; the
-parent collects their reports and hashes through a pipe and writes the rest.
-A worker's failure is raised in the parent, and any failure or signal there
-kills and reaps the workers before the cleanup removes every temporary
-file, theirs too. :func:`main` in process leaves the collector and the
-signal handlers alone and never forks. Only the synth command imports
-:mod:`collabnet.synth`.
+second SIGINT does not repeat while the cleanup runs; and, when the process
+may run on two or more CPUs, lets a build use a second one. Such a build,
+once its layer stack and the stack's edge lines are made and before its
+first write, forks one worker process when its layers are enough work
+(:func:`_shares`). Both processes measure, export, write and hash their
+share of the layers through the same loop, the worker under the parent's
+temporary names; the parent collects the worker's reports and hashes
+through a pipe and writes the rest. A worker's failure is raised in the
+parent, and any failure or signal there kills and reaps the worker before
+the cleanup removes every temporary file, the worker's too; a later run
+sweeps those of a killed run (see :class:`_Artifacts`). :func:`main` in
+process leaves the collector and the signal handlers alone and never
+forks. Only the synth command imports :mod:`collabnet.synth`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import gc
 import hashlib
 import json
@@ -172,23 +174,11 @@ def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFo
     return f"layer_{index:02d}_t{layers.threshold_label(layer.threshold)}.{fmt.value}"
 
 
-# the temporary file of an artifact collabnet writes, .NAME.PID.tmp; the
-# group is the pid of the run that made it
-_TEMPORARY = re.compile(
-    r"\.(?:layer_\d+_t[-.\d]+\.(?:graphml|dot|json)|linkage\.csv|metrics\.(?:csv|json)"
-    r"|stats_(?:contribution_pct|ic_score)\.csv|stats_summary\.json|manifest\.json)"
-    r"\.([1-9]\d{0,6})\.tmp"
-)
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # PermissionError: another user's process
-        pass
-    return True
+def _is_layer_filename(name: str) -> bool:
+    """Whether ``name`` has the form of a :func:`_layer_filename`, whatever
+    the sweep that made it."""
+    stem, _, suffix = name.rpartition(".")
+    return stem.startswith("layer_") and suffix in {fmt.value for fmt in export.ExportFormat}
 
 
 class _Artifacts:
@@ -198,13 +188,16 @@ class _Artifacts:
 
     Making it checks that ``out_dir`` can be a directory, so make it before
     any work; then use it as a context manager. The directory, and any
-    missing parent, is made at the first write, or at :meth:`expect`.
+    missing parent, is made at the first write, or at :meth:`expect`, which
+    then opens it and holds a shared ``flock`` on it until the exit: every
+    run that writes there holds one while it does.
     Every temporary name holds the pid of the process that made this object:
     a worker forked from that process writes its files under the same names
-    (see :class:`_Workers`), the parent takes them as its own with
-    :meth:`expect` before the fork, so every cleanup path removes them too,
-    and :meth:`adopt` takes their hashes. A worker whose parent is gone
-    raises at its next write.
+    (see :class:`_Worker`) and holds the lock through the descriptor it
+    inherits; the parent takes those names as its own with :meth:`expect`
+    before the fork, so every cleanup path removes them too, and
+    :meth:`adopt` takes their hashes. A worker whose parent is gone raises
+    at its next write.
     Each write hands its bytes to a writer thread, which writes the
     temporary file and hashes it while the caller goes on; a write first
     waits for the one before it, so one is in flight at a time, and a
@@ -219,9 +212,13 @@ class _Artifacts:
     and then each directory the run made, deepest first, while it is empty.
     A file or directory that cannot be removed stays and keeps no other
     from going, and the run's own exception is the one raised. Last, on
-    every path, the exit removes what a killed run left in the directory:
-    the temporary files of names collabnet writes whose pid no process has.
-    It never touches another name, or a file of a live process.
+    every path, the exit removes what a killed run left in the directory,
+    if it can take the lock exclusively, so that no other run, in any
+    process, container or host that shares the directory, is writing there:
+    the ``.NAME.PID.tmp`` files whose NAME this run writes, the earlier
+    manifest lists, or has the form of a layer file, but for this run's own.
+    It never touches another name, and where the file system refuses the
+    lock it removes nothing.
     """
 
     MANIFEST = "manifest.json"
@@ -236,6 +233,7 @@ class _Artifacts:
         self._hashes: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
         self._made: list[Path] = []  # the directories write made, parents first
+        self._lock: int | None = None  # out_dir, opened and share-locked by expect
         self._writer: threading.Thread | None = None
         self._failure: Exception | None = None  # the writer's, until _wait raises it
         self.paths: list[Path] = []
@@ -249,12 +247,16 @@ class _Artifacts:
             pass
 
     def expect(self, names: Iterable[str]) -> None:
-        """Make the directory, and take the temporary files that a forked
-        worker will write under these names as this run's own."""
+        """Make the directory and lock it, and take the temporary files that
+        a forked worker will write under these names as this run's own."""
         missing = takewhile(lambda p: not os.path.lexists(p), (self.out_dir, *self.out_dir.parents))
         for directory in reversed(list(missing)):
             directory.mkdir()
             self._made.append(directory)
+        if self._lock is None:
+            self._lock = os.open(self.out_dir, os.O_RDONLY | os.O_DIRECTORY)
+            with contextlib.suppress(OSError):  # no lock here: nobody sweeps the directory
+                fcntl.flock(self._lock, fcntl.LOCK_SH)  # waits out another run's sweep
         for name in names:
             self._temps[name] = self.out_dir / f".{name}.{self._pid}.tmp"
 
@@ -308,15 +310,29 @@ class _Artifacts:
             for directory in reversed(self._made):  # only a failed run leaves one empty
                 with contextlib.suppress(OSError):  # not empty
                     directory.rmdir()
-            self._sweep()
+            if self._lock is not None:
+                try:
+                    self._sweep()
+                finally:
+                    os.close(self._lock)
 
     def _sweep(self) -> None:
-        """Remove what a killed run left: a temporary file of a name
-        collabnet writes, under the pid of a process that no longer exists."""
+        """Remove what a killed run left, unless another run holds the
+        directory: a temporary file of a name this run knows, whatever its
+        pid, but not one of this run's own."""
+        try:
+            fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:  # another run is writing here, or the file system has no locks
+            return
+        temporary = re.compile(r"\.(.+)\.\d+\.tmp")
+        known = self._temps.keys() | self._listed
+        own = {temp.name for temp in self._temps.values()}  # the exit could not remove them
         with contextlib.suppress(OSError), os.scandir(self.out_dir) as entries:
             for entry in entries:
-                match = _TEMPORARY.fullmatch(entry.name)
-                if match and not _alive(int(match[1])):
+                match = temporary.fullmatch(entry.name)
+                if not match or entry.name in own:
+                    continue
+                if match[1] in known or _is_layer_filename(match[1]):
                     with contextlib.suppress(OSError):
                         os.unlink(entry.path)
 
@@ -337,35 +353,30 @@ class _Artifacts:
                     (self.out_dir / name).unlink()
 
 
-# A build's work in edge units, measured per layer on the bench inputs (2
-# vCPU): a layer costs about _LAYER_UNITS plus one per edge, and a linkage
-# dump about _DUMP_UNITS per pair. A process's share pays for its fork only
-# from _FORK_UNITS (about 25 ms of work there, where a fork and its pipe
-# take 2 ms), and from one unit per pair of the stack: forking and the
-# copy-on-write faults after it grow with the memory the stack holds, and
-# cost a hub input of 2.6M pairs about 100 ms.
-_LAYER_UNITS = 8_000
-_DUMP_UNITS = 0.65
+# A layer's work is about 0.5 us per edge (bench inputs, 2 vCPU), so a
+# share pays for its fork, whose fork and pipe take 2 ms, only from
+# _FORK_UNITS edges (about 25 ms of work), and from one edge per pair of the
+# stack: forking and the copy-on-write faults after it grow with the memory
+# the stack holds, and cost a hub input of 2.6M pairs about 100 ms.
 _FORK_UNITS = 50_000
-_cpus = 1  # the processes a build may split its layers over; entry() counts them
+_fork = False  # whether a build may fork a layer worker; entry() sets it on 2+ CPUs
 
 
-def _shares(stack: list[layers.NetworkLayer], dump_units: float) -> list[list[int]]:
-    """The layer indices each process measures, the parent's first, each
-    in layer order. There are as many processes as CPUs and layers allow,
-    but no more than shares worth a fork; the layers go longest first, each
-    to the process with the least work so far, the parent starting at
-    ``dump_units``."""
-    units = [_LAYER_UNITS + layer.n_edges for layer in stack]
+def _shares(stack: list[layers.NetworkLayer]) -> tuple[list[int], list[int]]:
+    """The layer indices the parent measures and those its worker does,
+    each in layer order. The worker's share is empty unless :func:`entry`
+    let the build fork and each process's share is worth its fork; then the
+    layers go longest first, each to the process with fewer edges so far."""
+    edges = [layer.n_edges for layer in stack]
     worth = max(_FORK_UNITS, stack[0].pairs.a.size)
-    processes = max(1, min(_cpus, len(stack), int((dump_units + sum(units)) // worth)))
-    loads = [dump_units] + [0.0] * (processes - 1)
-    shares: list[list[int]] = [[] for _ in loads]
-    for i in sorted(range(len(stack)), key=lambda i: -units[i]):
+    if not _fork or sum(edges) < 2 * worth:
+        return list(range(len(stack))), []
+    loads, shares = [0, 0], ([], [])
+    for i in sorted(range(len(stack)), key=lambda i: -edges[i]):
         least = loads.index(min(loads))
         shares[least].append(i)
-        loads[least] += units[i]
-    return [sorted(share) for share in shares]
+        loads[least] += edges[i]
+    return sorted(shares[0]), sorted(shares[1])
 
 
 def _measure(
@@ -390,26 +401,28 @@ def _measure(
     return reports
 
 
-class _Workers:
-    """Forked worker processes, each running one task and sending back,
-    pickled through a pipe, what it returned or the exception it raised.
+class _Worker:
+    """A forked worker process that runs one task and sends back, pickled
+    through a pipe, what the task returned or the exception it raised.
 
-    Use it as a context manager: the exit kills and reaps every worker not
-    yet collected, so none outlives the run or writes after it. A worker
-    ignores SIGINT, which a terminal sends the whole process group, as the
-    parent handles it; it takes SIGTERM's default action; and it always
-    ends with ``os._exit``, running none of the parent's cleanup.
+    Use it as a context manager: the exit kills and reaps the worker unless
+    :meth:`result` has reaped it, so it never outlives the run or writes
+    after it. The worker ignores SIGINT, which a terminal sends the whole
+    process group, as the parent handles it; it takes SIGTERM's default
+    action; and it always ends with ``os._exit``, running none of the
+    parent's cleanup.
     """
 
     def __init__(self) -> None:
-        self._running: dict[int, BinaryIO] = {}  # pid -> the read end of its pipe
+        self._pid = 0  # until start, and once result has reaped it
+        self._pipe: BinaryIO | None = None  # the read end
 
-    def __enter__(self) -> _Workers:
+    def __enter__(self) -> _Worker:
         return self
 
     def start(self, task: Callable[[], object]) -> None:
-        """Fork a worker that runs ``task``. Fork only while no other Python
-        thread is alive."""
+        """Fork the worker that runs ``task``. Fork only while no other
+        Python thread is alive."""
         read, write = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -426,7 +439,7 @@ class _Workers:
             raise
         if pid == 0:
             self._work(task, read, write)
-        self._running[pid] = open(read, "rb")
+        self._pid, self._pipe = pid, open(read, "rb")
         os.close(write)
 
     @staticmethod
@@ -447,34 +460,30 @@ class _Workers:
         finally:
             os._exit(status)
 
-    def results(self) -> list:
-        """What each worker's task returned, in start order, once it has
-        ended; a worker's exception is raised here."""
-        results = []
-        for pid, pipe in list(self._running.items()):
-            payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del self._running[pid]
-            pipe.close()
-            try:
-                message = pickle.loads(payload)
-            except Exception:  # nothing or a part: the worker died
-                code = os.waitstatus_to_exitcode(status)
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise ChildProcessError(
-                    f"a layer worker process {how} before it sent its results"
-                ) from None
-            if isinstance(message, BaseException):
-                raise message
-            results.append(message)
-        return results
+    def result(self) -> object:
+        """What the task returned, once the worker has ended; its exception
+        is raised here."""
+        payload = self._pipe.read()  # to the end: the worker has sent all or died
+        pid, self._pid = self._pid, 0  # exiting: the exit must not kill a reaped pid
+        self._pipe.close()
+        _, status = os.waitpid(pid, 0)
+        try:
+            message = pickle.loads(payload)
+        except Exception:  # nothing or a part: the worker died
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(
+                f"a layer worker process {how} before it sent its results"
+            ) from None
+        if isinstance(message, BaseException):
+            raise message
+        return message
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        for pid, pipe in self._running.items():
-            os.kill(pid, signal.SIGKILL)
-            pipe.close()
-        while self._running:
-            os.waitpid(self._running.popitem()[0], 0)
+        if self._pid:
+            os.kill(self._pid, signal.SIGKILL)
+            self._pipe.close()
+            os.waitpid(self._pid, 0)
 
 
 def run_pipeline(config: RunConfig) -> list[Path]:
@@ -483,10 +492,10 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     Each artifact goes to the writer thread as soon as it is made, and only
     its hash is kept (see :class:`_Artifacts`); the manifest is written
     last, from those hashes, once the last of them is in. Under
-    :func:`entry`, once the stack is built, a build of enough work splits
-    its layers over one process per CPU (see :func:`_shares`): the parent
-    forks a worker for every share but its own, and each process measures,
-    exports, writes and hashes its share of the layers.
+    :func:`entry`, once the stack is built, a build of enough work on a host
+    of two or more CPUs splits its layers over two processes (see
+    :func:`_shares`): the parent forks one worker, and each process
+    measures, exports, writes and hashes its share of the layers.
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
@@ -503,17 +512,17 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(records, table, sweep)
 
-    with out, _Workers() as workers:
-        mine, *theirs = _shares(stack, _DUMP_UNITS * len(table) if config.dump_linkage else 0)
-        if theirs:  # the edge lines every layer's document cuts, rendered once for all
-            export._rendered(stack[0].pairs, config.export_format)
-        for share in theirs:  # before the first write, so no writer thread is alive
-            out.expect(_layer_filename(i, stack[i], config.export_format) for i in share)
-            workers.start(lambda share=share: (_measure(stack, share, out, config), out.digests()))
+    with out, _Worker() as worker:
+        mine, theirs = _shares(stack)
+        if theirs:  # before the first write, so no writer thread is alive at the fork
+            export._rendered(stack[0].pairs, config.export_format)  # once for both processes
+            out.expect(_layer_filename(i, stack[i], config.export_format) for i in theirs)
+            worker.start(lambda: (_measure(stack, theirs, out, config), out.digests()))
         if config.dump_linkage:  # first, before this process's documents take memory
             out.write("linkage.csv", linkage.table_to_csv_bytes(table))
         by_index = _measure(stack, mine, out, config)
-        for measured, hashes in workers.results():
+        if theirs:
+            measured, hashes = worker.result()
             by_index |= measured
             out.adopt(hashes)
         reports = [by_index[i] for i in range(len(stack))]
@@ -777,16 +786,16 @@ def _interrupt(signum, frame) -> None:
 def entry() -> None:
     """The process entry: freeze the import-time heap, turn SIGTERM into an
     exception unless the parent ignores it, and SIGINT into one that a second
-    SIGINT does not repeat, let a build fork a worker per CPU, run
-    :func:`main`, exit."""
-    global _cpus
+    SIGINT does not repeat, let a build fork a layer worker on a host of two
+    or more CPUs, run :func:`main`, exit."""
+    global _fork
     gc.freeze()
     if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
         signal.signal(signal.SIGTERM, _terminate)
     if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
         signal.signal(signal.SIGINT, _interrupt)
     if hasattr(os, "sched_getaffinity"):  # Linux; elsewhere a build stays in one process
-        _cpus = len(os.sched_getaffinity(0))
+        _fork = len(os.sched_getaffinity(0)) >= 2
     sys.exit(main())
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import fcntl
 import gc
 import hashlib
 import io
@@ -791,13 +792,16 @@ def fine_sweep_input(tmp_path_factory):
     return path
 
 
-# entry() handles SIGINT only when the parent did not ignore it, as a shell
-# does for a background job; the child restores Python's handler before it
-# enters the CLI, and reports two CPUs, so the build forks one worker on any host
-_SIGINT_ENTRY = (
-    "import os, signal, collabnet.cli as cli; os.sched_getaffinity = lambda pid: {0, 1}; "
-    "signal.signal(signal.SIGINT, signal.default_int_handler); cli.entry()"
-)
+def _sigint_entry(cpus: int) -> str:
+    """A child that enters the CLI on ``cpus`` CPUs, so a build of enough
+    work forks its one worker on any host when ``cpus`` is 2, and none when
+    it is 1. entry() handles SIGINT only when the parent did not ignore it,
+    as a shell does for a background job; the child restores Python's
+    handler before it enters the CLI."""
+    return (
+        f"import os, signal, collabnet.cli as cli; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+        "signal.signal(signal.SIGINT, signal.default_int_handler); cli.entry()"
+    )
 
 
 def _children(pid: int) -> set[int]:
@@ -816,13 +820,15 @@ def _gone(pid: int) -> bool:
         return True
 
 
-def _start_fine_sweep(input_path: Path, out_dir: Path, **popen) -> tuple[subprocess.Popen, set[int]]:
-    """A 100-point sweep, once it has written a temporary file: the child
-    and the workers it forked before that write."""
+def _start_fine_sweep(
+    input_path: Path, out_dir: Path, cpus: int = 2, **popen
+) -> tuple[subprocess.Popen, set[int]]:
+    """A 100-point sweep on ``cpus`` CPUs, once it has written a temporary
+    file: the child and the workers it forked before that write."""
     argv = ["build", str(input_path), "--linspace", "100", "--format", "json"]
     argv += ["--dump-linkage", "--output-dir", str(out_dir)]
     child = subprocess.Popen(
-        [sys.executable, "-c", _SIGINT_ENTRY, *argv],
+        [sys.executable, "-c", _sigint_entry(cpus), *argv],
         env=_child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -844,18 +850,24 @@ def _start_fine_sweep(input_path: Path, out_dir: Path, **popen) -> tuple[subproc
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
 @pytest.mark.parametrize(
-    "signum, code, message",
-    [(signal.SIGTERM, 143, "terminated"), (signal.SIGINT, 130, "interrupted")],
-    ids=["SIGTERM", "SIGINT"],
+    "signum, code, message, cpus",
+    [
+        (signal.SIGTERM, 143, "terminated", 2),
+        (signal.SIGINT, 130, "interrupted", 2),
+        (signal.SIGTERM, 143, "terminated", 1),
+        (signal.SIGINT, 130, "interrupted", 1),
+    ],
+    ids=["SIGTERM", "SIGINT", "SIGTERM-one-process", "SIGINT-one-process"],
 )
 def test_a_signal_mid_build_removes_what_the_run_made(
-    fine_sweep_input, tmp_path, signum, code, message
+    fine_sweep_input, tmp_path, signum, code, message, cpus
 ):
     """A signal sent once the run has written a temporary file leaves no
     temporary file, no directory that the run made and no worker process,
     and ends the run with one error line, no traceback, and the signal's
-    exit code."""
-    child, workers = _start_fine_sweep(fine_sweep_input, tmp_path / "sig" / "deep")
+    exit code: on two CPUs, where the build forks its worker, and on one,
+    where it stays in one process."""
+    child, workers = _start_fine_sweep(fine_sweep_input, tmp_path / "sig" / "deep", cpus)
     try:
         child.send_signal(signum)
         out, err = child.communicate(timeout=60)
@@ -864,7 +876,7 @@ def test_a_signal_mid_build_removes_what_the_run_made(
         child.wait()
     assert (child.returncode, out, err) == (code, "", f"error: {message}\n")
     assert not (tmp_path / "sig").exists()
-    assert len(workers) == 1
+    assert len(workers) == cpus - 1
     assert all(_gone(pid) for pid in workers)
 
 
@@ -893,8 +905,9 @@ def test_a_killed_builds_worker_stops_and_the_next_build_sweeps_its_files(
     fine_sweep_input, tmp_path
 ):
     """SIGKILL leaves the temporary files of the parent and of its worker;
-    the worker stops at its next layer, and the next build into the
-    directory removes them all."""
+    the worker stops at its next layer and lets go of the directory's lock,
+    and the next build into the directory that dumps the linkage table, as
+    the killed one did, removes them all, layer files of another sweep too."""
     out_dir = tmp_path / "out"
     child, workers = _start_fine_sweep(fine_sweep_input, out_dir)
     child.kill()
@@ -905,38 +918,49 @@ def test_a_killed_builds_worker_stops_and_the_next_build_sweeps_its_files(
         time.sleep(0.05)
     left = {p.name for p in out_dir.glob(".*.tmp")}
     assert left and all(name.endswith(f".{child.pid}.tmp") for name in left)
-    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--output-dir", str(out_dir)]
-    assert run(argv) == 0
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--dump-linkage"]
+    assert run([*argv, "--output-dir", str(out_dir)]) == 0
     assert not any(out_dir.glob(".*.tmp"))
 
 
-def _dead_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    return child.pid
-
-
-def test_a_build_removes_only_collabnets_temporary_files_of_dead_processes(tmp_path, capsys):
+def test_a_build_removes_only_collabnets_temporary_files(tmp_path):
+    """With no other run in the directory, a build removes every temporary
+    file of a name it writes, the earlier manifest lists, or of a layer file,
+    whatever pid it holds, the test's own too; no other name."""
     out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    dead = _dead_pid()
-    stale = [f".layer_03_t-2.5.dot.{dead}.tmp", f".metrics.csv.{dead}.tmp", f".manifest.json.{dead}.tmp"]
-    kept = [
-        f".layer_07_t0.graphml.{os.getpid()}.tmp",  # a live process's
-        f".x.{dead}.tmp",  # a name collabnet does not write
-        ".x.1.tmp",
-        f".notes.txt.{dead}.tmp",
-        f"metrics.csv.{dead}.tmp",
-    ]
-    for name in stale + kept:
-        (out_dir / name).write_text("partial")
     argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--dump-linkage"]
     assert run([*argv, "--output-dir", str(out_dir)]) == 0
+    stale = [
+        ".layer_03_t-2.5.dot.41.tmp",  # of another sweep and format
+        f".metrics.csv.{os.getpid()}.tmp",
+        ".manifest.json.7654321.tmp",
+        ".linkage.csv.2.tmp",
+    ]
+    kept = [".x.41.tmp", ".x.1.tmp", ".notes.txt.41.tmp", "metrics.csv.41.tmp", ".metrics.csv.tmp"]
+    for name in stale + kept:
+        (out_dir / name).write_text("partial")
+    assert run([*argv, "--output-dir", str(out_dir)]) == 0
     assert sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")) == sorted(kept)
-    # every name a build writes is one the sweep knows
-    written = [p.name for p in out_dir.iterdir() if not p.name.endswith(".tmp")]
-    assert len(written) == 9
-    assert all(cli._TEMPORARY.fullmatch(f".{name}.{dead}.tmp") for name in written)
+
+
+def test_a_build_sweeps_nothing_while_another_run_holds_the_directory(tmp_path):
+    """A run holds a shared flock on its directory while it writes there,
+    which crosses pid namespaces: a build that cannot take it exclusively
+    leaves every temporary file, and the next one removes them."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    temporary = out_dir / ".metrics.csv.41.tmp"
+    temporary.write_text("partial")
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--output-dir", str(out_dir)]
+    held = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(held, fcntl.LOCK_SH)  # as another run's process would
+        assert run(argv) == 0
+        assert temporary.exists()
+    finally:
+        os.close(held)
+    assert run(argv) == 0
+    assert not temporary.exists()
 
 
 def _entry_code(cpus: int, prelude: str = "") -> str:
@@ -967,7 +991,7 @@ _TWENTY_UP = ",".join(str(t) for t in range(20, 101, 5))
 @pytest.mark.parametrize(
     "table, cpus, options",
     [
-        ("single", 2, ["--thresholds", "0,20,40,60,80,100"]),
+        ("single", 2, ["--linspace", "30"]),
         ("single", 2, ["--linspace", "30", "--format", "json", "--dump-linkage"]),
         ("single", 3, ["--linspace", "30", "--format", "dot", "--no-include-isolated"]),
         ("single", 2, ["--linspace", "30", "--types", "paper", "--format", "json"]),
@@ -979,7 +1003,7 @@ _TWENTY_UP = ",".join(str(t) for t in range(20, 101, 5))
 def test_a_forked_build_writes_the_bytes_of_one_process(
     fine_sweep_input, double_input, tmp_path, table, cpus, options
 ):
-    """The process entry splits the layers over a worker per CPU but one;
+    """The process entry splits the layers with one forked worker;
     ``main()`` in process builds them all itself: both write the same files."""
     input_path = {"single": fine_sweep_input, "double": double_input}[table]
     argv = ["build", str(input_path), *options, "--output-dir"]
@@ -990,7 +1014,7 @@ def test_a_forked_build_writes_the_bytes_of_one_process(
         text=True,
         timeout=120,
     )
-    assert (result.returncode, result.stderr) == (0, f"forked {cpus - 1}\n")
+    assert (result.returncode, result.stderr) == (0, "forked 1\n")
     assert run([*argv, str(tmp_path / "single")]) == 0
     forked = {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
     assert forked == {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
@@ -1054,25 +1078,23 @@ def _stack(edges: list[int], pairs: int) -> list:
 
 
 @pytest.mark.parametrize(
-    "cpus, edges, pairs, dump, shares",
+    "fork, edges, pairs, shares",
     [
-        # longest first, each to the process with the least work so far
-        (2, [40_000, 30_000, 20_000, 10_000, 0], 40_000, 0, [[0, 3, 4], [1, 2]]),
-        (2, [40_000, 30_000, 20_000, 10_000, 0], 40_000, 30_000, [[1, 3], [0, 2, 4]]),
-        (3, [100_000, 80_000, 60_000, 40_000, 0], 40_000, 0, [[0], [1, 4], [2, 3]]),
-        # no more processes than layers
-        (4, [60_000, 60_000], 60_000, 0, [[0], [1]]),
-        # no share below the fork's worth: 50,000 units, and one per shared pair
-        (8, [50_000] * 4, 50_000, 0, [[0], [1], [2], [3]]),
-        (8, [50_000] * 4, 100_000, 0, [[0, 2], [1, 3]]),
-        (8, [1_000] * 5, 1_000, 0, [[0, 1, 2, 3, 4]]),
-        (2, [1_000_000, 10_000], 1_000_000, 0, [[0, 1]]),
-        (1, [40_000, 30_000, 20_000, 10_000, 0], 40_000, 0, [[0, 1, 2, 3, 4]]),
+        # longest first, each to the process with fewer edges so far
+        (True, [40_000, 30_000, 20_000, 10_000, 0], 40_000, ([0, 3, 4], [1, 2])),
+        (True, [10_000, 60_000, 20_000, 30_000], 60_000, ([1], [0, 2, 3])),
+        # no share below the fork's worth: 50,000 edges, and one per shared pair
+        (True, [50_000, 50_000], 50_000, ([0], [1])),
+        (True, [50_000, 49_999], 50_000, ([0, 1], [])),
+        (True, [100_000, 90_000, 90_000], 150_000, ([0, 1, 2], [])),
+        (True, [1_000_000], 1_000_000, ([0], [])),
+        # entry() did not let the build fork
+        (False, [40_000, 30_000, 20_000, 10_000, 0], 40_000, ([0, 1, 2, 3, 4], [])),
     ],
 )
-def test_shares_balance_the_layers_over_the_processes(monkeypatch, cpus, edges, pairs, dump, shares):
-    monkeypatch.setattr(cli, "_cpus", cpus)
-    assert cli._shares(_stack(edges, pairs), dump) == shares
+def test_shares_balance_the_layers_over_two_processes(monkeypatch, fork, edges, pairs, shares):
+    monkeypatch.setattr(cli, "_fork", fork)
+    assert cli._shares(_stack(edges, pairs)) == shares
 
 
 @pytest.mark.parametrize("ignored", [False, True])
