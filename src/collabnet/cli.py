@@ -25,16 +25,18 @@ exit included; turns SIGTERM into an exception, and SIGINT into one that a
 second SIGINT does not repeat while the cleanup runs; and, when the process
 may run on two or more CPUs, lets a build use a second one. Such a build,
 once its layer stack and the stack's edge lines are made and before its
-first write, forks one worker process when its layers are enough work
-(:func:`_shares`). Both processes measure, export, write and hash their
-share of the layers through the same loop, the worker under the parent's
+first write, puts its layer indices in one queue and forks one worker
+process when its layers are enough work (:class:`_LayerQueue`). Each
+process takes the next layer from the queue as soon as it is free, and
+measures, exports, writes and hashes it, the worker under the parent's
 temporary names; the parent collects the worker's reports and hashes
 through a pipe and writes the rest. A worker's failure is raised in the
-parent, and any failure or signal there kills and reaps the worker before
-the cleanup removes every temporary file, the worker's too; a later run
-sweeps those of a killed run (see :class:`_Artifacts`). :func:`main` in
-process leaves the collector and the signal handlers alone and never
-forks. Only the synth command imports :mod:`collabnet.synth`.
+parent at its next layer, and any failure or signal there kills and reaps
+the worker before the cleanup removes every temporary file, the worker's
+too; a later run sweeps those of a killed run (see :class:`_Artifacts`).
+:func:`main` in process leaves the collector and the signal handlers
+alone, never forks, and takes the layers in order. Only the synth command
+imports :mod:`collabnet.synth`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import signal
 import sys
 import threading
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
@@ -192,12 +194,10 @@ class _Artifacts:
     then opens it and holds a shared ``flock`` on it until the exit: every
     run that writes there holds one while it does.
     Every temporary name holds the pid of the process that made this object:
-    a worker forked from that process writes its files under the same names
-    (see :class:`_Worker`) and holds the lock through the descriptor it
-    inherits; the parent takes those names as its own with :meth:`expect`
-    before the fork, so every cleanup path removes them too, and
-    :meth:`adopt` takes their hashes. A worker whose parent is gone raises
-    at its next write.
+    a worker forked from it (see :class:`_LayerQueue`) writes under the same
+    names, which the parent takes as its own with :meth:`expect` before the
+    fork, and holds the lock through the descriptor it inherits;
+    :meth:`adopt` takes the worker's hashes.
     Each write hands its bytes to a writer thread, which writes the
     temporary file and hashes it while the caller goes on; a write first
     waits for the one before it, so one is in flight at a time, and a
@@ -265,8 +265,6 @@ class _Artifacts:
         self._hashes |= hashes
 
     def write(self, name: str, blob: bytes) -> None:
-        if os.getpid() != self._pid and os.getppid() != self._pid:
-            raise ChildProcessError("the build's process is gone")  # a worker stops here
         self.expect([name])
         self._wait()
         self._writer = threading.Thread(target=self._store, args=(name, self._temps[name], blob))
@@ -354,136 +352,149 @@ class _Artifacts:
 
 
 # A layer's work is about 0.5 us per edge (bench inputs, 2 vCPU), so a
-# share pays for its fork, whose fork and pipe take 2 ms, only from
-# _FORK_UNITS edges (about 25 ms of work), and from one edge per pair of the
-# stack: forking and the copy-on-write faults after it grow with the memory
-# the stack holds, and cost a hub input of 2.6M pairs about 100 ms.
+# worker pays for its fork, whose fork and pipe take 2 ms, only from
+# _FORK_UNITS edges each (about 25 ms of work), and from one edge per pair
+# of the stack each: forking and the copy-on-write faults after it grow with
+# the memory the stack holds, and cost a hub input of 2.6M pairs about 100 ms.
 _FORK_UNITS = 50_000
 _fork = False  # whether a build may fork a layer worker; entry() sets it on 2+ CPUs
 
 
-def _shares(stack: list[layers.NetworkLayer]) -> tuple[list[int], list[int]]:
-    """The layer indices the parent measures and those its worker does,
-    each in layer order. The worker's share is empty unless :func:`entry`
-    let the build fork and each process's share is worth its fork; then the
-    layers go longest first, each to the process with fewer edges so far."""
-    edges = [layer.n_edges for layer in stack]
+def _forks(stack: list[layers.NetworkLayer]) -> bool:
+    """Whether a build forks a layer worker: only where :func:`entry` let
+    it, and when its layers' edges are worth the fork for both processes."""
     worth = max(_FORK_UNITS, stack[0].pairs.a.size)
-    if not _fork or sum(edges) < 2 * worth:
-        return list(range(len(stack))), []
-    loads, shares = [0, 0], ([], [])
-    for i in sorted(range(len(stack)), key=lambda i: -edges[i]):
-        least = loads.index(min(loads))
-        shares[least].append(i)
-        loads[least] += edges[i]
-    return sorted(shares[0]), sorted(shares[1])
+    return _fork and sum(layer.n_edges for layer in stack) >= 2 * worth
 
 
-def _measure(
-    stack: list[layers.NetworkLayer], share: list[int], out: _Artifacts, config: RunConfig
-) -> dict[int, metrics.LayerMetricsReport]:
-    """Report, export and write the layers of ``share``; their reports by index."""
-    reports = {}
-    for i in share:
-        layer = stack[i]
-        reports[i] = metrics.report(layer)
-        _, membership = metrics.components(layer)
-        visuals = export.assign_visuals(layer, membership)
-        out.write(
-            _layer_filename(i, layer, config.export_format),
-            export.export_layer(
-                layer,
-                visuals,
-                config.export_format,
-                include_isolated=config.include_isolated,
-            ),
-        )
-    return reports
+class _LayerQueue:
+    """Reports, exports, writes and hashes a stack's layers, in one process
+    or in two that take them from one queue.
 
-
-class _Worker:
-    """A forked worker process that runs one task and sends back, pickled
-    through a pipe, what the task returned or the exception it raised.
-
-    Use it as a context manager: the exit kills and reaps the worker unless
-    :meth:`result` has reaped it, so it never outlives the run or writes
-    after it. The worker ignores SIGINT, which a terminal sends the whole
-    process group, as the parent handles it; it takes SIGTERM's default
-    action; and it always ends with ``os._exit``, running none of the
-    parent's cleanup.
+    Entering it puts every layer index in the queue, a pipe: at most
+    ``MAX_LAYERS`` two-byte indices, under PIPE_BUF, so one write puts them
+    all and each two-byte read takes one. When :func:`_forks` allows, it
+    then renders the stack's edge lines for both processes, takes every
+    layer's temporary name as the run's own, and forks one worker, before
+    the first write, so no Python thread is alive at the fork. Each process
+    takes the next index as soon as it is free; a stack's layers nest, so
+    index order puts the most edges first. The worker sends its reports and
+    hashes, or its exception, pickled through a second pipe. A parent whose
+    worker has ended, or a worker whose parent is gone, takes no further
+    layer. The worker ignores SIGINT, which a terminal sends the whole
+    process group; takes SIGTERM's default action; and always ends with
+    ``os._exit``. The exit kills and reaps a worker that :meth:`reports` has
+    not reaped, so none outlives the run or writes after it.
     """
 
-    def __init__(self) -> None:
-        self._pid = 0  # until start, and once result has reaped it
-        self._pipe: BinaryIO | None = None  # the read end
+    def __init__(
+        self, stack: list[layers.NetworkLayer], out: _Artifacts, config: RunConfig
+    ) -> None:
+        self._stack, self._out, self._config = stack, out, config
+        self._parent = os.getpid()
+        self._pid = 0  # the worker's, from the fork until reports has reaped it
+        self._queue = self._results = None  # the read ends of the two pipes
 
-    def __enter__(self) -> _Worker:
+    def __enter__(self) -> _LayerQueue:
+        try:
+            read, write = os.pipe()
+            self._queue = open(read, "rb", buffering=0)  # unbuffered: one read, one index
+            with open(write, "wb", buffering=0) as queue:  # one write call
+                queue.write(b"".join(i.to_bytes(2, "big") for i in range(len(self._stack))))
+            if _forks(self._stack):
+                fmt = self._config.export_format
+                export._rendered(self._stack[0].pairs, fmt)  # once, for both processes
+                names = (_layer_filename(i, layer, fmt) for i, layer in enumerate(self._stack))
+                self._out.expect(names)  # either process may write any layer
+                read, write = os.pipe()
+                self._results = open(read, "rb")
+                with open(write, "wb") as results:  # the parent's copy closes here
+                    with warnings.catch_warnings():
+                        # Python 3.12+ warns when a process with other OS threads forks.
+                        # No Python thread is alive here; the others are OpenBLAS's,
+                        # which installs pthread_atfork handlers, and no worker calls BLAS.
+                        warnings.filterwarnings(
+                            "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                        )
+                        self._pid = os.fork()
+                    if not self._pid:
+                        self._work(results)
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
         return self
 
-    def start(self, task: Callable[[], object]) -> None:
-        """Fork the worker that runs ``task``. Fork only while no other
-        Python thread is alive."""
-        read, write = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns when a process with other OS threads forks.
-                # No Python thread is alive here; the others are OpenBLAS's,
-                # which installs pthread_atfork handlers, and no worker calls BLAS.
-                warnings.filterwarnings(
-                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
-                )
-                pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
-        if pid == 0:
-            self._work(task, read, write)
-        self._pid, self._pipe = pid, open(read, "rb")
-        os.close(write)
-
-    @staticmethod
-    def _work(task: Callable[[], object], read: int, write: int) -> None:
-        """The worker's whole life: run the task, send what came of it, exit."""
+    def _work(self, results: BinaryIO) -> None:
+        """The worker's whole life: take layers, send what came of it, exit."""
         status = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            os.close(read)
+            self._results.close()
             try:
-                message = task()
+                message = (self._measure(), self._out.digests())
             except BaseException as exc:  # the parent raises it
                 message = exc
-            with open(write, "wb") as pipe:
-                pickle.dump(message, pipe)
+            pickle.dump(message, results)
+            results.close()
             status = 0
         finally:
             os._exit(status)
 
-    def result(self) -> object:
-        """What the task returned, once the worker has ended; its exception
-        is raised here."""
-        payload = self._pipe.read()  # to the end: the worker has sent all or died
-        pid, self._pid = self._pid, 0  # exiting: the exit must not kill a reaped pid
-        self._pipe.close()
-        _, status = os.waitpid(pid, 0)
-        try:
-            message = pickle.loads(payload)
-        except Exception:  # nothing or a part: the worker died
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(
-                f"a layer worker process {how} before it sent its results"
-            ) from None
-        if isinstance(message, BaseException):
-            raise message
-        return message
+    def _measure(self) -> dict[int, metrics.LayerMetricsReport]:
+        """Report, export and write each layer this process takes from the
+        queue, while the other process, if any, runs; their reports by index."""
+        reports, fmt = {}, self._config.export_format
+        while not self._other_ended() and (taken := self._queue.read(2)):
+            i = int.from_bytes(taken, "big")
+            layer = self._stack[i]
+            reports[i] = metrics.report(layer)
+            _, membership = metrics.components(layer)
+            visuals = export.assign_visuals(layer, membership)
+            blob = export.export_layer(
+                layer, visuals, fmt, include_isolated=self._config.include_isolated
+            )
+            self._out.write(_layer_filename(i, layer, fmt), blob)
+        return reports
+
+    def _other_ended(self) -> bool:
+        """In the worker, whether its parent is gone; in the parent, whether
+        its worker has ended, which leaves it to be reaped."""
+        if not self._pid:
+            return os.getpid() != self._parent and os.getppid() != self._parent
+        return os.waitid(os.P_PID, self._pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+    def reports(self) -> list[metrics.LayerMetricsReport]:
+        """Every layer's report, in layer order, once this process has taken
+        layers until the queue is empty and the worker has sent its own; the
+        worker's exception is raised here."""
+        by_index = self._measure()
+        if self._pid:
+            payload = self._results.read()  # to the end: the worker has sent all or died
+            pid, self._pid = self._pid, 0  # exiting: the exit must not kill a reaped pid
+            _, status = os.waitpid(pid, 0)
+            try:
+                message = pickle.loads(payload)
+            except Exception:  # nothing or a part: the worker died
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(
+                    f"a layer worker process {how} before it sent its results"
+                ) from None
+            if isinstance(message, BaseException):
+                raise message
+            measured, hashes = message
+            by_index |= measured
+            self._out.adopt(hashes)
+        return [by_index[i] for i in range(len(self._stack))]
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._pid:
             os.kill(self._pid, signal.SIGKILL)
-            self._pipe.close()
             os.waitpid(self._pid, 0)
+        for pipe in (self._queue, self._results):
+            if pipe is not None:
+                pipe.close()
 
 
 def run_pipeline(config: RunConfig) -> list[Path]:
@@ -491,11 +502,9 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     Each artifact goes to the writer thread as soon as it is made, and only
     its hash is kept (see :class:`_Artifacts`); the manifest is written
-    last, from those hashes, once the last of them is in. Under
-    :func:`entry`, once the stack is built, a build of enough work on a host
-    of two or more CPUs splits its layers over two processes (see
-    :func:`_shares`): the parent forks one worker, and each process
-    measures, exports, writes and hashes its share of the layers.
+    last, from those hashes, once the last of them is in. The layers'
+    reports come from a :class:`_LayerQueue`, which under :func:`entry`
+    may share them with a forked worker.
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)
@@ -512,20 +521,10 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         sweep = layers.make_sweep_linspace(table, config.linspace)
     stack = layers.build_layer_stack(records, table, sweep)
 
-    with out, _Worker() as worker:
-        mine, theirs = _shares(stack)
-        if theirs:  # before the first write, so no writer thread is alive at the fork
-            export._rendered(stack[0].pairs, config.export_format)  # once for both processes
-            out.expect(_layer_filename(i, stack[i], config.export_format) for i in theirs)
-            worker.start(lambda: (_measure(stack, theirs, out, config), out.digests()))
+    with out, _LayerQueue(stack, out, config) as queue:
         if config.dump_linkage:  # first, before this process's documents take memory
             out.write("linkage.csv", linkage.table_to_csv_bytes(table))
-        by_index = _measure(stack, mine, out, config)
-        if theirs:
-            measured, hashes = worker.result()
-            by_index |= measured
-            out.adopt(hashes)
-        reports = [by_index[i] for i in range(len(stack))]
+        reports = queue.reports()
         out.write("metrics.csv", metrics.reports_to_csv_bytes(reports))
         out.write("metrics.json", metrics.reports_to_json_bytes(reports))
         for name, blob in _stats_artifacts(records, config.n_bins).items():

@@ -1033,18 +1033,20 @@ def test_a_forked_build_writes_the_bytes_of_one_process(
 def test_a_failing_worker_ends_the_build_as_one_process_would(
     fine_sweep_input, tmp_path, failure, message
 ):
-    """The worker fails on its first layer: the parent reports it as one
-    error line with exit 1, and leaves no directory and no process."""
-    pids = tmp_path / "workers.txt"
+    """The worker fails on its first layer: the parent takes no layer once
+    the worker has ended, reports it as one error line with exit 1, and
+    leaves no directory and no process."""
+    calls = tmp_path / "exports.txt"
     prelude = (
         "from collabnet import export\n"
         "parent, real = os.getpid(), export.export_layer\n"
         "def failing(*args, **kwargs):\n"
+        f"    open({str(calls)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
         "    if os.getpid() != parent:\n"
-        f"        open({str(pids)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
         f"        {failure}\n"
         "    return real(*args, **kwargs)\n"
         "export.export_layer = failing\n"
+        f"open({str(calls)!r}, 'w').write(f'{{parent}}\\n')\n"
     )
     out_dir = tmp_path / "new" / "out"
     argv = ["build", str(fine_sweep_input), "--linspace", "30", "--output-dir", str(out_dir)]
@@ -1058,8 +1060,43 @@ def test_a_failing_worker_ends_the_build_as_one_process_would(
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == f"error: {message}\nforked 1\n"
     assert not (tmp_path / "new").exists()
-    workers = [int(pid) for pid in pids.read_text().split()]
-    assert len(workers) == 1 and _gone(workers[0])
+    parent, *exports = [int(pid) for pid in calls.read_text().split()]
+    workers = set(exports) - {parent}
+    assert len(workers) == 1 and _gone(workers.pop())
+    assert exports.count(parent) <= 5
+
+
+def test_a_free_process_takes_the_next_layer(fine_sweep_input, tmp_path):
+    """The worker stalls on its first layer for 2 s: the parent takes and
+    exports every other layer meanwhile, and the files are those of one
+    process."""
+    calls = tmp_path / "exports.txt"
+    prelude = (
+        "import time\n"
+        "from collabnet import export\n"
+        "parent, real = os.getpid(), export.export_layer\n"
+        "def stalling(*args, **kwargs):\n"
+        f"    open({str(calls)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        "    if os.getpid() != parent:\n"
+        "        time.sleep(2)\n"
+        "    return real(*args, **kwargs)\n"
+        "export.export_layer = stalling\n"
+        f"open({str(calls)!r}, 'w').write(f'{{parent}}\\n')\n"
+    )
+    argv = ["build", str(fine_sweep_input), "--linspace", "30", "--output-dir"]
+    result = subprocess.run(
+        [sys.executable, "-c", _entry_code(2, prelude), *argv, str(tmp_path / "forked")],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "forked 1\n")
+    parent, *exports = [int(pid) for pid in calls.read_text().split()]
+    assert (len(exports), exports.count(parent)) == (30, 29)
+    assert run([*argv, str(tmp_path / "single")]) == 0
+    forked = {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
+    assert forked == {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
 
 
 def test_main_in_process_stays_in_one_process(fine_sweep_input, tmp_path, monkeypatch):
@@ -1078,23 +1115,23 @@ def _stack(edges: list[int], pairs: int) -> list:
 
 
 @pytest.mark.parametrize(
-    "fork, edges, pairs, shares",
+    "fork, edges, pairs, forks",
     [
-        # longest first, each to the process with fewer edges so far
-        (True, [40_000, 30_000, 20_000, 10_000, 0], 40_000, ([0, 3, 4], [1, 2])),
-        (True, [10_000, 60_000, 20_000, 30_000], 60_000, ([1], [0, 2, 3])),
-        # no share below the fork's worth: 50,000 edges, and one per shared pair
-        (True, [50_000, 50_000], 50_000, ([0], [1])),
-        (True, [50_000, 49_999], 50_000, ([0, 1], [])),
-        (True, [100_000, 90_000, 90_000], 150_000, ([0, 1, 2], [])),
-        (True, [1_000_000], 1_000_000, ([0], [])),
+        # the layers' edges must reach twice 50,000, and twice one per shared pair
+        (True, [40_000, 30_000, 20_000, 10_000, 0], 40_000, True),
+        (True, [60_000, 30_000, 20_000, 10_000], 60_000, True),
+        (True, [50_000, 50_000], 50_000, True),
+        (True, [50_000, 49_999], 50_000, False),
+        (True, [100_000, 90_000, 90_000], 150_000, False),
+        (True, [1_000_000], 1_000_000, False),
         # entry() did not let the build fork
-        (False, [40_000, 30_000, 20_000, 10_000, 0], 40_000, ([0, 1, 2, 3, 4], [])),
+        (False, [40_000, 30_000, 20_000, 10_000, 0], 40_000, False),
     ],
+    ids=["twice-units", "twice-pairs", "twice-both", "below-units", "below-pairs", "one-layer", "no-fork"],
 )
-def test_shares_balance_the_layers_over_two_processes(monkeypatch, fork, edges, pairs, shares):
+def test_a_build_forks_only_for_work_worth_two_processes(monkeypatch, fork, edges, pairs, forks):
     monkeypatch.setattr(cli, "_fork", fork)
-    assert cli._shares(_stack(edges, pairs)) == shares
+    assert cli._forks(_stack(edges, pairs)) is forks
 
 
 @pytest.mark.parametrize("ignored", [False, True])
