@@ -18,15 +18,19 @@ too), 2 configuration error, 130 interrupted (SIGINT, Ctrl-C), 143
 terminated (SIGTERM); a signal is reported as one stderr line, once the
 run's temporary files and the directories it made are removed.
 
-The ``collabnet`` script and ``python -m collabnet.cli`` run :func:`entry`,
-which freezes the import-time objects out of the cyclic collector
-(``gc.freeze``) before :func:`main`, so no collection walks them, the one at
-exit included; turns SIGTERM into an exception, and SIGINT into one that a
-second SIGINT does not repeat while the cleanup runs; and, when the process
-may run on two or more CPUs, lets a build use a second one. Such a build,
-once its layer stack and the stack's edge lines are made and before its
-first write, puts its layer indices in one queue and forks one worker
-process when its layers are enough work (:class:`_LayerQueue`). Each
+The ``collabnet`` script and ``python -m collabnet.cli`` run this module as
+``__main__``, which, before numpy loads, sets ``OPENBLAS_NUM_THREADS=1`` in
+the process environment unless the caller set it, so that numpy's OpenBLAS
+starts no thread pool that build would never use: its threads exist, at
+exit or at a fork, only when the caller asked for them. It then runs
+:func:`entry`, which freezes the import-time objects out of the cyclic
+collector (``gc.freeze``) before :func:`main`, so no collection walks
+them, the one at exit included; turns SIGTERM into an exception, and SIGINT
+into one that a second SIGINT does not repeat while the cleanup runs; and,
+when the process may run on two or more CPUs, lets a build use a second
+one. Such a build, once its layer stack and the stack's edge lines are made
+and before its first write, puts its layer indices in one queue and forks
+one worker process when its layers are enough work (:class:`_LayerQueue`). Each
 process takes the next layer from the queue as soon as it is free, and
 measures, exports, writes and hashes it, the worker under the parent's
 temporary names; the parent collects the worker's reports and hashes
@@ -34,9 +38,10 @@ through a pipe and writes the rest. A worker's failure is raised in the
 parent at its next layer, and any failure or signal there kills and reaps
 the worker before the cleanup removes every temporary file, the worker's
 too; a later run sweeps those of a killed run (see :class:`_Artifacts`).
-:func:`main` in process leaves the collector and the signal handlers
-alone, never forks, and takes the layers in order. Only the synth command
-imports :mod:`collabnet.synth`.
+:func:`main` in process, like any import of this module, leaves the
+environment, the collector and the signal handlers alone, never forks,
+and takes the layers in order. Only the synth command imports
+:mod:`collabnet.synth`.
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
 from typing import BinaryIO
+
+# The CLI process asks for one OpenBLAS thread before numpy loads, unless its
+# caller chose a count: build calls no BLAS routine. A library import does not.
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from . import export, ingest, layers, linkage, metrics, stats
@@ -411,8 +421,9 @@ class _LayerQueue:
                 with open(write, "wb") as results:  # the parent's copy closes here
                     with warnings.catch_warnings():
                         # Python 3.12+ warns when a process with other OS threads forks.
-                        # No Python thread is alive here; the others are OpenBLAS's,
-                        # which installs pthread_atfork handlers, and no worker calls BLAS.
+                        # No Python thread is alive here; any other is OpenBLAS's, alive
+                        # only when the caller asked for more than one BLAS thread; it
+                        # installs pthread_atfork handlers, and no worker calls BLAS.
                         warnings.filterwarnings(
                             "ignore", r"This process .* is multi-threaded", DeprecationWarning
                         )
@@ -524,11 +535,11 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     with out, _LayerQueue(stack, out, config) as queue:
         if config.dump_linkage:  # first, before this process's documents take memory
             out.write("linkage.csv", linkage.table_to_csv_bytes(table))
+        for name, blob in _stats_artifacts(records, config.n_bins).items():
+            out.write(name, blob)  # no layer needs them: a worker takes layers meanwhile
         reports = queue.reports()
         out.write("metrics.csv", metrics.reports_to_csv_bytes(reports))
         out.write("metrics.json", metrics.reports_to_json_bytes(reports))
-        for name, blob in _stats_artifacts(records, config.n_bins).items():
-            out.write(name, blob)
 
         manifest = {
             "tool": {"name": "collabnet", "version": __version__},

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -598,7 +599,7 @@ def test_failed_cleanup_removes_every_other_file_and_raises_the_runs_error(
         run_pipeline(config)
     # the refused file keeps the directories it is in, and nothing else stays
     assert sorted((tmp_path / "new").rglob("*")) == [out_dir, *refused]
-    assert refused[0].name.startswith(".layer_00_t0.graphml.")
+    assert refused[0].name.startswith(".stats_contribution_pct.csv.")  # the first written
 
 
 def test_failed_run_keeps_an_existing_directory(small_input, tmp_path, monkeypatch):
@@ -741,13 +742,40 @@ def test_entry_freezes_the_import_heap_then_exits_with_main_status():
     assert (result.returncode, result.stdout, result.stderr) == (3, "True\n", "")
 
 
+# every name the package exported before it loaded its modules on first use
+_PACKAGE_NAMES = {
+    "ingest": ["ProjectType", "RecordTable", "aggregate", "filter_by_type", "parse_records"],
+    "linkage": ["LinkageTable", "build_linkage_table"],
+    "layers": [
+        "NetworkLayer",
+        "ThresholdSweep",
+        "build_layer",
+        "build_layer_stack",
+        "make_sweep_explicit",
+        "make_sweep_linspace",
+    ],
+    "metrics": ["LayerMetricsReport", "report"],
+    "stats": ["Feature", "FeatureSummary", "summarize"],
+    "synth": ["SynthConfig", "generate"],
+}
+
+
 def test_package_loads_synth_on_first_use():
-    code = """
-import sys, collabnet
-assert "collabnet.synth" not in sys.modules
-synth = collabnet.synth
-from collabnet import SynthConfig, generate
-assert (SynthConfig, generate) == (synth.SynthConfig, synth.generate)
+    code = f"""
+import importlib, sys, collabnet
+assert not [m for m in sys.modules if m == "numpy" or m.startswith("collabnet.")], sys.modules
+names = {_PACKAGE_NAMES!r}
+every = {{name for listed in names.values() for name in listed}} | {{"synth"}}
+assert sorted(collabnet.__all__) == sorted(every), collabnet.__all__
+assert every <= set(dir(collabnet))
+star = {{}}
+exec("from collabnet import *", star)
+assert every <= star.keys(), every - star.keys()
+for module, listed in names.items():
+    loaded = importlib.import_module(f"collabnet.{{module}}")
+    assert all(getattr(collabnet, name) is getattr(loaded, name) for name in listed), module
+    assert star.get(module, loaded) is loaded
+assert collabnet.synth is sys.modules["collabnet.synth"]
 try:
     collabnet.no_such_name
 except AttributeError as exc:
@@ -759,6 +787,99 @@ else:
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_a_library_import_and_an_in_process_build_leave_the_environment_alone(small_input, tmp_path):
+    """Only a CLI process asks for one BLAS thread: importing the package
+    loads no numpy, and importing the CLI, main() in process and entry()
+    after an import set nothing in ``os.environ``."""
+    code = f"""
+import os, sys
+before = dict(os.environ)
+import collabnet
+assert "numpy" not in sys.modules
+import collabnet.cli as cli
+argv = ["build", {str(small_input)!r}, "--thresholds", "0,20", "--output-dir", {str(tmp_path)!r}]
+assert cli.main(argv) == 0
+cli.main = lambda: 0 if dict(os.environ) == before else 7
+cli.entry()
+"""
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+# imported by a child Python at start-up: at exit, it prints the process's OS
+# thread count (- without /proc) and its OPENBLAS_NUM_THREADS. A joined writer
+# thread can take a moment to end, so it waits up to 2 s for the count to reach
+# 1; OpenBLAS's threads never end
+_EXIT_PROBE = """
+import atexit, os, sys, time
+
+def _threads():
+    with open("/proc/self/status") as status:
+        return next(line.split()[1] for line in status if line.startswith("Threads:"))
+
+def _probe():
+    threads = "-"
+    if os.path.exists("/proc/self/status"):
+        for _ in range(200):
+            threads = _threads()
+            if threads == "1":
+                break
+            time.sleep(0.01)
+    print(threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+
+atexit.register(_probe)
+"""
+
+
+def _script_target() -> str:
+    """The ``collabnet`` script's entry point, as pyproject.toml declares it."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^collabnet = "(.+)"$', text, re.MULTILINE)[1]
+
+
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-set"])
+def test_both_process_entries_ask_for_one_blas_thread_unless_the_caller_chose(
+    small_input, tmp_path, caller
+):
+    """``python -m collabnet.cli`` and the script's target, which loads no
+    numpy, end a build with one OS thread and ``OPENBLAS_NUM_THREADS=1``,
+    keep a count the caller set, and write the bytes of an in-process build."""
+    (tmp_path / "probe").mkdir()
+    (tmp_path / "probe" / "sitecustomize.py").write_text(_EXIT_PROBE)
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "probe"), env["PYTHONPATH"]])
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    script = (
+        "import importlib.metadata, sys\n"
+        f"main = importlib.metadata.EntryPoint('collabnet', {_script_target()!r}, 'console_scripts').load()\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+        "sys.exit(main())\n"
+    )
+    argv = ["build", str(small_input), "--thresholds", "0,20,40", "--output-dir"]
+    assert run([*argv, str(tmp_path / "in_process")]) == 0
+    expected = {p.name: p.read_bytes() for p in (tmp_path / "in_process").iterdir()}
+    for name, entry in {"module": ["-m", "collabnet.cli"], "script": ["-c", script]}.items():
+        result = subprocess.run(
+            [sys.executable, *entry, *argv, str(tmp_path / name)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, (name, result.stderr)
+        threads, blas = result.stderr.split()
+        assert blas == (caller or "1"), name
+        if caller is None and Path("/proc/self/status").exists():
+            assert threads == "1", name
+        assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == expected, name
 
 
 @pytest.mark.parametrize("ignored", [False, True])
@@ -1232,6 +1353,12 @@ def _temp(out_dir: Path, name: str) -> Path:
     return out_dir / f".{name}.{os.getpid()}.tmp"
 
 
+def _stats_temps(out_dir: Path) -> list[Path]:
+    """The statistics files, which a build writes before its first layer."""
+    names = ["stats_contribution_pct.csv", "stats_ic_score.csv", "stats_summary.json"]
+    return [_temp(out_dir, name) for name in names]
+
+
 def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "out"
     argv = ["build", str(small_input), "--thresholds", "0,50", "--output-dir", str(out_dir)]
@@ -1252,10 +1379,10 @@ def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, mo
     written = _record_writes(monkeypatch)
     assert run(argv) == 1
     assert "cannot render layer" in capsys.readouterr().err
-    # the first layer went to its temporary file before the run ended, and the
-    # failure removed it
-    assert written == [_temp(out_dir, "layer_00_t0.graphml")]
-    assert not written[0].exists()
+    # the statistics and the first layer went to their temporary files before
+    # the run ended, and the failure removed them
+    assert written == [*_stats_temps(out_dir), _temp(out_dir, "layer_00_t0.graphml")]
+    assert not any(p.exists() for p in written)
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
@@ -1277,7 +1404,11 @@ def test_out_of_memory_exits_1_with_one_error_line(small_input, tmp_path, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory while building the output\n"
-    assert written == [_temp(out_dir, "linkage.csv"), _temp(out_dir, "layer_00_t0.graphml")]
+    assert written == [
+        _temp(out_dir, "linkage.csv"),
+        *_stats_temps(out_dir),
+        _temp(out_dir, "layer_00_t0.graphml"),
+    ]
     assert not (tmp_path / "new").exists()
 
 
@@ -1330,7 +1461,7 @@ def test_no_writer_thread_outlives_the_run(small_input, tmp_path, monkeypatch, f
     else:
         with pytest.raises(failure, match="stopped"):
             run_pipeline(config)
-        assert written == [_temp(out_dir, "layer_00_t0.graphml")]
+        assert written == [*_stats_temps(out_dir), _temp(out_dir, "layer_00_t0.graphml")]
         assert not out_dir.exists()
     assert set(threading.enumerate()) <= threads
     assert (gc.get_freeze_count(), gc.isenabled()) == collector
