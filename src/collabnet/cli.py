@@ -4,11 +4,11 @@ build runs the whole pipeline on one input file: parse, aggregate, optional
 type filter, linkage table, threshold sweep, per-layer metric reports,
 layer exports, feature statistics and a manifest with content hashes.
 Outputs are deterministic: the same input bytes and flags always produce a
-byte-identical artifact set. Each artifact is handed to a writer thread as
-soon as it is made, which writes it to a temporary file and hashes it while
-the main thread measures and renders the next layer, so at most two
-documents are held at a time, the one being written and the one being
-built; the files are renamed into place together, manifest last, once all
+byte-identical artifact set. Each artifact is handed to the process's one
+writer thread as soon as it is made, which writes it to a temporary file
+and hashes it while the main thread measures and renders the next layer,
+so at most two documents are held at a time, the one being written and the
+one being built; the files are renamed into place together, manifest last, once all
 are written, and any failure removes the temporary files instead. Every
 command that reads a table parses and aggregates it the same way: ingest,
 stats and build report each over-limit project as one stderr line, and
@@ -30,8 +30,11 @@ into one that a second SIGINT does not repeat while the cleanup runs; and,
 when the process may run on two or more CPUs, lets a build use a second
 one. Such a build, once its layer stack and the stack's edge lines are made
 and before its first write, puts its layer indices in one queue and forks
-one worker process when its layers are enough work (:class:`_LayerQueue`). Each
-process takes the next layer from the queue as soon as it is free, and
+one worker process when its layers are enough work (:class:`_LayerQueue`).
+The worker first takes the CPU its parent was on at the fork out of its own
+affinity mask: a forked process starts on its parent's CPU, and the
+scheduler may keep both there for the whole build. Each process takes the
+next layer from the queue as soon as it is free, and
 measures, exports, writes and hashes it, the worker under the parent's
 temporary names; the parent collects the worker's reports and hashes
 through a pipe and writes the rest. A worker's failure is raised in the
@@ -63,6 +66,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
+from queue import SimpleQueue
 from typing import BinaryIO
 
 # The CLI process asks for one OpenBLAS thread before numpy loads, unless its
@@ -208,12 +212,14 @@ class _Artifacts:
     names, which the parent takes as its own with :meth:`expect` before the
     fork, and holds the lock through the descriptor it inherits;
     :meth:`adopt` takes the worker's hashes.
-    Each write hands its bytes to a writer thread, which writes the
-    temporary file and hashes it while the caller goes on; a write first
-    waits for the one before it, so one is in flight at a time, and a
-    writer's failure is raised on the calling thread at that wait, or at
-    :meth:`digests` or the exit.
-    The exit waits for the writer on every path, then a clean exit renames
+    Each write hands its bytes to the process's one writer thread, started
+    at its first write, which writes the temporary file and hashes it while
+    the caller goes on; a write first waits for the one before it, so one
+    is in flight at a time, and a writer's failure is raised on the calling
+    thread at that wait, or at :meth:`digests` or the exit. A forked worker
+    starts its own at its first write.
+    The exit ends the writer on every path, once its write in flight is
+    done, and joins it; then a clean exit renames
     every file in name order, ``manifest.json`` last, and removes the files
     the earlier manifest listed and this one does not. A run without a
     manifest refuses, before renaming anything, to replace a file the
@@ -244,8 +250,10 @@ class _Artifacts:
         self._temps: dict[str, Path] = {}
         self._made: list[Path] = []  # the directories write made, parents first
         self._lock: int | None = None  # out_dir, opened and share-locked by expect
-        self._writer: threading.Thread | None = None
-        self._failure: Exception | None = None  # the writer's, until _wait raises it
+        self._writer: threading.Thread | None = None  # this process's, from its first write
+        self._jobs: SimpleQueue = SimpleQueue()  # (name, temp, blob) for the writer; None ends it
+        self._done: SimpleQueue = SimpleQueue()  # the writer's failure or None, once per job
+        self._in_flight = False  # a job whose outcome _wait has not taken from _done
         self.paths: list[Path] = []
         self._listed: set[str] = set()  # what the directory's collabnet manifest lists
         try:
@@ -277,24 +285,34 @@ class _Artifacts:
     def write(self, name: str, blob: bytes) -> None:
         self.expect([name])
         self._wait()
-        self._writer = threading.Thread(target=self._store, args=(name, self._temps[name], blob))
-        self._writer.start()
+        if self._writer is None:  # so no thread is alive before a worker's fork
+            self._writer = threading.Thread(target=self._serve)
+            self._writer.start()
+        self._jobs.put((name, self._temps[name], blob))
+        self._in_flight = True
 
-    def _store(self, name: str, temp: Path, blob: bytes) -> None:
-        """The writer thread's work: one temporary file and its hash."""
+    def _serve(self) -> None:
+        """The writer thread's life: each job's temporary file and hash, in
+        order, until the exit sends None."""
+        while (job := self._jobs.get()) is not None:
+            self._done.put(self._store(*job))
+
+    def _store(self, name: str, temp: Path, blob: bytes) -> Exception | None:
+        """One temporary file and its hash; the failure, for the calling thread to raise."""
         try:
             temp.write_bytes(blob)
             self._hashes[name] = hashlib.sha256(blob).hexdigest()
-        except Exception as exc:  # OSError, MemoryError: the calling thread raises it
-            self._failure = exc
+        except Exception as exc:  # OSError, MemoryError
+            return exc
+        return None
 
     def _wait(self) -> None:
         """Wait for the write in flight, and raise its failure here."""
-        if self._writer is not None:
-            self._writer.join()
-        failure, self._failure = self._failure, None
-        if failure is not None:
-            raise failure
+        if self._in_flight:
+            self._in_flight = False
+            failure = self._done.get()
+            if failure is not None:
+                raise failure
 
     def digests(self) -> dict[str, str]:
         """Each artifact's sha256 by name, once every write so far is done."""
@@ -310,8 +328,10 @@ class _Artifacts:
                 self._wait()
                 self._commit()
         finally:  # a renamed file has left its temporary name: this removes the rest
-            if self._writer is not None:  # an exception in flight outranks a write's
+            if self._writer is not None:  # ends after its write in flight, whose failure this drops
+                self._jobs.put(None)
                 self._writer.join()
+                self._writer = None
             for temp in self._temps.values():
                 with contextlib.suppress(OSError):  # one that stays keeps no other
                     temp.unlink(missing_ok=True)
@@ -377,6 +397,28 @@ def _forks(stack: list[layers.NetworkLayer]) -> bool:
     return _fork and sum(layer.n_edges for layer in stack) >= 2 * worth
 
 
+def _current_cpu() -> int | None:
+    """The CPU this process is running on, field 39 of ``/proc/self/stat``
+    (Python 3.11 has no ``os.sched_getcpu``), or None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # the fields after the command name, which may hold spaces, start at field 3
+            return int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Take ``cpu``, if known, out of this process's affinity mask, unless
+    the mask would be empty; a refused change keeps the mask."""
+    if cpu is None:
+        return
+    with contextlib.suppress(OSError, ValueError):
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+
+
 class _LayerQueue:
     """Reports, exports, writes and hashes a stack's layers, in one process
     or in two that take them from one queue.
@@ -385,8 +427,11 @@ class _LayerQueue:
     ``MAX_LAYERS`` two-byte indices, under PIPE_BUF, so one write puts them
     all and each two-byte read takes one. When :func:`_forks` allows, it
     then renders the stack's edge lines for both processes, takes every
-    layer's temporary name as the run's own, and forks one worker, before
-    the first write, so no Python thread is alive at the fork. Each process
+    layer's temporary name as the run's own, reads the CPU the parent runs
+    on, and forks one worker, before the first write, so no Python thread
+    is alive at the fork. The worker's first act is to leave that CPU, so
+    that the two processes run in parallel; the parent's affinity mask
+    stays as it was, and a refused change keeps the worker's. Each process
     takes the next index as soon as it is free; a stack's layers nest, so
     index order puts the most edges first. The worker sends its reports and
     hashes, or its exception, pickled through a second pipe. A parent whose
@@ -427,18 +472,23 @@ class _LayerQueue:
                         warnings.filterwarnings(
                             "ignore", r"This process .* is multi-threaded", DeprecationWarning
                         )
+                        cpu = _current_cpu()  # the worker leaves it
                         self._pid = os.fork()
                     if not self._pid:
-                        self._work(results)
+                        self._work(results, cpu)
         except BaseException:
             self.__exit__(None, None, None)
             raise
         return self
 
-    def _work(self, results: BinaryIO) -> None:
-        """The worker's whole life: take layers, send what came of it, exit."""
+    def _work(self, results: BinaryIO, cpu: int | None) -> None:
+        """The worker's whole life: leave the parent's CPU, take layers, send
+        what came of it, exit. A forked child starts on its parent's CPU, and
+        the scheduler may leave it there for the whole build, which then
+        runs its two processes on one CPU, slower than one process alone."""
         status = 1
         try:
+            _leave_cpu(cpu)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             self._results.close()

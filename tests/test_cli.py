@@ -1221,12 +1221,150 @@ def test_a_free_process_takes_the_next_layer(fine_sweep_input, tmp_path):
 
 
 def test_main_in_process_stays_in_one_process(fine_sweep_input, tmp_path, monkeypatch):
+    """Neither forks nor changes an affinity mask."""
+
     def no_fork():
         raise AssertionError("main() in process forked")
 
+    def no_pin(pid, cpus):
+        raise AssertionError("main() in process changed an affinity mask")
+
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_setaffinity", no_pin, raising=False)
     argv = ["build", str(fine_sweep_input), "--linspace", "30", "--output-dir", str(tmp_path)]
     assert run(argv) == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a real affinity mask of two or more CPUs",
+)
+def test_the_worker_leaves_the_cpu_its_parent_was_on(double_input, tmp_path):
+    """The fine_sweep_2x build, entered on this host's own CPUs: the worker
+    runs on every CPU of the parent's mask but the one the parent read
+    before the fork, and the parent's mask stays as it was."""
+    log = tmp_path / "masks.txt"
+    code = (
+        "import atexit, os, collabnet.cli as cli\n"
+        "from collabnet import export\n"
+        f"log = {str(log)!r}\n"
+        "def note(kind, value):\n"
+        "    open(log, 'a').write(f'{kind} {os.getpid()} {sorted(value)}\\n')\n"
+        "read, real = cli._current_cpu, export.export_layer\n"
+        "def current_cpu():\n"
+        "    cpu = read()\n"
+        "    note('cpu', [cpu])\n"
+        "    return cpu\n"
+        "def exporting(*args, **kwargs):\n"
+        "    note('export', os.sched_getaffinity(0))\n"
+        "    return real(*args, **kwargs)\n"
+        "cli._current_cpu, export.export_layer = current_cpu, exporting\n"
+        "atexit.register(lambda: note('exit', os.sched_getaffinity(0)))\n"
+        "cli.entry()\n"
+    )
+    argv = ["build", str(double_input), "--thresholds", _TWENTY_UP, "--format", "json"]
+    argv += ["--dump-linkage", "--output-dir", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = [line.split(" ", 2) for line in log.read_text().splitlines()]
+    (cpu,) = [json.loads(value) for kind, _, value in lines if kind == "cpu"]
+    (parent,) = {pid for kind, pid, _ in lines if kind == "exit"}
+    masks = {(pid == parent, value) for kind, pid, value in lines if kind != "cpu"}
+    mask = sorted(os.sched_getaffinity(0))
+    assert cpu[0] in mask
+    assert masks == {(True, str(mask)), (False, str(sorted(set(mask) - set(cpu))))}
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+@pytest.mark.parametrize(
+    "refusal",
+    ["OSError(22, 'Invalid argument')", "ValueError('bad mask')"],
+    ids=["OSError", "ValueError"],
+)
+def test_a_refused_pin_leaves_the_build_as_it_was(fine_sweep_input, tmp_path, refusal):
+    """The worker's ``sched_setaffinity`` raises: the worker keeps its mask,
+    and the build exits 0 with the files of one process."""
+    calls = tmp_path / "pins.txt"
+    prelude = (
+        f"open({str(calls)!r}, 'w').write(f'{{os.getpid()}}\\n')\n"
+        "def refused(pid, cpus):\n"
+        f"    open({str(calls)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        f"    raise {refusal}\n"
+        "os.sched_setaffinity = refused\n"
+    )
+    argv = ["build", str(fine_sweep_input), "--linspace", "30", "--output-dir"]
+    result = subprocess.run(
+        [sys.executable, "-c", _entry_code(2, prelude), *argv, str(tmp_path / "forked")],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "forked 1\n")
+    parent, *pins = [int(pid) for pid in calls.read_text().split()]
+    assert len(pins) == 1 and pins[0] != parent
+    assert run([*argv, str(tmp_path / "single")]) == 0
+    forked = {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
+    assert forked == {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_the_cpu_read_before_the_fork_is_one_the_process_may_run_on():
+    assert cli._current_cpu() in os.sched_getaffinity(0)
+
+
+@pytest.mark.parametrize(
+    "stat", [OSError(13, "Permission denied"), b"7 (a) b) R", b"7 (python) R" + b" x" * 40],
+    ids=["unreadable", "short", "not-a-number"],
+)
+def test_a_cpu_that_cannot_be_read_leaves_the_mask_alone(monkeypatch, stat):
+    def fake_open(path, mode):
+        if isinstance(stat, OSError):
+            raise stat
+        return io.BytesIO(stat)
+
+    def no_pin(pid, cpus):
+        raise AssertionError("the mask changed")
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", no_pin, raising=False)
+    assert cli._current_cpu() is None
+    cli._leave_cpu(None)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+def test_each_process_of_a_forked_build_starts_one_writer_thread(fine_sweep_input, tmp_path):
+    """The parent and its worker each start one thread, at their first
+    write, for all of that process's artifacts."""
+    starts = tmp_path / "starts.txt"
+    prelude = (
+        "import threading\n"
+        "start = threading.Thread.start\n"
+        "def counted(thread):\n"
+        f"    open({str(starts)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        "    return start(thread)\n"
+        "threading.Thread.start = counted\n"
+        f"open({str(starts)!r}, 'w').write(f'{{os.getpid()}}\\n')\n"
+    )
+    argv = ["build", str(fine_sweep_input), "--linspace", "30", "--dump-linkage", "--output-dir"]
+    result = subprocess.run(
+        [sys.executable, "-c", _entry_code(2, prelude), *argv, str(tmp_path / "forked")],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "forked 1\n")
+    parent, *started = [int(pid) for pid in starts.read_text().split()]
+    counts = Counter(started)
+    assert counts.pop(parent) == 1
+    assert list(counts.values()) == [1]
 
 
 def _stack(edges: list[int], pairs: int) -> list:
