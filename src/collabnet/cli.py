@@ -4,12 +4,10 @@ build runs the whole pipeline on one input file: parse, aggregate, optional
 type filter, linkage table, threshold sweep, per-layer metric reports,
 layer exports, feature statistics and a manifest with content hashes.
 Outputs are deterministic: the same input bytes and flags always produce a
-byte-identical artifact set. Each artifact is handed to the process's one
-writer thread as soon as it is made, which writes it to a temporary file
-and hashes it while the main thread measures and renders the next layer,
-so at most two documents are held at a time, the one being written and the
-one being built; the files are renamed into place together, manifest last, once all
-are written, and any failure removes the temporary files instead. Every
+byte-identical artifact set. Each artifact is written to a temporary file
+and hashed as soon as it is made, so a process holds at most one document
+at a time; the files are renamed into place together, manifest last, once
+all are written, and any failure removes the temporary files instead. Every
 command that reads a table parses and aggregates it the same way: ingest,
 stats and build report each over-limit project as one stderr line, and
 ingest and build under ``--lenient`` each skipped row.
@@ -28,9 +26,9 @@ collector (``gc.freeze``) before :func:`main`, so no collection walks
 them, the one at exit included; turns SIGTERM into an exception, and SIGINT
 into one that a second SIGINT does not repeat while the cleanup runs; and,
 when the process may run on two or more CPUs, lets a build use a second
-one. Such a build, once its layer stack and the stack's edge lines are made
-and before its first write, puts its layer indices in one queue and forks
-one worker process when its layers are enough work (:class:`_LayerQueue`).
+one. Such a build, once its layer stack is made, puts its layer indices in
+one queue and forks one worker process when its layers are enough work
+(:class:`_LayerQueue`).
 The worker first takes the CPU its parent was on at the fork out of its own
 affinity mask: a forked process starts on its parent's CPU, and the
 scheduler may keep both there for the whole build. Each process takes the
@@ -60,13 +58,11 @@ import pickle
 import re
 import signal
 import sys
-import threading
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
-from queue import SimpleQueue
 from typing import BinaryIO
 
 # The CLI process asks for one OpenBLAS thread before numpy loads, unless its
@@ -212,14 +208,8 @@ class _Artifacts:
     names, which the parent takes as its own with :meth:`expect` before the
     fork, and holds the lock through the descriptor it inherits;
     :meth:`adopt` takes the worker's hashes.
-    Each write hands its bytes to the process's one writer thread, started
-    at its first write, which writes the temporary file and hashes it while
-    the caller goes on; a write first waits for the one before it, so one
-    is in flight at a time, and a writer's failure is raised on the calling
-    thread at that wait, or at :meth:`digests` or the exit. A forked worker
-    starts its own at its first write.
-    The exit ends the writer on every path, once its write in flight is
-    done, and joins it; then a clean exit renames
+    Each write writes the temporary file and hashes it before it returns,
+    and a failed write raises there. A clean exit renames
     every file in name order, ``manifest.json`` last, and removes the files
     the earlier manifest listed and this one does not. A run without a
     manifest refuses, before renaming anything, to replace a file the
@@ -250,10 +240,6 @@ class _Artifacts:
         self._temps: dict[str, Path] = {}
         self._made: list[Path] = []  # the directories write made, parents first
         self._lock: int | None = None  # out_dir, opened and share-locked by expect
-        self._writer: threading.Thread | None = None  # this process's, from its first write
-        self._jobs: SimpleQueue = SimpleQueue()  # (name, temp, blob) for the writer; None ends it
-        self._done: SimpleQueue = SimpleQueue()  # the writer's failure or None, once per job
-        self._in_flight = False  # a job whose outcome _wait has not taken from _done
         self.paths: list[Path] = []
         self._listed: set[str] = set()  # what the directory's collabnet manifest lists
         try:
@@ -284,39 +270,11 @@ class _Artifacts:
 
     def write(self, name: str, blob: bytes) -> None:
         self.expect([name])
-        self._wait()
-        if self._writer is None:  # so no thread is alive before a worker's fork
-            self._writer = threading.Thread(target=self._serve)
-            self._writer.start()
-        self._jobs.put((name, self._temps[name], blob))
-        self._in_flight = True
-
-    def _serve(self) -> None:
-        """The writer thread's life: each job's temporary file and hash, in
-        order, until the exit sends None."""
-        while (job := self._jobs.get()) is not None:
-            self._done.put(self._store(*job))
-
-    def _store(self, name: str, temp: Path, blob: bytes) -> Exception | None:
-        """One temporary file and its hash; the failure, for the calling thread to raise."""
-        try:
-            temp.write_bytes(blob)
-            self._hashes[name] = hashlib.sha256(blob).hexdigest()
-        except Exception as exc:  # OSError, MemoryError
-            return exc
-        return None
-
-    def _wait(self) -> None:
-        """Wait for the write in flight, and raise its failure here."""
-        if self._in_flight:
-            self._in_flight = False
-            failure = self._done.get()
-            if failure is not None:
-                raise failure
+        self._temps[name].write_bytes(blob)
+        self._hashes[name] = hashlib.sha256(blob).hexdigest()
 
     def digests(self) -> dict[str, str]:
-        """Each artifact's sha256 by name, once every write so far is done."""
-        self._wait()
+        """Each artifact's sha256 by name."""
         return dict(self._hashes)
 
     def __enter__(self) -> _Artifacts:
@@ -325,13 +283,8 @@ class _Artifacts:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                self._wait()
                 self._commit()
         finally:  # a renamed file has left its temporary name: this removes the rest
-            if self._writer is not None:  # ends after its write in flight, whose failure this drops
-                self._jobs.put(None)
-                self._writer.join()
-                self._writer = None
             for temp in self._temps.values():
                 with contextlib.suppress(OSError):  # one that stays keeps no other
                     temp.unlink(missing_ok=True)
@@ -426,13 +379,14 @@ class _LayerQueue:
     Entering it puts every layer index in the queue, a pipe: at most
     ``MAX_LAYERS`` two-byte indices, under PIPE_BUF, so one write puts them
     all and each two-byte read takes one. When :func:`_forks` allows, it
-    then renders the stack's edge lines for both processes, takes every
-    layer's temporary name as the run's own, reads the CPU the parent runs
-    on, and forks one worker, before the first write, so no Python thread
-    is alive at the fork. The worker's first act is to leave that CPU, so
-    that the two processes run in parallel; the parent's affinity mask
-    stays as it was, and a refused change keeps the worker's. Each process
-    takes the next index as soon as it is free; a stack's layers nest, so
+    then takes every layer's temporary name as the run's own, reads the CPU
+    the parent runs on, and forks one worker, which renders the stack's
+    edge lines for itself at its first export, as the parent does; no
+    Python thread is alive at the fork, as the CLI starts none. The
+    worker's first act is to leave that CPU, so that the two processes run
+    in parallel; the parent's affinity mask stays as it was, and a refused
+    change keeps the worker's. Each process takes the next index as soon as
+    it is free; a stack's layers nest, so
     index order puts the most edges first. The worker sends its reports and
     hashes, or its exception, pickled through a second pipe. A parent whose
     worker has ended, or a worker whose parent is gone, takes no further
@@ -458,7 +412,6 @@ class _LayerQueue:
                 queue.write(b"".join(i.to_bytes(2, "big") for i in range(len(self._stack))))
             if _forks(self._stack):
                 fmt = self._config.export_format
-                export._rendered(self._stack[0].pairs, fmt)  # once, for both processes
                 names = (_layer_filename(i, layer, fmt) for i, layer in enumerate(self._stack))
                 self._out.expect(names)  # either process may write any layer
                 read, write = os.pipe()
@@ -505,17 +458,18 @@ class _LayerQueue:
     def _measure(self) -> dict[int, metrics.LayerMetricsReport]:
         """Report, export and write each layer this process takes from the
         queue, while the other process, if any, runs; their reports by index."""
-        reports, fmt = {}, self._config.export_format
+        reports, fmt, isolated = {}, self._config.export_format, self._config.include_isolated
         while not self._other_ended() and (taken := self._queue.read(2)):
             i = int.from_bytes(taken, "big")
             layer = self._stack[i]
             reports[i] = metrics.report(layer)
             _, membership = metrics.components(layer)
             visuals = export.assign_visuals(layer, membership)
-            blob = export.export_layer(
-                layer, visuals, fmt, include_isolated=self._config.include_isolated
+            # no name holds the document, so it is freed once written, before the next report
+            self._out.write(
+                _layer_filename(i, layer, fmt),
+                export.export_layer(layer, visuals, fmt, include_isolated=isolated),
             )
-            self._out.write(_layer_filename(i, layer, fmt), blob)
         return reports
 
     def _other_ended(self) -> bool:
@@ -561,11 +515,11 @@ class _LayerQueue:
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
-    Each artifact goes to the writer thread as soon as it is made, and only
-    its hash is kept (see :class:`_Artifacts`); the manifest is written
-    last, from those hashes, once the last of them is in. The layers'
-    reports come from a :class:`_LayerQueue`, which under :func:`entry`
-    may share them with a forked worker.
+    Each artifact is written to its temporary file and hashed as soon as it
+    is made, and only its hash is kept (see :class:`_Artifacts`); the
+    manifest is written last, from those hashes. The layers' reports come
+    from a :class:`_LayerQueue`, which under :func:`entry` may share them
+    with a forked worker.
     """
     out = _Artifacts(config.output_dir)
     input_bytes = _read_input_bytes(config.input_path)

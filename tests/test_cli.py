@@ -226,21 +226,14 @@ def test_build_with_two_thresholds_of_one_label_fails(tmp_path, capsys, args, co
 
 
 def test_build_is_deterministic(small_input, tmp_path):
-    """Five builds back to back, each hashing on the writer thread while it
-    renders the next layer, with threads switched as often as the
-    interpreter allows: equal bytes, and each manifest lists the sha256 of
-    the files written."""
+    """Five builds back to back: equal bytes, and each manifest lists the
+    sha256 of the files written."""
     argv = ["build", str(small_input), "--thresholds", "0,30,60", "--format", "json", "--dump-linkage"]
     outputs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for i in range(5):
-            out_dir = tmp_path / f"run{i}"
-            assert run([*argv, "--output-dir", str(out_dir)]) == 0
-            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
-    finally:
-        sys.setswitchinterval(interval)
+    for i in range(5):
+        out_dir = tmp_path / f"run{i}"
+        assert run([*argv, "--output-dir", str(out_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     for output in outputs:
         listed = json.loads(output["manifest.json"])["artifacts"]
         assert listed == {
@@ -813,24 +806,17 @@ cli.entry()
 
 
 # imported by a child Python at start-up: at exit, it prints the process's OS
-# thread count (- without /proc) and its OPENBLAS_NUM_THREADS. A joined writer
-# thread can take a moment to end, so it waits up to 2 s for the count to reach
-# 1; OpenBLAS's threads never end
+# thread count (- without /proc), read once, and its OPENBLAS_NUM_THREADS. A
+# build starts no thread, so any thread but the main one is still alive there:
+# OpenBLAS's, which never end, or one the build should not have started
 _EXIT_PROBE = """
-import atexit, os, sys, time
-
-def _threads():
-    with open("/proc/self/status") as status:
-        return next(line.split()[1] for line in status if line.startswith("Threads:"))
+import atexit, os, sys
 
 def _probe():
     threads = "-"
     if os.path.exists("/proc/self/status"):
-        for _ in range(200):
-            threads = _threads()
-            if threads == "1":
-                break
-            time.sleep(0.01)
+        with open("/proc/self/status") as status:
+            threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
     print(threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
 
 atexit.register(_probe)
@@ -1338,10 +1324,9 @@ def test_a_cpu_that_cannot_be_read_leaves_the_mask_alone(monkeypatch, stat):
     cli._leave_cpu(None)
 
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
-def test_each_process_of_a_forked_build_starts_one_writer_thread(fine_sweep_input, tmp_path):
-    """The parent and its worker each start one thread, at their first
-    write, for all of that process's artifacts."""
+def test_no_process_of_a_forked_build_starts_a_thread(fine_sweep_input, tmp_path):
+    """Neither the parent nor its worker starts a thread, so none is alive
+    at the fork: each process writes and hashes its files itself."""
     starts = tmp_path / "starts.txt"
     prelude = (
         "import threading\n"
@@ -1350,7 +1335,6 @@ def test_each_process_of_a_forked_build_starts_one_writer_thread(fine_sweep_inpu
         f"    open({str(starts)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
         "    return start(thread)\n"
         "threading.Thread.start = counted\n"
-        f"open({str(starts)!r}, 'w').write(f'{{os.getpid()}}\\n')\n"
     )
     argv = ["build", str(fine_sweep_input), "--linspace", "30", "--dump-linkage", "--output-dir"]
     result = subprocess.run(
@@ -1361,10 +1345,7 @@ def test_each_process_of_a_forked_build_starts_one_writer_thread(fine_sweep_inpu
         timeout=120,
     )
     assert (result.returncode, result.stderr) == (0, "forked 1\n")
-    parent, *started = [int(pid) for pid in starts.read_text().split()]
-    counts = Counter(started)
-    assert counts.pop(parent) == 1
-    assert list(counts.values()) == [1]
+    assert not starts.exists()
 
 
 def _stack(edges: list[int], pairs: int) -> list:
@@ -1472,15 +1453,13 @@ def test_failed_streamed_write_keeps_previous_outputs(small_input, tmp_path, mon
     assert "wrote" not in capsys.readouterr().out
 
 
-def _record_writes(monkeypatch, delay: float = 0.0) -> list[Path]:
-    """Record each path ``Path.write_bytes`` writes, in order, each write
-    taking at least ``delay`` seconds."""
+def _record_writes(monkeypatch) -> list[Path]:
+    """Record each path ``Path.write_bytes`` writes, in order."""
     real_write = Path.write_bytes
     written = []
 
     def recording_write(self, data):
         written.append(self)
-        time.sleep(delay)
         return real_write(self, data)
 
     monkeypatch.setattr(Path, "write_bytes", recording_write)
@@ -1551,7 +1530,7 @@ def test_out_of_memory_exits_1_with_one_error_line(small_input, tmp_path, monkey
 
 
 @pytest.mark.parametrize("failing", [1, 2])
-def test_out_of_memory_on_the_writer_thread_exits_1_with_one_error_line(
+def test_out_of_memory_in_a_file_write_exits_1_with_one_error_line(
     small_input, tmp_path, monkeypatch, capsys, failing
 ):
     out_dir = tmp_path / "new" / "out"
@@ -1575,9 +1554,12 @@ def test_out_of_memory_on_the_writer_thread_exits_1_with_one_error_line(
 
 
 @pytest.mark.parametrize("failure", [None, ValueError, KeyboardInterrupt])
-def test_no_writer_thread_outlives_the_run(small_input, tmp_path, monkeypatch, failure):
-    """Slow writes keep the first layer's write in flight while the second
-    layer fails: the run still waits for it before removing anything."""
+def test_a_run_in_process_leaves_no_thread_and_no_temporary_file(
+    small_input, tmp_path, monkeypatch, failure
+):
+    """Whether the run ends cleanly or its second layer fails, it starts no
+    thread that outlives it, leaves the collector as it was, and leaves no
+    temporary file; a failed run removes the directory it made."""
     out_dir = tmp_path / "out"
     config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 50.0))
     real_export = cli.export.export_layer
@@ -1590,7 +1572,7 @@ def test_no_writer_thread_outlives_the_run(small_input, tmp_path, monkeypatch, f
         return real_export(*args, **kwargs)
 
     monkeypatch.setattr(cli.export, "export_layer", export)
-    written = _record_writes(monkeypatch, delay=0.05)
+    written = _record_writes(monkeypatch)
     threads = set(threading.enumerate())
     collector = gc.get_freeze_count(), gc.isenabled()
     if failure is None:
