@@ -4,17 +4,18 @@ build runs the whole pipeline on one input file: parse, aggregate, optional
 type filter, linkage table, threshold sweep, per-layer metric reports,
 layer exports, feature statistics and a manifest with content hashes.
 Outputs are deterministic: the same input bytes and flags always produce a
-byte-identical artifact set. Each artifact is written to a temporary file
-and hashed as soon as it is made, so a process holds at most one document
-at a time; the files are renamed into place together, manifest last, once
-all are written, and any failure removes the temporary files instead. Every
+byte-identical artifact set. Each artifact is written into the run's one
+staging directory in the output directory and hashed as soon as it is made,
+so a process holds at most one document at a time; the files are renamed
+into place together, manifest last, once all are written, and any failure
+removes the staging directory instead. Every
 command that reads a table parses and aggregates it the same way: ingest,
 stats and build report each over-limit project as one stderr line, and
 ingest and build under ``--lenient`` each skipped row.
 Exit codes: 0 success, 1 input/data error (an input too large for memory
 too), 2 configuration error, 130 interrupted (SIGINT, Ctrl-C), 143
 terminated (SIGTERM); a signal is reported as one stderr line, once the
-run's temporary files and the directories it made are removed.
+run's staging directory and the directories it made are removed.
 
 The ``collabnet`` script and ``python -m collabnet.cli`` run this module as
 ``__main__``, which, before numpy loads, sets ``OPENBLAS_NUM_THREADS=1`` in
@@ -33,12 +34,12 @@ The worker first takes the CPU its parent was on at the fork out of its own
 affinity mask: a forked process starts on its parent's CPU, and the
 scheduler may keep both there for the whole build. Each process takes the
 next layer from the queue as soon as it is free, and
-measures, exports, writes and hashes it, the worker under the parent's
-temporary names; the parent collects the worker's reports and hashes
+measures, exports, writes and hashes it, the worker into the parent's
+staging directory; the parent collects the worker's reports and hashes
 through a pipe and writes the rest. A worker's failure is raised in the
 parent at its next layer, and any failure or signal there kills and reaps
-the worker before the cleanup removes every temporary file, the worker's
-too; a later run sweeps those of a killed run (see :class:`_Artifacts`).
+the worker before the cleanup removes the staging directory, the worker's
+files too; a later run sweeps a killed run's (see :class:`_Artifacts`).
 :func:`main` in process, like any import of this module, leaves the
 environment, the collector and the signal handlers alone, never forks,
 and takes the layers in order. Only the synth command imports
@@ -56,10 +57,10 @@ import json
 import os
 import pickle
 import re
+import shutil
 import signal
 import sys
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
@@ -186,45 +187,36 @@ def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFo
     return f"layer_{index:02d}_t{layers.threshold_label(layer.threshold)}.{fmt.value}"
 
 
-def _is_layer_filename(name: str) -> bool:
-    """Whether ``name`` has the form of a :func:`_layer_filename`, whatever
-    the sweep that made it."""
-    stem, _, suffix = name.rpartition(".")
-    return stem.startswith("layer_") and suffix in {fmt.value for fmt in export.ExportFormat}
-
-
 class _Artifacts:
-    """Writes artifacts to temporary files in ``out_dir`` as they are made,
-    keeping only each one's sha256, then renames them into place; owns the
-    directory's manifest.
+    """Writes artifacts into this run's staging directory in ``out_dir`` as
+    they are made, keeping only each one's sha256, then renames them into
+    place; owns the directory's manifest.
 
     Making it checks that ``out_dir`` can be a directory, so make it before
     any work; then use it as a context manager. The directory, and any
-    missing parent, is made at the first write, or at :meth:`expect`, which
-    then opens it and holds a shared ``flock`` on it until the exit: every
-    run that writes there holds one while it does.
-    Every temporary name holds the pid of the process that made this object:
-    a worker forked from it (see :class:`_LayerQueue`) writes under the same
-    names, which the parent takes as its own with :meth:`expect` before the
-    fork, and holds the lock through the descriptor it inherits;
-    :meth:`adopt` takes the worker's hashes.
-    Each write writes the temporary file and hashes it before it returns,
+    missing parent, is made at the first write, or at :meth:`open`, which
+    then opens it, holds a shared ``flock`` on it until the exit, and makes
+    the staging directory ``.collabnet.PID.tmp`` in it: every run that
+    writes there holds the lock while it does. The PID is that of the
+    process that made this object: a worker forked after :meth:`open` (see
+    :class:`_LayerQueue`) writes into the same staging directory and holds
+    the lock through the descriptor it inherits; :meth:`adopt` takes the
+    worker's hashes.
+    Each write writes the staged file and hashes it before it returns,
     and a failed write raises there. A clean exit renames
     every file in name order, ``manifest.json`` last, and removes the files
     the earlier manifest listed and this one does not. A run without a
     manifest refuses, before renaming anything, to replace a file the
     earlier manifest lists, as that would leave it wrong.
-    Any exception removes every temporary file, so no earlier output changes,
-    and then each directory the run made, deepest first, while it is empty.
-    A file or directory that cannot be removed stays and keeps no other
-    from going, and the run's own exception is the one raised. Last, on
-    every path, the exit removes what a killed run left in the directory,
-    if it can take the lock exclusively, so that no other run, in any
-    process, container or host that shares the directory, is writing there:
-    the ``.NAME.PID.tmp`` files whose NAME this run writes, the earlier
-    manifest lists, or has the form of a layer file, but for this run's own.
-    It never touches another name, and where the file system refuses the
-    lock it removes nothing.
+    Any exception removes the staging directory, so no earlier output
+    changes. Then, on every path, the exit removes every other run's
+    staging directory, which only a killed run leaves, if it can take the
+    lock exclusively, so that no other run, in any process, container or
+    host that shares the directory, is writing there; it never touches
+    another name, and where the file system refuses the lock it removes
+    nothing. Last, it removes each directory the run made, deepest first,
+    while it is empty. A file or directory that cannot be removed stays and
+    keeps no other from going, and the run's own exception is the one raised.
     """
 
     MANIFEST = "manifest.json"
@@ -235,11 +227,10 @@ class _Artifacts:
         if not existing.is_dir():
             raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
         self.out_dir = out_dir
-        self._pid = os.getpid()  # every temporary name holds it, a forked worker's too
+        self._stage = out_dir / f".collabnet.{os.getpid()}.tmp"  # a forked worker's too
         self._hashes: dict[str, str] = {}
-        self._temps: dict[str, Path] = {}
-        self._made: list[Path] = []  # the directories write made, parents first
-        self._lock: int | None = None  # out_dir, opened and share-locked by expect
+        self._made: list[Path] = []  # the directories open made, parents first
+        self._lock: int | None = None  # out_dir, opened and share-locked by open
         self.paths: list[Path] = []
         self._listed: set[str] = set()  # what the directory's collabnet manifest lists
         try:
@@ -250,27 +241,27 @@ class _Artifacts:
         except (OSError, ValueError, TypeError, KeyError):
             pass
 
-    def expect(self, names: Iterable[str]) -> None:
-        """Make the directory and lock it, and take the temporary files that
-        a forked worker will write under these names as this run's own."""
+    def open(self) -> None:
+        """Make the directory, lock it and make the staging directory in it,
+        unless this run has done so already."""
+        if self._lock is not None:
+            return
         missing = takewhile(lambda p: not os.path.lexists(p), (self.out_dir, *self.out_dir.parents))
         for directory in reversed(list(missing)):
             directory.mkdir()
             self._made.append(directory)
-        if self._lock is None:
-            self._lock = os.open(self.out_dir, os.O_RDONLY | os.O_DIRECTORY)
-            with contextlib.suppress(OSError):  # no lock here: nobody sweeps the directory
-                fcntl.flock(self._lock, fcntl.LOCK_SH)  # waits out another run's sweep
-        for name in names:
-            self._temps[name] = self.out_dir / f".{name}.{self._pid}.tmp"
+        self._lock = os.open(self.out_dir, os.O_RDONLY | os.O_DIRECTORY)
+        with contextlib.suppress(OSError):  # no lock here: nobody sweeps the directory
+            fcntl.flock(self._lock, fcntl.LOCK_SH)  # waits out another run's sweep
+        self._stage.mkdir(exist_ok=True)  # a killed run of the same pid may have left it
 
     def adopt(self, hashes: dict[str, str]) -> None:
         """The hashes of the files a forked worker wrote."""
         self._hashes |= hashes
 
     def write(self, name: str, blob: bytes) -> None:
-        self.expect([name])
-        self._temps[name].write_bytes(blob)
+        self.open()
+        (self._stage / name).write_bytes(blob)
         self._hashes[name] = hashlib.sha256(blob).hexdigest()
 
     def digests(self) -> dict[str, str]:
@@ -284,52 +275,46 @@ class _Artifacts:
         try:
             if exc_type is None:
                 self._commit()
-        finally:  # a renamed file has left its temporary name: this removes the rest
-            for temp in self._temps.values():
-                with contextlib.suppress(OSError):  # one that stays keeps no other
-                    temp.unlink(missing_ok=True)
-            for directory in reversed(self._made):  # only a failed run leaves one empty
-                with contextlib.suppress(OSError):  # not empty
-                    directory.rmdir()
-            if self._lock is not None:
+        finally:  # a renamed file has left the staging directory: this removes the rest
+            if self._lock is not None:  # open made the staging directory
+                shutil.rmtree(self._stage, ignore_errors=True)  # one that stays keeps no other
                 try:
                     self._sweep()
                 finally:
                     os.close(self._lock)
+            for directory in reversed(self._made):  # only a failed run leaves one empty
+                with contextlib.suppress(OSError):  # not empty
+                    directory.rmdir()
 
     def _sweep(self) -> None:
-        """Remove what a killed run left, unless another run holds the
-        directory: a temporary file of a name this run knows, whatever its
-        pid, but not one of this run's own."""
+        """Remove every other run's staging directory, unless another run
+        holds the directory."""
         try:
             fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:  # another run is writing here, or the file system has no locks
             return
-        temporary = re.compile(r"\.(.+)\.\d+\.tmp")
-        known = self._temps.keys() | self._listed
-        own = {temp.name for temp in self._temps.values()}  # the exit could not remove them
         with contextlib.suppress(OSError), os.scandir(self.out_dir) as entries:
             for entry in entries:
-                match = temporary.fullmatch(entry.name)
-                if not match or entry.name in own:
-                    continue
-                if match[1] in known or _is_layer_filename(match[1]):
-                    with contextlib.suppress(OSError):
-                        os.unlink(entry.path)
+                if (
+                    re.fullmatch(r"\.collabnet\.[0-9]+\.tmp", entry.name)
+                    and entry.name != self._stage.name  # the exit could not remove it
+                    and entry.is_dir(follow_symlinks=False)
+                ):
+                    shutil.rmtree(entry.path, ignore_errors=True)
 
     def _commit(self) -> None:
-        with_manifest = self.MANIFEST in self._temps
-        replaced = sorted(self._listed & self._temps.keys())
+        with_manifest = self.MANIFEST in self._hashes
+        replaced = sorted(self._listed & self._hashes.keys())
         if replaced and not with_manifest:
             raise ConfigError(
                 f"{self.out_dir} holds a build whose manifest lists {replaced[0]}; "
                 "choose another --output-dir"
             )
-        for name in sorted(self._temps, key=lambda n: (n == self.MANIFEST, n)):
-            os.replace(self._temps[name], self.out_dir / name)
+        for name in sorted(self._hashes, key=lambda n: (n == self.MANIFEST, n)):
+            os.replace(self._stage / name, self.out_dir / name)
             self.paths.append(self.out_dir / name)
         if with_manifest:  # remove what the earlier build listed and this one did not write
-            for name in sorted(self._listed - self._temps.keys()):
+            for name in sorted(self._listed - self._hashes.keys()):
                 if (self.out_dir / name).is_file():
                     (self.out_dir / name).unlink()
 
@@ -379,10 +364,10 @@ class _LayerQueue:
     Entering it puts every layer index in the queue, a pipe: at most
     ``MAX_LAYERS`` two-byte indices, under PIPE_BUF, so one write puts them
     all and each two-byte read takes one. When :func:`_forks` allows, it
-    then takes every layer's temporary name as the run's own, reads the CPU
-    the parent runs on, and forks one worker, which renders the stack's
-    edge lines for itself at its first export, as the parent does; no
-    Python thread is alive at the fork, as the CLI starts none. The
+    then opens the run's staging directory (:meth:`_Artifacts.open`),
+    reads the CPU the parent runs on, and forks one worker, which renders
+    the stack's edge lines for itself at its first export, as the parent
+    does; no Python thread is alive at the fork, as the CLI starts none. The
     worker's first act is to leave that CPU, so that the two processes run
     in parallel; the parent's affinity mask stays as it was, and a refused
     change keeps the worker's. Each process takes the next index as soon as
@@ -411,9 +396,7 @@ class _LayerQueue:
             with open(write, "wb", buffering=0) as queue:  # one write call
                 queue.write(b"".join(i.to_bytes(2, "big") for i in range(len(self._stack))))
             if _forks(self._stack):
-                fmt = self._config.export_format
-                names = (_layer_filename(i, layer, fmt) for i, layer in enumerate(self._stack))
-                self._out.expect(names)  # either process may write any layer
+                self._out.open()  # the worker writes into the parent's staging directory
                 read, write = os.pipe()
                 self._results = open(read, "rb")
                 with open(write, "wb") as results:  # the parent's copy closes here
@@ -515,8 +498,8 @@ class _LayerQueue:
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run build end to end; returns the paths written (manifest last).
 
-    Each artifact is written to its temporary file and hashed as soon as it
-    is made, and only its hash is kept (see :class:`_Artifacts`); the
+    Each artifact is written into the staging directory and hashed as soon
+    as it is made, and only its hash is kept (see :class:`_Artifacts`); the
     manifest is written last, from those hashes. The layers' reports come
     from a :class:`_LayerQueue`, which under :func:`entry` may share them
     with a forked worker.

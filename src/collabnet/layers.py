@@ -169,9 +169,9 @@ def threshold_label(threshold: float) -> str:
     return "0" if label == "-0" else label
 
 
-# NAME_MAX (255 bytes) less the 32 that the longest temporary layer file
-# name adds: ".layer_999_t" before the label, ".graphml.<7-digit pid>.tmp" after
-_MAX_LABEL = 223
+# NAME_MAX (255 bytes) less what the longest layer file name adds to the
+# label: 255 - len("layer_999_t") - len(".graphml") = 236
+_MAX_LABEL = 236
 
 
 @dataclass(frozen=True)

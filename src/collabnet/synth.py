@@ -157,6 +157,8 @@ def _quantized_shares(
 
 def _validate(config: SynthConfig) -> int:
     """The largest team size for ``config``."""
+    if config.seed < 0:  # numpy's own message names no option
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed}")
     for name, value, high in (
         ("n_projects", config.n_projects, MAX_PROJECTS),
         ("n_members", config.n_members, MAX_MEMBERS),

@@ -21,7 +21,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from collabnet import cli, metrics, synth
+from collabnet import cli, layers, metrics, synth
 from collabnet.cli import ConfigError, RunConfig, run_pipeline
 from collabnet.export import ExportFormat
 from collabnet.synth import SynthConfig, generate_csv_bytes
@@ -311,6 +311,15 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_synth_rejects_a_negative_seed_naming_the_option(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["synth", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_count_options_at_their_limits(small_input, tmp_path, capsys):
     """--bins and --linspace accept their documented maximum and reject one
     more before anything is made from it."""
@@ -486,6 +495,23 @@ def test_runconfig_rejects_a_bad_sweep_before_reading(thresholds, message, tmp_p
         RunConfig(input_path=str(missing), output_dir=tmp_path / "out", thresholds=thresholds)
 
 
+def test_a_threshold_label_may_fill_the_longest_layer_file_name(small_input, tmp_path, capsys):
+    """A label of 236 characters makes the longest layer file name,
+    layer_999_t<label>.graphml, 255 bytes: it builds, and one of 237 exits 2
+    before the input is read."""
+    out_dir = tmp_path / "out"
+    assert run(["build", str(small_input), "--thresholds", "0,1e235", "--output-dir", str(out_dir)]) == 0
+    label = layers.threshold_label(1e235)
+    assert len(f"layer_{cli.MAX_LAYERS - 1}_t{label}.{ExportFormat.GRAPHML.value}") == 255
+    assert (out_dir / f"layer_01_t{label}.graphml").is_file()
+    capsys.readouterr()
+    over = tmp_path / "over"
+    argv = ["build", str(tmp_path / "missing.csv"), "--thresholds", "0,1e236", "--output-dir", str(over)]
+    assert run(argv) == 2
+    assert "too large to name a file" in capsys.readouterr().err
+    assert not over.exists()
+
+
 def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(input_path="x", output_dir=Path("y"))  # no threshold source
@@ -569,6 +595,19 @@ def test_failed_run_removes_the_directories_it_made(small_input, tmp_path, monke
     assert not (tmp_path / "new").exists()
 
 
+def test_a_run_that_fails_before_its_first_write_makes_nothing(small_input, tmp_path, monkeypatch):
+    out_dir = tmp_path / "new" / "out"
+    config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 50.0))
+
+    def broken(records, n_bins):
+        raise ValueError("stats failed")
+
+    monkeypatch.setattr(cli, "_stats_artifacts", broken)
+    with pytest.raises(ValueError, match="stats failed"):
+        run_pipeline(config)
+    assert not (tmp_path / "new").exists()
+
+
 def test_failed_cleanup_removes_every_other_file_and_raises_the_runs_error(
     small_input, tmp_path, monkeypatch
 ):
@@ -578,21 +617,21 @@ def test_failed_cleanup_removes_every_other_file_and_raises_the_runs_error(
     def disk_full(self):
         raise OSError("disk full")
 
-    real_unlink, refused = Path.unlink, []
+    real_unlink, refused = os.unlink, []
 
-    def refuse_once(self, missing_ok=False):
+    def refuse_once(path, *, dir_fd=None):
         if not refused:
-            refused.append(self)
-            raise PermissionError(13, "Permission denied", str(self))
-        return real_unlink(self, missing_ok=missing_ok)
+            refused.append(path)
+            raise PermissionError(13, "Permission denied", path)
+        return real_unlink(path, dir_fd=dir_fd)
 
     monkeypatch.setattr(cli._Artifacts, "_commit", disk_full)
-    monkeypatch.setattr(Path, "unlink", refuse_once)
+    monkeypatch.setattr(os, "unlink", refuse_once)
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(config)
     # the refused file keeps the directories it is in, and nothing else stays
-    assert sorted((tmp_path / "new").rglob("*")) == [out_dir, *refused]
-    assert refused[0].name.startswith(".stats_contribution_pct.csv.")  # the first written
+    stage = out_dir / f".collabnet.{os.getpid()}.tmp"
+    assert sorted((tmp_path / "new").rglob("*")) == [out_dir, stage, stage / refused[0]]
 
 
 def test_failed_run_keeps_an_existing_directory(small_input, tmp_path, monkeypatch):
@@ -930,8 +969,9 @@ def _gone(pid: int) -> bool:
 def _start_fine_sweep(
     input_path: Path, out_dir: Path, cpus: int = 2, **popen
 ) -> tuple[subprocess.Popen, set[int]]:
-    """A 100-point sweep on ``cpus`` CPUs, once it has written a temporary
-    file: the child and the workers it forked before that write."""
+    """A 100-point sweep on ``cpus`` CPUs, once it has written a file into
+    its staging directory, which it makes before the fork: the child and the
+    workers it forked before that write."""
     argv = ["build", str(input_path), "--linspace", "100", "--format", "json"]
     argv += ["--dump-linkage", "--output-dir", str(out_dir)]
     child = subprocess.Popen(
@@ -944,9 +984,9 @@ def _start_fine_sweep(
     )
     try:
         deadline = time.monotonic() + 60
-        while not any(out_dir.glob(".*.tmp")):
-            assert child.poll() is None, "the build ended before it wrote a temporary file"
-            assert time.monotonic() < deadline, "no temporary file within 60 s"
+        while not any(out_dir.glob(".collabnet.*.tmp/*")):
+            assert child.poll() is None, "the build ended before it wrote a staged file"
+            assert time.monotonic() < deadline, "no staged file within 60 s"
             time.sleep(0.01)
         return child, _children(child.pid)
     except BaseException:
@@ -969,8 +1009,8 @@ def _start_fine_sweep(
 def test_a_signal_mid_build_removes_what_the_run_made(
     fine_sweep_input, tmp_path, signum, code, message, cpus
 ):
-    """A signal sent once the run has written a temporary file leaves no
-    temporary file, no directory that the run made and no worker process,
+    """A signal sent once the run has written a staged file leaves no
+    staged file, no directory that the run made and no worker process,
     and ends the run with one error line, no traceback, and the signal's
     exit code: on two CPUs, where the build forks its worker, and on one,
     where it stays in one process."""
@@ -1011,10 +1051,10 @@ def test_two_ctrl_c_to_the_process_group_end_the_run_once(fine_sweep_input, tmp_
 def test_a_killed_builds_worker_stops_and_the_next_build_sweeps_its_files(
     fine_sweep_input, tmp_path
 ):
-    """SIGKILL leaves the temporary files of the parent and of its worker;
-    the worker stops at its next layer and lets go of the directory's lock,
-    and the next build into the directory that dumps the linkage table, as
-    the killed one did, removes them all, layer files of another sweep too."""
+    """SIGKILL leaves the staging directory, with the files of the parent
+    and of its worker; the worker stops at its next layer and lets go of the
+    directory's lock, and the next build into the directory removes the whole
+    staging directory, the linkage dump, which it does not write, too."""
     out_dir = tmp_path / "out"
     child, workers = _start_fine_sweep(fine_sweep_input, out_dir)
     child.kill()
@@ -1023,51 +1063,55 @@ def test_a_killed_builds_worker_stops_and_the_next_build_sweeps_its_files(
     while not all(_gone(pid) for pid in workers):
         assert time.monotonic() < deadline, "the worker outlived its parent by 60 s"
         time.sleep(0.05)
-    left = {p.name for p in out_dir.glob(".*.tmp")}
-    assert left and all(name.endswith(f".{child.pid}.tmp") for name in left)
-    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--dump-linkage"]
+    assert [p.name for p in out_dir.glob(".*.tmp")] == [f".collabnet.{child.pid}.tmp"]
+    assert (out_dir / f".collabnet.{child.pid}.tmp" / "linkage.csv").exists()
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50"]
     assert run([*argv, "--output-dir", str(out_dir)]) == 0
     assert not any(out_dir.glob(".*.tmp"))
 
 
+def _stale_stage(out_dir: Path) -> Path:
+    """The staging directory that a killed run of pid 41 left in ``out_dir``,
+    with files that the build in the tests below does not write."""
+    stage = out_dir / ".collabnet.41.tmp"
+    stage.mkdir(parents=True)
+    for name in ("linkage.csv", "layer_03_t-2.5.dot"):  # of another sweep and format
+        (stage / name).write_text("partial")
+    return stage
+
+
 def test_a_build_removes_only_collabnets_temporary_files(tmp_path):
-    """With no other run in the directory, a build removes every temporary
-    file of a name it writes, the earlier manifest lists, or of a layer file,
-    whatever pid it holds, the test's own too; no other name."""
+    """With no other run in the directory, a build removes every other run's
+    staging directory, whatever it holds; no other name."""
     out_dir = tmp_path / "out"
-    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--dump-linkage"]
-    assert run([*argv, "--output-dir", str(out_dir)]) == 0
-    stale = [
-        ".layer_03_t-2.5.dot.41.tmp",  # of another sweep and format
-        f".metrics.csv.{os.getpid()}.tmp",
-        ".manifest.json.7654321.tmp",
-        ".linkage.csv.2.tmp",
-    ]
-    kept = [".x.41.tmp", ".x.1.tmp", ".notes.txt.41.tmp", "metrics.csv.41.tmp", ".metrics.csv.tmp"]
-    for name in stale + kept:
+    argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--output-dir", str(out_dir)]
+    assert run(argv) == 0
+    _stale_stage(out_dir)
+    (out_dir / ".collabnet.tmp").mkdir()  # no pid
+    kept_files = [".x.41.tmp", ".notes.txt.41.tmp", ".metrics.csv.41.tmp", ".collabnet.7.tmp"]
+    for name in kept_files:
         (out_dir / name).write_text("partial")
-    assert run([*argv, "--output-dir", str(out_dir)]) == 0
-    assert sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")) == sorted(kept)
+    assert run(argv) == 0
+    left = sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp"))
+    assert left == sorted([*kept_files, ".collabnet.tmp"])
 
 
 def test_a_build_sweeps_nothing_while_another_run_holds_the_directory(tmp_path):
     """A run holds a shared flock on its directory while it writes there,
     which crosses pid namespaces: a build that cannot take it exclusively
-    leaves every temporary file, and the next one removes them."""
+    leaves every other staging directory, and the next one removes them."""
     out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    temporary = out_dir / ".metrics.csv.41.tmp"
-    temporary.write_text("partial")
+    stage = _stale_stage(out_dir)
     argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--output-dir", str(out_dir)]
     held = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:
         fcntl.flock(held, fcntl.LOCK_SH)  # as another run's process would
         assert run(argv) == 0
-        assert temporary.exists()
+        assert sorted(p.name for p in stage.iterdir()) == ["layer_03_t-2.5.dot", "linkage.csv"]
     finally:
         os.close(held)
     assert run(argv) == 0
-    assert not temporary.exists()
+    assert not stage.exists()
 
 
 def _entry_code(cpus: int, prelude: str = "") -> str:
@@ -1440,7 +1484,7 @@ def test_failed_streamed_write_keeps_previous_outputs(small_input, tmp_path, mon
 
     def flaky_write(self, data):
         calls["n"] += 1
-        assert self.name.endswith(".tmp") and self.parent == out_dir
+        assert self.parent == out_dir / f".collabnet.{os.getpid()}.tmp"
         if calls["n"] == failing:
             real_write(self, data[: len(data) // 2])  # a partial file is left behind
             raise OSError("disk full")
@@ -1467,7 +1511,7 @@ def _record_writes(monkeypatch) -> list[Path]:
 
 
 def _temp(out_dir: Path, name: str) -> Path:
-    return out_dir / f".{name}.{os.getpid()}.tmp"
+    return out_dir / f".collabnet.{os.getpid()}.tmp" / name
 
 
 def _stats_temps(out_dir: Path) -> list[Path]:
@@ -1496,7 +1540,7 @@ def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, mo
     written = _record_writes(monkeypatch)
     assert run(argv) == 1
     assert "cannot render layer" in capsys.readouterr().err
-    # the statistics and the first layer went to their temporary files before
+    # the statistics and the first layer went to the staging directory before
     # the run ended, and the failure removed them
     assert written == [*_stats_temps(out_dir), _temp(out_dir, "layer_00_t0.graphml")]
     assert not any(p.exists() for p in written)
