@@ -60,6 +60,7 @@ import re
 import shutil
 import signal
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, fields
 from itertools import takewhile
@@ -196,9 +197,10 @@ class _Artifacts:
     any work; then use it as a context manager. The directory, and any
     missing parent, is made at the first write, or at :meth:`open`, which
     then opens it, holds a shared ``flock`` on it until the exit, and makes
-    the staging directory ``.collabnet.PID.tmp`` in it: every run that
-    writes there holds the lock while it does. The PID is that of the
-    process that made this object: a worker forked after :meth:`open` (see
+    a staging directory in it, named ``.collabnet.XXXXXXXX.tmp`` by
+    :func:`tempfile.mkdtemp`, so no two runs share one, whatever process,
+    container or host they run in: every run that writes there holds the
+    lock while it does. A worker forked after :meth:`open` (see
     :class:`_LayerQueue`) writes into the same staging directory and holds
     the lock through the descriptor it inherits; :meth:`adopt` takes the
     worker's hashes.
@@ -227,7 +229,7 @@ class _Artifacts:
         if not existing.is_dir():
             raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
         self.out_dir = out_dir
-        self._stage = out_dir / f".collabnet.{os.getpid()}.tmp"  # a forked worker's too
+        self._stage: Path | None = None  # made by open; a forked worker's too
         self._hashes: dict[str, str] = {}
         self._made: list[Path] = []  # the directories open made, parents first
         self._lock: int | None = None  # out_dir, opened and share-locked by open
@@ -253,7 +255,7 @@ class _Artifacts:
         self._lock = os.open(self.out_dir, os.O_RDONLY | os.O_DIRECTORY)
         with contextlib.suppress(OSError):  # no lock here: nobody sweeps the directory
             fcntl.flock(self._lock, fcntl.LOCK_SH)  # waits out another run's sweep
-        self._stage.mkdir(exist_ok=True)  # a killed run of the same pid may have left it
+        self._stage = Path(tempfile.mkdtemp(prefix=".collabnet.", suffix=".tmp", dir=self.out_dir))
 
     def adopt(self, hashes: dict[str, str]) -> None:
         """The hashes of the files a forked worker wrote."""
@@ -276,8 +278,9 @@ class _Artifacts:
             if exc_type is None:
                 self._commit()
         finally:  # a renamed file has left the staging directory: this removes the rest
-            if self._lock is not None:  # open made the staging directory
+            if self._stage is not None:
                 shutil.rmtree(self._stage, ignore_errors=True)  # one that stays keeps no other
+            if self._lock is not None:
                 try:
                     self._sweep()
                 finally:
@@ -293,11 +296,12 @@ class _Artifacts:
             fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:  # another run is writing here, or the file system has no locks
             return
+        own = self._stage.name if self._stage else None  # the exit could not remove it
         with contextlib.suppress(OSError), os.scandir(self.out_dir) as entries:
             for entry in entries:
                 if (
-                    re.fullmatch(r"\.collabnet\.[0-9]+\.tmp", entry.name)
-                    and entry.name != self._stage.name  # the exit could not remove it
+                    re.fullmatch(r"\.collabnet\..+\.tmp", entry.name)
+                    and entry.name != own
                     and entry.is_dir(follow_symlinks=False)
                 ):
                     shutil.rmtree(entry.path, ignore_errors=True)

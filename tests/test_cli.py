@@ -611,6 +611,9 @@ def test_a_run_that_fails_before_its_first_write_makes_nothing(small_input, tmp_
 def test_failed_cleanup_removes_every_other_file_and_raises_the_runs_error(
     small_input, tmp_path, monkeypatch
 ):
+    """The refusal is made by wrapping ``os.unlink``, which ``shutil.rmtree``
+    calls, with the file's name and its directory's descriptor, for each
+    file."""
     out_dir = tmp_path / "new" / "dir"
     config = RunConfig(input_path=str(small_input), output_dir=out_dir, thresholds=(0.0, 20.0, 40.0))
 
@@ -627,10 +630,13 @@ def test_failed_cleanup_removes_every_other_file_and_raises_the_runs_error(
 
     monkeypatch.setattr(cli._Artifacts, "_commit", disk_full)
     monkeypatch.setattr(os, "unlink", refuse_once)
+    written = _record_writes(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(config)
-    # the refused file keeps the directories it is in, and nothing else stays
-    stage = out_dir / f".collabnet.{os.getpid()}.tmp"
+    # the refused file, one the run staged, keeps the directories it is in,
+    # and nothing else stays
+    [stage] = out_dir.glob(".collabnet.*.tmp")
+    assert refused[0] in _staged(out_dir, written)
     assert sorted((tmp_path / "new").rglob("*")) == [out_dir, stage, stage / refused[0]]
 
 
@@ -1063,17 +1069,18 @@ def test_a_killed_builds_worker_stops_and_the_next_build_sweeps_its_files(
     while not all(_gone(pid) for pid in workers):
         assert time.monotonic() < deadline, "the worker outlived its parent by 60 s"
         time.sleep(0.05)
-    assert [p.name for p in out_dir.glob(".*.tmp")] == [f".collabnet.{child.pid}.tmp"]
-    assert (out_dir / f".collabnet.{child.pid}.tmp" / "linkage.csv").exists()
+    [stage] = out_dir.glob(".*.tmp")  # the parent's and the worker's files
+    _staged(out_dir, [stage / "linkage.csv"])
+    assert (stage / "linkage.csv").exists()
     argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50"]
     assert run([*argv, "--output-dir", str(out_dir)]) == 0
     assert not any(out_dir.glob(".*.tmp"))
 
 
 def _stale_stage(out_dir: Path) -> Path:
-    """The staging directory that a killed run of pid 41 left in ``out_dir``,
-    with files that the build in the tests below does not write."""
-    stage = out_dir / ".collabnet.41.tmp"
+    """A staging directory that a killed run left in ``out_dir``, with files
+    that the build in the tests below does not write."""
+    stage = out_dir / ".collabnet.k3_x9q2a.tmp"  # as tempfile.mkdtemp names it
     stage.mkdir(parents=True)
     for name in ("linkage.csv", "layer_03_t-2.5.dot"):  # of another sweep and format
         (stage / name).write_text("partial")
@@ -1082,16 +1089,25 @@ def _stale_stage(out_dir: Path) -> Path:
 
 def test_a_build_removes_only_collabnets_temporary_files(tmp_path):
     """With no other run in the directory, a build removes every other run's
-    staging directory, whatever it holds; no other name."""
+    staging directory, whatever its name holds, the test's own pid too, and
+    whatever files it holds; no other name."""
     out_dir = tmp_path / "out"
     argv = ["build", str(GOLDEN_INPUT), "--thresholds", "0,50", "--output-dir", str(out_dir)]
     assert run(argv) == 0
     _stale_stage(out_dir)
-    (out_dir / ".collabnet.tmp").mkdir()  # no pid
-    kept_files = [".x.41.tmp", ".notes.txt.41.tmp", ".metrics.csv.41.tmp", ".collabnet.7.tmp"]
+    own = out_dir / f".collabnet.{os.getpid()}.tmp"
+    own.mkdir()
+    (own / "linkage.csv").write_text("partial")
+    (out_dir / ".collabnet.tmp").mkdir()  # no name between the dots
+    kept_files = [
+        *[".x.41.tmp", ".x.1.tmp", ".notes.txt.41.tmp", "metrics.csv.41.tmp", ".metrics.csv.tmp"],
+        ".metrics.csv.41.tmp",  # an earlier version's temporary file
+        ".collabnet.7.tmp",  # a file, not a directory
+    ]
     for name in kept_files:
         (out_dir / name).write_text("partial")
     assert run(argv) == 0
+    assert not own.exists()
     left = sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp"))
     assert left == sorted([*kept_files, ".collabnet.tmp"])
 
@@ -1484,7 +1500,7 @@ def test_failed_streamed_write_keeps_previous_outputs(small_input, tmp_path, mon
 
     def flaky_write(self, data):
         calls["n"] += 1
-        assert self.parent == out_dir / f".collabnet.{os.getpid()}.tmp"
+        _staged(out_dir, [self])
         if calls["n"] == failing:
             real_write(self, data[: len(data) // 2])  # a partial file is left behind
             raise OSError("disk full")
@@ -1510,14 +1526,16 @@ def _record_writes(monkeypatch) -> list[Path]:
     return written
 
 
-def _temp(out_dir: Path, name: str) -> Path:
-    return out_dir / f".collabnet.{os.getpid()}.tmp" / name
+def _staged(out_dir: Path, written: list[Path]) -> list[str]:
+    """The names of ``written``, which must all be in one staging directory
+    in ``out_dir``."""
+    [stage] = {p.parent for p in written}
+    assert stage.parent == out_dir and re.fullmatch(r"\.collabnet\..+\.tmp", stage.name)
+    return [p.name for p in written]
 
 
-def _stats_temps(out_dir: Path) -> list[Path]:
-    """The statistics files, which a build writes before its first layer."""
-    names = ["stats_contribution_pct.csv", "stats_ic_score.csv", "stats_summary.json"]
-    return [_temp(out_dir, name) for name in names]
+# the statistics files, which a build writes before its first layer
+_STATS_FILES = ["stats_contribution_pct.csv", "stats_ic_score.csv", "stats_summary.json"]
 
 
 def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, monkeypatch, capsys):
@@ -1542,7 +1560,7 @@ def test_export_error_mid_build_keeps_previous_outputs(small_input, tmp_path, mo
     assert "cannot render layer" in capsys.readouterr().err
     # the statistics and the first layer went to the staging directory before
     # the run ended, and the failure removed them
-    assert written == [*_stats_temps(out_dir), _temp(out_dir, "layer_00_t0.graphml")]
+    assert _staged(out_dir, written) == [*_STATS_FILES, "layer_00_t0.graphml"]
     assert not any(p.exists() for p in written)
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
@@ -1565,11 +1583,7 @@ def test_out_of_memory_exits_1_with_one_error_line(small_input, tmp_path, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory while building the output\n"
-    assert written == [
-        _temp(out_dir, "linkage.csv"),
-        *_stats_temps(out_dir),
-        _temp(out_dir, "layer_00_t0.graphml"),
-    ]
+    assert _staged(out_dir, written) == ["linkage.csv", *_STATS_FILES, "layer_00_t0.graphml"]
     assert not (tmp_path / "new").exists()
 
 
@@ -1625,7 +1639,7 @@ def test_a_run_in_process_leaves_no_thread_and_no_temporary_file(
     else:
         with pytest.raises(failure, match="stopped"):
             run_pipeline(config)
-        assert written == [*_stats_temps(out_dir), _temp(out_dir, "layer_00_t0.graphml")]
+        assert _staged(out_dir, written) == [*_STATS_FILES, "layer_00_t0.graphml"]
         assert not out_dir.exists()
     assert set(threading.enumerate()) <= threads
     assert (gc.get_freeze_count(), gc.isenabled()) == collector
