@@ -30,8 +30,8 @@ when the process may run on two or more CPUs, lets a build use a second
 one. Such a build, once its layer stack is made, puts its layer indices in
 one queue and forks one worker process when its layers are enough work
 (:class:`_LayerQueue`).
-The worker first takes the CPU its parent was on at the fork out of its own
-affinity mask: a forked process starts on its parent's CPU, and the
+The parent then pins itself to the first half of its affinity mask and the
+worker to the rest: a forked process starts on its parent's CPU, and the
 scheduler may keep both there for the whole build. Each process takes the
 next layer from the queue as soon as it is free, and
 measures, exports, writes and hashes it, the worker into the parent's
@@ -89,6 +89,7 @@ EXIT_TERMINATED = 128 + signal.SIGTERM
 # written by one run
 MAX_BINS = 10_000
 MAX_LAYERS = 1_000
+_NAME_MAX = 255  # NAME_MAX: the longest file name most file systems take, in bytes
 
 
 class ConfigError(Exception):
@@ -131,6 +132,14 @@ class RunConfig:
                 self.thresholds = layers.make_sweep_explicit(self.thresholds).thresholds
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            # linspace thresholds lie in [0, 100], so only explicit ones can be too long
+            for i, t in enumerate(self.thresholds):
+                name = _layer_filename(i, t, self.export_format)
+                if len(name) > _NAME_MAX:  # ASCII: a byte a character
+                    raise ConfigError(
+                        f"threshold {t!r} is too large to name a file: its layer file"
+                        f" name would be {len(name)} bytes, over {_NAME_MAX}"
+                    )
         if self.linspace is not None and self.linspace < 2:
             raise ConfigError("linspace needs at least 2 points")
         if self.linspace is not None and self.linspace > MAX_LAYERS:
@@ -184,8 +193,8 @@ def _stats_artifacts(records: ingest.RecordTable, n_bins: int) -> dict[str, byte
     return artifacts
 
 
-def _layer_filename(index: int, layer: layers.NetworkLayer, fmt: export.ExportFormat) -> str:
-    return f"layer_{index:02d}_t{layers.threshold_label(layer.threshold)}.{fmt.value}"
+def _layer_filename(index: int, threshold: float, fmt: export.ExportFormat) -> str:
+    return f"layer_{index:02d}_t{layers.threshold_label(threshold)}.{fmt.value}"
 
 
 class _Artifacts:
@@ -339,26 +348,10 @@ def _forks(stack: list[layers.NetworkLayer]) -> bool:
     return _fork and sum(layer.n_edges for layer in stack) >= 2 * worth
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process is running on, field 39 of ``/proc/self/stat``
-    (Python 3.11 has no ``os.sched_getcpu``), or None where it cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            # the fields after the command name, which may hold spaces, start at field 3
-            return int(stat.read().rpartition(b")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _leave_cpu(cpu: int | None) -> None:
-    """Take ``cpu``, if known, out of this process's affinity mask, unless
-    the mask would be empty; a refused change keeps the mask."""
-    if cpu is None:
-        return
+def _pin(cpus: list[int]) -> None:
+    """Run the calling thread on ``cpus`` only; a refused change keeps its mask."""
     with contextlib.suppress(OSError, ValueError):
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
+        os.sched_setaffinity(0, cpus)
 
 
 class _LayerQueue:
@@ -369,13 +362,15 @@ class _LayerQueue:
     ``MAX_LAYERS`` two-byte indices, under PIPE_BUF, so one write puts them
     all and each two-byte read takes one. When :func:`_forks` allows, it
     then opens the run's staging directory (:meth:`_Artifacts.open`),
-    reads the CPU the parent runs on, and forks one worker, which renders
+    reads the sorted affinity mask, and forks one worker, which renders
     the stack's edge lines for itself at its first export, as the parent
-    does; no Python thread is alive at the fork, as the CLI starts none. The
-    worker's first act is to leave that CPU, so that the two processes run
-    in parallel; the parent's affinity mask stays as it was, and a refused
-    change keeps the worker's. Each process takes the next index as soon as
-    it is free; a stack's layers nest, so
+    does; no Python thread is alive at the fork, as the CLI starts none.
+    The parent pins itself to the first half of the mask and the worker,
+    as its first act, to the rest (:func:`_pin`), so that the two never
+    share a CPU, whichever one each starts on; a refused change keeps that
+    process's mask. The pin sets only the calling thread's mask, so any
+    OpenBLAS thread the caller asked for keeps its own. Each process takes
+    the next index as soon as it is free; a stack's layers nest, so
     index order puts the most edges first. The worker sends its reports and
     hashes, or its exception, pickled through a second pipe. A parent whose
     worker has ended, or a worker whose parent is gone, takes no further
@@ -400,6 +395,8 @@ class _LayerQueue:
             with open(write, "wb", buffering=0) as queue:  # one write call
                 queue.write(b"".join(i.to_bytes(2, "big") for i in range(len(self._stack))))
             if _forks(self._stack):
+                cpus = sorted(os.sched_getaffinity(0))
+                half = len(cpus) // 2  # the parent's share: the first half, one CPU of two
                 self._out.open()  # the worker writes into the parent's staging directory
                 read, write = os.pipe()
                 self._results = open(read, "rb")
@@ -412,23 +409,24 @@ class _LayerQueue:
                         warnings.filterwarnings(
                             "ignore", r"This process .* is multi-threaded", DeprecationWarning
                         )
-                        cpu = _current_cpu()  # the worker leaves it
                         self._pid = os.fork()
                     if not self._pid:
-                        self._work(results, cpu)
+                        self._work(results, cpus[half:])
+                _pin(cpus[:half])
         except BaseException:
             self.__exit__(None, None, None)
             raise
         return self
 
-    def _work(self, results: BinaryIO, cpu: int | None) -> None:
-        """The worker's whole life: leave the parent's CPU, take layers, send
-        what came of it, exit. A forked child starts on its parent's CPU, and
-        the scheduler may leave it there for the whole build, which then
-        runs its two processes on one CPU, slower than one process alone."""
+    def _work(self, results: BinaryIO, cpus: list[int]) -> None:
+        """The worker's whole life: pin itself to ``cpus``, the half of the
+        mask its parent leaves, take layers, send what came of it, exit. A
+        forked child starts on its parent's CPU, and the scheduler may leave
+        it there for the whole build, which then runs its two processes on
+        one CPU, slower than one process alone."""
         status = 1
         try:
-            _leave_cpu(cpu)
+            _pin(cpus)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             self._results.close()
@@ -454,7 +452,7 @@ class _LayerQueue:
             visuals = export.assign_visuals(layer, membership)
             # no name holds the document, so it is freed once written, before the next report
             self._out.write(
-                _layer_filename(i, layer, fmt),
+                _layer_filename(i, layer.threshold, fmt),
                 export.export_layer(layer, visuals, fmt, include_isolated=isolated),
             )
         return reports

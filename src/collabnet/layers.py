@@ -169,11 +169,6 @@ def threshold_label(threshold: float) -> str:
     return "0" if label == "-0" else label
 
 
-# NAME_MAX (255 bytes) less what the longest layer file name adds to the
-# label: 255 - len("layer_999_t") - len(".graphml") = 236
-_MAX_LABEL = 236
-
-
 @dataclass(frozen=True)
 class ThresholdSweep:
     """A strictly increasing list of thresholds, explicit or linspace-derived,
@@ -187,11 +182,6 @@ class ThresholdSweep:
         for t in self.thresholds:
             if not math.isfinite(t):
                 raise ValueError(f"threshold {t!r} is not finite")
-            if len(threshold_label(t)) > _MAX_LABEL:
-                raise ValueError(
-                    f"threshold {t!r} is too large to name a file: its label"
-                    f" has more than {_MAX_LABEL} characters"
-                )
         for lo, hi in zip(self.thresholds, self.thresholds[1:]):
             if not lo < hi:
                 raise ValueError(

@@ -159,18 +159,14 @@ def _validate(config: SynthConfig) -> int:
     """The largest team size for ``config``."""
     if config.seed < 0:  # numpy's own message names no option
         raise ValueError(f"seed must be a non-negative integer, got {config.seed}")
-    for name, value, high in (
-        ("n_projects", config.n_projects, MAX_PROJECTS),
-        ("n_members", config.n_members, MAX_MEMBERS),
+    for name, value, low, high in (
+        ("n_projects", config.n_projects, 1, MAX_PROJECTS),
+        # a team's members are distinct, so the mean team size needs this many
+        ("n_members", config.n_members, math.ceil(_MEAN_TEAM_SIZE), MAX_MEMBERS),
     ):
-        if not 1 <= value <= high:
-            raise ValueError(f"{name} must be from 1 to {high}, got {value}")
-    cap = min(_MAX_TEAM_SIZE, config.n_members)
-    if _MEAN_TEAM_SIZE > cap:
-        raise ValueError(
-            f"mean team size {_MEAN_TEAM_SIZE:.3f} is unreachable with max team size {cap}"
-        )
-    return cap
+        if not low <= value <= high:
+            raise ValueError(f"{name} must be from {low} to {high}, got {value}")
+    return min(_MAX_TEAM_SIZE, config.n_members)
 
 
 def _draw_team(

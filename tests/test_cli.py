@@ -307,7 +307,7 @@ def test_config_errors_exit_2(small_input, tmp_path, capsys):
     for options in (["--projects", "0"], ["--members", "0"], ["--projects", "-3"],
                     ["--projects", "5", "--members", "1"]):
         assert run(["synth", *options, "--out", str(tmp_path / "s.csv")]) == 2
-    assert "unreachable with max team size 1" in capsys.readouterr().err
+    assert "n_members must be from 5 to 100000, got 1" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -384,7 +384,8 @@ def test_synth_counts_above_their_limit_exit_2(tmp_path, capsys, option, name, h
     out = tmp_path / "s.csv"
     assert run(["synth", option, str(high + 1), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {name} must be from 1 to {high}, got {high + 1}\n"
+    low = {"n_projects": 1, "n_members": 5}[name]  # 5: the mean team size, 4.292, rounded up
+    assert captured.err == f"error: {name} must be from {low} to {high}, got {high + 1}\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -487,6 +488,8 @@ def test_strict_ingest_accepts_a_total_of_exactly_the_limit(tmp_path, capsys):
         ((50.0, 50.0000001), "share the label t50"),
         ((0.0, float("inf")), "not finite"),
         ((0.0, 1e300), "too large to name a file"),
+        # layer 100's name is a byte longer than layer 99's, which is 255 bytes
+        ((*range(100), 1e236), "name would be 256 bytes"),
     ],
 )
 def test_runconfig_rejects_a_bad_sweep_before_reading(thresholds, message, tmp_path):
@@ -496,20 +499,27 @@ def test_runconfig_rejects_a_bad_sweep_before_reading(thresholds, message, tmp_p
 
 
 def test_a_threshold_label_may_fill_the_longest_layer_file_name(small_input, tmp_path, capsys):
-    """A label of 236 characters makes the longest layer file name,
-    layer_999_t<label>.graphml, 255 bytes: it builds, and one of 237 exits 2
-    before the input is read."""
+    """A label of 237 characters makes layer_01_t<label>.graphml 255 bytes:
+    it builds, and one of 238 exits 2 before the input is read. (1e237 is a
+    float below 10**237, so its label has 237 characters too.)"""
     out_dir = tmp_path / "out"
-    assert run(["build", str(small_input), "--thresholds", "0,1e235", "--output-dir", str(out_dir)]) == 0
-    label = layers.threshold_label(1e235)
-    assert len(f"layer_{cli.MAX_LAYERS - 1}_t{label}.{ExportFormat.GRAPHML.value}") == 255
-    assert (out_dir / f"layer_01_t{label}.graphml").is_file()
+    assert run(["build", str(small_input), "--thresholds", "0,1e236", "--output-dir", str(out_dir)]) == 0
+    name = f"layer_01_t{layers.threshold_label(1e236)}.graphml"
+    assert len(name) == 255
+    assert (out_dir / name).is_file()
     capsys.readouterr()
     over = tmp_path / "over"
-    argv = ["build", str(tmp_path / "missing.csv"), "--thresholds", "0,1e236", "--output-dir", str(over)]
+    argv = ["build", str(tmp_path / "missing.csv"), "--thresholds", "0,2e237", "--output-dir", str(over)]
     assert run(argv) == 2
-    assert "too large to name a file" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: threshold 2e+237 is too large to name a file:"
+        " its layer file name would be 256 bytes, over 255\n"
+    )
     assert not over.exists()
+    json_dir = tmp_path / "json"  # the same label names a 253-byte JSON file
+    argv = ["build", str(small_input), "--thresholds", "0,2e237", "--format", "json"]
+    assert run([*argv, "--output-dir", str(json_dir)]) == 0
+    assert (json_dir / f"layer_01_t{layers.threshold_label(2e237)}.json").is_file()
 
 
 def test_runconfig_validation():
@@ -1286,26 +1296,22 @@ def test_main_in_process_stays_in_one_process(fine_sweep_input, tmp_path, monkey
     reason="needs a real affinity mask of two or more CPUs",
 )
 def test_the_worker_leaves_the_cpu_its_parent_was_on(double_input, tmp_path):
-    """The fine_sweep_2x build, entered on this host's own CPUs: the worker
-    runs on every CPU of the parent's mask but the one the parent read
-    before the fork, and the parent's mask stays as it was."""
+    """The fine_sweep_2x build, entered on this host's own CPUs: after the
+    fork the parent runs on the first half of the mask and the worker on
+    the rest, so the two never share a CPU."""
     log = tmp_path / "masks.txt"
     code = (
         "import atexit, os, collabnet.cli as cli\n"
         "from collabnet import export\n"
         f"log = {str(log)!r}\n"
-        "def note(kind, value):\n"
-        "    open(log, 'a').write(f'{kind} {os.getpid()} {sorted(value)}\\n')\n"
-        "read, real = cli._current_cpu, export.export_layer\n"
-        "def current_cpu():\n"
-        "    cpu = read()\n"
-        "    note('cpu', [cpu])\n"
-        "    return cpu\n"
+        "def note(kind):\n"
+        "    open(log, 'a').write(f'{kind} {os.getpid()} {sorted(os.sched_getaffinity(0))}\\n')\n"
+        "real = export.export_layer\n"
         "def exporting(*args, **kwargs):\n"
-        "    note('export', os.sched_getaffinity(0))\n"
+        "    note('export')\n"
         "    return real(*args, **kwargs)\n"
-        "cli._current_cpu, export.export_layer = current_cpu, exporting\n"
-        "atexit.register(lambda: note('exit', os.sched_getaffinity(0)))\n"
+        "export.export_layer = exporting\n"
+        "atexit.register(note, 'exit')\n"
         "cli.entry()\n"
     )
     argv = ["build", str(double_input), "--thresholds", _TWENTY_UP, "--format", "json"]
@@ -1319,12 +1325,11 @@ def test_the_worker_leaves_the_cpu_its_parent_was_on(double_input, tmp_path):
     )
     assert (result.returncode, result.stderr) == (0, "")
     lines = [line.split(" ", 2) for line in log.read_text().splitlines()]
-    (cpu,) = [json.loads(value) for kind, _, value in lines if kind == "cpu"]
     (parent,) = {pid for kind, pid, _ in lines if kind == "exit"}
-    masks = {(pid == parent, value) for kind, pid, value in lines if kind != "cpu"}
+    masks = {(pid == parent, value) for _, pid, value in lines}
     mask = sorted(os.sched_getaffinity(0))
-    assert cpu[0] in mask
-    assert masks == {(True, str(mask)), (False, str(sorted(set(mask) - set(cpu))))}
+    half = len(mask) // 2
+    assert masks == {(True, str(mask[:half])), (False, str(mask[half:]))}
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
@@ -1334,7 +1339,7 @@ def test_the_worker_leaves_the_cpu_its_parent_was_on(double_input, tmp_path):
     ids=["OSError", "ValueError"],
 )
 def test_a_refused_pin_leaves_the_build_as_it_was(fine_sweep_input, tmp_path, refusal):
-    """The worker's ``sched_setaffinity`` raises: the worker keeps its mask,
+    """Both processes' ``sched_setaffinity`` raises: each keeps its mask,
     and the build exits 0 with the files of one process."""
     calls = tmp_path / "pins.txt"
     prelude = (
@@ -1354,34 +1359,10 @@ def test_a_refused_pin_leaves_the_build_as_it_was(fine_sweep_input, tmp_path, re
     )
     assert (result.returncode, result.stderr) == (0, "forked 1\n")
     parent, *pins = [int(pid) for pid in calls.read_text().split()]
-    assert len(pins) == 1 and pins[0] != parent
+    assert len(pins) == 2 and pins.count(parent) == 1
     assert run([*argv, str(tmp_path / "single")]) == 0
     forked = {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
     assert forked == {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_the_cpu_read_before_the_fork_is_one_the_process_may_run_on():
-    assert cli._current_cpu() in os.sched_getaffinity(0)
-
-
-@pytest.mark.parametrize(
-    "stat", [OSError(13, "Permission denied"), b"7 (a) b) R", b"7 (python) R" + b" x" * 40],
-    ids=["unreadable", "short", "not-a-number"],
-)
-def test_a_cpu_that_cannot_be_read_leaves_the_mask_alone(monkeypatch, stat):
-    def fake_open(path, mode):
-        if isinstance(stat, OSError):
-            raise stat
-        return io.BytesIO(stat)
-
-    def no_pin(pid, cpus):
-        raise AssertionError("the mask changed")
-
-    monkeypatch.setattr(cli, "open", fake_open, raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", no_pin, raising=False)
-    assert cli._current_cpu() is None
-    cli._leave_cpu(None)
 
 
 def test_no_process_of_a_forked_build_starts_a_thread(fine_sweep_input, tmp_path):

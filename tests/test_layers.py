@@ -99,6 +99,8 @@ def test_explicit_sweep_validation():
     with pytest.raises(ValueError, match="share the label t0$"):
         ThresholdSweep((0.0, 5e-324))
     assert make_sweep_explicit([50, 50.000001]).thresholds == (50.0, 50.000001)
+    # a sweep names no file, so a label of any length is one: cli checks file names
+    assert ThresholdSweep((0.0, 1e300)).thresholds == (0.0, 1e300)
     # a negative threshold that rounds to zero is labelled t0, so it meets a positive one
     with pytest.raises(ValueError, match=r"^thresholds -1e-07 and 1e-07 share the label t0$"):
         make_sweep_explicit([-0.0000001, 0.0000001])

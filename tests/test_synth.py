@@ -137,5 +137,7 @@ def test_infeasible_configs_rejected():
         generate(SynthConfig(seed=0, n_projects=0))
     with pytest.raises(ValueError):
         generate(SynthConfig(seed=0, n_members=0))
-    with pytest.raises(ValueError, match="unreachable"):
-        generate(SynthConfig(seed=0, n_members=4))  # cap 4 < mean team 100 / 23.3
+    # a mean team of 100 / 23.3 = 4.292 distinct members needs 5
+    with pytest.raises(ValueError, match=r"^n_members must be from 5 to 100000, got 4$"):
+        generate(SynthConfig(seed=0, n_members=4))
+    assert generate(SynthConfig(seed=0, n_projects=20, n_members=5)).n_projects == 20
